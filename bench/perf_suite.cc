@@ -1,11 +1,12 @@
 // perf_suite — the tracked performance rail. Times the hot paths that bound
-// simulation speed (event queue push/pop, schedule/cancel churn, access-set
-// sampling), one end-to-end paper-default simulation, and one real spec run
-// (specs/node_failover.spec), and emits machine-readable BENCH_perf.json so
-// speedups are pinned by numbers, not asserted. A global counting-allocator
-// hook reports allocations per item: the event engine is supposed to run
-// allocation-free at steady state, and --check turns that property into a
-// hard failure so pessimizations fail loudly in CI.
+// simulation speed (event queue push/pop, schedule/cancel churn, a
+// steady-state hold model, access-set sampling), one end-to-end
+// paper-default simulation, and two real spec runs (specs/node_failover.spec,
+// specs/elasticity_flash.spec), and emits machine-readable BENCH_perf.json
+// so speedups are pinned by numbers, not asserted. A global
+// counting-allocator hook reports allocations per item: the event engine is
+// supposed to run allocation-free at steady state, and --check turns that
+// property into a hard failure so pessimizations fail loudly in CI.
 //
 //   $ ./build/bench/perf_suite --out BENCH_perf.json          # full run
 //   $ ./build/bench/perf_suite --smoke --check                # CI smoke
@@ -147,6 +148,48 @@ SuiteResult BenchEventQueueCancel(double target_sec) {
   } while (Seconds(start, Clock::now()) < target_sec);
   if (sink < 0) std::abort();
   return Finish("event_queue_cancel", start, items, allocs_before);
+}
+
+/// Steady-state hold model, the simulator's own traffic shape: every pop
+/// pushes one successor at `popped time + delay`, so about 1k events stay
+/// live and keys only move forward. Delays are bimodal like a closed
+/// transaction system's — mostly ms-scale service steps plus s-scale think
+/// times, which dominate the live set because they linger. Delays are
+/// pre-drawn so the loop times the queue, not the RNG. Items = pushes +
+/// pops.
+SuiteResult BenchEventQueueHold(double target_sec) {
+  constexpr int kLive = 1024;
+  sim::EventQueue queue;
+  sim::RandomStream rng(5);
+  std::vector<double> delays(4096);
+  for (double& d : delays) {
+    d = rng.NextDouble() < 0.9 ? rng.NextExponential(0.005)
+                               : rng.NextExponential(1.0);
+  }
+  int sink = 0;
+  size_t next_delay = 0;
+  const auto hold = [&] {
+    sim::EventQueue::Fired fired = queue.Pop();
+    fired.cell();
+    queue.Push(fired.time + delays[next_delay], [&sink] { ++sink; });
+    next_delay = (next_delay + 1) % delays.size();
+  };
+  for (int i = 0; i < kLive; ++i) {
+    queue.Push(delays[i], [&sink] { ++sink; });
+  }
+  // Warm past the start-up transient: the live set's time spread settles
+  // to the think-time scale.
+  for (int i = 0; i < 64 * kLive; ++i) hold();
+
+  uint64_t items = 0;
+  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const auto start = Clock::now();
+  do {
+    for (int rep = 0; rep < 10000; ++rep) hold();
+    items += 2 * 10000;
+  } while (Seconds(start, Clock::now()) < target_sec);
+  if (sink < 0) std::abort();
+  return Finish("event_queue_hold", start, items, allocs_before);
 }
 
 /// Access-set sampling with the persistent stamp scratch (the
@@ -332,7 +375,15 @@ std::string ToJson(const std::vector<SuiteResult>& results, bool smoke) {
       "end_to_end_paper_default +5%, spec_node_failover +11%, "
       "others within noise; allocation counts identical (0 where pinned)\",\n"
       "    \"session_source_hybrid pins the SessionWorkload hybrid source "
-      "at 0 allocs/request in steady state (pooled session slots)\"\n"
+      "at 0 allocs/request in steady state (pooled session slots)\",\n"
+      "    \"radix-heap event queue (4-bit digits) vs the 4-ary heap it "
+      "replaced (same machine, 10 alternating full runs each, medians): "
+      "event_queue_hold 14.3M -> 27.6M items/s (+93%), "
+      "event_queue_push_pop 22.5M -> 25.9M (+15%), event_queue_cancel "
+      "22.8M -> 21.2M (-7%, inside the 4-ary heap's own quartile spread of "
+      "3.5M), end_to_end_paper_default +42%, spec_node_failover +21%, "
+      "spec_elasticity_flash +3%; allocation counts identical (0 where "
+      "pinned)\"\n"
       "  ],\n";
   json += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -390,6 +441,7 @@ int main(int argc, char** argv) {
   std::vector<SuiteResult> results;
   results.push_back(BenchEventQueuePushPop(micro_sec));
   results.push_back(BenchEventQueueCancel(micro_sec));
+  results.push_back(BenchEventQueueHold(micro_sec));
   results.push_back(BenchSampleWithoutReplacement(micro_sec));
   results.push_back(BenchLogHistogramAdd(micro_sec));
   results.push_back(BenchEndToEnd(sim_span));
@@ -449,6 +501,7 @@ int main(int argc, char** argv) {
       // steady-state allocation is a regression in the source itself.
       const double limit =
           (r.name == "event_queue_push_pop" || r.name == "event_queue_cancel" ||
+           r.name == "event_queue_hold" ||
            r.name == "sample_without_replacement_k32" ||
            r.name == "session_source_hybrid" ||
            r.name == "log_histogram_add")

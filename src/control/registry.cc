@@ -1,5 +1,6 @@
 #include "control/registry.h"
 
+#include <climits>
 #include <utility>
 
 #include "control/fixed.h"
@@ -18,7 +19,93 @@ PerformanceIndex IndexParam(const util::ParamMap& params,
   return index;
 }
 
+enum class ParamKind { kDouble, kInt, kIndex, kRecovery };
+
+struct BuiltinParam {
+  std::string_view key;
+  ParamKind kind;
+};
+
+/// Every key the built-in factories read, with the type they parse it as.
+constexpr BuiltinParam kBuiltinParams[] = {
+    {"fixed.limit", ParamKind::kDouble},
+    {"tay.threshold", ParamKind::kDouble},
+    {"iyer.target_conflicts", ParamKind::kDouble},
+    {"iyer.gain", ParamKind::kDouble},
+    {"iyer.initial_bound", ParamKind::kDouble},
+    {"iyer.min_bound", ParamKind::kDouble},
+    {"iyer.max_bound", ParamKind::kDouble},
+    {"is.beta", ParamKind::kDouble},
+    {"is.gamma", ParamKind::kDouble},
+    {"is.delta", ParamKind::kDouble},
+    {"is.initial_bound", ParamKind::kDouble},
+    {"is.min_bound", ParamKind::kDouble},
+    {"is.max_bound", ParamKind::kDouble},
+    {"is.index", ParamKind::kIndex},
+    {"pa.forgetting", ParamKind::kDouble},
+    {"pa.initial_covariance", ParamKind::kDouble},
+    {"pa.initial_bound", ParamKind::kDouble},
+    {"pa.min_bound", ParamKind::kDouble},
+    {"pa.max_bound", ParamKind::kDouble},
+    {"pa.dither", ParamKind::kDouble},
+    {"pa.warmup_updates", ParamKind::kInt},
+    {"pa.recovery_step", ParamKind::kDouble},
+    {"pa.reset_after_failures", ParamKind::kInt},
+    {"pa.max_excitation_boost", ParamKind::kDouble},
+    {"pa.recovery", ParamKind::kRecovery},
+    {"pa.index", ParamKind::kIndex},
+    {"gs.min_bound", ParamKind::kDouble},
+    {"gs.max_bound", ParamKind::kDouble},
+    {"gs.samples_per_probe", ParamKind::kInt},
+    {"gs.min_bracket", ParamKind::kDouble},
+    {"gs.restart_width_factor", ParamKind::kDouble},
+    {"gs.index", ParamKind::kIndex},
+};
+
 }  // namespace
+
+bool ValidateControllerParam(const std::string& key, const std::string& value,
+                             std::string* error) {
+  for (const BuiltinParam& param : kBuiltinParams) {
+    if (param.key != key) continue;
+    bool ok = false;
+    const char* expected = "";
+    switch (param.kind) {
+      case ParamKind::kDouble: {
+        double parsed = 0.0;
+        ok = util::ParseDouble(value, &parsed);
+        expected = "a number";
+        break;
+      }
+      case ParamKind::kInt: {
+        long long parsed = 0;
+        ok = util::ParseInt(value, &parsed) && parsed >= INT_MIN &&
+             parsed <= INT_MAX;
+        expected = "an integer";
+        break;
+      }
+      case ParamKind::kIndex: {
+        PerformanceIndex parsed;
+        ok = ParsePerformanceIndex(value, &parsed);
+        expected =
+            "throughput/inverse-response-time/effective-cpu-utilization";
+        break;
+      }
+      case ParamKind::kRecovery: {
+        PaRecoveryPolicy parsed;
+        ok = ParsePaRecoveryPolicy(value, &parsed);
+        expected = "hold/gradient/contract/reset";
+        break;
+      }
+    }
+    if (!ok) {
+      *error = "controller param '" + key + "': expected " + expected +
+               ", got '" + value + "'";
+    }
+    return ok;
+  }
+  return true;
+}
 
 const char* PerformanceIndexName(PerformanceIndex index) {
   switch (index) {

@@ -82,6 +82,14 @@ void AppendIyerParams(const IyerRuleController::Config& config,
                       util::ParamMap* params);
 IyerRuleController::Config IyerFromParams(const util::ParamMap& params);
 
+/// Checks that `value` parses as the type the built-in factories read key
+/// `key` as (a number, an integer, or an enum name). Keys no built-in reads
+/// pass: they belong to externally registered controllers. Lets the spec
+/// layer reject a malformed value with a message at parse or override time
+/// instead of the factory aborting when the run starts.
+bool ValidateControllerParam(const std::string& key, const std::string& value,
+                             std::string* error);
+
 /// Enum <-> name helpers used by the param serializers and the spec layer.
 const char* PerformanceIndexName(PerformanceIndex index);
 bool ParsePerformanceIndex(std::string_view name, PerformanceIndex* out);

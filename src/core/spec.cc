@@ -237,9 +237,21 @@ bool AssignExperimentKey(ExperimentSpec* spec, const std::string& key,
   if (key == "cluster") return SetBoolField(key, value, &spec->cluster, error);
   if (key == "seed") return SetUint64Field(key, value, &spec->seed, error);
   if (key == "duration") {
-    return SetDoubleField(key, value, &spec->duration, error);
+    if (!SetDoubleField(key, value, &spec->duration, error)) return false;
+    if (!(spec->duration > 0.0)) {
+      *error = "key 'duration': must be > 0";
+      return false;
+    }
+    return true;
   }
-  if (key == "warmup") return SetDoubleField(key, value, &spec->warmup, error);
+  if (key == "warmup") {
+    if (!SetDoubleField(key, value, &spec->warmup, error)) return false;
+    if (!(spec->warmup >= 0.0)) {
+      *error = "key 'warmup': must be >= 0";
+      return false;
+    }
+    return true;
+  }
   if (key == "active_terminals") {
     return SetScheduleField(key, value, named, &spec->active_terminals,
                             error);
@@ -957,9 +969,12 @@ bool AssignNodeKey(NodeSpec* node, const std::string& key,
   }
   if (HasPrefix(key, "control.")) {
     // Anything else under control. is a controller parameter, e.g.
-    // control.pa.dither -> params["pa.dither"]. Unknown keys flow through
-    // so externally registered controllers can define their own.
-    node->control.params.Set(key.substr(8), value);
+    // control.pa.dither -> params["pa.dither"]. Values of the keys the
+    // built-in controllers read are type-checked here; unknown keys flow
+    // through so externally registered controllers can define their own.
+    const std::string param = key.substr(8);
+    if (!control::ValidateControllerParam(param, value, error)) return false;
+    node->control.params.Set(param, value);
     return true;
   }
 
@@ -1190,160 +1205,18 @@ std::string PrintSpec(const ExperimentSpec& spec) {
   return out;
 }
 
-bool ParseSpec(const std::string& text, ExperimentSpec* out,
-               std::string* error) {
-  ExperimentSpec spec;
-  NamedSchedules named;
-  std::vector<NodeParseState> node_states;
+namespace {
 
-  enum class Section {
-    kExperiment,
-    kSchedules,
-    kWorkload,
-    kPlacement,
-    kElasticity,
-    kFault,
-    kNode
-  };
-  Section section = Section::kExperiment;
+/// Empty when warmup < duration, else the message. Each key is range-checked
+/// on its own when assigned; only the pair can be out of order.
+std::string RunWindowError(const ExperimentSpec& spec) {
+  if (spec.warmup < spec.duration) return std::string();
+  return "warmup (" + util::FormatDouble(spec.warmup) +
+         ") must be < duration (" + util::FormatDouble(spec.duration) + ")";
+}
 
-  std::istringstream stream(text);
-  std::string line;
-  int line_number = 0;
-  auto fail = [&](const std::string& message) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_number) + ": " + message;
-    }
-    return false;
-  };
-
-  while (std::getline(stream, line)) {
-    ++line_number;
-    // A '#' opens a comment only at line start or after whitespace, so
-    // values containing '#' (a name, a registered policy) survive the
-    // print/parse round trip.
-    for (size_t i = 0; i < line.size(); ++i) {
-      if (line[i] == '#' &&
-          (i == 0 ||
-           std::isspace(static_cast<unsigned char>(line[i - 1])))) {
-        line.resize(i);
-        break;
-      }
-    }
-    line = TrimWhitespace(line);
-    if (line.empty()) continue;
-
-    if (line.front() == '[') {
-      if (line.back() != ']') return fail("malformed section header");
-      const std::string name = TrimWhitespace(line.substr(1, line.size() - 2));
-      if (name == "experiment") {
-        section = Section::kExperiment;
-      } else if (name == "schedules") {
-        section = Section::kSchedules;
-      } else if (name == "workload") {
-        section = Section::kWorkload;
-      } else if (name == "placement") {
-        section = Section::kPlacement;
-      } else if (name == "elasticity") {
-        section = Section::kElasticity;
-      } else if (name == "fault") {
-        section = Section::kFault;
-      } else if (name == "node") {
-        spec.nodes.emplace_back();
-        node_states.emplace_back();
-        section = Section::kNode;
-      } else {
-        return fail("unknown section [" + name + "]");
-      }
-      continue;
-    }
-
-    const size_t equals = line.find('=');
-    if (equals == std::string::npos) return fail("expected 'key = value'");
-    const std::string key = TrimWhitespace(line.substr(0, equals));
-    const std::string value = TrimWhitespace(line.substr(equals + 1));
-    if (key.empty()) return fail("empty key");
-
-    std::string message;
-    bool ok = true;
-    switch (section) {
-      case Section::kExperiment:
-        ok = AssignExperimentKey(&spec, key, value, named, &message);
-        break;
-      case Section::kSchedules: {
-        // avail(...) literals live in the availability namespace; every
-        // other literal is a numeric schedule. One name can only mean one
-        // thing, so the maps never hold the same key.
-        if (HasPrefix(value, "avail(")) {
-          cluster::AvailabilitySchedule availability;
-          ok = cluster::AvailabilitySchedule::Parse(value, &availability,
-                                                    &message);
-          if (ok) named.availabilities[key] = availability;
-          break;
-        }
-        db::Schedule schedule;
-        ok = db::Schedule::Parse(value, &schedule);
-        if (!ok) {
-          message = "malformed schedule literal '" + value + "'";
-        } else {
-          named.schedules[key] = schedule;
-        }
-        break;
-      }
-      case Section::kWorkload:
-        ok = AssignWorkloadKey(&spec, key, value, named, &message);
-        break;
-      case Section::kPlacement:
-        ok = AssignPlacementKey(&spec, key, value, named, &message);
-        break;
-      case Section::kElasticity:
-        ok = AssignElasticityKey(&spec, key, value, &message);
-        break;
-      case Section::kFault:
-        ok = AssignFaultKey(&spec, key, value, &message);
-        break;
-      case Section::kNode:
-        ok = AssignNodeKey(&spec.nodes.back(), key, value, named,
-                           &node_states.back(), &message);
-        break;
-    }
-    if (!ok) return fail(message);
-  }
-
-  // Expansion pass: clone counted nodes; resolve seed inheritance. A node
-  // cloned from a declared seed decorrelates over its clone index; every
-  // other undeclared seed decorrelates over the node's final fleet index —
-  // two bare [node] sections must not share a random stream. The
-  // single-node case inherits the experiment seed directly (and matches
-  // what an ApplySpecOverride of "seed" produces).
-  std::vector<NodeSpec> expanded;
-  std::vector<bool> inherited;
-  for (size_t i = 0; i < spec.nodes.size(); ++i) {
-    const NodeSpec& node = spec.nodes[i];
-    const NodeParseState& state = node_states[i];
-    if (state.count == 1) {
-      expanded.push_back(node);
-      inherited.push_back(!state.seed_set);
-    } else {
-      for (int clone = 0; clone < state.count; ++clone) {
-        expanded.push_back(node);
-        if (state.seed_set) {
-          expanded.back().system.seed =
-              DecorrelatedNodeSeed(node.system.seed, clone);
-        }
-        inherited.push_back(!state.seed_set);
-      }
-    }
-  }
-  for (size_t i = 0; i < expanded.size(); ++i) {
-    if (!inherited[i]) continue;
-    expanded[i].system.seed =
-        expanded.size() == 1
-            ? spec.seed
-            : DecorrelatedNodeSeed(spec.seed, static_cast<int>(i));
-  }
-  spec.nodes = std::move(expanded);
-
+/// ValidateSpec's rules apart from the run window.
+bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
   // Mode/fleet-shape validation here, with a message, rather than as a
   // CHECK abort inside ToScenario/ToClusterScenario.
   if (spec.nodes.empty()) {
@@ -1479,6 +1352,192 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
       return false;
     }
   }
+
+  return true;
+}
+
+}  // namespace
+
+bool ValidateSpec(const ExperimentSpec& spec, std::string* error) {
+  const std::string window_error = RunWindowError(spec);
+  if (!window_error.empty()) {
+    if (error != nullptr) *error = window_error;
+    return false;
+  }
+  return CheckCrossFieldRules(spec, error);
+}
+
+bool ParseSpec(const std::string& text, ExperimentSpec* out,
+               std::string* error) {
+  ExperimentSpec spec;
+  NamedSchedules named;
+  std::vector<NodeParseState> node_states;
+
+  enum class Section {
+    kExperiment,
+    kSchedules,
+    kWorkload,
+    kPlacement,
+    kElasticity,
+    kFault,
+    kNode
+  };
+  Section section = Section::kExperiment;
+
+  std::istringstream stream(text);
+  std::string line;
+  int line_number = 0;
+  // Line that set warmup explicitly (0: the default applies). A file that
+  // sets a warmup not before its duration is wrong at that line or the
+  // later duration line; one that only shortens duration below the default
+  // warmup may be a fragment completed by overrides, so its window is left
+  // to ValidateSpec once those are in.
+  int warmup_line = 0;
+  int window_line = 0;
+  auto fail = [&](const std::string& message) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(line_number) + ": " + message;
+    }
+    return false;
+  };
+
+  while (std::getline(stream, line)) {
+    ++line_number;
+    // A '#' opens a comment only at line start or after whitespace, so
+    // values containing '#' (a name, a registered policy) survive the
+    // print/parse round trip.
+    for (size_t i = 0; i < line.size(); ++i) {
+      if (line[i] == '#' &&
+          (i == 0 ||
+           std::isspace(static_cast<unsigned char>(line[i - 1])))) {
+        line.resize(i);
+        break;
+      }
+    }
+    line = TrimWhitespace(line);
+    if (line.empty()) continue;
+
+    if (line.front() == '[') {
+      if (line.back() != ']') return fail("malformed section header");
+      const std::string name = TrimWhitespace(line.substr(1, line.size() - 2));
+      if (name == "experiment") {
+        section = Section::kExperiment;
+      } else if (name == "schedules") {
+        section = Section::kSchedules;
+      } else if (name == "workload") {
+        section = Section::kWorkload;
+      } else if (name == "placement") {
+        section = Section::kPlacement;
+      } else if (name == "elasticity") {
+        section = Section::kElasticity;
+      } else if (name == "fault") {
+        section = Section::kFault;
+      } else if (name == "node") {
+        spec.nodes.emplace_back();
+        node_states.emplace_back();
+        section = Section::kNode;
+      } else {
+        return fail("unknown section [" + name + "]");
+      }
+      continue;
+    }
+
+    const size_t equals = line.find('=');
+    if (equals == std::string::npos) return fail("expected 'key = value'");
+    const std::string key = TrimWhitespace(line.substr(0, equals));
+    const std::string value = TrimWhitespace(line.substr(equals + 1));
+    if (key.empty()) return fail("empty key");
+
+    std::string message;
+    bool ok = true;
+    switch (section) {
+      case Section::kExperiment:
+        ok = AssignExperimentKey(&spec, key, value, named, &message);
+        if (key == "warmup") warmup_line = line_number;
+        if (key == "duration" || key == "warmup") window_line = line_number;
+        break;
+      case Section::kSchedules: {
+        // avail(...) literals live in the availability namespace; every
+        // other literal is a numeric schedule. One name can only mean one
+        // thing, so the maps never hold the same key.
+        if (HasPrefix(value, "avail(")) {
+          cluster::AvailabilitySchedule availability;
+          ok = cluster::AvailabilitySchedule::Parse(value, &availability,
+                                                    &message);
+          if (ok) named.availabilities[key] = availability;
+          break;
+        }
+        db::Schedule schedule;
+        ok = db::Schedule::Parse(value, &schedule);
+        if (!ok) {
+          message = "malformed schedule literal '" + value + "'";
+        } else {
+          named.schedules[key] = schedule;
+        }
+        break;
+      }
+      case Section::kWorkload:
+        ok = AssignWorkloadKey(&spec, key, value, named, &message);
+        break;
+      case Section::kPlacement:
+        ok = AssignPlacementKey(&spec, key, value, named, &message);
+        break;
+      case Section::kElasticity:
+        ok = AssignElasticityKey(&spec, key, value, &message);
+        break;
+      case Section::kFault:
+        ok = AssignFaultKey(&spec, key, value, &message);
+        break;
+      case Section::kNode:
+        ok = AssignNodeKey(&spec.nodes.back(), key, value, named,
+                           &node_states.back(), &message);
+        break;
+    }
+    if (!ok) return fail(message);
+  }
+
+  // Expansion pass: clone counted nodes; resolve seed inheritance. A node
+  // cloned from a declared seed decorrelates over its clone index; every
+  // other undeclared seed decorrelates over the node's final fleet index —
+  // two bare [node] sections must not share a random stream. The
+  // single-node case inherits the experiment seed directly (and matches
+  // what an ApplySpecOverride of "seed" produces).
+  std::vector<NodeSpec> expanded;
+  std::vector<bool> inherited;
+  for (size_t i = 0; i < spec.nodes.size(); ++i) {
+    const NodeSpec& node = spec.nodes[i];
+    const NodeParseState& state = node_states[i];
+    if (state.count == 1) {
+      expanded.push_back(node);
+      inherited.push_back(!state.seed_set);
+    } else {
+      for (int clone = 0; clone < state.count; ++clone) {
+        expanded.push_back(node);
+        if (state.seed_set) {
+          expanded.back().system.seed =
+              DecorrelatedNodeSeed(node.system.seed, clone);
+        }
+        inherited.push_back(!state.seed_set);
+      }
+    }
+  }
+  for (size_t i = 0; i < expanded.size(); ++i) {
+    if (!inherited[i]) continue;
+    expanded[i].system.seed =
+        expanded.size() == 1
+            ? spec.seed
+            : DecorrelatedNodeSeed(spec.seed, static_cast<int>(i));
+  }
+  spec.nodes = std::move(expanded);
+
+  if (warmup_line != 0) {
+    const std::string window_error = RunWindowError(spec);
+    if (!window_error.empty()) {
+      line_number = window_line;
+      return fail(window_error);
+    }
+  }
+  if (!CheckCrossFieldRules(spec, error)) return false;
 
   *out = std::move(spec);
   return true;

@@ -193,11 +193,16 @@ std::string PrintSpec(const ExperimentSpec& spec);
 bool ParseSpec(const std::string& text, ExperimentSpec* out,
                std::string* error);
 
-/// Scalar fields, schedule literals, enum names, and controller/routing
-/// *names* are all validated here; controller/routing *param values*
-/// ("control.pa.dither = ...") flow through as strings by design — unknown
-/// keys belong to externally registered policies — and are validated by
-/// the consuming factory when the run constructs its controllers (a
+/// Scalar fields, schedule literals, enum names, controller/routing
+/// *names*, and the values of the controller params the built-in
+/// controllers read ("control.pa.dither = ...") are all validated here,
+/// as are the cross-field rules of ValidateSpec. The run window is checked
+/// when the file sets warmup, and reported at the later of the warmup and
+/// duration lines; a file that only shortens duration may be completed by
+/// overrides, so its window is left to ValidateSpec. Unknown
+/// controller params and routing *param values* flow through as strings
+/// by design — unknown keys belong to externally registered policies — and
+/// are validated by the consuming factory when the run constructs them (a
 /// malformed value aborts there with the offending key named).
 ///
 /// Reads and parses a spec file. False on I/O or parse failure.
@@ -217,6 +222,15 @@ bool LoadSpecFile(const std::string& path, ExperimentSpec* out,
 /// names are validated against the registries at override time.
 bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
                        const std::string& value, std::string* error);
+
+/// Cross-field rules a single key cannot check on its own: warmup <
+/// duration, the cluster-only features of a single-node spec, fleet shape,
+/// retry/degrade/elasticity threshold ordering, fault windows and targets.
+/// ParseSpec applies them to every file; callers applying overrides run
+/// them once all overrides are in, since a valid end state may pass through
+/// an invalid one ("--set duration=8 --set warmup=2" on a spec with warmup
+/// 30). False with a message if `spec` would abort a run.
+bool ValidateSpec(const ExperimentSpec& spec, std::string* error);
 
 /// Struct conversions. The Spec* functions embed the legacy configs'
 /// typed controller/routing structs as canonical params, so the resulting

@@ -7,7 +7,7 @@
 namespace alc::sim {
 namespace {
 
-/// Below this heap size compaction is not worth the rebuild; lazy head
+/// Below this many entries compaction is not worth the pass; lazy head
 /// dropping handles small queues fine.
 constexpr size_t kCompactMinEntries = 64;
 
@@ -18,7 +18,8 @@ constexpr size_t kInitialCapacity = 1024;
 }  // namespace
 
 EventQueue::EventQueue() {
-  heap_.reserve(kInitialCapacity);
+  std::fill(std::begin(bucket_head_), std::end(bucket_head_), kNil);
+  nodes_.reserve(kInitialCapacity);
   slots_.reserve(kInitialCapacity);
   free_slots_.reserve(kInitialCapacity);
 }
@@ -27,10 +28,61 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   s.cell.Reset();
   // Stamping the slot free is the cancellation/consumption: outstanding
-  // handles and the heap entry both carry the old sequence and now fail
+  // handles and the queue entry both carry the old sequence and now fail
   // the O(1) liveness check.
   s.live_seq = 0;
   free_slots_.push_back(slot);
+}
+
+int EventQueue::LowestBucket() const {
+  for (int word = 0; word < kBuckets / 64; ++word) {
+    if (occupied_[word] != 0) {
+      return word * 64 + __builtin_ctzll(occupied_[word]);
+    }
+  }
+  return -1;
+}
+
+void EventQueue::Link(uint32_t node, int bucket) const {
+  nodes_[node].next = bucket_head_[bucket];
+  bucket_head_[bucket] = node;
+  occupied_[bucket >> 6] |= uint64_t{1} << (bucket & 63);
+}
+
+uint32_t EventQueue::Detach(int bucket) const {
+  const uint32_t first = bucket_head_[bucket];
+  bucket_head_[bucket] = kNil;
+  occupied_[bucket >> 6] &= ~(uint64_t{1} << (bucket & 63));
+  return first;
+}
+
+void EventQueue::FreeNode(uint32_t node) const {
+  nodes_[node].next = free_node_;
+  free_node_ = node;
+  --entry_count_;
+}
+
+void EventQueue::Rebase(const Entry& entry) {
+  // Every queued key x >= base_ > entry. Let D be the highest digit in
+  // which entry and base_ differ; base_'s value there, b, exceeds entry's,
+  // and target = bucket (D, b). A key whose bucket is at a digit above D
+  // agrees with base_ — hence with entry — above that digit and keeps its
+  // bucket; so does one at digit D (its value there exceeds b, which
+  // exceeds entry's). Every lower bucket (bucket 0 included) agrees with
+  // base_ at D and above, so its keys differ from entry first at D, with
+  // value b: they all move to the target, which is empty (a key > base_
+  // differing first at D has a value > b there). Those are exactly the
+  // buckets below the target.
+  const int target = BucketOf(base_, entry);
+  for (int bucket = LowestBucket(); bucket >= 0 && bucket < target;
+       bucket = LowestBucket()) {
+    for (uint32_t node = Detach(bucket); node != kNil;) {
+      const uint32_t next = nodes_[node].next;
+      Link(node, target);
+      node = next;
+    }
+  }
+  base_ = entry;
 }
 
 EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
@@ -42,8 +94,18 @@ EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
   ALC_DCHECK(slot <= kSlotMask);
   slots_[slot].live_seq = seq;
   const uint64_t key = (seq << kSlotBits) | slot;
-  heap_.push_back(Entry{TimeBits(time + 0.0), key});
-  SiftUp(heap_.size() - 1);
+  const Entry entry{TimeBits(time + 0.0), key};
+  if (Earlier(entry, base_)) Rebase(entry);
+  uint32_t node = free_node_;
+  if (node != kNil) {
+    free_node_ = nodes_[node].next;
+  } else {
+    node = static_cast<uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[node].entry = entry;
+  Link(node, BucketOf(entry, base_));
+  ++entry_count_;
   ++live_count_;
   return EventHandle{key};
 }
@@ -61,128 +123,67 @@ bool EventQueue::Cancel(EventHandle handle) {
   return true;
 }
 
-void EventQueue::SiftUp(size_t index) {
-  const Entry entry = heap_[index];
-  while (index > 0) {
-    const size_t parent = (index - 1) / 4;
-    if (!Earlier(entry, heap_[parent])) break;
-    heap_[index] = heap_[parent];
-    index = parent;
-  }
-  heap_[index] = entry;
-}
-
-void EventQueue::SiftDown(size_t index) const {
-  Entry* const data = heap_.data();
-  const size_t size = heap_.size();
-  const Entry entry = data[index];
-  for (;;) {
-    const size_t first = 4 * index + 1;
-    if (first >= size) break;
-    // Branch-free min-of-children: tracking only a pointer lets the
-    // ternaries compile to conditional moves (a tree reduction for the
-    // full-node case), so the only data-dependent branch left per level is
-    // the exit test. Event timestamps are effectively random, so a branchy
-    // min here mispredicts constantly and dominates pop cost.
-    const Entry* child = data + first;
-    const Entry* best;
-    if (first + 4 <= size) {
-      const Entry* b01 = Earlier(child[1], child[0]) ? child + 1 : child;
-      const Entry* b23 = Earlier(child[3], child[2]) ? child + 3 : child + 2;
-      best = Earlier(*b23, *b01) ? b23 : b01;
-    } else {
-      best = child;
-      const Entry* const end = data + size;
-      for (++child; child < end; ++child) {
-        best = Earlier(*child, *best) ? child : best;
-      }
-    }
-    if (!Earlier(*best, entry)) break;
-    data[index] = *best;
-    index = static_cast<size_t>(best - data);
-  }
-  data[index] = entry;
-}
-
-void EventQueue::RemoveRoot() const {
-  // Hole-based removal: dig the hole from the root to a leaf promoting the
-  // earliest child at each level (branch-free selection, no per-level exit
-  // test), then re-insert the former last element at the hole with a short
-  // sift-up. The relocated element was a leaf, so the sift-up almost always
-  // stops immediately — far fewer mispredicted branches than a classic
-  // sift-down, whose per-level exit test is a coin flip on random times.
-  Entry* const data = heap_.data();
-  const size_t size = heap_.size() - 1;  // size after removal
-  const Entry last = data[size];
-  heap_.pop_back();
-  if (size == 0) return;
-  size_t hole = 0;
-  for (;;) {
-    const size_t first = 4 * hole + 1;
-    if (first >= size) break;
-    const Entry* child = data + first;
-    const Entry* best;
-    if (first + 4 <= size) {
-      const Entry* b01 = Earlier(child[1], child[0]) ? child + 1 : child;
-      const Entry* b23 = Earlier(child[3], child[2]) ? child + 3 : child + 2;
-      best = Earlier(*b23, *b01) ? b23 : b01;
-    } else {
-      best = child;
-      const Entry* const end = data + size;
-      for (++child; child < end; ++child) {
-        best = Earlier(*child, *best) ? child : best;
-      }
-    }
-    data[hole] = *best;
-    hole = static_cast<size_t>(best - data);
-  }
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / 4;
-    if (!Earlier(last, data[parent])) break;
-    data[hole] = data[parent];
-    hole = parent;
-  }
-  data[hole] = last;
-}
-
-void EventQueue::PruneDeadHead() const {
-  while (!heap_.empty() && EntryDead(heap_[0])) {
-    RemoveRoot();
-  }
-}
-
 void EventQueue::CompactIfWorthIt() {
-  if (heap_.size() < kCompactMinEntries) return;
-  const size_t dead = heap_.size() - live_count_;
-  if (dead * 2 <= heap_.size()) return;
-  // Tombstones outnumber live entries: filter them out in one pass and
-  // rebuild with Floyd's O(n) heap construction. The (time, key) order is
-  // total, so the rebuilt heap pops in exactly the same sequence.
-  size_t kept = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (!EntryDead(heap_[i])) heap_[kept++] = heap_[i];
-  }
-  heap_.resize(kept);
-  if (kept > 1) {
-    for (size_t i = (kept - 2) / 4 + 1; i-- > 0;) SiftDown(i);
+  if (entry_count_ < kCompactMinEntries) return;
+  const size_t dead = entry_count_ - live_count_;
+  if (dead * 2 <= entry_count_) return;
+  // Tombstones outnumber live entries: filter every bucket in one pass.
+  // Survivors keep their buckets (base_ is unchanged), so the (time, key)
+  // pop sequence is exactly the same.
+  for (int bucket = 0; bucket < kBuckets; ++bucket) {
+    for (uint32_t node = Detach(bucket); node != kNil;) {
+      const uint32_t next = nodes_[node].next;
+      if (EntryDead(nodes_[node].entry)) {
+        FreeNode(node);
+      } else {
+        Link(node, bucket);
+      }
+      node = next;
+    }
   }
   ++compactions_;
 }
 
+uint32_t EventQueue::Head() const {
+  ALC_CHECK(live_count_ > 0);
+  for (;;) {
+    if (bucket_head_[0] == kNil) {
+      // Redistribute the lowest bucket around its minimum, which becomes
+      // the new base: that minimum lands alone in bucket 0 and every other
+      // entry at a lower digit than before. Higher buckets stay valid:
+      // their keys agree with the old base, and so with the new one, above
+      // the digit that names them, and their value of that digit still
+      // exceeds the new base's.
+      const int bucket = LowestBucket();
+      uint32_t min = bucket_head_[bucket];
+      for (uint32_t node = nodes_[min].next; node != kNil;
+           node = nodes_[node].next) {
+        min = Earlier(nodes_[node].entry, nodes_[min].entry) ? node : min;
+      }
+      base_ = nodes_[min].entry;
+      for (uint32_t node = Detach(bucket); node != kNil;) {
+        const uint32_t next = nodes_[node].next;
+        Link(node, BucketOf(nodes_[node].entry, base_));
+        node = next;
+      }
+    }
+    const uint32_t head = bucket_head_[0];
+    if (!EntryDead(nodes_[head].entry)) return head;
+    Detach(0);
+    FreeNode(head);
+  }
+}
+
 double EventQueue::PeekTime() const {
-  PruneDeadHead();
-  ALC_CHECK(!heap_.empty());
-  return BitsTime(heap_[0].tbits);
+  return BitsTime(nodes_[Head()].entry.tbits);
 }
 
 EventQueue::Fired EventQueue::Pop() {
-  PruneDeadHead();
-  ALC_CHECK(!heap_.empty());
-  const Entry top = heap_[0];
+  const uint32_t head = Head();
+  const Entry top = nodes_[head].entry;
+  Detach(0);
+  FreeNode(head);
   const uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
-  // Fix up the heap before touching the payload: the slot's cache lines
-  // load in the shadow of the hole dig.
-  RemoveRoot();
   // Move the payload out and free the slot before the caller invokes it:
   // the callable may push new events that reuse the slot or grow the table.
   Fired fired{BitsTime(top.tbits), std::move(slots_[slot].cell)};

@@ -1,17 +1,21 @@
 // Edge cases and failure injection across the stack: degenerate system
-// sizes, extreme workloads, controller corner conditions, and the PA
-// excitation guard.
+// sizes, extreme workloads, controller corner conditions, the PA
+// excitation guard, and malformed controller param values (rejected with a
+// message at parse/override time, never an abort in the factory).
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "control/gate.h"
 #include "control/monitor.h"
 #include "control/parabola.h"
+#include "control/registry.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "core/spec.h"
 #include "db/system.h"
 #include "sim/simulator.h"
 
@@ -338,6 +342,75 @@ TEST(RobustnessTest, ZeroWarmupExperiment) {
   scenario.control.fixed_limit = 5.0;
   const core::ExperimentResult result = core::Experiment(scenario).Run();
   EXPECT_GT(result.commits, 0u);
+}
+
+TEST(RobustnessTest, MalformedControllerParamInSpecFileIsALineNumberedError) {
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\ncontrol.controller = parabola-approximation\n"
+      "control.pa.index = bogus\n",
+      &spec, &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("pa.index"), std::string::npos) << error;
+  EXPECT_NE(error.find("bogus"), std::string::npos) << error;
+
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\ncontrol.pa.warmup_updates = 2.5\n", &spec, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\ncontrol.pa.recovery = sometimes\n", &spec, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+  // Well-formed values pass, and keys no built-in controller reads flow
+  // through for externally registered controllers.
+  ASSERT_TRUE(core::ParseSpec(
+      "[node]\ncontrol.controller = parabola-approximation\n"
+      "control.pa.index = inverse-response-time\n"
+      "control.pa.dither = 12.5\ncontrol.pa.recovery = reset\n"
+      "control.custom.mode = anything\n",
+      &spec, &error))
+      << error;
+  EXPECT_EQ(spec.nodes[0].control.params.GetString("custom.mode", ""),
+            "anything");
+}
+
+TEST(RobustnessTest, MalformedControllerParamOverrideIsAnError) {
+  core::ExperimentSpec spec = core::SpecFromScenario(core::DefaultScenario());
+  std::string error;
+  EXPECT_FALSE(
+      core::ApplySpecOverride(&spec, "node.control.pa.dither", "abc", &error));
+  EXPECT_NE(error.find("pa.dither"), std::string::npos) << error;
+  EXPECT_NE(error.find("abc"), std::string::npos) << error;
+  const util::ParamMap before = spec.nodes[0].control.params;
+  EXPECT_FALSE(
+      core::ApplySpecOverride(&spec, "node0.control.gs.index", "x", &error));
+  // The rejected overrides left the params untouched.
+  EXPECT_EQ(spec.nodes[0].control.params, before);
+  EXPECT_TRUE(
+      core::ApplySpecOverride(&spec, "node.control.pa.dither", "7", &error))
+      << error;
+  EXPECT_EQ(spec.nodes[0].control.params.GetDouble("pa.dither", 0.0), 7.0);
+}
+
+TEST(RobustnessTest, EveryBuiltinControllerParamIsValidated) {
+  // Every key the built-in factories read must be type-checked, or a
+  // malformed value for it would still abort inside the factory. The
+  // Append* writers emit exactly the keys their factories read.
+  util::ParamMap params;
+  control::AppendIsParams(control::IsConfig{}, &params);
+  control::AppendPaParams(control::PaConfig{}, &params);
+  control::AppendGsParams(control::GsConfig{}, &params);
+  control::AppendIyerParams(control::IyerRuleController::Config{}, &params);
+  params.SetDouble("fixed.limit", 50.0);
+  params.SetDouble("tay.threshold", 1.5);
+  for (const auto& [key, value] : params.entries()) {
+    std::string error;
+    EXPECT_TRUE(control::ValidateControllerParam(key, value, &error))
+        << key << ": " << error;
+    EXPECT_FALSE(control::ValidateControllerParam(key, "not-a-value", &error))
+        << key;
+  }
 }
 
 }  // namespace

@@ -298,6 +298,52 @@ TEST(SpecParseTest, ReportsErrorsWithLineNumbers) {
   EXPECT_NE(error.find("unknown node key"), std::string::npos) << error;
 }
 
+TEST(SpecParseTest, RejectsWarmupNotBeforeDurationWithLineNumber) {
+  core::ExperimentSpec spec;
+  std::string error;
+  // Reported at whichever of the two keys came last.
+  EXPECT_FALSE(core::ParseSpec(
+      "[experiment]\nduration = 300\nwarmup = 300\n[node]\n", &spec,
+      &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("warmup (300) must be < duration (300)"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[experiment]\nwarmup = 50\n\nduration = 40\n[node]\n", &spec,
+      &error));
+  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  // Against the defaults (duration 300) too.
+  EXPECT_FALSE(
+      core::ParseSpec("[experiment]\nwarmup = 400\n[node]\n", &spec, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+  // Each key's own range is checked as it is assigned.
+  EXPECT_FALSE(
+      core::ParseSpec("[experiment]\nduration = 0\n[node]\n", &spec, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(
+      core::ParseSpec("[experiment]\nwarmup = -1\n[node]\n", &spec, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+TEST(SpecOverrideTest, RunWindowIsValidatedOnceOverridesAreIn) {
+  core::ExperimentSpec spec = core::SpecFromScenario(core::DefaultScenario());
+  spec.duration = 300.0;
+  spec.warmup = 30.0;
+  std::string error;
+  ASSERT_TRUE(core::ValidateSpec(spec, &error)) << error;
+  // An override may pass through an invalid window on the way to a valid
+  // one, so single overrides are not window-checked...
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "warmup", "300", &error));
+  EXPECT_FALSE(core::ValidateSpec(spec, &error));
+  EXPECT_NE(error.find("must be < duration"), std::string::npos) << error;
+  // ...and the window is fine again once the matching override lands.
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "duration", "400", &error));
+  EXPECT_TRUE(core::ValidateSpec(spec, &error)) << error;
+  EXPECT_FALSE(core::ApplySpecOverride(&spec, "duration", "-5", &error));
+}
+
 TEST(SpecOverrideTest, AddressesExperimentPlacementAndNodes) {
   core::ExperimentSpec spec;
   spec.cluster = true;

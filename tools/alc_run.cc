@@ -386,6 +386,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  if (!core::ValidateSpec(spec, &error)) {
+    std::fprintf(stderr, "alc_run: %s%s: %s\n", spec_path.c_str(),
+                 overrides.empty() ? "" : " with --set overrides",
+                 error.c_str());
+    return 1;
+  }
 
   if (!trace_path.empty()) spec.trace_path = trace_path;
   if (!decisions_path.empty()) spec.decisions_path = decisions_path;
@@ -440,7 +446,8 @@ int main(int argc, char** argv) {
   for (const core::SweepAxis& axis : axes) {
     for (const std::string& value : axis.values) {
       core::ExperimentSpec scratch = spec;
-      if (!core::ApplySpecOverride(&scratch, axis.key, value, &error)) {
+      if (!core::ApplySpecOverride(&scratch, axis.key, value, &error) ||
+          !core::ValidateSpec(scratch, &error)) {
         std::fprintf(stderr, "alc_run: --sweep %s=%s: %s\n", axis.key.c_str(),
                      value.c_str(), error.c_str());
         return 1;

@@ -14,6 +14,9 @@
 #      leave their marks in the manifest and decision audit
 #   5. perf_suite --smoke --check: the allocation pins (event engine,
 #      session source, cluster pools) must hold
+#   6. bad input: a run window with warmup >= duration, a malformed
+#      controller param in a spec file and one in a --set override must
+#      each exit 1 with an error line, never die by a signal
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -72,5 +75,25 @@ grep -q 'degrade-ladder' "$OUT_DIR/fault-storm/decisions.csv"
 echo "== perf allocation pins"
 "./$BUILD_DIR/bench/perf_suite" --smoke --check \
   --out "$OUT_DIR/BENCH_perf.json" >/dev/null
+
+echo "== bad input is an error, not a crash"
+# Runs alc_run with arguments that must be rejected: exit status exactly 1
+# (a signal death is 128 + signo) and a message on stderr.
+expect_input_error() {
+  local status=0
+  "./$BUILD_DIR/tools/alc_run" "$@" >/dev/null 2>"$OUT_DIR/bad_input.err" ||
+    status=$?
+  if [ "$status" -ne 1 ] || ! grep -q 'alc_run: ' "$OUT_DIR/bad_input.err"; then
+    echo "premerge: alc_run $* exited $status; expected 1 with an error:" >&2
+    cat "$OUT_DIR/bad_input.err" >&2
+    exit 1
+  fi
+}
+printf '[node]\ncontrol.controller = parabola-approximation\ncontrol.pa.index = bogus\n' \
+  >"$OUT_DIR/bad_index.spec"
+expect_input_error perfbench/workloads/single.spec --set warmup=300
+expect_input_error "$OUT_DIR/bad_index.spec"
+expect_input_error perfbench/workloads/single.spec \
+  --set node.control.pa.dither=abc
 
 echo "premerge: all gates passed"
