@@ -31,6 +31,7 @@
 #include "core/export.h"
 #include "core/spec.h"
 #include "telemetry/audit.h"
+#include "util/hash.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -72,16 +73,6 @@ double SurgeThroughput(const core::ClusterResult& result) {
     ++count;
   }
   return count > 0 ? sum / count : 0.0;
-}
-
-/// FNV-1a 64-bit (the same fingerprint tests/fault_test.cc pins).
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::string DecisionsCsv(const core::SpecRunResult& result) {
@@ -154,7 +145,7 @@ int main(int argc, char** argv) {
   audited.trace_path = out_dir + "/fault_storm.trace.json";
   const core::SpecRunResult first = core::RunSpec(audited);
   const core::SpecRunResult second = core::RunSpec(audited);
-  const uint64_t fingerprint = Fnv1a(DecisionsCsv(first));
+  const uint64_t fingerprint = util::Fnv1a(DecisionsCsv(first));
   const bool bit_exact = DecisionsCsv(first) == DecisionsCsv(second);
   const bool audit_inert = first.cluster_result.commits == hard.commits;
 

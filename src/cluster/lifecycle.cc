@@ -43,27 +43,6 @@ bool ParseNodeState(std::string_view text, NodeState* out) {
   return true;
 }
 
-const char* RejoinPolicyName(RejoinPolicy policy) {
-  switch (policy) {
-    case RejoinPolicy::kFresh:
-      return "fresh";
-    case RejoinPolicy::kRetained:
-      return "retained";
-  }
-  return "?";
-}
-
-bool ParseRejoinPolicy(std::string_view text, RejoinPolicy* out) {
-  if (text == "fresh") {
-    *out = RejoinPolicy::kFresh;
-  } else if (text == "retained") {
-    *out = RejoinPolicy::kRetained;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool AvailabilitySchedule::Make(
     NodeState initial, std::vector<std::pair<double, NodeState>> transitions,
     AvailabilitySchedule* out, std::string* error) {

@@ -33,9 +33,6 @@ bool ParseNodeState(std::string_view text, NodeState* out);
 /// the crash (warm restart from a checkpointed control plane).
 enum class RejoinPolicy { kFresh, kRetained };
 
-const char* RejoinPolicyName(RejoinPolicy policy);
-bool ParseRejoinPolicy(std::string_view text, RejoinPolicy* out);
-
 /// A node's piecewise-constant availability over time: an initial state
 /// plus (time, state) transitions at strictly increasing positive times.
 /// The default-constructed schedule is "always up", which is what every

@@ -35,6 +35,18 @@ PowerOfDPolicy::Config PowerOfDFromParams(const util::ParamMap& params) {
   return config;
 }
 
+bool ValidateRoutingParam(const std::string& key, const std::string& value,
+                          std::string* error) {
+  static constexpr util::TypedParam kBuiltinParams[] = {
+      {"threshold.initial_threshold", util::kDoubleParam},
+      {"threshold.min_threshold", util::kDoubleParam},
+      {"threshold.max_threshold", util::kDoubleParam},
+      {"power-of-d.d", util::kIntParam},
+  };
+  return util::CheckTypedParam(kBuiltinParams, "routing param", key, value,
+                               error);
+}
+
 RoutingPolicyRegistry::RoutingPolicyRegistry() {
   Register("round-robin", [](const RoutingPolicyContext&) {
     return std::make_unique<RoundRobinPolicy>();

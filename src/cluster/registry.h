@@ -63,6 +63,11 @@ void AppendPowerOfDParams(const PowerOfDPolicy::Config& config,
                           util::ParamMap* params);
 PowerOfDPolicy::Config PowerOfDFromParams(const util::ParamMap& params);
 
+/// Checks that `value` parses as the type the built-in policies read `key`
+/// as (util::CheckTypedParam); keys no built-in reads pass.
+bool ValidateRoutingParam(const std::string& key, const std::string& value,
+                          std::string* error);
+
 }  // namespace alc::cluster
 
 #endif  // ALC_CLUSTER_REGISTRY_H_

@@ -1,6 +1,5 @@
 #include "control/registry.h"
 
-#include <climits>
 #include <utility>
 
 #include "control/fixed.h"
@@ -19,92 +18,63 @@ PerformanceIndex IndexParam(const util::ParamMap& params,
   return index;
 }
 
-enum class ParamKind { kDouble, kInt, kIndex, kRecovery };
+bool IsIndexText(const std::string& text) {
+  PerformanceIndex parsed;
+  return ParsePerformanceIndex(text, &parsed);
+}
 
-struct BuiltinParam {
-  std::string_view key;
-  ParamKind kind;
-};
+bool IsRecoveryText(const std::string& text) {
+  PaRecoveryPolicy parsed;
+  return ParsePaRecoveryPolicy(text, &parsed);
+}
+
+constexpr util::ParamType kIndexParam{
+    IsIndexText, "throughput/inverse-response-time/effective-cpu-utilization"};
+constexpr util::ParamType kRecoveryParam{IsRecoveryText,
+                                         "hold/gradient/contract/reset"};
 
 /// Every key the built-in factories read, with the type they parse it as.
-constexpr BuiltinParam kBuiltinParams[] = {
-    {"fixed.limit", ParamKind::kDouble},
-    {"tay.threshold", ParamKind::kDouble},
-    {"iyer.target_conflicts", ParamKind::kDouble},
-    {"iyer.gain", ParamKind::kDouble},
-    {"iyer.initial_bound", ParamKind::kDouble},
-    {"iyer.min_bound", ParamKind::kDouble},
-    {"iyer.max_bound", ParamKind::kDouble},
-    {"is.beta", ParamKind::kDouble},
-    {"is.gamma", ParamKind::kDouble},
-    {"is.delta", ParamKind::kDouble},
-    {"is.initial_bound", ParamKind::kDouble},
-    {"is.min_bound", ParamKind::kDouble},
-    {"is.max_bound", ParamKind::kDouble},
-    {"is.index", ParamKind::kIndex},
-    {"pa.forgetting", ParamKind::kDouble},
-    {"pa.initial_covariance", ParamKind::kDouble},
-    {"pa.initial_bound", ParamKind::kDouble},
-    {"pa.min_bound", ParamKind::kDouble},
-    {"pa.max_bound", ParamKind::kDouble},
-    {"pa.dither", ParamKind::kDouble},
-    {"pa.warmup_updates", ParamKind::kInt},
-    {"pa.recovery_step", ParamKind::kDouble},
-    {"pa.reset_after_failures", ParamKind::kInt},
-    {"pa.max_excitation_boost", ParamKind::kDouble},
-    {"pa.recovery", ParamKind::kRecovery},
-    {"pa.index", ParamKind::kIndex},
-    {"gs.min_bound", ParamKind::kDouble},
-    {"gs.max_bound", ParamKind::kDouble},
-    {"gs.samples_per_probe", ParamKind::kInt},
-    {"gs.min_bracket", ParamKind::kDouble},
-    {"gs.restart_width_factor", ParamKind::kDouble},
-    {"gs.index", ParamKind::kIndex},
+constexpr util::TypedParam kBuiltinParams[] = {
+    {"fixed.limit", util::kDoubleParam},
+    {"tay.threshold", util::kDoubleParam},
+    {"iyer.target_conflicts", util::kDoubleParam},
+    {"iyer.gain", util::kDoubleParam},
+    {"iyer.initial_bound", util::kDoubleParam},
+    {"iyer.min_bound", util::kDoubleParam},
+    {"iyer.max_bound", util::kDoubleParam},
+    {"is.beta", util::kDoubleParam},
+    {"is.gamma", util::kDoubleParam},
+    {"is.delta", util::kDoubleParam},
+    {"is.initial_bound", util::kDoubleParam},
+    {"is.min_bound", util::kDoubleParam},
+    {"is.max_bound", util::kDoubleParam},
+    {"is.index", kIndexParam},
+    {"pa.forgetting", util::kDoubleParam},
+    {"pa.initial_covariance", util::kDoubleParam},
+    {"pa.initial_bound", util::kDoubleParam},
+    {"pa.min_bound", util::kDoubleParam},
+    {"pa.max_bound", util::kDoubleParam},
+    {"pa.dither", util::kDoubleParam},
+    {"pa.warmup_updates", util::kIntParam},
+    {"pa.recovery_step", util::kDoubleParam},
+    {"pa.reset_after_failures", util::kIntParam},
+    {"pa.max_excitation_boost", util::kDoubleParam},
+    {"pa.recovery", kRecoveryParam},
+    {"pa.index", kIndexParam},
+    {"gs.min_bound", util::kDoubleParam},
+    {"gs.max_bound", util::kDoubleParam},
+    {"gs.samples_per_probe", util::kIntParam},
+    {"gs.min_bracket", util::kDoubleParam},
+    {"gs.restart_width_factor", util::kDoubleParam},
+    {"gs.index", kIndexParam},
 };
 
 }  // namespace
 
 bool ValidateControllerParam(const std::string& key, const std::string& value,
                              std::string* error) {
-  for (const BuiltinParam& param : kBuiltinParams) {
-    if (param.key != key) continue;
-    bool ok = false;
-    const char* expected = "";
-    switch (param.kind) {
-      case ParamKind::kDouble: {
-        double parsed = 0.0;
-        ok = util::ParseDouble(value, &parsed);
-        expected = "a number";
-        break;
-      }
-      case ParamKind::kInt: {
-        long long parsed = 0;
-        ok = util::ParseInt(value, &parsed) && parsed >= INT_MIN &&
-             parsed <= INT_MAX;
-        expected = "an integer";
-        break;
-      }
-      case ParamKind::kIndex: {
-        PerformanceIndex parsed;
-        ok = ParsePerformanceIndex(value, &parsed);
-        expected =
-            "throughput/inverse-response-time/effective-cpu-utilization";
-        break;
-      }
-      case ParamKind::kRecovery: {
-        PaRecoveryPolicy parsed;
-        ok = ParsePaRecoveryPolicy(value, &parsed);
-        expected = "hold/gradient/contract/reset";
-        break;
-      }
-    }
-    if (!ok) {
-      *error = "controller param '" + key + "': expected " + expected +
-               ", got '" + value + "'";
-    }
-    return ok;
-  }
-  return true;
+  return util::CheckTypedParam(kBuiltinParams, "controller param", key, value,
+                               error);
 }
 
 const char* PerformanceIndexName(PerformanceIndex index) {

@@ -1,11 +1,13 @@
 #include "core/spec.h"
 
 #include <cctype>
-#include <climits>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "cluster/registry.h"
@@ -21,1045 +23,764 @@ namespace {
 
 using util::TrimWhitespace;
 
-bool HasPrefix(const std::string& text, const char* prefix) {
-  return text.rfind(prefix, 0) == 0;
+bool HasPrefix(std::string_view text, std::string_view prefix) {
+  return text.substr(0, prefix.size()) == prefix;
 }
 
-/// Registry membership check shared by the routing / controller keys:
-/// unknown names fail at assign time with the registered names listed,
-/// instead of aborting deep inside the run. Names must therefore be
+/// Registry membership check shared by the policy-name keys and fault
+/// kinds: unknown names fail at assign time with the registered names
+/// listed, instead of aborting deep inside the run. Names must therefore be
 /// registered before specs referencing them are parsed.
 template <typename Registry>
-bool CheckRegistered(const Registry& registry, const char* what,
-                     const std::string& name, std::string* error) {
+bool CheckRegistered(const Registry& registry, const std::string& name,
+                     std::string* error) {
   if (registry.Contains(name)) return true;
-  *error = std::string("unknown ") + what + " '" + name + "'; registered:";
+  *error = "unknown '" + name + "'; registered:";
   for (const std::string& known : registry.Names()) *error += " " + known;
   return false;
 }
-
-// ------------------------------------------------------------ enum names --
-
-const char* CcSchemeName(db::CcScheme cc) {
-  switch (cc) {
-    case db::CcScheme::kOptimisticCertification:
-      return "occ";
-    case db::CcScheme::kTwoPhaseLocking:
-      return "2pl";
-  }
-  return "?";
-}
-
-bool ParseCcScheme(const std::string& name, db::CcScheme* out) {
-  if (name == "occ") {
-    *out = db::CcScheme::kOptimisticCertification;
-  } else if (name == "2pl") {
-    *out = db::CcScheme::kTwoPhaseLocking;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ArrivalModeName(db::ArrivalMode mode) {
-  switch (mode) {
-    case db::ArrivalMode::kClosed:
-      return "closed";
-    case db::ArrivalMode::kOpen:
-      return "open";
-    case db::ArrivalMode::kExternal:
-      return "external";
-  }
-  return "?";
-}
-
-bool ParseArrivalMode(const std::string& name, db::ArrivalMode* out) {
-  if (name == "closed") {
-    *out = db::ArrivalMode::kClosed;
-  } else if (name == "open") {
-    *out = db::ArrivalMode::kOpen;
-  } else if (name == "external") {
-    *out = db::ArrivalMode::kExternal;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* DistributionName(db::ServiceDistribution distribution) {
-  switch (distribution) {
-    case db::ServiceDistribution::kExponential:
-      return "exponential";
-    case db::ServiceDistribution::kDeterministic:
-      return "deterministic";
-    case db::ServiceDistribution::kErlang2:
-      return "erlang2";
-  }
-  return "?";
-}
-
-bool ParseDistribution(const std::string& name, db::ServiceDistribution* out) {
-  if (name == "exponential") {
-    *out = db::ServiceDistribution::kExponential;
-  } else if (name == "deterministic") {
-    *out = db::ServiceDistribution::kDeterministic;
-  } else if (name == "erlang2") {
-    *out = db::ServiceDistribution::kErlang2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParsePlacementKind(const std::string& name, placement::PlacementKind* out) {
-  if (name == "hash") {
-    *out = placement::PlacementKind::kHash;
-  } else if (name == "range") {
-    *out = placement::PlacementKind::kRange;
-  } else if (name == "replicated") {
-    *out = placement::PlacementKind::kReplicated;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// --------------------------------------------------------- typed setters --
-
-bool SetDoubleField(const std::string& key, const std::string& value,
-                    double* out, std::string* error) {
-  if (!util::ParseDouble(value, out)) {
-    *error = "key '" + key + "': malformed number '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-bool SetIntField(const std::string& key, const std::string& value, int* out,
-                 std::string* error) {
-  long long parsed = 0;
-  if (!util::ParseInt(value, &parsed) || parsed < INT_MIN ||
-      parsed > INT_MAX) {
-    *error = "key '" + key + "': malformed or out-of-range integer '" +
-             value + "'";
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool SetBoolField(const std::string& key, const std::string& value, bool* out,
-                  std::string* error) {
-  if (!util::ParseBool(value, out)) {
-    *error = "key '" + key + "': expected true/false, got '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-bool SetUint64Field(const std::string& key, const std::string& value,
-                    uint64_t* out, std::string* error) {
-  if (!util::ParseUint64(value, out)) {
-    *error = "key '" + key + "': malformed unsigned integer '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-using ScheduleMap = std::map<std::string, db::Schedule>;
-using AvailabilityMap = std::map<std::string, cluster::AvailabilitySchedule>;
 
 /// The named-schedule context of a parse: numeric schedules and
 /// availability schedules share the [schedules] section (disambiguated by
 /// the avail(...) literal head) and the `$name` reference syntax.
 struct NamedSchedules {
-  ScheduleMap schedules;
-  AvailabilityMap availabilities;
+  std::map<std::string, db::Schedule> schedules;
+  std::map<std::string, cluster::AvailabilitySchedule> availabilities;
 };
 
-/// A schedule value is either a literal ("steps(...)") or a `$name`
-/// reference into the spec's [schedules] section.
-bool SetScheduleField(const std::string& key, const std::string& value,
-                      const NamedSchedules& named, db::Schedule* out,
-                      std::string* error) {
-  if (!value.empty() && value[0] == '$') {
-    const std::string name = value.substr(1);
-    auto it = named.schedules.find(name);
-    if (it == named.schedules.end()) {
-      *error = "key '" + key + "': unknown schedule reference '$" + name +
-               "' (define it in [schedules] first)";
-      return false;
-    }
-    *out = it->second;
-    return true;
-  }
-  if (!db::Schedule::Parse(value, out)) {
-    *error = "key '" + key + "': malformed schedule literal '" + value + "'";
+/// Keys the hand-written special cases (node cloning, seed re-derivation,
+/// the run-window line) name besides their table rows.
+constexpr std::string_view kSeedKey = "seed";
+constexpr std::string_view kDurationKey = "duration";
+constexpr std::string_view kWarmupKey = "warmup";
+constexpr std::string_view kCountKey = "count";
+
+// ---------------------------------------------------------------- codecs --
+//
+// ReadText parses a value's text into a field of its type (false with the
+// reason) and WriteText prints it back; overloads on the field type pick
+// them, and print/parse round trips rest on each pair. A row whose text
+// says more than its type (an enum's names, a registered name) names a
+// codec instead.
+
+bool ReadText(const std::string& text, const NamedSchedules&, double* out,
+              std::string* error) {
+  if (util::ParseDouble(text, out)) return true;
+  *error = "malformed number '" + text + "'";
+  return false;
+}
+std::string WriteText(double value) { return util::FormatDouble(value); }
+
+/// Integers are read at full width and rejected, not truncated, when they
+/// do not fit the field.
+template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+bool ReadText(const std::string& text, const NamedSchedules&, T* out,
+              std::string* error) {
+  long long as_signed = 0;
+  uint64_t as_unsigned = 0;
+  const bool ok = std::is_signed_v<T>
+                      ? util::ParseInt(text, &as_signed) &&
+                            as_signed >= std::numeric_limits<T>::min() &&
+                            as_signed <= std::numeric_limits<T>::max()
+                      : util::ParseUint64(text, &as_unsigned) &&
+                            as_unsigned <= std::numeric_limits<T>::max();
+  if (!ok) {
+    *error = "malformed or out-of-range integer '" + text + "'";
     return false;
   }
+  *out = std::is_signed_v<T> ? static_cast<T>(as_signed)
+                             : static_cast<T>(as_unsigned);
+  return true;
+}
+template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+std::string WriteText(T value) { return std::to_string(value); }
+
+bool ReadText(const std::string& text, const NamedSchedules&, bool* out,
+              std::string* error) {
+  if (util::ParseBool(text, out)) return true;
+  *error = "expected true/false, got '" + text + "'";
+  return false;
+}
+std::string WriteText(bool value) { return value ? "true" : "false"; }
+
+bool ReadText(const std::string& text, const NamedSchedules&,
+              std::string* out, std::string*) {
+  *out = text;
+  return true;
+}
+const std::string& WriteText(const std::string& value) { return value; }
+
+/// A `$name` value: the [schedules] entry of that name and kind.
+template <typename T>
+bool ReadReference(const std::string& text,
+                   const std::map<std::string, T>& named,
+                   const char* unknown, T* out, std::string* error) {
+  auto it = named.find(text.substr(1));
+  if (it == named.end()) {
+    *error = std::string(unknown) + " '" + text +
+             "' (define it in [schedules] first)";
+    return false;
+  }
+  *out = it->second;
   return true;
 }
 
-/// An availability value is either an avail(...) literal or a `$name`
-/// reference to a [schedules] entry that parsed as one.
-bool SetAvailabilityField(const std::string& key, const std::string& value,
-                          const NamedSchedules& named,
-                          cluster::AvailabilitySchedule* out,
-                          std::string* error) {
-  if (!value.empty() && value[0] == '$') {
-    const std::string name = value.substr(1);
-    auto it = named.availabilities.find(name);
-    if (it == named.availabilities.end()) {
-      *error = "key '" + key + "': unknown availability reference '$" + name +
-               "' (define it in [schedules] as an avail(...) literal first)";
-      return false;
-    }
-    *out = it->second;
-    return true;
+bool ReadText(const std::string& text, const NamedSchedules& named,
+              db::Schedule* out, std::string* error) {
+  if (HasPrefix(text, "$")) {
+    return ReadReference(text, named.schedules, "unknown schedule reference",
+                         out, error);
   }
-  std::string message;
-  if (!cluster::AvailabilitySchedule::Parse(value, out, &message)) {
-    *error = "key '" + key + "': " + message;
-    return false;
-  }
-  return true;
-}
-
-// --------------------------------------------------------- key assigners --
-
-bool AssignExperimentKey(ExperimentSpec* spec, const std::string& key,
-                         const std::string& value,
-                         const NamedSchedules& named, std::string* error) {
-  if (key == "name") {
-    spec->name = value;
-    return true;
-  }
-  if (key == "cluster") return SetBoolField(key, value, &spec->cluster, error);
-  if (key == "seed") return SetUint64Field(key, value, &spec->seed, error);
-  if (key == "duration") {
-    if (!SetDoubleField(key, value, &spec->duration, error)) return false;
-    if (!(spec->duration > 0.0)) {
-      *error = "key 'duration': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "warmup") {
-    if (!SetDoubleField(key, value, &spec->warmup, error)) return false;
-    if (!(spec->warmup >= 0.0)) {
-      *error = "key 'warmup': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "active_terminals") {
-    return SetScheduleField(key, value, named, &spec->active_terminals,
-                            error);
-  }
-  if (key == "arrival_rate") {
-    return SetScheduleField(key, value, named, &spec->arrival_rate, error);
-  }
-  if (key == "routing") {
-    if (!CheckRegistered(cluster::RoutingPolicyRegistry::Global(),
-                         "routing policy", value, error)) {
-      return false;
-    }
-    spec->routing = value;
-    return true;
-  }
-  if (HasPrefix(key, "routing.")) {
-    spec->routing_params.Set(key.substr(8), value);
-    return true;
-  }
-  if (key == "trace") {
-    // Empty re-disables tracing (the PrintSpec default round-trips).
-    spec->trace_path = value;
-    return true;
-  }
-  if (key == "decisions") {
-    // Empty re-disables the decision audit, like "trace".
-    spec->decisions_path = value;
-    return true;
-  }
-  if (key == "retraction") {
-    return SetBoolField(key, value, &spec->retraction, error);
-  }
-  if (key == "retraction_queue_factor") {
-    if (!SetDoubleField(key, value, &spec->retraction_queue_factor, error)) {
-      return false;
-    }
-    if (spec->retraction_queue_factor < 0.0) {
-      *error = "key 'retraction_queue_factor': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retraction_interval") {
-    if (!SetDoubleField(key, value, &spec->retraction_interval, error)) {
-      return false;
-    }
-    if (spec->retraction_interval <= 0.0) {
-      *error = "key 'retraction_interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  cluster::RetryConfig* retry = &spec->retry;
-  if (key == "retry.enabled") {
-    return SetBoolField(key, value, &retry->enabled, error);
-  }
-  if (key == "retry.budget") {
-    if (!SetIntField(key, value, &retry->budget, error)) return false;
-    if (retry->budget < 0) {
-      *error = "key 'retry.budget': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.backoff_base") {
-    if (!SetDoubleField(key, value, &retry->backoff_base, error)) return false;
-    if (retry->backoff_base <= 0.0) {
-      *error = "key 'retry.backoff_base': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.backoff_factor") {
-    if (!SetDoubleField(key, value, &retry->backoff_factor, error)) {
-      return false;
-    }
-    if (retry->backoff_factor < 1.0) {
-      *error = "key 'retry.backoff_factor': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.backoff_max") {
-    if (!SetDoubleField(key, value, &retry->backoff_max, error)) return false;
-    if (retry->backoff_max <= 0.0) {
-      *error = "key 'retry.backoff_max': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "retry.jitter") {
-    if (!SetDoubleField(key, value, &retry->jitter, error)) return false;
-    if (retry->jitter < 0.0 || retry->jitter > 1.0) {
-      *error = "key 'retry.jitter': must be in [0, 1]";
-      return false;
-    }
-    return true;
-  }
-  cluster::DegradeConfig* degrade = &spec->degrade;
-  if (key == "degrade.enabled") {
-    return SetBoolField(key, value, &degrade->enabled, error);
-  }
-  if (key == "degrade.interval") {
-    if (!SetDoubleField(key, value, &degrade->interval, error)) return false;
-    if (degrade->interval <= 0.0) {
-      *error = "key 'degrade.interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "degrade.shed_query") {
-    if (!SetDoubleField(key, value, &degrade->shed_query, error)) {
-      return false;
-    }
-    if (degrade->shed_query <= 0.0) {
-      *error = "key 'degrade.shed_query': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "degrade.shed_update") {
-    if (!SetDoubleField(key, value, &degrade->shed_update, error)) {
-      return false;
-    }
-    if (degrade->shed_update <= 0.0) {
-      *error = "key 'degrade.shed_update': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "degrade.restore_hysteresis") {
-    if (!SetDoubleField(key, value, &degrade->restore_hysteresis, error)) {
-      return false;
-    }
-    if (degrade->restore_hysteresis <= 0.0 ||
-        degrade->restore_hysteresis > 1.0) {
-      *error = "key 'degrade.restore_hysteresis': must be in (0, 1]";
-      return false;
-    }
-    return true;
-  }
-  *error = "unknown experiment key '" + key + "'";
+  if (db::Schedule::Parse(text, out)) return true;
+  *error = "malformed schedule literal '" + text + "'";
   return false;
 }
 
-bool AssignFaultKey(ExperimentSpec* spec, const std::string& key,
-                    const std::string& value, std::string* error) {
-  if (key == "enabled") {
-    return SetBoolField(key, value, &spec->fault.enabled, error);
+bool ReadText(const std::string& text, const NamedSchedules& named,
+              cluster::AvailabilitySchedule* out, std::string* error) {
+  if (HasPrefix(text, "$")) {
+    return ReadReference(text, named.availabilities,
+                         "unknown availability reference", out, error);
   }
-  if (key == "inject") {
-    fault::FaultSpec parsed;
-    std::string message;
-    if (!fault::ParseFaultSpec(value, &parsed, &message)) {
-      *error = "key 'inject': " + message;
-      return false;
-    }
-    if (!CheckRegistered(fault::FaultRegistry::Global(), "fault kind",
-                         parsed.kind, error)) {
-      return false;
-    }
-    // Each inject line appends; a spec lists one fault window per line.
-    spec->fault.faults.push_back(std::move(parsed));
-    return true;
-  }
-  *error = "unknown fault key '" + key + "'";
-  return false;
+  return cluster::AvailabilitySchedule::Parse(text, out, error);
 }
 
 /// A distribution value is always a literal; there is no named-distribution
 /// section (distributions are small enough to inline).
-bool SetDistributionField(const std::string& key, const std::string& value,
-                          workload::Distribution* out, std::string* error) {
-  if (!workload::Distribution::Parse(value, out)) {
-    *error = "key '" + key + "': malformed distribution literal '" + value +
-             "' (expected constant(v), exp(mean), lognormal(mu, sigma), or "
-             "pareto(alpha, lo, hi))";
+bool ReadText(const std::string& text, const NamedSchedules&,
+              workload::Distribution* out, std::string* error) {
+  if (workload::Distribution::Parse(text, out)) return true;
+  *error = "malformed distribution literal '" + text +
+           "' (expected constant(v), exp(mean), lognormal(mu, sigma), or "
+           "pareto(alpha, lo, hi))";
+  return false;
+}
+
+/// Schedules, availability schedules and distributions print themselves.
+template <typename T>
+auto WriteText(const T& value) -> decltype(value.ToString()) {
+  return value.ToString();
+}
+
+template <typename T>
+struct Name {
+  std::string_view text;
+  T value;
+};
+
+constexpr Name<db::CcScheme> kCcSchemes[] = {
+    {"occ", db::CcScheme::kOptimisticCertification},
+    {"2pl", db::CcScheme::kTwoPhaseLocking}};
+constexpr Name<db::ArrivalMode> kArrivalModes[] = {
+    {"closed", db::ArrivalMode::kClosed},
+    {"open", db::ArrivalMode::kOpen},
+    {"external", db::ArrivalMode::kExternal}};
+constexpr Name<db::ServiceDistribution> kDistributions[] = {
+    {"exponential", db::ServiceDistribution::kExponential},
+    {"deterministic", db::ServiceDistribution::kDeterministic},
+    {"erlang2", db::ServiceDistribution::kErlang2}};
+constexpr Name<placement::PlacementKind> kPlacementKinds[] = {
+    {"hash", placement::PlacementKind::kHash},
+    {"range", placement::PlacementKind::kRange},
+    {"replicated", placement::PlacementKind::kReplicated}};
+constexpr Name<cluster::RejoinPolicy> kRejoinPolicies[] = {
+    {"fresh", cluster::RejoinPolicy::kFresh},
+    {"retained", cluster::RejoinPolicy::kRetained}};
+constexpr Name<std::string_view> kDetectorKinds[] = {
+    {"consecutive", "consecutive"}, {"phi", "phi"}};
+constexpr Name<std::string_view> kDelaySources[] = {
+    {"occupancy", "occupancy"}, {"response", "response"}};
+
+/// A value spelled by name: an enum, or a string with a closed set of
+/// choices (then each name is its own value).
+template <const auto& kNames>
+struct NamedCodec {
+  template <typename T>
+  static bool Read(const std::string& text, const NamedSchedules&, T* out,
+                   std::string* error) {
+    for (const auto& name : kNames) {
+      if (text != name.text) continue;
+      *out = T(name.value);
+      return true;
+    }
+    *error = "expected ";
+    for (const auto& name : kNames) {
+      if (&name != &kNames[0]) *error += "/";
+      *error += name.text;
+    }
+    *error += ", got '" + text + "'";
     return false;
+  }
+  template <typename T>
+  static std::string Write(const T& value) {
+    for (const auto& name : kNames) {
+      if (name.value == value) return std::string(name.text);
+    }
+    return "?";
+  }
+};
+
+/// The codec of every row that names none: the field type's overloads.
+struct TypeCodec {
+  template <typename T>
+  static bool Read(const std::string& text, const NamedSchedules& named,
+                   T* out, std::string* error) {
+    return ReadText(text, named, out, error);
+  }
+  template <typename T>
+  static decltype(auto) Write(const T& value) { return WriteText(value); }
+};
+
+/// A policy name, checked against its registry when assigned.
+template <typename Registry>
+struct RegisteredCodec {
+  static bool Read(const std::string& text, const NamedSchedules&,
+                   std::string* out, std::string* error) {
+    if (!CheckRegistered(Registry::Global(), text, error)) return false;
+    *out = text;
+    return true;
+  }
+  static const std::string& Write(const std::string& value) { return value; }
+};
+using RoutingName = RegisteredCodec<cluster::RoutingPolicyRegistry>;
+using SourceName = RegisteredCodec<workload::WorkloadRegistry>;
+using ScalerName = RegisteredCodec<elasticity::AutoscalerRegistry>;
+using ControllerName = RegisteredCodec<control::ControllerRegistry>;
+
+// ------------------------------------------------------------ range checks --
+//
+// Null when a parsed number is accepted, else why not. Each bound mirrors
+// the check of the code that consumes the field, so a value that would
+// abort the run fails when the spec is parsed or overridden instead.
+
+using Check = const char* (*)(double value);
+
+const char* Positive(double x) { return x > 0 ? nullptr : "must be > 0"; }
+const char* NonNegative(double x) { return x >= 0 ? nullptr : "must be >= 0"; }
+const char* AtLeastOne(double x) { return x >= 1 ? nullptr : "must be >= 1"; }
+const char* Fraction(double x) {
+  return x >= 0 && x <= 1 ? nullptr : "must be in [0, 1]";
+}
+const char* PositiveFraction(double x) {
+  return x > 0 && x <= 1 ? nullptr : "must be in (0, 1]";
+}
+
+// ------------------------------------------------------------ field tables --
+//
+// Every key is one row of its section's table: the key, the member it
+// sets, the codec its value reads and prints through, and an optional range
+// check. ParseSpec, PrintSpec, ApplySpecOverride and spec equality all walk
+// the tables, so a new key is one new row. A struct shared by several
+// sections has one table, mounted under a key prefix wherever it appears.
+
+/// One `key = value` being assigned.
+struct Assignment {
+  const std::string& key;  // section-relative, as messages name it
+  const std::string& value;
+  const NamedSchedules& named;
+  /// The whole override key when overriding a single-node spec, where a
+  /// cluster-only row refuses it by name; null otherwise.
+  const std::string* single_node_override;
+  std::string* error;
+};
+
+enum class Assigned { kUnknownKey, kOk, kError };
+
+template <typename Owner>
+struct Field {
+  /// The key; for a mount or a param map, the prefix its keys share.
+  std::string_view key;
+  bool prefix = false;
+  /// Names the feature when a single-node override is refused ("retraction
+  /// requires"); null when the key applies in either mode.
+  const char* cluster_only = nullptr;
+  Check check = nullptr;
+  const void* table = nullptr;  // a mount's rows, typed by its functions
+  /// `rest` is what remains of the key below this row's prefix.
+  Assigned (*assign)(const Field& field, Owner* owner, std::string_view rest,
+                     const Assignment& in);
+  void (*print)(const Field& field, const Owner& owner,
+                const std::string& prefix, std::string* out);
+  bool (*equal)(const Field& field, const Owner& a, const Owner& b);
+};
+
+template <typename Owner>
+using Table = std::vector<Field<Owner>>;
+
+template <typename Owner>
+Assigned AssignKey(const Table<Owner>& table, Owner* owner,
+                   std::string_view rest, const Assignment& in) {
+  for (const Field<Owner>& field : table) {
+    if (field.prefix ? !HasPrefix(rest, field.key) : rest != field.key) {
+      continue;
+    }
+    if (field.cluster_only != nullptr && in.single_node_override != nullptr) {
+      // A single-node run never reads the field, so accepting the override
+      // would sweep bit-identical points.
+      *in.error = "override '" + *in.single_node_override + "': " +
+                  field.cluster_only + " cluster mode (cluster = true)";
+      return Assigned::kError;
+    }
+    const Assigned assigned =
+        field.assign(field, owner, rest.substr(field.key.size()), in);
+    if (assigned != Assigned::kUnknownKey) return assigned;
+  }
+  return Assigned::kUnknownKey;
+}
+
+/// AssignKey from the top of a table, an unknown key being an error of
+/// `section`.
+template <typename Owner>
+bool Assign(const Table<Owner>& table, Owner* owner, const std::string& key,
+            const std::string& value, const NamedSchedules& named,
+            const std::string* single_node_override, std::string_view section,
+            std::string* error) {
+  std::string message;
+  const Assignment in{key, value, named, single_node_override, &message};
+  const Assigned assigned = AssignKey(table, owner, key, in);
+  if (assigned == Assigned::kOk) return true;
+  if (assigned == Assigned::kUnknownKey) {
+    message = "unknown " + std::string(section) + " key '" + key + "'";
+  }
+  if (error != nullptr) *error = std::move(message);
+  return false;
+}
+
+void Emit(std::string* out, std::initializer_list<std::string_view> key,
+          std::string_view value) {
+  for (std::string_view piece : key) *out += piece;
+  *out += " = ";
+  *out += value;
+  *out += '\n';
+}
+
+template <typename Owner>
+void PrintFields(const Table<Owner>& table, const Owner& owner,
+                 const std::string& prefix, std::string* out) {
+  for (const Field<Owner>& field : table) {
+    field.print(field, owner, prefix, out);
+  }
+}
+
+template <typename Owner>
+bool EqualFields(const Table<Owner>& table, const Owner& a, const Owner& b) {
+  for (const Field<Owner>& field : table) {
+    if (!field.equal(field, a, b)) return false;
   }
   return true;
 }
 
-bool AssignWorkloadKey(ExperimentSpec* spec, const std::string& key,
-                       const std::string& value, const NamedSchedules& named,
-                       std::string* error) {
-  workload::WorkloadSpec* w = &spec->workload;
-  if (key == "source") {
-    if (!CheckRegistered(workload::WorkloadRegistry::Global(),
-                         "workload source", value, error)) {
-      return false;
-    }
-    w->source = value;
-    return true;
-  }
-  if (key == "population") {
-    if (!SetUint64Field(key, value, &w->population, error)) return false;
-    if (w->population < 1) {
-      *error = "key 'population': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "session_rate") {
-    return SetScheduleField(key, value, named, &w->session_rate, error);
-  }
-  if (key == "sessions") {
-    if (!SetIntField(key, value, &w->sessions, error)) return false;
-    if (w->sessions < 1) {
-      *error = "key 'sessions': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "txns_per_session") {
-    return SetDistributionField(key, value, &w->txns_per_session, error);
-  }
-  if (key == "think_time") {
-    return SetDistributionField(key, value, &w->think_time, error);
-  }
-  if (key == "affinity") {
-    if (!SetDoubleField(key, value, &w->affinity, error)) return false;
-    if (w->affinity < 0.0 || w->affinity > 1.0) {
-      *error = "key 'affinity': must be in [0, 1]";
-      return false;
-    }
-    return true;
-  }
-  if (key == "affinity_keys") {
-    if (!SetIntField(key, value, &w->affinity_keys, error)) return false;
-    if (w->affinity_keys < 1) {
-      *error = "key 'affinity_keys': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key.find('.') != std::string::npos) {
-    // Dotted keys pass through to the source factory's ParamMap, so
-    // externally registered sources can define their own namespace
-    // (mirrors routing.* and control.*).
-    w->params.Set(key, value);
-    return true;
-  }
-  *error = "unknown workload key '" + key + "'";
-  return false;
+// Declared only, to deduce a member pointer's class and type in decltype.
+template <typename O, typename T>
+O OwnerOfMember(T O::*);
+template <typename O, typename T>
+T TypeOfMember(T O::*);
+template <auto kMember>
+using OwnerOf = decltype(OwnerOfMember(kMember));
+template <auto kMember>
+using TypeOf = decltype(TypeOfMember(kMember));
+
+/// A key holding one value of `kMember`.
+template <auto kMember, typename Codec = TypeCodec>
+Field<OwnerOf<kMember>> Leaf(std::string_view key, Check check = nullptr,
+                             const char* cluster_only = nullptr) {
+  using Owner = OwnerOf<kMember>;
+  return {
+      key, false, cluster_only, check, nullptr,
+      [](const Field<Owner>& self, Owner* owner, std::string_view,
+         const Assignment& in) {
+        // A rejected value leaves the field as it was.
+        TypeOf<kMember> parsed{};
+        std::string reason;
+        const char* why = nullptr;
+        if (!Codec::Read(in.value, in.named, &parsed, &reason)) {
+          why = reason.c_str();
+        } else if constexpr (std::is_arithmetic_v<TypeOf<kMember>>) {
+          if (self.check != nullptr) why = self.check(parsed);
+        }
+        if (why != nullptr) {
+          *in.error = "key '" + in.key + "': " + why;
+          return Assigned::kError;
+        }
+        owner->*kMember = std::move(parsed);
+        return Assigned::kOk;
+      },
+      [](const Field<Owner>& self, const Owner& owner,
+         const std::string& prefix, std::string* out) {
+        Emit(out, {prefix, self.key}, Codec::Write(owner.*kMember));
+      },
+      [](const Field<Owner>&, const Owner& a, const Owner& b) {
+        return a.*kMember == b.*kMember;
+      }};
 }
 
-bool AssignPlacementKey(ExperimentSpec* spec, const std::string& key,
-                        const std::string& value,
-                        const NamedSchedules& named, std::string* error) {
-  if (key == "enabled") {
-    return SetBoolField(key, value, &spec->placement_enabled, error);
-  }
-  if (key == "kind") {
-    if (!ParsePlacementKind(value, &spec->placement.kind)) {
-      *error = "key 'kind': expected hash/range/replicated, got '" + value +
-               "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "num_partitions") {
-    return SetIntField(key, value, &spec->placement.num_partitions, error);
-  }
-  if (key == "replication_factor") {
-    return SetIntField(key, value, &spec->placement.replication_factor, error);
-  }
-  if (key == "rebalance_interval") {
-    return SetDoubleField(key, value, &spec->placement.rebalance_interval,
-                          error);
-  }
-  if (key == "rebalance_moves") {
-    return SetIntField(key, value, &spec->placement.rebalance_moves, error);
-  }
-  db::LogicalConfig* workload = &spec->placement_workload;
-  if (key == "workload.db_size") {
-    uint64_t db_size = 0;
-    if (!SetUint64Field(key, value, &db_size, error)) return false;
-    workload->db_size = static_cast<uint32_t>(db_size);
-    return true;
-  }
-  if (key == "workload.accesses_per_txn") {
-    return SetIntField(key, value, &workload->accesses_per_txn, error);
-  }
-  if (key == "workload.query_fraction") {
-    return SetDoubleField(key, value, &workload->query_fraction, error);
-  }
-  if (key == "workload.write_fraction") {
-    return SetDoubleField(key, value, &workload->write_fraction, error);
-  }
-  if (key == "workload.resample_on_restart") {
-    return SetBoolField(key, value, &workload->resample_on_restart, error);
-  }
-  if (key == "workload.hotspot_access_prob") {
-    return SetDoubleField(key, value, &workload->hotspot_access_prob, error);
-  }
-  if (key == "workload.hotspot_size_fraction") {
-    return SetDoubleField(key, value, &workload->hotspot_size_fraction, error);
-  }
-  if (key == "dynamics.k" || key == "dynamics.query_fraction" ||
-      key == "dynamics.write_fraction") {
-    // Parse into a scratch schedule first: a malformed value must not leave
-    // the optional engaged as a side effect.
-    db::Schedule schedule;
-    if (!SetScheduleField(key, value, named, &schedule, error)) {
-      return false;
-    }
-    if (!spec->placement_dynamics.has_value()) {
-      spec->placement_dynamics = db::WorkloadDynamics{};
-    }
-    db::WorkloadDynamics* dynamics = &spec->placement_dynamics.value();
-    if (key == "dynamics.k") {
-      dynamics->k = schedule;
-    } else if (key == "dynamics.query_fraction") {
-      dynamics->query_fraction = schedule;
-    } else {
-      dynamics->write_fraction = schedule;
-    }
-    return true;
-  }
-  if (key == "remote.cpu_penalty") {
-    return SetDoubleField(key, value, &spec->remote_access.cpu_penalty, error);
-  }
-  if (key == "remote.latency") {
-    return SetDoubleField(key, value, &spec->remote_access.latency, error);
-  }
-  if (key == "remote.serve_cpu") {
-    return SetDoubleField(key, value, &spec->remote_access.serve_cpu, error);
-  }
-  *error = "unknown placement key '" + key + "'";
-  return false;
+template <typename Sub, typename Owner>
+const Table<Sub>& RowsOf(const Field<Owner>& mount) {
+  return *static_cast<const Table<Sub>*>(mount.table);
 }
 
-bool AssignElasticityKey(ExperimentSpec* spec, const std::string& key,
-                         const std::string& value, std::string* error) {
-  elasticity::ElasticityConfig* e = &spec->elasticity;
-  if (key == "enabled") return SetBoolField(key, value, &e->enabled, error);
-  if (key == "detector") return SetBoolField(key, value, &e->detector, error);
-  elasticity::HeartbeatConfig* hb = &e->heartbeat;
-  if (key == "hb.interval") {
-    if (!SetDoubleField(key, value, &hb->interval, error)) return false;
-    if (hb->interval <= 0.0) {
-      *error = "key 'hb.interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.timeout") {
-    if (!SetDoubleField(key, value, &hb->timeout, error)) return false;
-    if (hb->timeout <= 0.0) {
-      *error = "key 'hb.timeout': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.suspect_after") {
-    if (!SetIntField(key, value, &hb->suspect_after, error)) return false;
-    if (hb->suspect_after < 1) {
-      *error = "key 'hb.suspect_after': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.down_after") {
-    if (!SetIntField(key, value, &hb->down_after, error)) return false;
-    if (hb->down_after < 1) {
-      *error = "key 'hb.down_after': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.clear_after") {
-    if (!SetIntField(key, value, &hb->clear_after, error)) return false;
-    if (hb->clear_after < 1) {
-      *error = "key 'hb.clear_after': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.delay_base") {
-    if (!SetDoubleField(key, value, &hb->delay_base, error)) return false;
-    if (hb->delay_base < 0.0) {
-      *error = "key 'hb.delay_base': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.delay_load") {
-    if (!SetDoubleField(key, value, &hb->delay_load, error)) return false;
-    if (hb->delay_load < 0.0) {
-      *error = "key 'hb.delay_load': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.kind") {
-    if (value != "consecutive" && value != "phi") {
-      *error = "key 'hb.kind': expected consecutive/phi, got '" + value + "'";
-      return false;
-    }
-    hb->kind = value;
-    return true;
-  }
-  if (key == "hb.phi_suspect") {
-    if (!SetDoubleField(key, value, &hb->phi_suspect, error)) return false;
-    if (hb->phi_suspect <= 0.0) {
-      *error = "key 'hb.phi_suspect': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.phi_down") {
-    if (!SetDoubleField(key, value, &hb->phi_down, error)) return false;
-    if (hb->phi_down <= 0.0) {
-      *error = "key 'hb.phi_down': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.phi_window") {
-    if (!SetIntField(key, value, &hb->phi_window, error)) return false;
-    if (hb->phi_window < 1) {
-      *error = "key 'hb.phi_window': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.observers") {
-    if (!SetIntField(key, value, &hb->observers, error)) return false;
-    if (hb->observers < 1) {
-      *error = "key 'hb.observers': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.quorum") {
-    if (!SetIntField(key, value, &hb->quorum, error)) return false;
-    if (hb->quorum < 1) {
-      *error = "key 'hb.quorum': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.observer_jitter") {
-    if (!SetDoubleField(key, value, &hb->observer_jitter, error)) {
-      return false;
-    }
-    if (hb->observer_jitter < 0.0) {
-      *error = "key 'hb.observer_jitter': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "hb.delay_source") {
-    if (value != "occupancy" && value != "response") {
-      *error = "key 'hb.delay_source': expected occupancy/response, got '" +
-               value + "'";
-      return false;
-    }
-    hb->delay_source = value;
-    return true;
-  }
-  if (key == "hb.delay_response") {
-    if (!SetDoubleField(key, value, &hb->delay_response, error)) return false;
-    if (hb->delay_response < 0.0) {
-      *error = "key 'hb.delay_response': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "scaler") {
-    if (!CheckRegistered(elasticity::AutoscalerRegistry::Global(),
-                         "autoscaler", value, error)) {
-      return false;
-    }
-    e->scaler = value;
-    return true;
-  }
-  if (key == "scaler_interval") {
-    if (!SetDoubleField(key, value, &e->scaler_interval, error)) return false;
-    if (e->scaler_interval <= 0.0) {
-      *error = "key 'scaler_interval': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "standby") {
-    if (!SetIntField(key, value, &e->standby, error)) return false;
-    if (e->standby < 0) {
-      *error = "key 'standby': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "min_live") {
-    if (!SetIntField(key, value, &e->min_live, error)) return false;
-    if (e->min_live < 1) {
-      *error = "key 'min_live': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "slow_start_initial") {
-    if (!SetDoubleField(key, value, &e->slow_start_initial, error)) {
-      return false;
-    }
-    if (e->slow_start_initial <= 0.0) {
-      *error = "key 'slow_start_initial': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "slow_start_duration") {
-    if (!SetDoubleField(key, value, &e->slow_start_duration, error)) {
-      return false;
-    }
-    if (e->slow_start_duration <= 0.0) {
-      *error = "key 'slow_start_duration': must be > 0";
-      return false;
-    }
-    return true;
-  }
-  if (key == "drain_delay") {
-    if (!SetDoubleField(key, value, &e->drain_delay, error)) return false;
-    if (e->drain_delay < 0.0) {
-      *error = "key 'drain_delay': must be >= 0";
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "scaler.")) {
-    // Autoscaler parameters flow through as strings, e.g. scaler.pi.kp ->
-    // scaler_params["pi.kp"]; unknown keys belong to externally registered
-    // policies and are validated by the consuming factory.
-    e->scaler_params.Set(key.substr(7), value);
-    return true;
-  }
-  *error = "unknown elasticity key '" + key + "'";
-  return false;
+/// What a mount addresses: a struct, or an optional one (then null when
+/// disengaged).
+template <typename T>
+const T* Present(const T& value) { return &value; }
+template <typename T>
+const T* Present(const std::optional<T>& value) {
+  return value.has_value() ? &*value : nullptr;
 }
+template <auto kMember>
+using MountedOf = std::remove_const_t<std::remove_pointer_t<decltype(
+    Present(std::declval<const TypeOf<kMember>&>()))>>;
+
+/// The keys of `table` under `prefix`, addressing the struct at `kMember`.
+/// Over a std::optional, a disengaged value prints nothing, and the first
+/// key assigned engages a default-constructed one.
+template <auto kMember, typename Sub = MountedOf<kMember>>
+Field<OwnerOf<kMember>> Mount(std::string_view prefix, const Table<Sub>& table,
+                              const char* cluster_only = nullptr) {
+  using Owner = OwnerOf<kMember>;
+  return {
+      prefix, true, cluster_only, nullptr, &table,
+      [](const Field<Owner>& self, Owner* owner, std::string_view rest,
+         const Assignment& in) {
+        if constexpr (std::is_same_v<TypeOf<kMember>, Sub>) {
+          return AssignKey(RowsOf<Sub>(self), &(owner->*kMember), rest, in);
+        } else {
+          // A rejected value must not leave the optional engaged.
+          Sub scratch = (owner->*kMember).value_or(Sub{});
+          const Assigned assigned =
+              AssignKey(RowsOf<Sub>(self), &scratch, rest, in);
+          if (assigned == Assigned::kOk) owner->*kMember = std::move(scratch);
+          return assigned;
+        }
+      },
+      [](const Field<Owner>& self, const Owner& owner,
+         const std::string& prefix, std::string* out) {
+        const Sub* present = Present(owner.*kMember);
+        if (present == nullptr) return;
+        PrintFields(RowsOf<Sub>(self), *present,
+                    prefix + std::string(self.key), out);
+      },
+      [](const Field<Owner>& self, const Owner& a, const Owner& b) {
+        const Sub* x = Present(a.*kMember);
+        const Sub* y = Present(b.*kMember);
+        if (x == nullptr || y == nullptr) return x == y;
+        return EqualFields(RowsOf<Sub>(self), *x, *y);
+      }};
+}
+
+using ParamCheck = bool (*)(const std::string& key, const std::string& value,
+                            std::string* error);
+
+bool AnyParam(const std::string&, const std::string&, std::string*) {
+  return true;
+}
+
+/// Keys under `prefix` pass through as strings to a policy factory's
+/// ParamMap, so externally registered policies can define their own.
+/// `kCheck` type-checks the keys the built-in policies read;
+/// `kDottedOnly` passes only keys containing a '.'.
+template <auto kMember, ParamCheck kCheck = AnyParam, bool kDottedOnly = false>
+Field<OwnerOf<kMember>> Params(std::string_view prefix) {
+  using Owner = OwnerOf<kMember>;
+  return {
+      prefix, true, nullptr, nullptr, nullptr,
+      [](const Field<Owner>&, Owner* owner, std::string_view rest,
+         const Assignment& in) {
+        const std::string param(rest);
+        if (kDottedOnly && param.find('.') == std::string::npos) {
+          return Assigned::kUnknownKey;
+        }
+        if (!kCheck(param, in.value, in.error)) return Assigned::kError;
+        (owner->*kMember).Set(param, in.value);
+        return Assigned::kOk;
+      },
+      [](const Field<Owner>& self, const Owner& owner,
+         const std::string& prefix, std::string* out) {
+        for (const auto& [param, value] : (owner.*kMember).entries()) {
+          Emit(out, {prefix, self.key, param}, value);
+        }
+      },
+      [](const Field<Owner>&, const Owner& a, const Owner& b) {
+        return a.*kMember == b.*kMember;
+      }};
+}
+
+/// `inject = kind(start:end; ...)`: each line appends one fault window.
+Field<fault::FaultConfig> FaultInjects() {
+  using Owner = fault::FaultConfig;
+  return {
+      "inject", false, nullptr, nullptr, nullptr,
+      [](const Field<Owner>&, Owner* owner, std::string_view,
+         const Assignment& in) {
+        fault::FaultSpec parsed;
+        std::string message;
+        if (!fault::ParseFaultSpec(in.value, &parsed, &message)) {
+          *in.error = "key '" + in.key + "': " + message;
+          return Assigned::kError;
+        }
+        if (!CheckRegistered(fault::FaultRegistry::Global(), parsed.kind,
+                             &message)) {
+          *in.error = "key '" + in.key + "': " + message;
+          return Assigned::kError;
+        }
+        owner->faults.push_back(std::move(parsed));
+        return Assigned::kOk;
+      },
+      [](const Field<Owner>& self, const Owner& owner,
+         const std::string& prefix, std::string* out) {
+        for (const fault::FaultSpec& injected : owner.faults) {
+          Emit(out, {prefix, self.key}, injected.ToString());
+        }
+      },
+      [](const Field<Owner>&, const Owner& a, const Owner& b) {
+        return a.faults == b.faults;
+      }};
+}
+
+// What a cluster-only row belongs to, as its refusal names it ("... require
+// cluster mode").
+constexpr char kRetraction[] = "retraction requires";
+constexpr char kRobustness[] = "robustness features require";
+constexpr char kAvailability[] = "node availability schedules require";
+
+/// A top-level section of the spec text: its [name] header (also the
+/// prefix its keys take in an override, except [experiment]'s bare keys)
+/// and its rows. The [node] sections, one per node, are the exception: see
+/// node_fields.
+struct Section {
+  std::string_view name;
+  /// Names the feature when a single-node override is refused; null when
+  /// the section applies in either mode.
+  const char* cluster_only;
+  Table<ExperimentSpec> fields;
+};
+
+// ------------------------------------------------------------- the tables --
+
+using Degrade = cluster::DegradeConfig;
+using Dynamics = db::WorkloadDynamics;
+using Elasticity = elasticity::ElasticityConfig;
+using Heartbeat = elasticity::HeartbeatConfig;
+using Logical = db::LogicalConfig;
+using Physical = db::PhysicalConfig;
+using Partitions = placement::PlacementConfig;
+using Remote = db::RemoteAccessConfig;
+using Spec = ExperimentSpec;
+using Retry = cluster::RetryConfig;
+using System = db::SystemConfig;
+using Workload = workload::WorkloadSpec;
 
 /// Parse-time-only per-node state: `count` cloning and whether the node
-/// declared its own seed (both drive the expansion pass). Null in override
-/// mode, where `count` is rejected.
+/// declared its own seed (both drive ParseSpec's expansion pass).
 struct NodeParseState {
   bool seed_set = false;
   int count = 1;
 };
 
-bool AssignNodeKey(NodeSpec* node, const std::string& key,
-                   const std::string& value, const NamedSchedules& named,
-                   NodeParseState* parse_state, std::string* error) {
-  if (key == "count") {
-    if (parse_state == nullptr) {
-      *error = "'count' is only valid inside a spec file's [node] section";
-      return false;
-    }
-    if (!SetIntField(key, value, &parse_state->count, error)) return false;
-    if (parse_state->count < 1) {
-      *error = "key 'count': must be >= 1";
-      return false;
-    }
-    return true;
-  }
-  if (key == "seed") {
-    if (!SetUint64Field(key, value, &node->system.seed, error)) return false;
-    if (parse_state != nullptr) parse_state->seed_set = true;
-    return true;
-  }
-  if (key == "cc") {
-    if (!ParseCcScheme(value, &node->system.cc)) {
-      *error = "key 'cc': expected occ/2pl, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "arrivals") {
-    if (!ParseArrivalMode(value, &node->system.arrivals)) {
-      *error = "key 'arrivals': expected closed/open/external, got '" + value +
-               "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "open_arrival_rate") {
-    return SetDoubleField(key, value, &node->system.open_arrival_rate, error);
-  }
-  if (key == "record_history") {
-    return SetBoolField(key, value, &node->system.record_history, error);
-  }
-  if (key == "telemetry.per_phase") {
-    return SetBoolField(key, value, &node->system.telemetry.per_phase, error);
-  }
+/// Every table, built once in dependency order (a mount holds the address
+/// of its sub-table) and never destroyed, like the policy registries.
+struct SpecTables {
+  const Table<Logical> logical_fields = {
+      Leaf<&Logical::db_size>("db_size"),
+      Leaf<&Logical::accesses_per_txn>("accesses_per_txn"),
+      Leaf<&Logical::query_fraction>("query_fraction"),
+      Leaf<&Logical::write_fraction>("write_fraction"),
+      Leaf<&Logical::resample_on_restart>("resample_on_restart"),
+      Leaf<&Logical::hotspot_access_prob>("hotspot_access_prob"),
+      Leaf<&Logical::hotspot_size_fraction>("hotspot_size_fraction"),
+  };
 
-  db::PhysicalConfig* physical = &node->system.physical;
-  if (key == "physical.num_terminals") {
-    return SetIntField(key, value, &physical->num_terminals, error);
-  }
-  if (key == "physical.think_time_mean") {
-    return SetDoubleField(key, value, &physical->think_time_mean, error);
-  }
-  if (key == "physical.num_cpus") {
-    return SetIntField(key, value, &physical->num_cpus, error);
-  }
-  if (key == "physical.cpu_init_mean") {
-    return SetDoubleField(key, value, &physical->cpu_init_mean, error);
-  }
-  if (key == "physical.cpu_access_mean") {
-    return SetDoubleField(key, value, &physical->cpu_access_mean, error);
-  }
-  if (key == "physical.cpu_commit_mean") {
-    return SetDoubleField(key, value, &physical->cpu_commit_mean, error);
-  }
-  if (key == "physical.cpu_write_commit_mean") {
-    return SetDoubleField(key, value, &physical->cpu_write_commit_mean, error);
-  }
-  if (key == "physical.io_time") {
-    return SetDoubleField(key, value, &physical->io_time, error);
-  }
-  if (key == "physical.restart_delay_mean") {
-    return SetDoubleField(key, value, &physical->restart_delay_mean, error);
-  }
-  if (key == "physical.cpu_distribution") {
-    if (!ParseDistribution(value, &physical->cpu_distribution)) {
-      *error =
-          "key 'physical.cpu_distribution': expected "
-          "exponential/deterministic/erlang2, got '" +
-          value + "'";
-      return false;
-    }
-    return true;
-  }
+  const Table<Remote> remote_fields = {
+      Leaf<&Remote::cpu_penalty>("cpu_penalty"),
+      Leaf<&Remote::latency>("latency"),
+      Leaf<&Remote::serve_cpu>("serve_cpu"),
+  };
 
-  db::LogicalConfig* logical = &node->system.logical;
-  if (key == "logical.db_size") {
-    uint64_t db_size = 0;
-    if (!SetUint64Field(key, value, &db_size, error)) return false;
-    logical->db_size = static_cast<uint32_t>(db_size);
-    return true;
-  }
-  if (key == "logical.accesses_per_txn") {
-    return SetIntField(key, value, &logical->accesses_per_txn, error);
-  }
-  if (key == "logical.query_fraction") {
-    return SetDoubleField(key, value, &logical->query_fraction, error);
-  }
-  if (key == "logical.write_fraction") {
-    return SetDoubleField(key, value, &logical->write_fraction, error);
-  }
-  if (key == "logical.resample_on_restart") {
-    return SetBoolField(key, value, &logical->resample_on_restart, error);
-  }
-  if (key == "logical.hotspot_access_prob") {
-    return SetDoubleField(key, value, &logical->hotspot_access_prob, error);
-  }
-  if (key == "logical.hotspot_size_fraction") {
-    return SetDoubleField(key, value, &logical->hotspot_size_fraction, error);
-  }
+  const Table<Dynamics> dynamics_fields = {
+      Leaf<&Dynamics::k>("k"),
+      Leaf<&Dynamics::query_fraction>("query_fraction"),
+      Leaf<&Dynamics::write_fraction>("write_fraction"),
+  };
 
-  if (key == "remote.cpu_penalty") {
-    return SetDoubleField(key, value, &node->system.remote.cpu_penalty, error);
-  }
-  if (key == "remote.latency") {
-    return SetDoubleField(key, value, &node->system.remote.latency, error);
-  }
-  if (key == "remote.serve_cpu") {
-    return SetDoubleField(key, value, &node->system.remote.serve_cpu, error);
-  }
+  const Table<Retry> retry_fields = {
+      Leaf<&Retry::enabled>("enabled"),
+      Leaf<&Retry::budget>("budget", NonNegative),
+      Leaf<&Retry::backoff_base>("backoff_base", Positive),
+      Leaf<&Retry::backoff_factor>("backoff_factor", AtLeastOne),
+      Leaf<&Retry::backoff_max>("backoff_max", Positive),
+      Leaf<&Retry::jitter>("jitter", Fraction),
+  };
 
-  if (key == "dynamics.k") {
-    return SetScheduleField(key, value, named, &node->dynamics.k, error);
-  }
-  if (key == "dynamics.query_fraction") {
-    return SetScheduleField(key, value, named,
-                            &node->dynamics.query_fraction, error);
-  }
-  if (key == "dynamics.write_fraction") {
-    return SetScheduleField(key, value, named,
-                            &node->dynamics.write_fraction, error);
-  }
-  if (key == "cpu_speed") {
-    return SetScheduleField(key, value, named, &node->cpu_speed, error);
-  }
-  if (key == "availability") {
-    return SetAvailabilityField(key, value, named, &node->availability,
-                                error);
-  }
-  if (key == "rejoin") {
-    if (!cluster::ParseRejoinPolicy(value, &node->rejoin)) {
-      *error = "key 'rejoin': expected fresh/retained, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
+  const Table<Degrade> degrade_fields = {
+      Leaf<&Degrade::enabled>("enabled"),
+      Leaf<&Degrade::interval>("interval", Positive),
+      Leaf<&Degrade::shed_query>("shed_query", Positive),
+      Leaf<&Degrade::shed_update>("shed_update", Positive),
+      Leaf<&Degrade::restore_hysteresis>("restore_hysteresis",
+                                         PositiveFraction),
+  };
 
-  if (key == "control.controller") {
-    if (!CheckRegistered(control::ControllerRegistry::Global(), "controller",
-                         value, error)) {
-      return false;
-    }
-    node->control.controller = value;
-    return true;
-  }
-  if (key == "control.measurement_interval") {
-    return SetDoubleField(key, value, &node->control.measurement_interval,
-                          error);
-  }
-  if (key == "control.initial_limit") {
-    return SetDoubleField(key, value, &node->control.initial_limit, error);
-  }
-  if (key == "control.displacement") {
-    return SetBoolField(key, value, &node->control.displacement, error);
-  }
-  if (key == "control.outer_tuner") {
-    return SetBoolField(key, value, &node->control.outer_tuner, error);
-  }
-  if (HasPrefix(key, "control.")) {
-    // Anything else under control. is a controller parameter, e.g.
-    // control.pa.dither -> params["pa.dither"]. Values of the keys the
-    // built-in controllers read are type-checked here; unknown keys flow
-    // through so externally registered controllers can define their own.
-    const std::string param = key.substr(8);
-    if (!control::ValidateControllerParam(param, value, error)) return false;
-    node->control.params.Set(param, value);
-    return true;
-  }
+  const Table<Spec> experiment_fields = {
+      Leaf<&Spec::name>("name"),
+      Leaf<&Spec::cluster>("cluster"),
+      Leaf<&Spec::seed>(kSeedKey),
+      Leaf<&Spec::duration>(kDurationKey, Positive),
+      Leaf<&Spec::warmup>(kWarmupKey, NonNegative),
+      Leaf<&Spec::active_terminals>("active_terminals"),
+      Leaf<&Spec::arrival_rate>("arrival_rate"),
+      Leaf<&Spec::routing, RoutingName>("routing"),
+      Params<&Spec::routing_params, cluster::ValidateRoutingParam>("routing."),
+      // Empty disables tracing / the decision audit (and round-trips).
+      Leaf<&Spec::trace_path>("trace"),
+      Leaf<&Spec::decisions_path>("decisions"),
+      Leaf<&Spec::retraction>("retraction", nullptr, kRetraction),
+      Leaf<&Spec::retraction_queue_factor>("retraction_queue_factor",
+                                           NonNegative, kRetraction),
+      Leaf<&Spec::retraction_interval>("retraction_interval", Positive),
+      Mount<&Spec::retry>("retry.", retry_fields, kRobustness),
+      Mount<&Spec::degrade>("degrade.", degrade_fields, kRobustness),
+  };
 
-  *error = "unknown node key '" + key + "'";
-  return false;
-}
+  const Table<Workload> workload_fields = {
+      Leaf<&Workload::source, SourceName>("source"),
+      Leaf<&Workload::population>("population", AtLeastOne),
+      Leaf<&Workload::session_rate>("session_rate"),
+      Leaf<&Workload::sessions>("sessions", AtLeastOne),
+      Leaf<&Workload::txns_per_session>("txns_per_session"),
+      Leaf<&Workload::think_time>("think_time"),
+      Leaf<&Workload::affinity>("affinity", Fraction),
+      Leaf<&Workload::affinity_keys>("affinity_keys", AtLeastOne),
+      // Dotted keys go to the source factory (mirrors routing.*/control.*).
+      Params<&Workload::params, AnyParam, true>(""),
+  };
 
-// ---------------------------------------------------------------- printer --
+  const Table<Partitions> partition_fields = {
+      Leaf<&Partitions::kind, NamedCodec<kPlacementKinds>>("kind"),
+      Leaf<&Partitions::num_partitions>("num_partitions", AtLeastOne),
+      Leaf<&Partitions::replication_factor>("replication_factor", AtLeastOne),
+      Leaf<&Partitions::rebalance_interval>("rebalance_interval", NonNegative),
+      Leaf<&Partitions::rebalance_moves>("rebalance_moves"),
+  };
 
-void Emit(std::string* out, const std::string& key, const std::string& value) {
-  *out += key;
-  *out += " = ";
-  *out += value;
-  *out += "\n";
-}
+  const Table<Spec> placement_fields = {
+      Leaf<&Spec::placement_enabled>("enabled"),
+      Mount<&Spec::placement>("", partition_fields),
+      Mount<&Spec::placement_workload>("workload.", logical_fields),
+      Mount<&Spec::placement_dynamics>("dynamics.", dynamics_fields),
+      Mount<&Spec::remote_access>("remote.", remote_fields),
+  };
 
-void EmitDouble(std::string* out, const std::string& key, double value) {
-  Emit(out, key, util::FormatDouble(value));
-}
+  const Table<Heartbeat> heartbeat_fields = {
+      Leaf<&Heartbeat::interval>("interval", Positive),
+      Leaf<&Heartbeat::timeout>("timeout", Positive),
+      Leaf<&Heartbeat::suspect_after>("suspect_after", AtLeastOne),
+      Leaf<&Heartbeat::down_after>("down_after", AtLeastOne),
+      Leaf<&Heartbeat::clear_after>("clear_after", AtLeastOne),
+      Leaf<&Heartbeat::delay_base>("delay_base", NonNegative),
+      Leaf<&Heartbeat::delay_load>("delay_load", NonNegative),
+      Leaf<&Heartbeat::kind, NamedCodec<kDetectorKinds>>("kind"),
+      Leaf<&Heartbeat::phi_suspect>("phi_suspect", Positive),
+      Leaf<&Heartbeat::phi_down>("phi_down", Positive),
+      Leaf<&Heartbeat::phi_window>("phi_window", AtLeastOne),
+      Leaf<&Heartbeat::observers>("observers", AtLeastOne),
+      Leaf<&Heartbeat::quorum>("quorum", AtLeastOne),
+      Leaf<&Heartbeat::observer_jitter>("observer_jitter", NonNegative),
+      Leaf<&Heartbeat::delay_source, NamedCodec<kDelaySources>>("delay_source"),
+      Leaf<&Heartbeat::delay_response>("delay_response", NonNegative),
+  };
 
-void EmitInt(std::string* out, const std::string& key, long long value) {
-  Emit(out, key, std::to_string(value));
-}
+  const Table<Elasticity> elasticity_fields = {
+      Leaf<&Elasticity::enabled>("enabled"),
+      Leaf<&Elasticity::detector>("detector"),
+      Mount<&Elasticity::heartbeat>("hb.", heartbeat_fields),
+      Leaf<&Elasticity::scaler, ScalerName>("scaler"),
+      Leaf<&Elasticity::scaler_interval>("scaler_interval", Positive),
+      Leaf<&Elasticity::standby>("standby", NonNegative),
+      Leaf<&Elasticity::min_live>("min_live", AtLeastOne),
+      Leaf<&Elasticity::slow_start_initial>("slow_start_initial", Positive),
+      Leaf<&Elasticity::slow_start_duration>("slow_start_duration", Positive),
+      Leaf<&Elasticity::drain_delay>("drain_delay", NonNegative),
+      Params<&Elasticity::scaler_params, elasticity::ValidateAutoscalerParam>(
+          "scaler."),
+  };
 
-void EmitBool(std::string* out, const std::string& key, bool value) {
-  Emit(out, key, value ? "true" : "false");
-}
+  const Table<fault::FaultConfig> fault_fields = {
+      Leaf<&fault::FaultConfig::enabled>("enabled"),
+      FaultInjects(),
+  };
 
-void EmitDynamics(std::string* out, const db::WorkloadDynamics& dynamics) {
-  Emit(out, "dynamics.k", dynamics.k.ToString());
-  Emit(out, "dynamics.query_fraction", dynamics.query_fraction.ToString());
-  Emit(out, "dynamics.write_fraction", dynamics.write_fraction.ToString());
-}
+  const Table<Physical> physical_fields = {
+      Leaf<&Physical::num_terminals>("num_terminals", AtLeastOne),
+      Leaf<&Physical::think_time_mean>("think_time_mean"),
+      Leaf<&Physical::num_cpus>("num_cpus", AtLeastOne),
+      Leaf<&Physical::cpu_init_mean>("cpu_init_mean"),
+      Leaf<&Physical::cpu_access_mean>("cpu_access_mean"),
+      Leaf<&Physical::cpu_commit_mean>("cpu_commit_mean"),
+      Leaf<&Physical::cpu_write_commit_mean>("cpu_write_commit_mean"),
+      Leaf<&Physical::io_time>("io_time", NonNegative),
+      Leaf<&Physical::restart_delay_mean>("restart_delay_mean"),
+      Leaf<&Physical::cpu_distribution, NamedCodec<kDistributions>>(
+          "cpu_distribution"),
+  };
 
-void EmitNode(std::string* out, const NodeSpec& node) {
-  *out += "\n[node]\n";
-  Emit(out, "seed", std::to_string(node.system.seed));
-  Emit(out, "cc", CcSchemeName(node.system.cc));
-  Emit(out, "arrivals", ArrivalModeName(node.system.arrivals));
-  EmitDouble(out, "open_arrival_rate", node.system.open_arrival_rate);
-  EmitBool(out, "record_history", node.system.record_history);
-  EmitBool(out, "telemetry.per_phase", node.system.telemetry.per_phase);
+  const Table<db::TelemetryConfig> telemetry_fields = {
+      Leaf<&db::TelemetryConfig::per_phase>("per_phase"),
+  };
 
-  const db::PhysicalConfig& physical = node.system.physical;
-  EmitInt(out, "physical.num_terminals", physical.num_terminals);
-  EmitDouble(out, "physical.think_time_mean", physical.think_time_mean);
-  EmitInt(out, "physical.num_cpus", physical.num_cpus);
-  EmitDouble(out, "physical.cpu_init_mean", physical.cpu_init_mean);
-  EmitDouble(out, "physical.cpu_access_mean", physical.cpu_access_mean);
-  EmitDouble(out, "physical.cpu_commit_mean", physical.cpu_commit_mean);
-  EmitDouble(out, "physical.cpu_write_commit_mean",
-             physical.cpu_write_commit_mean);
-  EmitDouble(out, "physical.io_time", physical.io_time);
-  EmitDouble(out, "physical.restart_delay_mean", physical.restart_delay_mean);
-  Emit(out, "physical.cpu_distribution",
-       DistributionName(physical.cpu_distribution));
+  const Table<System> system_fields = {
+      Leaf<&System::seed>(kSeedKey),
+      Leaf<&System::cc, NamedCodec<kCcSchemes>>("cc"),
+      Leaf<&System::arrivals, NamedCodec<kArrivalModes>>("arrivals"),
+      Leaf<&System::open_arrival_rate>("open_arrival_rate"),
+      Leaf<&System::record_history>("record_history"),
+      Mount<&System::telemetry>("telemetry.", telemetry_fields),
+      Mount<&System::physical>("physical.", physical_fields),
+      Mount<&System::logical>("logical.", logical_fields),
+      Mount<&System::remote>("remote.", remote_fields),
+  };
 
-  const db::LogicalConfig& logical = node.system.logical;
-  EmitInt(out, "logical.db_size", logical.db_size);
-  EmitInt(out, "logical.accesses_per_txn", logical.accesses_per_txn);
-  EmitDouble(out, "logical.query_fraction", logical.query_fraction);
-  EmitDouble(out, "logical.write_fraction", logical.write_fraction);
-  EmitBool(out, "logical.resample_on_restart", logical.resample_on_restart);
-  EmitDouble(out, "logical.hotspot_access_prob", logical.hotspot_access_prob);
-  EmitDouble(out, "logical.hotspot_size_fraction",
-             logical.hotspot_size_fraction);
+  const Table<ControlSpec> control_fields = {
+      Leaf<&ControlSpec::controller, ControllerName>("controller"),
+      Leaf<&ControlSpec::measurement_interval>("measurement_interval",
+                                               Positive),
+      Leaf<&ControlSpec::initial_limit>("initial_limit", Positive),
+      Leaf<&ControlSpec::displacement>("displacement"),
+      Leaf<&ControlSpec::outer_tuner>("outer_tuner"),
+      // Any other key under control. is a controller parameter, e.g.
+      // control.pa.dither -> params["pa.dither"].
+      Params<&ControlSpec::params, control::ValidateControllerParam>(""),
+  };
 
-  EmitDouble(out, "remote.cpu_penalty", node.system.remote.cpu_penalty);
-  EmitDouble(out, "remote.latency", node.system.remote.latency);
-  EmitDouble(out, "remote.serve_cpu", node.system.remote.serve_cpu);
+  const Table<NodeSpec> node_fields = {
+      Mount<&NodeSpec::system>("", system_fields),
+      Mount<&NodeSpec::dynamics>("dynamics.", dynamics_fields),
+      Leaf<&NodeSpec::cpu_speed>("cpu_speed"),
+      Leaf<&NodeSpec::availability>("availability", nullptr, kAvailability),
+      Leaf<&NodeSpec::rejoin, NamedCodec<kRejoinPolicies>>("rejoin", nullptr,
+                                                           kAvailability),
+      Mount<&NodeSpec::control>("control.", control_fields),
+  };
 
-  EmitDynamics(out, node.dynamics);
-  Emit(out, "cpu_speed", node.cpu_speed.ToString());
-  Emit(out, "availability", node.availability.ToString());
-  Emit(out, "rejoin", cluster::RejoinPolicyName(node.rejoin));
+  const Table<NodeParseState> count_fields = {
+      Leaf<&NodeParseState::count>(kCountKey, AtLeastOne),
+  };
 
-  Emit(out, "control.controller", node.control.controller);
-  EmitDouble(out, "control.measurement_interval",
-             node.control.measurement_interval);
-  EmitDouble(out, "control.initial_limit", node.control.initial_limit);
-  EmitBool(out, "control.displacement", node.control.displacement);
-  EmitBool(out, "control.outer_tuner", node.control.outer_tuner);
-  for (const auto& [key, value] : node.control.params.entries()) {
-    Emit(out, "control." + key, value);
-  }
+  /// In print order.
+  const Section sections[5] = {
+      {"experiment", nullptr, experiment_fields},
+      {"workload", "workload sources require",
+       {Mount<&Spec::workload>("", workload_fields)}},
+      {"placement", nullptr, placement_fields},
+      {"elasticity", "elasticity requires",
+       {Mount<&Spec::elasticity>("", elasticity_fields)}},
+      {"fault", kRobustness,
+       {Mount<&Spec::fault>("", fault_fields)}},
+  };
+};
+
+const SpecTables& Tables() {
+  static const SpecTables* tables = new SpecTables();
+  return *tables;
 }
 
 // ------------------------------------------------------ control bridging --
@@ -1091,116 +812,35 @@ ControlSpec FromControlConfig(const ControlConfig& control) {
 
 }  // namespace
 
+bool ControlSpec::operator==(const ControlSpec& other) const {
+  return EqualFields(Tables().control_fields, *this, other);
+}
+
+bool NodeSpec::operator==(const NodeSpec& other) const {
+  return EqualFields(Tables().node_fields, *this, other);
+}
+
+bool ExperimentSpec::operator==(const ExperimentSpec& other) const {
+  for (const Section& section : Tables().sections) {
+    if (!EqualFields(section.fields, *this, other)) return false;
+  }
+  return nodes == other.nodes;
+}
+
 std::string PrintSpec(const ExperimentSpec& spec) {
-  std::string out;
-  out += "# Canonical ExperimentSpec (core/spec.h); run with: alc_run <file>\n";
-  out += "[experiment]\n";
-  Emit(&out, "name", spec.name);
-  EmitBool(&out, "cluster", spec.cluster);
-  Emit(&out, "seed", std::to_string(spec.seed));
-  EmitDouble(&out, "duration", spec.duration);
-  EmitDouble(&out, "warmup", spec.warmup);
-  Emit(&out, "active_terminals", spec.active_terminals.ToString());
-  Emit(&out, "arrival_rate", spec.arrival_rate.ToString());
-  Emit(&out, "routing", spec.routing);
-  for (const auto& [key, value] : spec.routing_params.entries()) {
-    Emit(&out, "routing." + key, value);
+  std::string out =
+      "# Canonical ExperimentSpec (core/spec.h); run with: alc_run <file>\n";
+  const std::string no_prefix;
+  for (const Section& section : Tables().sections) {
+    if (&section != &Tables().sections[0]) out += "\n";
+    out += "[";
+    out += section.name;
+    out += "]\n";
+    PrintFields(section.fields, spec, no_prefix, &out);
   }
-  Emit(&out, "trace", spec.trace_path);
-  Emit(&out, "decisions", spec.decisions_path);
-  EmitBool(&out, "retraction", spec.retraction);
-  EmitDouble(&out, "retraction_queue_factor", spec.retraction_queue_factor);
-  EmitDouble(&out, "retraction_interval", spec.retraction_interval);
-  EmitBool(&out, "retry.enabled", spec.retry.enabled);
-  EmitInt(&out, "retry.budget", spec.retry.budget);
-  EmitDouble(&out, "retry.backoff_base", spec.retry.backoff_base);
-  EmitDouble(&out, "retry.backoff_factor", spec.retry.backoff_factor);
-  EmitDouble(&out, "retry.backoff_max", spec.retry.backoff_max);
-  EmitDouble(&out, "retry.jitter", spec.retry.jitter);
-  EmitBool(&out, "degrade.enabled", spec.degrade.enabled);
-  EmitDouble(&out, "degrade.interval", spec.degrade.interval);
-  EmitDouble(&out, "degrade.shed_query", spec.degrade.shed_query);
-  EmitDouble(&out, "degrade.shed_update", spec.degrade.shed_update);
-  EmitDouble(&out, "degrade.restore_hysteresis",
-             spec.degrade.restore_hysteresis);
-
-  out += "\n[workload]\n";
-  Emit(&out, "source", spec.workload.source);
-  Emit(&out, "population", std::to_string(spec.workload.population));
-  Emit(&out, "session_rate", spec.workload.session_rate.ToString());
-  EmitInt(&out, "sessions", spec.workload.sessions);
-  Emit(&out, "txns_per_session", spec.workload.txns_per_session.ToString());
-  Emit(&out, "think_time", spec.workload.think_time.ToString());
-  EmitDouble(&out, "affinity", spec.workload.affinity);
-  EmitInt(&out, "affinity_keys", spec.workload.affinity_keys);
-  for (const auto& [key, value] : spec.workload.params.entries()) {
-    Emit(&out, key, value);
-  }
-
-  out += "\n[placement]\n";
-  EmitBool(&out, "enabled", spec.placement_enabled);
-  Emit(&out, "kind", placement::PlacementKindName(spec.placement.kind));
-  EmitInt(&out, "num_partitions", spec.placement.num_partitions);
-  EmitInt(&out, "replication_factor", spec.placement.replication_factor);
-  EmitDouble(&out, "rebalance_interval", spec.placement.rebalance_interval);
-  EmitInt(&out, "rebalance_moves", spec.placement.rebalance_moves);
-  const db::LogicalConfig& workload = spec.placement_workload;
-  EmitInt(&out, "workload.db_size", workload.db_size);
-  EmitInt(&out, "workload.accesses_per_txn", workload.accesses_per_txn);
-  EmitDouble(&out, "workload.query_fraction", workload.query_fraction);
-  EmitDouble(&out, "workload.write_fraction", workload.write_fraction);
-  EmitBool(&out, "workload.resample_on_restart", workload.resample_on_restart);
-  EmitDouble(&out, "workload.hotspot_access_prob",
-             workload.hotspot_access_prob);
-  EmitDouble(&out, "workload.hotspot_size_fraction",
-             workload.hotspot_size_fraction);
-  if (spec.placement_dynamics.has_value()) {
-    EmitDynamics(&out, *spec.placement_dynamics);
-  }
-  EmitDouble(&out, "remote.cpu_penalty", spec.remote_access.cpu_penalty);
-  EmitDouble(&out, "remote.latency", spec.remote_access.latency);
-  EmitDouble(&out, "remote.serve_cpu", spec.remote_access.serve_cpu);
-
-  out += "\n[elasticity]\n";
-  const elasticity::ElasticityConfig& elastic = spec.elasticity;
-  EmitBool(&out, "enabled", elastic.enabled);
-  EmitBool(&out, "detector", elastic.detector);
-  const elasticity::HeartbeatConfig& heartbeat = elastic.heartbeat;
-  EmitDouble(&out, "hb.interval", heartbeat.interval);
-  EmitDouble(&out, "hb.timeout", heartbeat.timeout);
-  EmitInt(&out, "hb.suspect_after", heartbeat.suspect_after);
-  EmitInt(&out, "hb.down_after", heartbeat.down_after);
-  EmitInt(&out, "hb.clear_after", heartbeat.clear_after);
-  EmitDouble(&out, "hb.delay_base", heartbeat.delay_base);
-  EmitDouble(&out, "hb.delay_load", heartbeat.delay_load);
-  Emit(&out, "hb.kind", heartbeat.kind);
-  EmitDouble(&out, "hb.phi_suspect", heartbeat.phi_suspect);
-  EmitDouble(&out, "hb.phi_down", heartbeat.phi_down);
-  EmitInt(&out, "hb.phi_window", heartbeat.phi_window);
-  EmitInt(&out, "hb.observers", heartbeat.observers);
-  EmitInt(&out, "hb.quorum", heartbeat.quorum);
-  EmitDouble(&out, "hb.observer_jitter", heartbeat.observer_jitter);
-  Emit(&out, "hb.delay_source", heartbeat.delay_source);
-  EmitDouble(&out, "hb.delay_response", heartbeat.delay_response);
-  Emit(&out, "scaler", elastic.scaler);
-  EmitDouble(&out, "scaler_interval", elastic.scaler_interval);
-  EmitInt(&out, "standby", elastic.standby);
-  EmitInt(&out, "min_live", elastic.min_live);
-  EmitDouble(&out, "slow_start_initial", elastic.slow_start_initial);
-  EmitDouble(&out, "slow_start_duration", elastic.slow_start_duration);
-  EmitDouble(&out, "drain_delay", elastic.drain_delay);
-  for (const auto& [key, value] : elastic.scaler_params.entries()) {
-    Emit(&out, "scaler." + key, value);
-  }
-
-  out += "\n[fault]\n";
-  EmitBool(&out, "enabled", spec.fault.enabled);
-  for (const fault::FaultSpec& injected : spec.fault.faults) {
-    Emit(&out, "inject", injected.ToString());
-  }
-
   for (const NodeSpec& node : spec.nodes) {
-    EmitNode(&out, node);
+    out += "\n[node]\n";
+    PrintFields(Tables().node_fields, node, no_prefix, &out);
   }
   return out;
 }
@@ -1217,142 +857,111 @@ std::string RunWindowError(const ExperimentSpec& spec) {
 
 /// ValidateSpec's rules apart from the run window.
 bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
+  auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
   // Mode/fleet-shape validation here, with a message, rather than as a
   // CHECK abort inside ToScenario/ToClusterScenario.
-  if (spec.nodes.empty()) {
-    if (error != nullptr) *error = "spec declares no [node] section";
-    return false;
-  }
+  if (spec.nodes.empty()) return fail("spec declares no [node] section");
   if (!spec.cluster && spec.nodes.size() != 1) {
-    if (error != nullptr) {
-      *error = "single-node mode (cluster = false) requires exactly one "
-               "node, got " +
-               std::to_string(spec.nodes.size());
-    }
-    return false;
+    return fail("single-node mode (cluster = false) requires exactly one "
+                "node, got " +
+                std::to_string(spec.nodes.size()));
   }
   if (!spec.cluster) {
-    // Lifecycle is a routed-fleet feature: the single-node closed/open
-    // model has no front-end to crash away from.
-    if (!spec.nodes[0].availability.always_up()) {
-      if (error != nullptr) {
-        *error = "node availability schedules require cluster mode "
-                 "(cluster = true)";
-      }
-      return false;
-    }
-    if (spec.retraction || spec.retraction_queue_factor > 0.0) {
-      if (error != nullptr) {
-        *error = "retraction requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.workload.source != "open") {
-      // The single-node model drives itself (terminals / its own open
-      // stream); workload sources feed the routed front-end only.
-      if (error != nullptr) {
-        *error = "workload source '" + spec.workload.source +
-                 "' requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.elasticity.enabled) {
-      // Elasticity is fleet machinery: heartbeats probe routed members and
-      // the autoscaler moves nodes in and out of the membership.
-      if (error != nullptr) {
-        *error = "elasticity requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.retry.enabled) {
-      if (error != nullptr) {
-        *error = "retry requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.degrade.enabled) {
-      if (error != nullptr) {
-        *error = "degrade requires cluster mode (cluster = true)";
-      }
-      return false;
-    }
-    if (spec.fault.enabled) {
-      if (error != nullptr) {
-        *error = "fault injection requires cluster mode (cluster = true)";
-      }
-      return false;
+    // Fleet features: the single-node closed/open model drives itself
+    // (terminals / its own open stream), with no routed front-end to feed,
+    // crash away from, probe, or scale.
+    const std::pair<bool, std::string> fleet_features[] = {
+        {!spec.nodes[0].availability.always_up(),
+         "node availability schedules require"},
+        {spec.retraction || spec.retraction_queue_factor > 0.0,
+         "retraction requires"},
+        {spec.workload.source != "open",
+         "workload source '" + spec.workload.source + "' requires"},
+        {spec.elasticity.enabled, "elasticity requires"},
+        {spec.retry.enabled, "retry requires"},
+        {spec.degrade.enabled, "degrade requires"},
+        {spec.fault.enabled, "fault injection requires"},
+    };
+    for (const auto& [used, what] : fleet_features) {
+      if (used) return fail(what + " cluster mode (cluster = true)");
     }
   }
   if (spec.retry.enabled && spec.retry.backoff_max < spec.retry.backoff_base) {
-    if (error != nullptr) {
-      *error = "retry.backoff_max must be >= retry.backoff_base";
-    }
-    return false;
+    return fail("retry.backoff_max must be >= retry.backoff_base");
   }
   if (spec.degrade.enabled &&
       spec.degrade.shed_update < spec.degrade.shed_query) {
-    if (error != nullptr) {
-      *error = "degrade.shed_update must be >= degrade.shed_query";
-    }
-    return false;
+    return fail("degrade.shed_update must be >= degrade.shed_query");
   }
   for (const fault::FaultSpec& injected : spec.fault.faults) {
     // Window and target validation a per-key validator cannot see (the
     // node list is only final after [node] expansion).
     if (injected.start < 0.0 || injected.end <= injected.start) {
-      if (error != nullptr) {
-        *error = "fault '" + injected.ToString() +
-                 "': window must satisfy 0 <= start < end";
-      }
-      return false;
+      return fail("fault '" + injected.ToString() +
+                  "': window must satisfy 0 <= start < end");
     }
     for (int node : injected.nodes) {
       if (node < 0 || node >= static_cast<int>(spec.nodes.size())) {
-        if (error != nullptr) {
-          *error = "fault '" + injected.ToString() + "': node " +
-                   std::to_string(node) + " out of range (fleet has " +
-                   std::to_string(spec.nodes.size()) + " nodes)";
-        }
-        return false;
+        return fail("fault '" + injected.ToString() + "': node " +
+                    std::to_string(node) + " out of range (fleet has " +
+                    std::to_string(spec.nodes.size()) + " nodes)");
       }
     }
+  }
+  if (spec.cluster && spec.placement_enabled) {
+    // The partition catalog's shape.
+    const placement::PlacementConfig& placement = spec.placement;
+    const uint32_t db_size = spec.placement_workload.db_size;
+    if (db_size < static_cast<uint32_t>(placement.num_partitions)) {
+      return fail("placement num_partitions (" +
+                  std::to_string(placement.num_partitions) +
+                  ") must be <= workload.db_size (" +
+                  std::to_string(db_size) + ")");
+    }
+    if (placement.rebalance_interval > 0.0 && placement.rebalance_moves < 1) {
+      return fail(
+          "placement rebalance_moves must be >= 1 when rebalance_interval > 0");
+    }
+  }
+  for (size_t i = 0; spec.cluster && i < spec.nodes.size(); ++i) {
+    // ClusterMetrics pairs node samples index-wise, so every monitor must
+    // tick on one grid; with placement, every node must be able to execute
+    // any key of the global key space.
+    const NodeSpec& node = spec.nodes[i];
+    const char* problem = nullptr;
+    if (node.control.measurement_interval !=
+        spec.nodes[0].control.measurement_interval) {
+      problem = " control.measurement_interval must equal node 0's";
+    } else if (spec.placement_enabled &&
+               node.system.logical.db_size < spec.placement_workload.db_size) {
+      problem = " logical.db_size must be >= placement workload.db_size";
+    }
+    if (problem != nullptr) return fail("node " + std::to_string(i) + problem);
   }
   if (spec.elasticity.enabled) {
     // Cross-field checks a per-key validator cannot see. Matching aborts
     // exist at run time (HeartbeatDetector / ElasticityController CHECKs);
     // failing here names the line instead.
-    if (spec.elasticity.heartbeat.down_after <
-        spec.elasticity.heartbeat.suspect_after) {
-      if (error != nullptr) {
-        *error = "elasticity hb.down_after must be >= hb.suspect_after";
-      }
-      return false;
+    const elasticity::HeartbeatConfig& heartbeat = spec.elasticity.heartbeat;
+    if (heartbeat.down_after < heartbeat.suspect_after) {
+      return fail("elasticity hb.down_after must be >= hb.suspect_after");
     }
-    if (spec.elasticity.heartbeat.phi_down <
-        spec.elasticity.heartbeat.phi_suspect) {
-      if (error != nullptr) {
-        *error = "elasticity hb.phi_down must be >= hb.phi_suspect";
-      }
-      return false;
+    if (heartbeat.phi_down < heartbeat.phi_suspect) {
+      return fail("elasticity hb.phi_down must be >= hb.phi_suspect");
     }
-    if (spec.elasticity.heartbeat.quorum >
-        spec.elasticity.heartbeat.observers) {
-      if (error != nullptr) {
-        *error = "elasticity hb.quorum must be <= hb.observers";
-      }
-      return false;
+    if (heartbeat.quorum > heartbeat.observers) {
+      return fail("elasticity hb.quorum must be <= hb.observers");
     }
     if (spec.elasticity.standby >= static_cast<int>(spec.nodes.size())) {
-      if (error != nullptr) {
-        *error = "elasticity standby pool (" +
-                 std::to_string(spec.elasticity.standby) +
-                 ") must leave at least one live node (" +
-                 std::to_string(spec.nodes.size()) + " nodes)";
-      }
-      return false;
+      return fail("elasticity standby pool (" +
+                  std::to_string(spec.elasticity.standby) +
+                  ") must leave at least one live node (" +
+                  std::to_string(spec.nodes.size()) + " nodes)");
     }
   }
-
   return true;
 }
 
@@ -1373,16 +982,10 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
   NamedSchedules named;
   std::vector<NodeParseState> node_states;
 
-  enum class Section {
-    kExperiment,
-    kSchedules,
-    kWorkload,
-    kPlacement,
-    kElasticity,
-    kFault,
-    kNode
-  };
-  Section section = Section::kExperiment;
+  // The section the next key belongs to: one of Tables().sections, else a
+  // [node] when `in_node`, else [schedules].
+  const Section* section = &Tables().sections[0];
+  bool in_node = false;
 
   std::istringstream stream(text);
   std::string line;
@@ -1420,23 +1023,15 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
     if (line.front() == '[') {
       if (line.back() != ']') return fail("malformed section header");
       const std::string name = TrimWhitespace(line.substr(1, line.size() - 2));
-      if (name == "experiment") {
-        section = Section::kExperiment;
-      } else if (name == "schedules") {
-        section = Section::kSchedules;
-      } else if (name == "workload") {
-        section = Section::kWorkload;
-      } else if (name == "placement") {
-        section = Section::kPlacement;
-      } else if (name == "elasticity") {
-        section = Section::kElasticity;
-      } else if (name == "fault") {
-        section = Section::kFault;
-      } else if (name == "node") {
+      section = nullptr;
+      in_node = name == "node";
+      for (const Section& candidate : Tables().sections) {
+        if (candidate.name == name) section = &candidate;
+      }
+      if (in_node) {
         spec.nodes.emplace_back();
         node_states.emplace_back();
-        section = Section::kNode;
-      } else {
+      } else if (section == nullptr && name != "schedules") {
         return fail("unknown section [" + name + "]");
       }
       continue;
@@ -1450,48 +1045,34 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
 
     std::string message;
     bool ok = true;
-    switch (section) {
-      case Section::kExperiment:
-        ok = AssignExperimentKey(&spec, key, value, named, &message);
-        if (key == "warmup") warmup_line = line_number;
-        if (key == "duration" || key == "warmup") window_line = line_number;
-        break;
-      case Section::kSchedules: {
-        // avail(...) literals live in the availability namespace; every
-        // other literal is a numeric schedule. One name can only mean one
-        // thing, so the maps never hold the same key.
-        if (HasPrefix(value, "avail(")) {
-          cluster::AvailabilitySchedule availability;
-          ok = cluster::AvailabilitySchedule::Parse(value, &availability,
-                                                    &message);
-          if (ok) named.availabilities[key] = availability;
-          break;
-        }
-        db::Schedule schedule;
-        ok = db::Schedule::Parse(value, &schedule);
-        if (!ok) {
-          message = "malformed schedule literal '" + value + "'";
-        } else {
-          named.schedules[key] = schedule;
-        }
-        break;
+    if (in_node) {
+      NodeParseState& state = node_states.back();
+      if (key == kCountKey) {
+        ok = Assign(Tables().count_fields, &state, key, value, named, nullptr,
+                    "node", &message);
+      } else {
+        ok = Assign(Tables().node_fields, &spec.nodes.back(), key, value,
+                    named, nullptr, "node", &message);
+        if (ok && key == kSeedKey) state.seed_set = true;
       }
-      case Section::kWorkload:
-        ok = AssignWorkloadKey(&spec, key, value, named, &message);
-        break;
-      case Section::kPlacement:
-        ok = AssignPlacementKey(&spec, key, value, named, &message);
-        break;
-      case Section::kElasticity:
-        ok = AssignElasticityKey(&spec, key, value, &message);
-        break;
-      case Section::kFault:
-        ok = AssignFaultKey(&spec, key, value, &message);
-        break;
-      case Section::kNode:
-        ok = AssignNodeKey(&spec.nodes.back(), key, value, named,
-                           &node_states.back(), &message);
-        break;
+    } else if (section != nullptr) {
+      ok = Assign(section->fields, &spec, key, value, named, nullptr,
+                  section->name, &message);
+      if (section == &Tables().sections[0]) {
+        if (key == kWarmupKey) warmup_line = line_number;
+        if (key == kDurationKey || key == kWarmupKey) {
+          window_line = line_number;
+        }
+      }
+    } else {
+      // [schedules]: avail(...) literals live in the availability
+      // namespace; every other literal is a numeric schedule.
+      // Entries are literals: a `$name` here is an unknown reference.
+      ok = HasPrefix(value, "avail(")
+               ? ReadText(value, NamedSchedules(), &named.availabilities[key],
+                          &message)
+               : ReadText(value, NamedSchedules(), &named.schedules[key],
+                          &message);
     }
     if (!ok) return fail(message);
   }
@@ -1505,20 +1086,14 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
   std::vector<NodeSpec> expanded;
   std::vector<bool> inherited;
   for (size_t i = 0; i < spec.nodes.size(); ++i) {
-    const NodeSpec& node = spec.nodes[i];
     const NodeParseState& state = node_states[i];
-    if (state.count == 1) {
-      expanded.push_back(node);
-      inherited.push_back(!state.seed_set);
-    } else {
-      for (int clone = 0; clone < state.count; ++clone) {
-        expanded.push_back(node);
-        if (state.seed_set) {
-          expanded.back().system.seed =
-              DecorrelatedNodeSeed(node.system.seed, clone);
-        }
-        inherited.push_back(!state.seed_set);
+    for (int clone = 0; clone < state.count; ++clone) {
+      expanded.push_back(spec.nodes[i]);
+      if (state.seed_set && state.count > 1) {
+        expanded.back().system.seed =
+            DecorrelatedNodeSeed(spec.nodes[i].system.seed, clone);
       }
+      inherited.push_back(!state.seed_set);
     }
   }
   for (size_t i = 0; i < expanded.size(); ++i) {
@@ -1559,174 +1134,96 @@ bool LoadSpecFile(const std::string& path, ExperimentSpec* out,
   return true;
 }
 
+namespace {
+
+/// Seeds every node from `base`: directly for a single node, else
+/// decorrelated per fleet index so no two nodes share a random stream.
+void DeriveNodeSeeds(uint64_t base, std::vector<NodeSpec>* nodes) {
+  for (size_t i = 0; i < nodes->size(); ++i) {
+    (*nodes)[i].system.seed =
+        nodes->size() == 1 ? base
+                           : DecorrelatedNodeSeed(base, static_cast<int>(i));
+  }
+}
+
+}  // namespace
+
 bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
                        const std::string& value, std::string* error) {
-  std::string message;
   static const NamedSchedules kNoSchedules;
+  // On a single-node spec, cluster-only keys are refused with the message a
+  // spec file would get, instead of sweeping bit-identical points.
+  const std::string* single_node = spec->cluster ? nullptr : &key;
+  auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  const Table<NodeSpec>& node_fields = Tables().node_fields;
 
-  // Mirror ParseSpec's cluster-only validation: a lifecycle/retraction
-  // override on a single-node spec would be silently unused (ToScenario
-  // never reads those fields), so reject it with the same message a spec
-  // file would get instead of sweeping bit-identical points.
-  if (!spec->cluster) {
-    const size_t dot = key.find('.');
-    const std::string subkey =
-        dot == std::string::npos ? std::string() : key.substr(dot + 1);
-    if (key == "retraction" || key == "retraction_queue_factor") {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': retraction requires cluster mode (cluster = true)";
-      }
-      return false;
+  // "node.<key>" applies to every node, "node<i>.<key>" to node i.
+  const size_t dot = key.find('.');
+  long long index = -1;
+  if (HasPrefix(key, "node") && dot != std::string::npos &&
+      (dot == 4 || util::ParseInt(key.substr(4, dot - 4), &index))) {
+    const std::string subkey = key.substr(dot + 1);
+    if (subkey == kCountKey) {
+      return fail("'count' is only valid inside a spec file's [node] section");
     }
-    if (HasPrefix(key, "node") &&
-        (subkey == "availability" || subkey == "rejoin")) {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': node availability schedules require cluster mode "
-                 "(cluster = true)";
+    if (dot != 4) {
+      if (index < 0 || index >= static_cast<long long>(spec->nodes.size())) {
+        return fail("override '" + key + "': node index out of range (" +
+                    std::to_string(spec->nodes.size()) + " nodes)");
       }
-      return false;
+      return Assign(node_fields, &spec->nodes[static_cast<size_t>(index)],
+                    subkey, value, kNoSchedules, single_node, "node", error);
     }
-    if (HasPrefix(key, "workload.")) {
-      // Single-node runs never construct a workload source; accepting the
-      // override would sweep bit-identical points.
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': workload sources require cluster mode (cluster = true)";
+    if (spec->nodes.empty()) return fail("override '" + key + "': no nodes");
+    if (subkey == kSeedKey) {
+      // Broadcasting one literal seed to the whole fleet would run every
+      // node on the same random stream; decorrelate per index like the
+      // experiment-level "seed" override. Pin one node with node<i>.seed
+      // when an exact value is wanted.
+      NodeSpec parsed;
+      if (!Assign(node_fields, &parsed, subkey, value, kNoSchedules,
+                  single_node, "node", error)) {
+        return false;
       }
-      return false;
+      DeriveNodeSeeds(parsed.system.seed, &spec->nodes);
+      return true;
     }
-    if (HasPrefix(key, "elasticity.")) {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': elasticity requires cluster mode (cluster = true)";
+    for (NodeSpec& node : spec->nodes) {
+      if (!Assign(node_fields, &node, subkey, value, kNoSchedules,
+                  single_node, "node", error)) {
+        return false;
       }
-      return false;
     }
-    if (HasPrefix(key, "retry.") || HasPrefix(key, "degrade.") ||
-        HasPrefix(key, "fault.")) {
-      if (error != nullptr) {
-        *error = "override '" + key +
-                 "': robustness features require cluster mode "
-                 "(cluster = true)";
-      }
-      return false;
-    }
+    return true;
   }
 
-  if (key == "seed") {
+  const Section* experiment = &Tables().sections[0];  // takes bare keys
+  const Section* section = experiment;
+  std::string section_key = key;
+  for (const Section& candidate : Tables().sections) {
+    const std::string prefix = std::string(candidate.name) + ".";
+    if (&candidate == experiment || !HasPrefix(key, prefix)) continue;
+    if (candidate.cluster_only != nullptr && !spec->cluster) {
+      return fail("override '" + key + "': " + candidate.cluster_only +
+                  " cluster mode (cluster = true)");
+    }
+    section = &candidate;
+    section_key = key.substr(prefix.size());
+    break;
+  }
+  if (!Assign(section->fields, spec, section_key, value, kNoSchedules,
+              single_node, section->name, error)) {
+    return false;
+  }
+  if (section == experiment && key == kSeedKey) {
     // Parse-time seed inheritance has already stamped every node, so an
     // experiment-seed override must re-derive the node seeds too —
     // otherwise a replication sweep ("--sweep seed=1,2,3") would rerun
-    // identical simulations. Nodes that need a pinned seed under an
-    // experiment-seed sweep can be re-pinned with a later node<i>.seed
-    // override.
-    if (!SetUint64Field(key, value, &spec->seed, error ? error : &message)) {
-      return false;
-    }
-    if (spec->nodes.size() == 1) {
-      spec->nodes[0].system.seed = spec->seed;
-    } else {
-      for (size_t i = 0; i < spec->nodes.size(); ++i) {
-        spec->nodes[i].system.seed =
-            DecorrelatedNodeSeed(spec->seed, static_cast<int>(i));
-      }
-    }
-    return true;
-  }
-
-  if (HasPrefix(key, "placement.")) {
-    if (!AssignPlacementKey(spec, key.substr(10), value, kNoSchedules,
-                            &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "workload.")) {
-    if (!AssignWorkloadKey(spec, key.substr(9), value, kNoSchedules,
-                           &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "elasticity.")) {
-    if (!AssignElasticityKey(spec, key.substr(11), value, &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "fault.")) {
-    if (!AssignFaultKey(spec, key.substr(6), value, &message)) {
-      if (error != nullptr) *error = message;
-      return false;
-    }
-    return true;
-  }
-  if (HasPrefix(key, "node")) {
-    // "node.<key>" applies to every node, "node<i>.<key>" to node i.
-    const size_t dot = key.find('.');
-    if (dot != std::string::npos) {
-      const std::string selector = key.substr(4, dot - 4);
-      const std::string subkey = key.substr(dot + 1);
-      if (selector.empty()) {
-        if (spec->nodes.empty()) {
-          if (error != nullptr) *error = "override '" + key + "': no nodes";
-          return false;
-        }
-        if (subkey == "seed") {
-          // Broadcasting one literal seed to the whole fleet would run
-          // every node on the same random stream; decorrelate per index
-          // like the experiment-level "seed" override. Pin one node with
-          // node<i>.seed when an exact value is wanted.
-          uint64_t base = 0;
-          if (!SetUint64Field(key, value, &base,
-                              error != nullptr ? error : &message)) {
-            return false;
-          }
-          for (size_t i = 0; i < spec->nodes.size(); ++i) {
-            spec->nodes[i].system.seed =
-                spec->nodes.size() == 1
-                    ? base
-                    : DecorrelatedNodeSeed(base, static_cast<int>(i));
-          }
-          return true;
-        }
-        for (NodeSpec& node : spec->nodes) {
-          if (!AssignNodeKey(&node, subkey, value, kNoSchedules, nullptr,
-                             &message)) {
-            if (error != nullptr) *error = message;
-            return false;
-          }
-        }
-        return true;
-      }
-      long long index = 0;
-      if (util::ParseInt(selector, &index)) {
-        if (index < 0 || index >= static_cast<long long>(spec->nodes.size())) {
-          if (error != nullptr) {
-            *error = "override '" + key + "': node index out of range (" +
-                     std::to_string(spec->nodes.size()) + " nodes)";
-          }
-          return false;
-        }
-        if (!AssignNodeKey(&spec->nodes[static_cast<size_t>(index)], subkey,
-                           value, kNoSchedules, nullptr, &message)) {
-          if (error != nullptr) *error = message;
-          return false;
-        }
-        return true;
-      }
-      // Not a node selector after all (no such key exists today, but fall
-      // through to the experiment namespace for forward compatibility).
-    }
-  }
-  if (!AssignExperimentKey(spec, key, value, kNoSchedules, &message)) {
-    if (error != nullptr) *error = message;
-    return false;
+    // identical simulations. A later node<i>.seed override re-pins a node.
+    DeriveNodeSeeds(spec->seed, &spec->nodes);
   }
   return true;
 }

@@ -31,13 +31,8 @@ struct ControlSpec {
   bool displacement = false;
   bool outer_tuner = false;
 
-  bool operator==(const ControlSpec& other) const {
-    return controller == other.controller && params == other.params &&
-           measurement_interval == other.measurement_interval &&
-           initial_limit == other.initial_limit &&
-           displacement == other.displacement &&
-           outer_tuner == other.outer_tuner;
-  }
+  /// Field by field over the spec's key tables (spec.cc).
+  bool operator==(const ControlSpec& other) const;
   bool operator!=(const ControlSpec& other) const { return !(*this == other); }
 };
 
@@ -57,11 +52,7 @@ struct NodeSpec {
   cluster::AvailabilitySchedule availability;
   cluster::RejoinPolicy rejoin = cluster::RejoinPolicy::kFresh;
 
-  bool operator==(const NodeSpec& other) const {
-    return system == other.system && dynamics == other.dynamics &&
-           control == other.control && cpu_speed == other.cpu_speed &&
-           availability == other.availability && rejoin == other.rejoin;
-  }
+  bool operator==(const NodeSpec& other) const;
   bool operator!=(const NodeSpec& other) const { return !(*this == other); }
 };
 
@@ -149,29 +140,7 @@ struct ExperimentSpec {
   /// autoscaler provisioning/draining a standby pool off fleet signals.
   elasticity::ElasticityConfig elasticity;
 
-  bool operator==(const ExperimentSpec& other) const {
-    return name == other.name && cluster == other.cluster &&
-           seed == other.seed && duration == other.duration &&
-           warmup == other.warmup && nodes == other.nodes &&
-           active_terminals == other.active_terminals &&
-           routing == other.routing &&
-           routing_params == other.routing_params &&
-           arrival_rate == other.arrival_rate &&
-           workload == other.workload &&
-           retraction == other.retraction &&
-           retraction_queue_factor == other.retraction_queue_factor &&
-           retraction_interval == other.retraction_interval &&
-           retry == other.retry && degrade == other.degrade &&
-           fault == other.fault &&
-           trace_path == other.trace_path &&
-           decisions_path == other.decisions_path &&
-           placement_enabled == other.placement_enabled &&
-           placement == other.placement &&
-           placement_workload == other.placement_workload &&
-           placement_dynamics == other.placement_dynamics &&
-           remote_access == other.remote_access &&
-           elasticity == other.elasticity;
-  }
+  bool operator==(const ExperimentSpec& other) const;
   bool operator!=(const ExperimentSpec& other) const {
     return !(*this == other);
   }
@@ -190,21 +159,22 @@ std::string PrintSpec(const ExperimentSpec& spec);
 /// decorrelated seeds (DecorrelatedNodeSeed over the node's seed if
 /// declared, else the experiment seed). On failure returns false and sets
 /// `error` to a line-numbered message, leaving `out` untouched.
+///
+/// Every value is validated as its key is read: scalars against their
+/// type and range (each bound mirrors the check of the code that consumes
+/// the field, so a value that would abort the run fails here), schedule
+/// literals, enum names, controller/routing/autoscaler/workload *names*,
+/// and the values of the params the built-in policies read
+/// ("control.pa.dither", "routing.power-of-d.d", "scaler.pi.kp"). Then the
+/// cross-field rules of ValidateSpec apply. The run window is checked when
+/// the file sets warmup, and reported at the later of the warmup and
+/// duration lines; a file that only shortens duration may be completed by
+/// overrides, so its window is left to ValidateSpec. Params no built-in
+/// policy reads flow through as strings by design: they belong to
+/// externally registered policies, whose factories validate them.
 bool ParseSpec(const std::string& text, ExperimentSpec* out,
                std::string* error);
 
-/// Scalar fields, schedule literals, enum names, controller/routing
-/// *names*, and the values of the controller params the built-in
-/// controllers read ("control.pa.dither = ...") are all validated here,
-/// as are the cross-field rules of ValidateSpec. The run window is checked
-/// when the file sets warmup, and reported at the later of the warmup and
-/// duration lines; a file that only shortens duration may be completed by
-/// overrides, so its window is left to ValidateSpec. Unknown
-/// controller params and routing *param values* flow through as strings
-/// by design — unknown keys belong to externally registered policies — and
-/// are validated by the consuming factory when the run constructs them (a
-/// malformed value aborts there with the offending key named).
-///
 /// Reads and parses a spec file. False on I/O or parse failure.
 bool LoadSpecFile(const std::string& path, ExperimentSpec* out,
                   std::string* error);
@@ -212,14 +182,17 @@ bool LoadSpecFile(const std::string& path, ExperimentSpec* out,
 /// Applies one `key = value` override to a parsed spec — the mechanism
 /// behind sweep axes and alc_run --set. Keys address the same fields as
 /// spec files: experiment-level keys bare ("duration", "routing",
-/// "arrival_rate", "routing.threshold.min_threshold"), placement keys with
-/// a "placement." prefix, node keys with "node." (all nodes) or "node<i>."
-/// (node i alone), e.g. "node.control.controller" or
+/// "arrival_rate", "routing.threshold.min_threshold"), keys of the other
+/// sections prefixed with the section name ("placement.kind",
+/// "elasticity.hb.interval"), node keys with "node." (all nodes) or
+/// "node<i>." (node i alone), e.g. "node.control.controller" or
 /// "node0.physical.num_cpus". Overriding "seed" re-derives every node's
 /// seed from the new value (directly for one node, DecorrelatedNodeSeed
 /// per index otherwise), so a seed sweep is a replication sweep; pin a
-/// node afterwards with "node<i>.seed" if needed. Controller and routing
-/// names are validated against the registries at override time.
+/// node afterwards with "node<i>.seed" if needed. Values are validated as
+/// ParseSpec validates them; on a single-node spec, the keys only a
+/// cluster reads (retraction, availability, rejoin, retry/degrade, and the
+/// [workload], [elasticity] and [fault] sections) are refused.
 bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
                        const std::string& value, std::string* error);
 

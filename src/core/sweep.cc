@@ -24,12 +24,13 @@ int SweepRunner::num_points() const {
   return points;
 }
 
-ExperimentSpec SweepRunner::SpecAt(
-    int index,
-    std::vector<std::pair<std::string, std::string>>* assignment) const {
+bool SweepRunner::Expand(
+    int index, ExperimentSpec* spec,
+    std::vector<std::pair<std::string, std::string>>* assignment,
+    std::string* error) const {
   ALC_CHECK_GE(index, 0);
   ALC_CHECK_LT(index, num_points());
-  if (assignment != nullptr) assignment->clear();
+  assignment->clear();
 
   // Row-major decomposition: the last axis varies fastest.
   std::vector<int> digits(axes_.size(), 0);
@@ -40,19 +41,48 @@ ExperimentSpec SweepRunner::SpecAt(
     remainder /= radix;
   }
 
-  ExperimentSpec spec = base_;
+  *spec = base_;
   for (size_t axis = 0; axis < axes_.size(); ++axis) {
     const std::string& key = axes_[axis].key;
     const std::string& value = axes_[axis].values[digits[axis]];
-    std::string error;
-    if (!ApplySpecOverride(&spec, key, value, &error)) {
-      std::fprintf(stderr, "SweepRunner: %s\n", error.c_str());
-      ALC_CHECK(false);
-    }
-    if (assignment != nullptr) assignment->emplace_back(key, value);
+    assignment->emplace_back(key, value);
+    if (!ApplySpecOverride(spec, key, value, error)) return false;
   }
+  return true;
+}
+
+ExperimentSpec SweepRunner::SpecAt(
+    int index,
+    std::vector<std::pair<std::string, std::string>>* assignment) const {
+  ExperimentSpec spec;
+  std::vector<std::pair<std::string, std::string>> pairs;
+  std::string error;
+  if (!Expand(index, &spec, &pairs, &error)) {
+    std::fprintf(stderr, "SweepRunner: %s\n", error.c_str());
+    ALC_CHECK(false);
+  }
+  if (assignment != nullptr) *assignment = std::move(pairs);
   if (hook_) hook_(index, &spec);
   return spec;
+}
+
+bool SweepRunner::Validate(std::string* error) const {
+  ExperimentSpec spec;
+  std::vector<std::pair<std::string, std::string>> assignment;
+  for (int i = 0; i < num_points(); ++i) {
+    std::string message;
+    if (Expand(i, &spec, &assignment, &message) &&
+        ValidateSpec(spec, &message)) {
+      continue;
+    }
+    std::string point;
+    for (const auto& [key, value] : assignment) {
+      point += (point.empty() ? "" : " ") + key + "=" + value;
+    }
+    *error = point + ": " + message;
+    return false;
+  }
+  return true;
 }
 
 std::vector<SweepPointResult> SweepRunner::Run(int threads) const {

@@ -51,6 +51,13 @@ class SweepRunner {
                         std::vector<std::pair<std::string, std::string>>*
                             assignment = nullptr) const;
 
+  /// False with a message naming the first grid point whose overrides do
+  /// not apply or whose spec ValidateSpec rejects. A grid whose every axis
+  /// value is valid alone may still combine into a bad point ("warmup=5"
+  /// with "duration=3"); checking each point lets a caller reject the grid
+  /// before any run starts.
+  bool Validate(std::string* error) const;
+
   /// Runs all points. `threads` <= 0 picks the hardware concurrency;
   /// capped at the number of points.
   std::vector<SweepPointResult> Run(int threads = 1) const;
@@ -65,6 +72,13 @@ class SweepRunner {
   }
 
  private:
+  /// The spec of grid point `index` and its assignment; false with the
+  /// override's message when one does not apply (the assignment then ends
+  /// at the failing axis).
+  bool Expand(int index, ExperimentSpec* spec,
+              std::vector<std::pair<std::string, std::string>>* assignment,
+              std::string* error) const;
+
   ExperimentSpec base_;
   std::vector<SweepAxis> axes_;
   std::function<void(int index, ExperimentSpec*)> hook_;

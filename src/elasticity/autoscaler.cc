@@ -131,6 +131,24 @@ PiAutoscaler::Config PiFromParams(const util::ParamMap& params) {
   return config;
 }
 
+bool ValidateAutoscalerParam(const std::string& key, const std::string& value,
+                             std::string* error) {
+  static constexpr util::TypedParam kBuiltinParams[] = {
+      {"hysteresis.up_queue_factor", util::kDoubleParam},
+      {"hysteresis.down_queue_factor", util::kDoubleParam},
+      {"hysteresis.up_p95", util::kDoubleParam},
+      {"hysteresis.hold_ticks", util::kIntParam},
+      {"hysteresis.cooldown", util::kDoubleParam},
+      {"pi.target_queue_factor", util::kDoubleParam},
+      {"pi.kp", util::kDoubleParam},
+      {"pi.ki", util::kDoubleParam},
+      {"pi.integral_clamp", util::kDoubleParam},
+      {"pi.cooldown", util::kDoubleParam},
+  };
+  return util::CheckTypedParam(kBuiltinParams, "autoscaler param", key, value,
+                               error);
+}
+
 AutoscalerRegistry::AutoscalerRegistry() {
   Register("none", [](const AutoscalerContext&) {
     return std::make_unique<NoneAutoscaler>();

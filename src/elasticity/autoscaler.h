@@ -170,6 +170,11 @@ HysteresisAutoscaler::Config HysteresisFromParams(const util::ParamMap& params);
 void AppendPiParams(const PiAutoscaler::Config& config, util::ParamMap* params);
 PiAutoscaler::Config PiFromParams(const util::ParamMap& params);
 
+/// Checks that `value` parses as the type the built-in scalers read `key`
+/// as (util::CheckTypedParam); keys no built-in reads pass.
+bool ValidateAutoscalerParam(const std::string& key, const std::string& value,
+                             std::string* error);
+
 }  // namespace alc::elasticity
 
 #endif  // ALC_ELASTICITY_AUTOSCALER_H_

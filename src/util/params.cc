@@ -80,6 +80,29 @@ bool ParseBool(const std::string& text, bool* out) {
   return false;
 }
 
+bool IsDoubleText(const std::string& text) {
+  double parsed = 0.0;
+  return ParseDouble(text, &parsed);
+}
+
+bool IsIntText(const std::string& text) {
+  long long parsed = 0;
+  return ParseInt(text, &parsed) && parsed >= INT_MIN && parsed <= INT_MAX;
+}
+
+bool CheckTypedParam(const TypedParam* params, size_t count, const char* what,
+                     const std::string& key, const std::string& value,
+                     std::string* error) {
+  for (size_t i = 0; i < count; ++i) {
+    if (params[i].key != key) continue;
+    if (params[i].type.accepts(value)) return true;
+    *error = std::string(what) + " '" + key + "': expected " +
+             params[i].type.expected + ", got '" + value + "'";
+    return false;
+  }
+  return true;
+}
+
 std::string TrimWhitespace(std::string_view text) {
   size_t begin = 0, end = text.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {

@@ -21,6 +21,40 @@ bool ParseUint64(const std::string& text, uint64_t* out);
 /// Accepts true/false/1/0 (case-insensitive on the words).
 bool ParseBool(const std::string& text, bool* out);
 
+/// The text form a policy factory reads one of its params as: a predicate,
+/// and how an error names the form ("a number").
+struct ParamType {
+  bool (*accepts)(const std::string& value);
+  const char* expected;
+};
+
+bool IsDoubleText(const std::string& text);
+/// True when `text` is an integer that fits an int (what GetInt reads).
+bool IsIntText(const std::string& text);
+inline constexpr ParamType kDoubleParam{IsDoubleText, "a number"};
+inline constexpr ParamType kIntParam{IsIntText, "an integer"};
+
+/// One key a built-in policy factory reads, with the form it parses.
+struct TypedParam {
+  std::string_view key;
+  ParamType type;
+};
+
+/// Checks `value` against the form `params` gives `key`, so a malformed
+/// value is an error when a spec is parsed or overridden instead of an
+/// abort in ParamMap's typed getters when the run builds the policy. Keys
+/// absent from `params` pass: they belong to externally registered
+/// policies. `what` names the family in the message ("routing param").
+bool CheckTypedParam(const TypedParam* params, size_t count, const char* what,
+                     const std::string& key, const std::string& value,
+                     std::string* error);
+template <size_t N>
+bool CheckTypedParam(const TypedParam (&params)[N], const char* what,
+                     const std::string& key, const std::string& value,
+                     std::string* error) {
+  return CheckTypedParam(params, N, what, key, value, error);
+}
+
 /// Copy of `text` without leading/trailing whitespace.
 std::string TrimWhitespace(std::string_view text);
 

@@ -17,6 +17,7 @@
 #include "control/gate.h"
 #include "core/export.h"
 #include "core/spec.h"
+#include "util/hash.h"
 #include "db/system.h"
 #include "elasticity/autoscaler.h"
 #include "elasticity/heartbeat.h"
@@ -562,16 +563,6 @@ TEST(ElasticityRunTest, DrainDuringSlowStartReturnsNodeToPool) {
 constexpr size_t kPinnedDecisionsSize = 287648;
 constexpr uint64_t kPinnedDecisionsHash = 8229236671395029721ULL;
 
-/// FNV-1a 64-bit: stable, dependency-free content fingerprint.
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 core::ExperimentSpec LoadFlashSpec() {
   core::ExperimentSpec spec;
   std::string error;
@@ -640,7 +631,7 @@ TEST(ElasticityDeterminismTest, FlashRunIsBitExactAndDecisionsArePinned) {
   // actions for the whole headline run). If this fails, the elasticity
   // loop's event timing or arithmetic changed — re-pin only with a reason.
   EXPECT_EQ(first.decisions.size(), kPinnedDecisionsSize);
-  EXPECT_EQ(Fnv1a(first.decisions), kPinnedDecisionsHash);
+  EXPECT_EQ(util::Fnv1a(first.decisions), kPinnedDecisionsHash);
 }
 
 TEST(ElasticityDeterminismTest, TelemetrytogglesAreInertOnElasticityRun) {

@@ -15,19 +15,10 @@
 
 #include "core/export.h"
 #include "core/spec.h"
+#include "util/hash.h"
 
 namespace alc {
 namespace {
-
-/// FNV-1a 64-bit: stable, dependency-free content fingerprint.
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 std::string ClusterCsv(const core::ClusterResult& cluster) {
   // Mirrors tools/alc_run.cc ExportResult so the pinned bytes are exactly
@@ -69,8 +60,8 @@ TEST(EngineDeterminismTest, NodeFailoverCsvMatchesPreRefactorBaseline) {
   // unchanged — only the appended columns differ.
   EXPECT_EQ(cluster_csv.size(), 172723u);
   EXPECT_EQ(aggregate_csv.size(), 42585u);
-  EXPECT_EQ(Fnv1a(cluster_csv), 4532971164558580086ULL);
-  EXPECT_EQ(Fnv1a(aggregate_csv), 11098696363277174748ULL);
+  EXPECT_EQ(util::Fnv1a(cluster_csv), 4532971164558580086ULL);
+  EXPECT_EQ(util::Fnv1a(aggregate_csv), 11098696363277174748ULL);
 }
 
 }  // namespace

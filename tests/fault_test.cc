@@ -20,6 +20,7 @@
 #include "fault/config.h"
 #include "fault/fault.h"
 #include "telemetry/audit.h"
+#include "util/hash.h"
 
 namespace alc {
 namespace {
@@ -334,15 +335,6 @@ TEST(DetectorComparisonTest, QuorumOutvotesOneFaultyObserver) {
 constexpr size_t kPinnedStormDecisionsSize = 276934;
 constexpr uint64_t kPinnedStormDecisionsHash = 13987446913339486123ULL;
 
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 core::ExperimentSpec LoadStormSpec() {
   core::ExperimentSpec spec;
   std::string error;
@@ -414,7 +406,7 @@ TEST(FaultDeterminismTest, StormRunIsBitExactAndDecisionsArePinned) {
   // + ladder moves for the whole storm). If this fails, fault timing or
   // the detection/response arithmetic changed — re-pin only with a reason.
   EXPECT_EQ(first.decisions.size(), kPinnedStormDecisionsSize);
-  EXPECT_EQ(Fnv1a(first.decisions), kPinnedStormDecisionsHash);
+  EXPECT_EQ(util::Fnv1a(first.decisions), kPinnedStormDecisionsHash);
 }
 
 TEST(FaultDeterminismTest, TelemetryTogglesAreInertOnStormRun) {

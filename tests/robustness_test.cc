@@ -1,22 +1,28 @@
 // Edge cases and failure injection across the stack: degenerate system
 // sizes, extreme workloads, controller corner conditions, the PA
-// excitation guard, and malformed controller param values (rejected with a
-// message at parse/override time, never an abort in the factory).
+// excitation guard, and bad spec input — malformed policy param values,
+// out-of-range values, bad sweep grid points — rejected with a message at
+// parse/override time, never an abort in a factory or constructor.
 
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "control/gate.h"
 #include "control/monitor.h"
 #include "control/parabola.h"
+#include "cluster/registry.h"
 #include "control/registry.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/spec.h"
+#include "core/sweep.h"
 #include "db/system.h"
+#include "elasticity/autoscaler.h"
 #include "sim/simulator.h"
 
 namespace alc {
@@ -411,6 +417,158 @@ TEST(RobustnessTest, EveryBuiltinControllerParamIsValidated) {
     EXPECT_FALSE(control::ValidateControllerParam(key, "not-a-value", &error))
         << key;
   }
+}
+
+core::ExperimentSpec LoadCommittedSpec(const std::string& relative_path) {
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_TRUE(core::LoadSpecFile(std::string(ALC_SOURCE_DIR) + "/" +
+                                     relative_path,
+                                 &spec, &error))
+      << error;
+  return spec;
+}
+
+/// Applies `overrides` in order, then ValidateSpec, as alc_run does: the
+/// error of the first step that rejects, or empty if all accept.
+std::string OverrideError(
+    core::ExperimentSpec spec,
+    const std::vector<std::pair<std::string, std::string>>& overrides) {
+  std::string error;
+  for (const auto& [key, value] : overrides) {
+    if (!core::ApplySpecOverride(&spec, key, value, &error)) return error;
+  }
+  if (!core::ValidateSpec(spec, &error)) return error;
+  return std::string();
+}
+
+TEST(RobustnessTest, OutOfRangeValuesAreErrorsNotRunAborts) {
+  // Each value would abort the constructor that consumes it (db_size
+  // would be truncated to 1), so the spec layer must reject it.
+  const core::ExperimentSpec fleet =
+      LoadCommittedSpec("perfbench/workloads/fleet.spec");
+  const std::pair<std::string, std::string> bad[] = {
+      {"node.physical.num_cpus", "0"},
+      {"node.physical.num_terminals", "-5"},
+      {"placement.num_partitions", "0"},
+      {"placement.replication_factor", "0"},
+      {"placement.rebalance_interval", "-1"},
+      {"node.control.measurement_interval", "0"},
+      {"node.control.initial_limit", "-1"},
+      {"node.logical.db_size", "4294967297"},
+  };
+  for (const auto& [key, value] : bad) {
+    const std::string error = OverrideError(
+        fleet, {{"duration", "2"}, {"warmup", "1"}, {key, value}});
+    EXPECT_NE(error.find(key.substr(key.find('.') + 1)), std::string::npos)
+        << key << "=" << value << ": " << error;
+  }
+  EXPECT_EQ(OverrideError(fleet, {{"node.logical.db_size", "4294967295"}}),
+            "");
+
+  // Cross-field rules of the same checks.
+  EXPECT_NE(OverrideError(fleet, {{"placement.num_partitions", "20000"}})
+                .find("num_partitions"),
+            std::string::npos);
+  EXPECT_NE(OverrideError(fleet, {{"placement.rebalance_moves", "0"}})
+                .find("rebalance_moves"),
+            std::string::npos);
+  EXPECT_EQ(OverrideError(fleet, {{"placement.rebalance_moves", "0"},
+                                  {"placement.rebalance_interval", "0"}}),
+            "");
+  EXPECT_NE(OverrideError(fleet, {{"node3.control.measurement_interval",
+                                   "0.5"}})
+                .find("measurement_interval"),
+            std::string::npos);
+
+  // In a spec file the same values fail with the line that sets them.
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_FALSE(core::ParseSpec("[node]\nphysical.num_cpus = 0\n", &spec,
+                               &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+TEST(RobustnessTest, MalformedRoutingAndScalerParamsAreErrors) {
+  const core::ExperimentSpec flash =
+      LoadCommittedSpec("specs/cluster_routing_flash.spec");
+  EXPECT_NE(OverrideError(flash, {{"routing", "threshold"},
+                                  {"routing.threshold.initial_threshold",
+                                   "bogus"}})
+                .find("threshold.initial_threshold"),
+            std::string::npos);
+  EXPECT_NE(OverrideError(flash, {{"routing", "power-of-d"},
+                                  {"routing.power-of-d.d", "x"}})
+                .find("power-of-d.d"),
+            std::string::npos);
+  const core::ExperimentSpec elastic =
+      LoadCommittedSpec("specs/elasticity_flash.spec");
+  EXPECT_NE(OverrideError(elastic, {{"elasticity.scaler", "pi"},
+                                    {"elasticity.scaler.pi.kp", "abc"}})
+                .find("pi.kp"),
+            std::string::npos);
+
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[experiment]\ncluster = true\nrouting.power-of-d.d = 2.5\n[node]\n",
+      &spec, &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  // Keys no built-in policy reads flow through for external policies.
+  ASSERT_TRUE(core::ParseSpec(
+      "[experiment]\ncluster = true\nrouting.custom.mode = x\n"
+      "[elasticity]\nscaler.custom.gain = y\n[node]\n",
+      &spec, &error))
+      << error;
+}
+
+TEST(RobustnessTest, EveryBuiltinRoutingAndScalerParamIsValidated) {
+  // As for the controllers: the Append* writers emit exactly the keys
+  // their factories read, so each must be type-checked.
+  util::ParamMap routing;
+  cluster::AppendThresholdParams(cluster::ThresholdPolicy::Config{}, &routing);
+  cluster::AppendPowerOfDParams(cluster::PowerOfDPolicy::Config{}, &routing);
+  for (const auto& [key, value] : routing.entries()) {
+    std::string error;
+    EXPECT_TRUE(cluster::ValidateRoutingParam(key, value, &error))
+        << key << ": " << error;
+    EXPECT_FALSE(cluster::ValidateRoutingParam(key, "not-a-value", &error))
+        << key;
+  }
+  util::ParamMap scaler;
+  elasticity::AppendHysteresisParams(
+      elasticity::HysteresisAutoscaler::Config{}, &scaler);
+  elasticity::AppendPiParams(elasticity::PiAutoscaler::Config{}, &scaler);
+  for (const auto& [key, value] : scaler.entries()) {
+    std::string error;
+    EXPECT_TRUE(elasticity::ValidateAutoscalerParam(key, value, &error))
+        << key << ": " << error;
+    EXPECT_FALSE(
+        elasticity::ValidateAutoscalerParam(key, "not-a-value", &error))
+        << key;
+  }
+}
+
+TEST(RobustnessTest, SweepGridPointsAreValidatedTogether) {
+  // warmup=5 and duration=3 are each valid against the base spec, but the
+  // grid point pairing them is not.
+  core::ExperimentSpec smoke = LoadCommittedSpec("specs/smoke.spec");
+  std::string error;
+  ASSERT_TRUE(core::ApplySpecOverride(&smoke, "warmup", "1", &error));
+  ASSERT_TRUE(core::ApplySpecOverride(&smoke, "duration", "6", &error));
+  const core::SweepRunner bad(smoke, {{"warmup", {"1", "5"}},
+                                      {"duration", {"3", "10"}}});
+  EXPECT_FALSE(bad.Validate(&error));
+  EXPECT_NE(error.find("warmup=5 duration=3"), std::string::npos) << error;
+  EXPECT_NE(error.find("must be < duration"), std::string::npos) << error;
+
+  const core::SweepRunner unknown(smoke, {{"no_such_key", {"1"}}});
+  EXPECT_FALSE(unknown.Validate(&error));
+  EXPECT_NE(error.find("no_such_key"), std::string::npos) << error;
+
+  const core::SweepRunner good(smoke, {{"warmup", {"1", "2"}},
+                                       {"duration", {"3", "10"}}});
+  EXPECT_TRUE(good.Validate(&error)) << error;
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 
 #include "core/spec.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -431,6 +434,258 @@ TEST(SpecOverrideTest, UnknownPolicyNamesFailAtAssignTime) {
   EXPECT_FALSE(core::ParseSpec(
       "[node]\ncontrol.controller = warp-drive\n", &parsed, &error));
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+// ------------------------------------------------------ per-key oracle --
+
+struct KeyCase {
+  const char* section;  // "experiment", ..., or "node"
+  const char* key;
+  const char* value;  // valid, and different from the default
+  bool printed_by_default = true;  // false: printed only once set
+};
+
+// Every spec key, written out by hand rather than read from the parser's
+// tables, so the tests below check those tables instead of restating them.
+const KeyCase kEveryKey[] = {
+    {"experiment", "name", "oracle"},
+    {"experiment", "cluster", "false"},
+    {"experiment", "seed", "7"},
+    {"experiment", "duration", "120"},
+    {"experiment", "warmup", "12"},
+    {"experiment", "active_terminals", "steps(400; 50:600)"},
+    {"experiment", "arrival_rate", "constant(250)"},
+    {"experiment", "routing", "random"},
+    {"experiment", "routing.threshold.initial_threshold", "6.5", false},
+    {"experiment", "trace", "oracle_trace.json"},
+    {"experiment", "decisions", "oracle_decisions.csv"},
+    {"experiment", "retraction", "true"},
+    {"experiment", "retraction_queue_factor", "2.5"},
+    {"experiment", "retraction_interval", "0.5"},
+    {"experiment", "retry.enabled", "true"},
+    {"experiment", "retry.budget", "5"},
+    {"experiment", "retry.backoff_base", "0.1"},
+    {"experiment", "retry.backoff_factor", "3"},
+    {"experiment", "retry.backoff_max", "2"},
+    {"experiment", "retry.jitter", "0.5"},
+    {"experiment", "degrade.enabled", "true"},
+    {"experiment", "degrade.interval", "2"},
+    {"experiment", "degrade.shed_query", "3"},
+    {"experiment", "degrade.shed_update", "6"},
+    {"experiment", "degrade.restore_hysteresis", "0.5"},
+    {"workload", "source", "hybrid"},
+    {"workload", "population", "5000"},
+    {"workload", "session_rate", "constant(20)"},
+    {"workload", "sessions", "50"},
+    {"workload", "txns_per_session", "constant(3)"},
+    {"workload", "think_time", "exp(0.5)"},
+    {"workload", "affinity", "0.5"},
+    {"workload", "affinity_keys", "16"},
+    {"workload", "custom.knob", "on", false},
+    {"placement", "enabled", "true"},
+    {"placement", "kind", "hash"},
+    {"placement", "num_partitions", "8"},
+    {"placement", "replication_factor", "3"},
+    {"placement", "rebalance_interval", "5"},
+    {"placement", "rebalance_moves", "2"},
+    {"placement", "workload.db_size", "8000"},
+    {"placement", "workload.accesses_per_txn", "8"},
+    {"placement", "workload.query_fraction", "0.5"},
+    {"placement", "workload.write_fraction", "0.5"},
+    {"placement", "workload.resample_on_restart", "false"},
+    {"placement", "workload.hotspot_access_prob", "0.5"},
+    {"placement", "workload.hotspot_size_fraction", "0.1"},
+    {"placement", "dynamics.k", "constant(8)", false},
+    {"placement", "dynamics.query_fraction", "constant(0.5)", false},
+    {"placement", "dynamics.write_fraction", "constant(0.5)", false},
+    {"placement", "remote.cpu_penalty", "0.003"},
+    {"placement", "remote.latency", "0.01"},
+    {"placement", "remote.serve_cpu", "0.004"},
+    {"elasticity", "enabled", "true"},
+    {"elasticity", "detector", "false"},
+    {"elasticity", "hb.interval", "0.25"},
+    {"elasticity", "hb.timeout", "0.1"},
+    {"elasticity", "hb.suspect_after", "2"},
+    {"elasticity", "hb.down_after", "4"},
+    {"elasticity", "hb.clear_after", "3"},
+    {"elasticity", "hb.delay_base", "0.01"},
+    {"elasticity", "hb.delay_load", "1"},
+    {"elasticity", "hb.kind", "phi"},
+    {"elasticity", "hb.phi_suspect", "1.5"},
+    {"elasticity", "hb.phi_down", "3"},
+    {"elasticity", "hb.phi_window", "16"},
+    {"elasticity", "hb.observers", "3"},
+    {"elasticity", "hb.quorum", "2"},
+    {"elasticity", "hb.observer_jitter", "0.1"},
+    {"elasticity", "hb.delay_source", "response"},
+    {"elasticity", "hb.delay_response", "0.5"},
+    {"elasticity", "scaler", "hysteresis"},
+    {"elasticity", "scaler_interval", "2"},
+    {"elasticity", "standby", "1"},
+    {"elasticity", "min_live", "2"},
+    {"elasticity", "slow_start_initial", "2"},
+    {"elasticity", "slow_start_duration", "5"},
+    {"elasticity", "drain_delay", "1"},
+    {"elasticity", "scaler.pi.kp", "0.5", false},
+    {"fault", "enabled", "true"},
+    {"fault", "inject", "probe-loss(10:20; nodes=0; magnitude=0.5)", false},
+    {"node", "seed", "99"},
+    {"node", "cc", "2pl"},
+    {"node", "arrivals", "open"},
+    {"node", "open_arrival_rate", "50"},
+    {"node", "record_history", "true"},
+    {"node", "telemetry.per_phase", "false"},
+    {"node", "physical.num_terminals", "100"},
+    {"node", "physical.think_time_mean", "2"},
+    {"node", "physical.num_cpus", "4"},
+    {"node", "physical.cpu_init_mean", "0.001"},
+    {"node", "physical.cpu_access_mean", "0.001"},
+    {"node", "physical.cpu_commit_mean", "0.001"},
+    {"node", "physical.cpu_write_commit_mean", "0.005"},
+    {"node", "physical.io_time", "0.01"},
+    {"node", "physical.restart_delay_mean", "0.1"},
+    {"node", "physical.cpu_distribution", "erlang2"},
+    {"node", "logical.db_size", "8000"},
+    {"node", "logical.accesses_per_txn", "8"},
+    {"node", "logical.query_fraction", "0.5"},
+    {"node", "logical.write_fraction", "0.5"},
+    {"node", "logical.resample_on_restart", "false"},
+    {"node", "logical.hotspot_access_prob", "0.5"},
+    {"node", "logical.hotspot_size_fraction", "0.1"},
+    {"node", "remote.cpu_penalty", "0.003"},
+    {"node", "remote.latency", "0.01"},
+    {"node", "remote.serve_cpu", "0.004"},
+    {"node", "dynamics.k", "constant(8)"},
+    {"node", "dynamics.query_fraction", "constant(0.5)"},
+    {"node", "dynamics.write_fraction", "constant(0.5)"},
+    {"node", "cpu_speed", "constant(0.5)"},
+    {"node", "availability", "avail(up; 10:down, 20:up)"},
+    {"node", "rejoin", "retained"},
+    {"node", "control.controller", "fixed"},
+    {"node", "control.measurement_interval", "0.5"},
+    {"node", "control.initial_limit", "20"},
+    {"node", "control.displacement", "true"},
+    {"node", "control.outer_tuner", "true"},
+    {"node", "control.pa.dither", "7", false},
+};
+
+constexpr char kOracleBase[] = "[experiment]\ncluster = true\n";
+
+/// The base spec (one cluster node) with `key = value` set in its section.
+std::string SpecWithKey(const KeyCase& c) {
+  const std::string line = std::string(c.key) + " = " + c.value + "\n";
+  const bool node = std::string(c.section) == "node";
+  if (std::string(c.section) == "experiment") {
+    return kOracleBase + line + "[node]\n";
+  }
+  return kOracleBase +
+         (node ? "" : "[" + std::string(c.section) + "]\n" + line) +
+         "[node]\n" + (node ? line : "");
+}
+
+std::string OverrideKey(const KeyCase& c) {
+  const std::string section = c.section;
+  return section == "experiment" ? c.key : section + "." + c.key;
+}
+
+/// Each printed `key = value` line as "section/key".
+std::vector<std::string> PrintedKeys(const std::string& printed) {
+  std::vector<std::string> keys;
+  std::istringstream lines(printed);
+  std::string line, section;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (line[0] == '[') {
+      section = line.substr(1, line.size() - 2);
+      continue;
+    }
+    keys.push_back(section + "/" + line.substr(0, line.find(" = ")));
+  }
+  return keys;
+}
+
+TEST(SpecKeyOracleTest, EveryKeyParsesOverridesAndRoundTrips) {
+  core::ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(core::ParseSpec(std::string(kOracleBase) + "[node]\n", &base,
+                              &error))
+      << error;
+  for (const KeyCase& c : kEveryKey) {
+    SCOPED_TRACE(std::string(c.section) + ": " + c.key + " = " + c.value);
+    core::ExperimentSpec from_file;
+    ASSERT_TRUE(core::ParseSpec(SpecWithKey(c), &from_file, &error)) << error;
+    // A non-default value must show in equality, or the key's field is
+    // left out of the comparison.
+    EXPECT_FALSE(from_file == base);
+
+    core::ExperimentSpec overridden = base;
+    ASSERT_TRUE(
+        core::ApplySpecOverride(&overridden, OverrideKey(c), c.value, &error))
+        << error;
+    EXPECT_TRUE(from_file == overridden);
+
+    const std::string printed = core::PrintSpec(from_file);
+    core::ExperimentSpec reparsed;
+    ASSERT_TRUE(core::ParseSpec(printed, &reparsed, &error)) << error;
+    EXPECT_TRUE(reparsed == from_file);
+    const std::vector<std::string> keys = PrintedKeys(printed);
+    EXPECT_EQ(std::count(keys.begin(), keys.end(),
+                         std::string(c.section) + "/" + c.key),
+              1);
+  }
+}
+
+TEST(SpecKeyOracleTest, DefaultSpecPrintsExactlyTheListedKeys) {
+  core::ExperimentSpec base;
+  std::string error;
+  ASSERT_TRUE(core::ParseSpec(std::string(kOracleBase) + "[node]\n", &base,
+                              &error))
+      << error;
+  std::vector<std::string> listed;
+  for (const KeyCase& c : kEveryKey) {
+    if (c.printed_by_default) {
+      listed.push_back(std::string(c.section) + "/" + c.key);
+    }
+  }
+  std::vector<std::string> printed = PrintedKeys(core::PrintSpec(base));
+  std::sort(listed.begin(), listed.end());
+  std::sort(printed.begin(), printed.end());
+  EXPECT_EQ(printed, listed);
+}
+
+TEST(SpecKeyOracleTest, SingleNodeOverridesRefuseExactlyTheClusterOnlyKeys) {
+  // A single-node run never reads these, so overriding one would sweep
+  // bit-identical points; every other key stays overridable.
+  const std::string cluster_only[] = {
+      "experiment/retraction",
+      "experiment/retraction_queue_factor",
+      "node/availability",
+      "node/rejoin",
+  };
+  const std::string cluster_only_prefixes[] = {
+      "experiment/retry.", "experiment/degrade.", "workload/", "elasticity/",
+      "fault/",
+  };
+  core::ExperimentSpec single;
+  std::string error;
+  ASSERT_TRUE(core::ParseSpec("[node]\n", &single, &error)) << error;
+  for (const KeyCase& c : kEveryKey) {
+    const std::string id = std::string(c.section) + "/" + c.key;
+    bool refused = std::count(std::begin(cluster_only), std::end(cluster_only),
+                              id) > 0;
+    for (const std::string& prefix : cluster_only_prefixes) {
+      refused = refused || id.rfind(prefix, 0) == 0;
+    }
+    core::ExperimentSpec spec = single;
+    const bool applied =
+        core::ApplySpecOverride(&spec, OverrideKey(c), c.value, &error);
+    EXPECT_EQ(applied, !refused) << id << ": " << error;
+    if (refused && !applied) {
+      EXPECT_NE(error.find("cluster mode (cluster = true)"), std::string::npos)
+          << error;
+      EXPECT_TRUE(spec == single) << id;
+    }
+  }
 }
 
 // --------------------------------------------------- run equivalence --

@@ -441,21 +441,13 @@ int main(int argc, char** argv) {
     axes.push_back(std::move(seed_axis));
   }
 
-  // Pre-validate every axis key/value with a clean error before any
-  // simulation runs; SweepRunner itself aborts on a bad override.
-  for (const core::SweepAxis& axis : axes) {
-    for (const std::string& value : axis.values) {
-      core::ExperimentSpec scratch = spec;
-      if (!core::ApplySpecOverride(&scratch, axis.key, value, &error) ||
-          !core::ValidateSpec(scratch, &error)) {
-        std::fprintf(stderr, "alc_run: --sweep %s=%s: %s\n", axis.key.c_str(),
-                     value.c_str(), error.c_str());
-        return 1;
-      }
-    }
-  }
-
   core::SweepRunner runner(spec, axes);
+  // Every grid point, not each axis value alone: values valid on their own
+  // may combine into a point that would abort its run.
+  if (!runner.Validate(&error)) {
+    std::fprintf(stderr, "alc_run: --sweep %s\n", error.c_str());
+    return 1;
+  }
   // Per-point artifact files: every grid point writes its own trace /
   // decision CSV as <stem>.<cell>.<rep><ext> (cell = logical sweep point,
   // rep = repetition index), so parallel points never race on one path.

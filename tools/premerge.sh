@@ -15,8 +15,11 @@
 #   5. perf_suite --smoke --check: the allocation pins (event engine,
 #      session source, cluster pools) must hold
 #   6. bad input: a run window with warmup >= duration, a malformed
-#      controller param in a spec file and one in a --set override must
-#      each exit 1 with an error line, never die by a signal
+#      controller param in a spec file and one in a --set override, an
+#      out-of-range value, an overflowing db_size, malformed routing and
+#      autoscaler params, and a sweep grid point whose axis values are
+#      valid alone must each exit 1 with an error line, never die by a
+#      signal
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -95,5 +98,15 @@ expect_input_error perfbench/workloads/single.spec --set warmup=300
 expect_input_error "$OUT_DIR/bad_index.spec"
 expect_input_error perfbench/workloads/single.spec \
   --set node.control.pa.dither=abc
+expect_input_error perfbench/workloads/fleet.spec --set duration=2 \
+  --set warmup=1 --set node.physical.num_cpus=0
+expect_input_error perfbench/workloads/fleet.spec --set duration=2 \
+  --set warmup=1 --set node.logical.db_size=4294967297
+expect_input_error specs/cluster_routing_flash.spec --set routing=power-of-d \
+  --set routing.power-of-d.d=x
+expect_input_error specs/elasticity_flash.spec --set elasticity.scaler=pi \
+  --set elasticity.scaler.pi.kp=abc
+expect_input_error specs/smoke.spec --set warmup=1 --set duration=6 \
+  --sweep warmup=1,5 --sweep duration=3,10
 
 echo "premerge: all gates passed"
