@@ -40,12 +40,24 @@ NodeView ClusterNode::View() const {
   return view;
 }
 
+void ClusterNode::PublishTo(NodeView* slot) {
+  published_ = slot;
+  *published_ = View();
+  system_.SetLoadObserver(
+      [](void* self) {
+        const auto* node = static_cast<const ClusterNode*>(self);
+        *node->published_ = node->View();
+      },
+      this);
+}
+
 Cluster::Cluster(sim::Simulator* sim, const std::vector<NodeConfig>& nodes,
                  std::unique_ptr<RoutingPolicy> policy, uint64_t seed)
     : sim_(sim),
       configs_(nodes),
       policy_(std::move(policy)),
       seed_(seed),
+      views_(nodes.size()),
       routed_(nodes.size(), 0),
       truth_down_(nodes.size(), 0),
       truth_down_since_(nodes.size(), 0.0),
@@ -62,6 +74,7 @@ Cluster::Cluster(sim::Simulator* sim, const std::vector<NodeConfig>& nodes,
   states_.reserve(nodes.size());
   for (const NodeConfig& node : nodes) {
     nodes_.push_back(std::make_unique<ClusterNode>(sim, node));
+    nodes_.back()->PublishTo(&views_[nodes_.size() - 1]);
     states_.push_back(node.availability.initial_state());
     if (!node.availability.always_up()) lifecycle_active_ = true;
   }
@@ -296,9 +309,7 @@ void Cluster::Start() {
   if (degrade_.enabled) ScheduleDegradeTick();
 }
 
-MembershipView Cluster::Snapshot() {
-  views_.clear();
-  for (const auto& node : nodes_) views_.push_back(node->View());
+MembershipView Cluster::Snapshot() const {
   MembershipView membership;
   membership.nodes = &views_;
   membership.live = &live_;
@@ -404,6 +415,10 @@ void Cluster::RetractAndReroute(int node, int max_count, bool drop) {
     if (i != node) live_scratch_.push_back(i);
   }
   db::TransactionSystem& origin = nodes_[node]->system();
+  MembershipView membership;
+  membership.nodes = &views_;
+  membership.live = &live_scratch_;
+  membership.epoch = epoch_;
   for (db::Transaction* txn : retract_scratch_) {
     // Retraction bypasses the node's terminal paths, so the session tag
     // travels with the front-end: re-routes keep it, drops report it.
@@ -451,12 +466,6 @@ void Cluster::RetractAndReroute(int node, int max_count, bool drop) {
       plan_.access_modes = txn->planned_modes;
     }
     origin.ReleaseQueued(txn);
-    views_.clear();
-    for (const auto& n : nodes_) views_.push_back(n->View());
-    MembershipView membership;
-    membership.nodes = &views_;
-    membership.live = &live_scratch_;
-    membership.epoch = epoch_;
     if (preplanned) {
       ALC_CHECK(catalog_ != nullptr);
       plan_partitions_.clear();
@@ -505,16 +514,14 @@ void Cluster::RetryElsewhere(int origin) {
   // request as failed, so the replay runs as background repair traffic.
   if (catalog_ != nullptr) {
     StampPlan(workload::Arrival{});
-    MembershipView membership = Snapshot();
     RouteContext context;
     context.keys = &plan_.access_items;
     context.catalog = catalog_.get();
     context.partitions = &plan_partitions_;
-    const int target = policy_->Route(membership, context);
+    const int target = policy_->Route(Snapshot(), context);
     SubmitPlanned(target);
   } else {
-    MembershipView membership = Snapshot();
-    const int target = policy_->Route(membership, RouteContext{});
+    const int target = policy_->Route(Snapshot(), RouteContext{});
     ALC_CHECK_GE(target, 0);
     ALC_CHECK_LT(target, size());
     NoteRouted(target);
@@ -589,31 +596,28 @@ void Cluster::ResubmitRetry(int slot) {
     for (const db::ItemId key : plan_.access_items) {
       plan_partitions_.push_back(catalog_->PartitionOf(key));
     }
-    MembershipView membership = Snapshot();
     RouteContext context;
     context.keys = &plan_.access_items;
     context.catalog = catalog_.get();
     context.partitions = &plan_partitions_;
     context.is_retraction = true;
-    const int target = policy_->Route(membership, context);
+    const int target = policy_->Route(Snapshot(), context);
     SubmitPlanned(target, session, pending.attempts);
   } else if (catalog_ != nullptr) {
     // Crash replay under placement: the original plan died with the node,
     // so the client re-draws (models a re-issued request).
     StampPlan(workload::Arrival{});
-    MembershipView membership = Snapshot();
     RouteContext context;
     context.keys = &plan_.access_items;
     context.catalog = catalog_.get();
     context.partitions = &plan_partitions_;
     context.is_retraction = true;
-    const int target = policy_->Route(membership, context);
+    const int target = policy_->Route(Snapshot(), context);
     SubmitPlanned(target, session, pending.attempts);
   } else {
-    MembershipView membership = Snapshot();
     RouteContext context;
     context.is_retraction = true;
-    const int target = policy_->Route(membership, context);
+    const int target = policy_->Route(Snapshot(), context);
     ALC_CHECK_GE(target, 0);
     ALC_CHECK_LT(target, size());
     NoteRouted(target);
@@ -633,7 +637,7 @@ void Cluster::DegradeTick() {
   if (live_.empty()) return;  // nothing to measure; hold the level
   double sum = 0.0;
   for (const int i : live_) {
-    const NodeView view = nodes_[i]->View();
+    const NodeView& view = views_[i];
     sum += static_cast<double>(view.gate_queue) / std::max(view.limit, 1.0);
   }
   const double queue_factor = sum / static_cast<double>(live_.size());
@@ -685,8 +689,8 @@ void Cluster::DegradeTick() {
 void Cluster::ScheduleRebalance() {
   sim_->Schedule(placement_spec_.placement.rebalance_interval, [this] {
     load_scratch_.clear();
-    for (const auto& node : nodes_) {
-      load_scratch_.push_back(Occupancy(node->View()));
+    for (const NodeView& view : views_) {
+      load_scratch_.push_back(Occupancy(view));
     }
     catalog_->Rebalance(load_scratch_);
     ScheduleRebalance();
@@ -747,8 +751,7 @@ void Cluster::SubmitArrival(const workload::Arrival& arrival) {
       return;
     }
   }
-  MembershipView membership = Snapshot();
-  const int target = policy_->Route(membership, RouteContext{});
+  const int target = policy_->Route(Snapshot(), RouteContext{});
   ALC_CHECK_GE(target, 0);
   ALC_CHECK_LT(target, size());
   ALC_CHECK(states_[target] == NodeState::kUp);
@@ -845,12 +848,11 @@ void Cluster::RouteOnePlaced(const workload::Arrival& arrival) {
   // deliberate simplification (the rebalancer sees offered, not admitted,
   // demand).
   if (ShedArrival(plan_.cls, arrival.session)) return;
-  MembershipView membership = Snapshot();
   RouteContext context;
   context.keys = &plan_.access_items;
   context.catalog = catalog_.get();
   context.partitions = &plan_partitions_;
-  const int target = policy_->Route(membership, context);
+  const int target = policy_->Route(Snapshot(), context);
   ALC_CHECK(states_[target] == NodeState::kUp);
   SubmitPlanned(target, arrival.session);
 }

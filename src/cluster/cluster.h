@@ -2,7 +2,6 @@
 #define ALC_CLUSTER_CLUSTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "telemetry/trace.h"
+#include "util/chunk_vector.h"
 #include "workload/source.h"
 
 namespace alc::telemetry {
@@ -136,12 +136,19 @@ class ClusterNode {
   control::AdmissionGate& gate() { return gate_; }
   const control::AdmissionGate& gate() const { return gate_; }
 
-  /// The router-visible state of this node.
+  /// The router-visible state of this node, read from the system and gate.
   NodeView View() const;
+
+  /// Keeps `*slot` equal to View() from now on: writes it at once and
+  /// again on every change of the admitted count, the gate queue or the
+  /// gate threshold (through the system's load observer). `slot` must
+  /// outlive the node.
+  void PublishTo(NodeView* slot);
 
  private:
   db::TransactionSystem system_;
   control::AdmissionGate gate_;
+  NodeView* published_ = nullptr;
 };
 
 /// Data placement layer of a cluster: the global keyspace the front-end
@@ -314,6 +321,9 @@ class Cluster : public workload::WorkloadHost {
   ClusterNode& node(int i) { return *nodes_[i]; }
   const ClusterNode& node(int i) const { return *nodes_[i]; }
   RoutingPolicy& policy() { return *policy_; }
+  /// Node i's published router-visible state (always equal to
+  /// node(i).View()).
+  const NodeView& view(int i) const { return views_[i]; }
 
   // Membership-first API: the live set, per-node states, and the epoch
   // counter that versions them.
@@ -348,9 +358,8 @@ class Cluster : public workload::WorkloadHost {
   void RouteOnePlaced(const workload::Arrival& arrival);
   void ScheduleRebalance();
   void ScheduleRetractionScan();
-  /// Builds views_ for the whole fleet and returns the membership view over
-  /// them. Valid until the next call.
-  MembershipView Snapshot();
+  /// The membership view over the published node views and the live set.
+  MembershipView Snapshot() const;
   void ApplyTransition(int node, NodeState to);
   /// Pulls up to `max_count` queued admissions out of `node`'s gate and
   /// re-routes them through the policy over the live set (dropping them
@@ -394,7 +403,12 @@ class Cluster : public workload::WorkloadHost {
   std::unique_ptr<workload::WorkloadSource> source_;
   uint64_t seed_;
   db::Schedule arrival_rate_ = db::Schedule::Constant(100.0);
-  std::vector<NodeView> views_;  // reused per arrival (hot path)
+  /// One slot per node, written by the node itself (ClusterNode::PublishTo)
+  /// whenever its admitted count, gate queue or gate threshold changes, so
+  /// routing reads current state without assembling it per decision. Sized
+  /// once in the constructor and never resized: the nodes hold pointers
+  /// into it.
+  std::vector<NodeView> views_;
   std::vector<uint64_t> routed_;
   uint64_t total_routed_ = 0;
   bool started_ = false;
@@ -415,10 +429,10 @@ class Cluster : public workload::WorkloadHost {
   RetryConfig retry_;
   DegradeConfig degrade_;
   telemetry::DecisionAudit* audit_ = nullptr;
-  /// Parked deferred re-submission. Slots live in a deque (stable
-  /// addresses) and recycle through retry_free_; the plan vectors keep
-  /// their capacity across reuses, so a steady retry stream stops
-  /// allocating once warm.
+  /// Parked deferred re-submission. Slots live in chunked storage (stable
+  /// addresses, one allocation per 64 slots) and recycle through
+  /// retry_free_; the plan vectors keep their capacity across reuses, so a
+  /// steady retry stream stops allocating once warm.
   struct PendingRetry {
     int32_t session = -1;
     int attempts = 0;  // re-submissions including this one
@@ -428,7 +442,7 @@ class Cluster : public workload::WorkloadHost {
     std::vector<db::ItemId> items;
     std::vector<db::AccessMode> modes;
   };
-  std::deque<PendingRetry> retry_slots_;
+  util::ChunkVector<PendingRetry> retry_slots_;
   std::vector<int> retry_free_;
   sim::RandomStream retry_rng_;
   sim::RandomStream shed_rng_;

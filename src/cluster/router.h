@@ -36,6 +36,14 @@ inline int Occupancy(const NodeView& view) {
 /// transition (crash, drain, rejoin), so a policy caching per-fleet state
 /// can detect membership change in O(1). `live` is non-empty whenever a
 /// policy is asked to route; down and draining nodes never appear in it.
+///
+/// Publish contract: inside a Cluster, `nodes` points at the front end's
+/// published view array, not at a per-decision copy. Each node rewrites
+/// its own slot right after its admitted count, gate queue or gate
+/// threshold changes (ClusterNode::PublishTo), so `view(s)` always equals
+/// the node's current state and routing costs nothing per node it does not
+/// read. The flip side: the values move as the simulation runs, so a
+/// policy must read them during Route and not keep references for later.
 struct MembershipView {
   const std::vector<NodeView>* nodes = nullptr;
   const std::vector<int>* live = nullptr;  // sorted fleet slots

@@ -21,6 +21,7 @@ AdmissionGate::AdmissionGate(db::TransactionSystem* system,
 void AdmissionGate::TrackQueue() {
   system_->metrics().queued_track.Update(system_->Now(),
                                          static_cast<double>(queue_.size()));
+  system_->NotifyLoadObserver();
 }
 
 void AdmissionGate::OnSubmit(db::Transaction* txn) {
@@ -71,6 +72,7 @@ int AdmissionGate::RetractQueued(int max_count,
 void AdmissionGate::SetLimit(double limit) {
   ALC_CHECK_GT(limit, 0.0);
   limit_ = limit;
+  system_->NotifyLoadObserver();
   if (displacement_) DisplaceExcess();
   TryAdmit();
 }
@@ -78,11 +80,13 @@ void AdmissionGate::SetLimit(double limit) {
 void AdmissionGate::SetRampCap(double cap) {
   ALC_CHECK_GT(cap, 0.0);
   ramp_cap_ = cap;
+  system_->NotifyLoadObserver();
   TryAdmit();  // a ramp step only ever raises the cap
 }
 
 void AdmissionGate::ClearRampCap() {
   ramp_cap_ = 0.0;
+  system_->NotifyLoadObserver();
   TryAdmit();
 }
 

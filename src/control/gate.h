@@ -20,6 +20,10 @@ namespace alc::control {
 /// criterion as deadlock breaking) and re-queues them at the head of the
 /// gate queue. The paper found admission control alone responsive enough
 /// and smoother, so displacement defaults to off.
+///
+/// Every change to the queue or to the threshold (n* or the ramp cap) is
+/// reported through the system's load observer (see
+/// db::TransactionSystem::SetLoadObserver), right after it happens.
 class AdmissionGate {
  public:
   /// Installs itself as the system's admission boundary.

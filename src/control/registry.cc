@@ -52,10 +52,12 @@ constexpr util::TypedParam kBuiltinParams[] = {
     {"pa.forgetting", util::kDoubleParam},
     {"pa.initial_covariance", util::kDoubleParam},
     {"pa.initial_bound", util::kDoubleParam},
-    {"pa.min_bound", util::kDoubleParam},
-    {"pa.max_bound", util::kDoubleParam},
-    {"pa.dither", util::kDoubleParam},
-    {"pa.warmup_updates", util::kIntParam},
+    // The ParabolaApproximationController constructor's checks; the
+    // min_bound < max_bound ordering is core::ValidateSpec's.
+    {"pa.min_bound", util::kPositiveDoubleParam},
+    {"pa.max_bound", util::kPositiveDoubleParam},
+    {"pa.dither", util::kNonNegativeDoubleParam},
+    {"pa.warmup_updates", util::kNonNegativeIntParam},
     {"pa.recovery_step", util::kDoubleParam},
     {"pa.reset_after_failures", util::kIntParam},
     {"pa.max_excitation_boost", util::kDoubleParam},

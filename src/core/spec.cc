@@ -581,7 +581,7 @@ struct NodeParseState {
 /// of its sub-table) and never destroyed, like the policy registries.
 struct SpecTables {
   const Table<Logical> logical_fields = {
-      Leaf<&Logical::db_size>("db_size"),
+      Leaf<&Logical::db_size>("db_size", AtLeastOne),
       Leaf<&Logical::accesses_per_txn>("accesses_per_txn"),
       Leaf<&Logical::query_fraction>("query_fraction"),
       Leaf<&Logical::write_fraction>("write_fraction"),
@@ -711,14 +711,16 @@ struct SpecTables {
 
   const Table<Physical> physical_fields = {
       Leaf<&Physical::num_terminals>("num_terminals", AtLeastOne),
-      Leaf<&Physical::think_time_mean>("think_time_mean"),
+      Leaf<&Physical::think_time_mean>("think_time_mean", Positive),
       Leaf<&Physical::num_cpus>("num_cpus", AtLeastOne),
-      Leaf<&Physical::cpu_init_mean>("cpu_init_mean"),
-      Leaf<&Physical::cpu_access_mean>("cpu_access_mean"),
-      Leaf<&Physical::cpu_commit_mean>("cpu_commit_mean"),
-      Leaf<&Physical::cpu_write_commit_mean>("cpu_write_commit_mean"),
+      // Exponential and Erlang draws need a positive mean.
+      Leaf<&Physical::cpu_init_mean>("cpu_init_mean", Positive),
+      Leaf<&Physical::cpu_access_mean>("cpu_access_mean", Positive),
+      Leaf<&Physical::cpu_commit_mean>("cpu_commit_mean", Positive),
+      Leaf<&Physical::cpu_write_commit_mean>("cpu_write_commit_mean",
+                                             Positive),
       Leaf<&Physical::io_time>("io_time", NonNegative),
-      Leaf<&Physical::restart_delay_mean>("restart_delay_mean"),
+      Leaf<&Physical::restart_delay_mean>("restart_delay_mean", Positive),
       Leaf<&Physical::cpu_distribution, NamedCodec<kDistributions>>(
           "cpu_distribution"),
   };
@@ -909,6 +911,19 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
                     std::to_string(node) + " out of range (fleet has " +
                     std::to_string(spec.nodes.size()) + " nodes)");
       }
+    }
+  }
+  for (size_t i = 0; i < spec.nodes.size(); ++i) {
+    // The PA controller's bound ordering (its constructor checks it); the
+    // per-key param check covers each bound's sign.
+    const ControlSpec& control = spec.nodes[i].control;
+    if (control.controller != "parabola-approximation") continue;
+    const control::PaConfig pa = control::PaFromParams(control.params);
+    if (!(pa.min_bound < pa.max_bound)) {
+      return fail("node " + std::to_string(i) + " control.pa.min_bound (" +
+                  util::FormatDouble(pa.min_bound) +
+                  ") must be < control.pa.max_bound (" +
+                  util::FormatDouble(pa.max_bound) + ")");
     }
   }
   if (spec.cluster && spec.placement_enabled) {

@@ -82,6 +82,12 @@ void TransactionSystem::SetSessionHook(
   on_session_done_ = std::move(on_done);
 }
 
+void TransactionSystem::SetLoadObserver(LoadObserver observer,
+                                        void* context) {
+  load_observer_ = observer;
+  load_context_ = context;
+}
+
 void TransactionSystem::SetTraceRecorder(telemetry::TraceRecorder* recorder,
                                          int pid) {
   trace_ = recorder;
@@ -198,6 +204,11 @@ Transaction* TransactionSystem::AcquireFromPool() {
   }
   transactions_.emplace_back();
   transactions_.back().terminal_id = -1;
+  // The free list never holds more than every slot: growing its capacity
+  // with the pool keeps the pushes that recycle slots allocation-free.
+  if (free_pool_.capacity() < transactions_.size()) {
+    free_pool_.reserve(2 * transactions_.size());
+  }
   return &transactions_.back();
 }
 
@@ -240,6 +251,7 @@ void TransactionSystem::SetActive(int delta) {
   active_ += delta;
   ALC_CHECK_GE(active_, 0);
   metrics_.active_track.Update(sim_->Now(), active_);
+  NotifyLoadObserver();
 }
 
 void TransactionSystem::Admit(Transaction* txn) {

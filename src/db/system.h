@@ -58,6 +58,18 @@ class TransactionSystem {
   /// gate owns. External mode only.
   void SetSessionHook(std::function<void(int32_t, double, bool)> on_done);
 
+  /// Load observer: called with `context` right after the admitted count
+  /// changes, and by the admission gate (NotifyLoadObserver) right after
+  /// its queue or threshold changes. A cluster node uses it to keep its
+  /// slot of the front end's membership view current; single-node systems
+  /// leave it null. A plain function pointer, not a std::function: it runs
+  /// on every admission and departure.
+  using LoadObserver = void (*)(void* context);
+  void SetLoadObserver(LoadObserver observer, void* context);
+  void NotifyLoadObserver() {
+    if (load_observer_ != nullptr) load_observer_(load_context_);
+  }
+
   /// Replaces the (default: constant) workload schedules. Must be called
   /// before Start().
   void SetWorkloadDynamics(WorkloadDynamics dynamics);
@@ -209,6 +221,8 @@ class TransactionSystem {
   std::function<void(Transaction*)> on_submit_;
   std::function<void(Transaction*)> on_departure_;
   std::function<void(int32_t, double, bool)> on_session_done_;
+  LoadObserver load_observer_ = nullptr;
+  void* load_context_ = nullptr;
 
   telemetry::TraceRecorder* trace_ = nullptr;
   int32_t trace_pid_ = 0;

@@ -177,7 +177,7 @@ void ElasticityController::HeartbeatTick(int node) {
     }
   }
   if (!modeled) {
-    const cluster::NodeView view = cluster_->node(node).View();
+    const cluster::NodeView& view = cluster_->view(node);
     const double rel = static_cast<double>(cluster::Occupancy(view)) /
                        std::max(cluster_->node(node).gate().limit(), 1.0);
     rtt = config_.heartbeat.delay_base *
@@ -321,7 +321,7 @@ void ElasticityController::ScalerTick() {
 
   double queue_factor_sum = 0.0;
   for (const int i : cluster_->live_nodes()) {
-    const cluster::NodeView view = cluster_->node(i).View();
+    const cluster::NodeView& view = cluster_->view(i);
     queue_factor_sum +=
         static_cast<double>(view.gate_queue) / std::max(view.limit, 1.0);
   }

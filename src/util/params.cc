@@ -90,6 +90,21 @@ bool IsIntText(const std::string& text) {
   return ParseInt(text, &parsed) && parsed >= INT_MIN && parsed <= INT_MAX;
 }
 
+bool IsPositiveDoubleText(const std::string& text) {
+  double parsed = 0.0;
+  return ParseDouble(text, &parsed) && parsed > 0.0;
+}
+
+bool IsNonNegativeDoubleText(const std::string& text) {
+  double parsed = 0.0;
+  return ParseDouble(text, &parsed) && parsed >= 0.0;
+}
+
+bool IsNonNegativeIntText(const std::string& text) {
+  long long parsed = 0;
+  return ParseInt(text, &parsed) && parsed >= 0 && parsed <= INT_MAX;
+}
+
 bool CheckTypedParam(const TypedParam* params, size_t count, const char* what,
                      const std::string& key, const std::string& value,
                      std::string* error) {

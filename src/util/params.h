@@ -31,8 +31,18 @@ struct ParamType {
 bool IsDoubleText(const std::string& text);
 /// True when `text` is an integer that fits an int (what GetInt reads).
 bool IsIntText(const std::string& text);
+/// Range-checked forms, for params whose consumer checks the sign.
+bool IsPositiveDoubleText(const std::string& text);
+bool IsNonNegativeDoubleText(const std::string& text);
+bool IsNonNegativeIntText(const std::string& text);
 inline constexpr ParamType kDoubleParam{IsDoubleText, "a number"};
 inline constexpr ParamType kIntParam{IsIntText, "an integer"};
+inline constexpr ParamType kPositiveDoubleParam{IsPositiveDoubleText,
+                                                "a number > 0"};
+inline constexpr ParamType kNonNegativeDoubleParam{IsNonNegativeDoubleText,
+                                                   "a number >= 0"};
+inline constexpr ParamType kNonNegativeIntParam{IsNonNegativeIntText,
+                                                "an integer >= 0"};
 
 /// One key a built-in policy factory reads, with the form it parses.
 struct TypedParam {

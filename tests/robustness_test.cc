@@ -489,6 +489,71 @@ TEST(RobustnessTest, OutOfRangeValuesAreErrorsNotRunAborts) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+TEST(RobustnessTest, ValuesTheConsumersCheckAreErrorsNotRunAborts) {
+  // Each value used to pass the spec layer and then abort the run in the
+  // code that consumes it: an exponential draw with a non-positive mean, an
+  // empty database, a PA controller with inverted bounds or a negative
+  // dither.
+  const core::ExperimentSpec failover =
+      LoadCommittedSpec("specs/node_failover.spec");
+  const std::pair<std::string, std::string> bad[] = {
+      {"node.physical.think_time_mean", "0"},
+      {"node.physical.cpu_init_mean", "0"},
+      {"node.physical.cpu_access_mean", "-0.001"},
+      {"node.physical.cpu_commit_mean", "-1"},
+      {"node.physical.cpu_write_commit_mean", "0"},
+      {"node.physical.restart_delay_mean", "-1"},
+      {"node.logical.db_size", "0"},
+      {"node.control.pa.min_bound", "300"},
+      {"node.control.pa.min_bound", "0"},
+      {"node.control.pa.max_bound", "1"},
+      {"node.control.pa.dither", "-5"},
+      {"node.control.pa.warmup_updates", "-1"},
+  };
+  for (const auto& [key, value] : bad) {
+    // The error names the key's last two segments ("physical.io_time",
+    // "pa.dither").
+    const std::string error = OverrideError(failover, {{key, value}});
+    const std::string named =
+        key.substr(key.rfind('.', key.rfind('.') - 1) + 1);
+    EXPECT_NE(error.find(named), std::string::npos)
+        << key << "=" << value << ": " << error;
+  }
+  // The boundary values the consumers accept still pass.
+  EXPECT_EQ(OverrideError(failover, {{"node.control.pa.dither", "0"},
+                                     {"node.control.pa.min_bound", "199"},
+                                     {"node.logical.db_size", "1"},
+                                     {"node.physical.cpu_access_mean",
+                                      "1e-9"}}),
+            "");
+  // Only the PA controller orders its bounds.
+  EXPECT_EQ(OverrideError(failover, {{"node.control.controller", "fixed"},
+                                     {"node.control.pa.min_bound", "300"}}),
+            "");
+
+  // In a spec file a per-key range fails with the line that sets it.
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\nphysical.restart_delay_mean = -1\n", &spec, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(core::ParseSpec("[node]\nlogical.db_size = 0\n", &spec,
+                               &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\ncontrol.controller = parabola-approximation\n"
+      "control.pa.dither = -5\n",
+      &spec, &error));
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_FALSE(core::ParseSpec(
+      "[node]\ncontrol.pa.min_bound = 20\ncontrol.pa.max_bound = 10\n",
+      &spec, &error));
+  EXPECT_NE(error.find("control.pa.min_bound (20) must be < "
+                       "control.pa.max_bound (10)"),
+            std::string::npos)
+      << error;
+}
+
 TEST(RobustnessTest, MalformedRoutingAndScalerParamsAreErrors) {
   const core::ExperimentSpec flash =
       LoadCommittedSpec("specs/cluster_routing_flash.spec");

@@ -17,9 +17,10 @@
 #   6. bad input: a run window with warmup >= duration, a malformed
 #      controller param in a spec file and one in a --set override, an
 #      out-of-range value, an overflowing db_size, malformed routing and
-#      autoscaler params, and a sweep grid point whose axis values are
-#      valid alone must each exit 1 with an error line, never die by a
-#      signal
+#      autoscaler params, a sweep grid point whose axis values are
+#      valid alone, non-positive service-time means, an empty database and
+#      inverted or negative PA controller bounds must each exit 1 with an
+#      error line, never die by a signal
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -108,5 +109,10 @@ expect_input_error specs/elasticity_flash.spec --set elasticity.scaler=pi \
   --set elasticity.scaler.pi.kp=abc
 expect_input_error specs/smoke.spec --set warmup=1 --set duration=6 \
   --sweep warmup=1,5 --sweep duration=3,10
+for bad in node.physical.cpu_access_mean=-0.001 \
+  node.physical.restart_delay_mean=-1 node.logical.db_size=0 \
+  node.control.pa.min_bound=300 node.control.pa.dither=-5; do
+  expect_input_error specs/node_failover.spec --set "$bad"
+done
 
 echo "premerge: all gates passed"
