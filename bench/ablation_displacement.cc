@@ -20,10 +20,11 @@ int main() {
       "waste resources; admission alone was responsive enough");
 
   // Downward jump: query-heavy (high optimum) -> update-heavy (low).
-  core::ScenarioConfig base = bench::PaperScenario();
+  core::ExperimentSpec base = bench::PaperSpec();
   base.duration = 700.0;
   base.warmup = 50.0;
-  base.dynamics.query_fraction = db::Schedule::Steps(0.85, {{350.0, 0.30}});
+  base.nodes[0].dynamics.query_fraction =
+      db::Schedule::Steps(0.85, {{350.0, 0.30}});
 
   core::OptimumFinder finder(base, bench::FastSearch());
   const auto timeline = finder.Timeline(700.0);
@@ -34,10 +35,10 @@ int main() {
                      "load excess after drop (30s)", "displaced txns",
                      "wasted CPU"});
   for (bool displacement : {false, true}) {
-    core::ScenarioConfig scenario = base;
-    scenario.control.name = "parabola-approximation";
-    scenario.control.displacement = displacement;
-    const core::ExperimentResult result = core::Experiment(scenario).Run();
+    core::ExperimentSpec spec = base;
+    spec.nodes[0].control.controller = "parabola-approximation";
+    spec.nodes[0].control.displacement = displacement;
+    const core::ExperimentResult result = core::Experiment(spec).Run();
     core::TrackingOptions options;
     options.skip_initial = 100.0;
     const core::TrackingStats stats =

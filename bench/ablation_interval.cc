@@ -21,7 +21,7 @@ int main() {
       "Section 5: measurement interval length vs stability/responsiveness",
       "the interval should be just long enough to filter stochastic noise");
 
-  core::ScenarioConfig base = bench::JumpScenario();
+  core::ExperimentSpec base = bench::JumpSpec();
   base.duration = 700.0;  // one jump at 333, second regime until 666
 
   core::OptimumFinder finder(base, bench::FastSearch());
@@ -30,10 +30,10 @@ int main() {
   util::Table table({"interval (s)", "departures/interval", "mean |n*-opt|",
                      "bound jitter", "recovery after jump", "throughput"});
   for (double interval : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
-    core::ScenarioConfig scenario = base;
-    scenario.control.name = "parabola-approximation";
-    scenario.control.measurement_interval = interval;
-    const core::ExperimentResult result = core::Experiment(scenario).Run();
+    core::ExperimentSpec spec = base;
+    spec.nodes[0].control.controller = "parabola-approximation";
+    spec.nodes[0].control.measurement_interval = interval;
+    const core::ExperimentResult result = core::Experiment(spec).Run();
 
     core::TrackingOptions options;
     options.skip_initial = 100.0;
@@ -75,10 +75,10 @@ int main() {
               "(with the excitation guard) or, better, above that scale.\n");
 
   // Outer tuning loop: starts from a deliberately bad interval.
-  core::ScenarioConfig tuned = base;
-  tuned.control.name = "parabola-approximation";
-  tuned.control.measurement_interval = 0.25;
-  tuned.control.outer_tuner = true;
+  core::ExperimentSpec tuned = base;
+  tuned.nodes[0].control.controller = "parabola-approximation";
+  tuned.nodes[0].control.measurement_interval = 0.25;
+  tuned.nodes[0].control.outer_tuner = true;
   const core::ExperimentResult tuned_result = core::Experiment(tuned).Run();
   double last_gap = 0.0;
   if (tuned_result.trajectory.size() >= 2) {

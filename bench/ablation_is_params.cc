@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench/common.h"
+#include "control/registry.h"
 #include "core/report.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -19,14 +20,14 @@ struct RowResult {
   double capture;
 };
 
-RowResult RunIs(const alc::core::ScenarioConfig& base,
+RowResult RunIs(const alc::core::ExperimentSpec& base,
                 const std::vector<alc::core::OptimumRegime>& timeline,
-                alc::control::IsConfig is) {
-  alc::core::ScenarioConfig scenario = base;
-  scenario.control.name = "incremental-steps";
-  scenario.control.is = is;
+                const alc::control::IsConfig& is) {
+  alc::core::ExperimentSpec spec = base;
+  spec.nodes[0].control.controller = "incremental-steps";
+  alc::control::AppendIsParams(is, &spec.nodes[0].control.params);
   const alc::core::ExperimentResult result =
-      alc::core::Experiment(scenario).Run();
+      alc::core::Experiment(spec).Run();
   alc::core::TrackingOptions options;
   options.skip_initial = 100.0;
   const alc::core::TrackingStats stats =
@@ -43,11 +44,12 @@ int main() {
       "Section 4.1: IS parameter sensitivity (beta, gamma, delta)",
       "the parameters must be tuned carefully (section 5)");
 
-  core::ScenarioConfig base = bench::JumpScenario();
+  core::ExperimentSpec base = bench::JumpSpec();
   base.duration = 700.0;
   core::OptimumFinder finder(base, bench::FastSearch());
   const auto timeline = finder.Timeline(700.0);
-  const control::IsConfig defaults = base.control.is;
+  const control::IsConfig defaults =
+      control::IsFromParams(base.nodes[0].control.params);
 
   {
     util::Table table({"beta", "mean |n*-opt|", "throughput", "capture"});

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "control/registry.h"
 #include "core/report.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -24,12 +25,13 @@ int main() {
       "choose a small measurement interval and a large alpha; least squares "
       "needs variation in the measurements");
 
-  core::ScenarioConfig base = bench::JumpScenario();
-  base.duration = 700.0;
-  core::OptimumFinder finder(base, bench::FastSearch());
+  core::ExperimentSpec base_spec = bench::JumpSpec();
+  base_spec.duration = 700.0;
+  core::OptimumFinder finder(base_spec, bench::FastSearch());
   const auto timeline = finder.Timeline(700.0);
+  const control::PaConfig pa =
+      control::PaFromParams(base_spec.nodes[0].control.params);
 
-  const core::ExperimentSpec base_spec = core::SpecFromScenario(base);
   core::TrackingOptions options;
   options.skip_initial = 100.0;
 
@@ -57,7 +59,7 @@ int main() {
            util::StrFormat("%.1f", result.mean_throughput),
            util::StrFormat("%.2f", stats.throughput_capture)});
     }
-    std::printf("alpha sweep (dither=%.0f):\n", base.control.pa.dither);
+    std::printf("alpha sweep (dither=%.0f):\n", pa.dither);
     table.Print(std::cout);
   }
   {
@@ -79,7 +81,7 @@ int main() {
                     util::StrFormat("%.1f", result.mean_throughput),
                     util::StrFormat("%.2f", stats.throughput_capture)});
     }
-    std::printf("\ndither sweep (alpha=%.2f):\n", base.control.pa.forgetting);
+    std::printf("\ndither sweep (alpha=%.2f):\n", pa.forgetting);
     table.Print(std::cout);
   }
   std::printf("\nshape check: alpha~1 never recovers from the jump (stale "

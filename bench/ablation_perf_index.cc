@@ -11,6 +11,7 @@
 
 #include "bench/common.h"
 #include "control/gate.h"
+#include "control/registry.h"
 #include "core/report.h"
 #include "db/system.h"
 #include "sim/simulator.h"
@@ -23,7 +24,7 @@ int main() {
       "Section 6: which performance index should the controller maximize?",
       "throughput has the most distinct extremum; it is the paper's choice");
 
-  core::ScenarioConfig base = bench::PaperScenario();
+  const core::ExperimentSpec base = bench::PaperSpec();
 
   // Measure all three indices over the stationary load sweep.
   util::Table sweep({"n", "throughput", "1/resp", "eff. cpu util"});
@@ -33,7 +34,7 @@ int main() {
   std::vector<Point> points;
   for (double n : {50.0, 100.0, 150.0, 195.0, 250.0, 350.0, 500.0, 700.0}) {
     sim::Simulator simulator;
-    db::SystemConfig config = base.system;
+    db::SystemConfig config = base.nodes[0].system;
     config.seed = 31;
     db::TransactionSystem system(&simulator, config);
     control::AdmissionGate gate(&system, n);
@@ -79,10 +80,11 @@ int main() {
       control::PerformanceIndex::kInverseResponseTime,
       control::PerformanceIndex::kEffectiveCpuUtilization};
   for (int i = 0; i < 3; ++i) {
-    core::ScenarioConfig scenario = base;
-    scenario.control.name = "parabola-approximation";
-    scenario.control.pa.index = indices[i];
-    const core::ExperimentResult result = core::Experiment(scenario).Run();
+    core::ExperimentSpec spec = base;
+    spec.nodes[0].control.controller = "parabola-approximation";
+    spec.nodes[0].control.params.Set("pa.index",
+                                     control::PerformanceIndexName(indices[i]));
+    const core::ExperimentResult result = core::Experiment(spec).Run();
     control_table.AddRow({names[i],
                           util::StrFormat("%.1f", result.mean_throughput),
                           util::StrFormat("%.3f", result.mean_response),

@@ -25,10 +25,10 @@ int main() {
       "2PL: blocked b(n) quadratic, active a = n - b peaks then falls; "
       "OCC: rerun work saturates the CPU");
 
-  core::ScenarioConfig base = bench::PaperScenario();
+  db::SystemConfig base = bench::PaperSpec().nodes[0].system;
   // A tighter database accentuates data contention for the lock manager.
-  base.system.logical.db_size = 4000;
-  base.system.logical.write_fraction = 0.4;
+  base.logical.db_size = 4000;
+  base.logical.write_fraction = 0.4;
 
   const std::vector<double> loads = {25, 50, 100, 150, 200, 300, 400};
 
@@ -39,7 +39,7 @@ int main() {
     double t_2pl, blocked, t_occ, conflicts, wasted;
     {
       sim::Simulator simulator;
-      db::SystemConfig config = base.system;
+      db::SystemConfig config = base;
       config.cc = db::CcScheme::kTwoPhaseLocking;
       config.seed = 23;
       db::TransactionSystem system(&simulator, config);
@@ -51,7 +51,7 @@ int main() {
     }
     {
       sim::Simulator simulator;
-      db::SystemConfig config = base.system;
+      db::SystemConfig config = base;
       config.cc = db::CcScheme::kOptimisticCertification;
       config.seed = 23;
       db::TransactionSystem system(&simulator, config);

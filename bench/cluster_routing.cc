@@ -29,10 +29,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
-#include "core/spec.h"
-#include "core/sweep.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -42,45 +38,13 @@ using namespace alc;
 
 constexpr int kNumNodes = 4;
 
-/// Downscaled node (4 CPUs, 600-granule DB) so the 48-run sweep stays
-/// affordable; the thrashing shape matches the paper-scale system.
-core::ClusterNodeScenario BenchNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
-  node.system.physical.num_cpus = 4;
-  node.system.physical.cpu_init_mean = 0.001;
-  node.system.physical.cpu_access_mean = 0.001;
-  node.system.physical.cpu_commit_mean = 0.001;
-  node.system.physical.cpu_write_commit_mean = 0.004;
-  node.system.physical.io_time = 0.008;
-  node.system.physical.restart_delay_mean = 0.02;
-  node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
-  node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.measurement_interval = 0.5;
-  node.control.initial_limit = 20.0;
-  node.control.is.initial_bound = 20.0;
-  node.control.is.min_bound = 2.0;
-  node.control.is.max_bound = 200.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 200.0;
-  node.control.pa.dither = 5.0;
-  node.control.fixed_limit = 25.0;
-  return node;
-}
-
-core::ClusterScenarioConfig BaseCluster(uint64_t seed) {
-  core::ClusterScenarioConfig scenario;
-  for (int i = 0; i < kNumNodes; ++i) {
-    scenario.nodes.push_back(BenchNode(core::DecorrelatedNodeSeed(seed, i)));
-  }
-  scenario.seed = seed;
-  scenario.duration = 160.0;
-  scenario.warmup = 20.0;
-  return scenario;
+/// Four bench nodes (see bench::SmallNode): the 48-run sweep stays
+/// affordable and the thrashing shape matches the paper-scale system.
+core::ExperimentSpec BaseCluster(uint64_t seed) {
+  core::ExperimentSpec spec = bench::Fleet(kNumNodes, bench::SmallNode(), seed);
+  spec.duration = 160.0;
+  spec.warmup = 20.0;
+  return spec;
 }
 
 const std::vector<std::string> kRoutings = {
@@ -88,13 +52,12 @@ const std::vector<std::string> kRoutings = {
 const std::vector<std::string> kAdmissions = {
     "none", "fixed", "incremental-steps", "parabola-approximation"};
 
-void RunScenario(const char* title, const core::ClusterScenarioConfig& base,
+void RunScenario(const char* title, const core::ExperimentSpec& base,
                  core::ClusterResult* jsq_parabola,
                  core::ClusterResult* threshold_parabola,
                  core::ClusterResult* random_none) {
-  core::SweepRunner runner(core::SpecFromCluster(base),
-                           {{"routing", kRoutings},
-                            {"node.control.controller", kAdmissions}});
+  core::SweepRunner runner(
+      base, {{"routing", kRoutings}, {"node.control.controller", kAdmissions}});
   const std::vector<core::SweepPointResult> results =
       runner.Run(bench::SweepThreads(runner.num_points()));
 
@@ -138,13 +101,13 @@ int main() {
 
   // Per-node capacity is ~150 commits/s at the optimum (4 CPUs, ~19 ms CPU
   // demand per transaction, thrashing knee near n=25).
-  core::ClusterScenarioConfig stationary = BaseCluster(seed);
+  core::ExperimentSpec stationary = BaseCluster(seed);
   stationary.arrival_rate = db::Schedule::Constant(400.0);
 
-  core::ClusterScenarioConfig flash = BaseCluster(seed);
+  core::ExperimentSpec flash = BaseCluster(seed);
   flash.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 80.0);
 
-  core::ClusterScenarioConfig degraded = BaseCluster(seed);
+  core::ExperimentSpec degraded = BaseCluster(seed);
   degraded.arrival_rate = db::Schedule::Constant(400.0);
   degraded.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.3, 40.0, 100.0);
 

@@ -23,9 +23,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/cluster_experiment.h"
-#include "core/spec.h"
-#include "core/sweep.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -36,30 +33,6 @@ using namespace alc;
 constexpr double kSurgeStart = 40.0;
 constexpr double kSurgeEnd = 100.0;
 constexpr double kMaxProvisionLag = 15.0;  // bounded-lag acceptance
-
-core::ExperimentSpec LoadBenchSpec() {
-  core::ExperimentSpec spec;
-  std::string error;
-  const std::string path =
-      std::string(ALC_SOURCE_DIR) + "/specs/elasticity_flash.spec";
-  if (!core::LoadSpecFile(path, &spec, &error)) {
-    std::fprintf(stderr, "elasticity_flash_crowd: %s\n", error.c_str());
-    std::abort();
-  }
-  return spec;
-}
-
-/// Mean aggregate throughput over monitor ticks inside the surge window.
-double SurgeThroughput(const core::ClusterResult& result) {
-  double sum = 0.0;
-  int count = 0;
-  for (const core::TrajectoryPoint& point : result.aggregate) {
-    if (point.time <= kSurgeStart || point.time > kSurgeEnd) continue;
-    sum += point.throughput;
-    ++count;
-  }
-  return count > 0 ? sum / count : 0.0;
-}
 
 /// Time of the first autoscaler decision that grew the fleet, or -1.
 double FirstProvisionTime(
@@ -86,7 +59,7 @@ int main(int argc, char** argv) {
       "window");
 
   core::SweepRunner runner(
-      LoadBenchSpec(),
+      bench::LoadBenchSpec("elasticity_flash.spec"),
       {{"elasticity.scaler", {"none", "hysteresis"}},
        {"elasticity.detector", {"false", "true"}}});
   const std::vector<core::SweepPointResult> results =
@@ -104,7 +77,8 @@ int main(int argc, char** argv) {
     if (!scaled && heartbeat) fixed_hb = result;
     table.AddRow(
         {scaled ? "autoscaled" : "fixed", heartbeat ? "heartbeat" : "oracle",
-         util::StrFormat("%.1f/s", SurgeThroughput(result)),
+         util::StrFormat("%.1f/s", bench::SurgeThroughput(result, kSurgeStart,
+                                                          kSurgeEnd)),
          util::StrFormat("%llu",
                          static_cast<unsigned long long>(result.commits)),
          util::StrFormat("%llu",
@@ -121,15 +95,18 @@ int main(int argc, char** argv) {
   // Headline variant once more with the decision audit attached: the CSV
   // is the artifact (detector verdicts + scaler actions) and the identical
   // commit count demonstrates observation-only telemetry.
-  core::ExperimentSpec audited = LoadBenchSpec();
+  core::ExperimentSpec audited =
+      bench::LoadBenchSpec("elasticity_flash.spec");
   audited.decisions_path = decisions_csv;
   const core::SpecRunResult audited_run = core::RunSpec(audited);
   const double provision_time = FirstProvisionTime(audited_run.decisions);
   const double provision_lag =
       provision_time >= 0.0 ? provision_time - kSurgeStart : -1.0;
 
-  const double fixed_tput = SurgeThroughput(fixed_hb);
-  const double scaled_tput = SurgeThroughput(scaled_hb);
+  const double fixed_tput =
+      bench::SurgeThroughput(fixed_hb, kSurgeStart, kSurgeEnd);
+  const double scaled_tput =
+      bench::SurgeThroughput(scaled_hb, kSurgeStart, kSurgeEnd);
   const bool beats_fixed = scaled_tput > fixed_tput;
   const bool lag_bounded =
       provision_lag >= 0.0 && provision_lag <= kMaxProvisionLag;

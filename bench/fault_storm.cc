@@ -27,9 +27,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/cluster_experiment.h"
 #include "core/export.h"
-#include "core/spec.h"
 #include "telemetry/audit.h"
 #include "util/hash.h"
 #include "util/strformat.h"
@@ -42,39 +40,6 @@ using namespace alc;
 constexpr double kSurgeStart = 40.0;
 constexpr double kSurgeEnd = 100.0;
 
-core::ExperimentSpec LoadStormSpec() {
-  core::ExperimentSpec spec;
-  std::string error;
-  const std::string path =
-      std::string(ALC_SOURCE_DIR) + "/specs/fault_storm.spec";
-  if (!core::LoadSpecFile(path, &spec, &error)) {
-    std::fprintf(stderr, "fault_storm: %s\n", error.c_str());
-    std::abort();
-  }
-  return spec;
-}
-
-void Override(core::ExperimentSpec* spec, const std::string& key,
-              const std::string& value) {
-  std::string error;
-  if (!core::ApplySpecOverride(spec, key, value, &error)) {
-    std::fprintf(stderr, "fault_storm: %s\n", error.c_str());
-    std::abort();
-  }
-}
-
-/// Mean aggregate throughput over monitor ticks inside the surge window.
-double SurgeThroughput(const core::ClusterResult& result) {
-  double sum = 0.0;
-  int count = 0;
-  for (const core::TrajectoryPoint& point : result.aggregate) {
-    if (point.time <= kSurgeStart || point.time > kSurgeEnd) continue;
-    sum += point.throughput;
-    ++count;
-  }
-  return count > 0 ? sum / count : 0.0;
-}
-
 std::string DecisionsCsv(const core::SpecRunResult& result) {
   std::ostringstream out;
   telemetry::WriteDecisionsCsv(out, result.decisions);
@@ -84,7 +49,9 @@ std::string DecisionsCsv(const core::SpecRunResult& result) {
 void AddRow(util::Table* table, const char* name,
             const core::ClusterResult& r) {
   table->AddRow(
-      {name, util::StrFormat("%.1f/s", SurgeThroughput(r)),
+      {name,
+       util::StrFormat("%.1f/s",
+                       bench::SurgeThroughput(r, kSurgeStart, kSurgeEnd)),
        util::StrFormat("%llu", static_cast<unsigned long long>(r.commits)),
        util::StrFormat("%llu",
                        static_cast<unsigned long long>(r.false_declarations)),
@@ -112,16 +79,16 @@ int main(int argc, char** argv) {
 
   // The four variants share the spec (same storm, same seed); only the
   // subsystem under test is swapped out.
-  core::ExperimentSpec hardened = LoadStormSpec();
+  core::ExperimentSpec hardened = bench::LoadBenchSpec("fault_storm.spec");
 
-  core::ExperimentSpec consecutive = LoadStormSpec();
-  Override(&consecutive, "elasticity.hb.kind", "consecutive");
-  Override(&consecutive, "elasticity.hb.observers", "1");
-  Override(&consecutive, "elasticity.hb.quorum", "1");
+  core::ExperimentSpec consecutive = bench::LoadBenchSpec("fault_storm.spec");
+  bench::Override(&consecutive, "elasticity.hb.kind", "consecutive");
+  bench::Override(&consecutive, "elasticity.hb.observers", "1");
+  bench::Override(&consecutive, "elasticity.hb.quorum", "1");
 
-  core::ExperimentSpec no_response = LoadStormSpec();
-  Override(&no_response, "retry.enabled", "false");
-  Override(&no_response, "degrade.enabled", "false");
+  core::ExperimentSpec no_response = bench::LoadBenchSpec("fault_storm.spec");
+  bench::Override(&no_response, "retry.enabled", "false");
+  bench::Override(&no_response, "degrade.enabled", "false");
 
   const core::SpecRunResult hardened_run = core::RunSpec(hardened);
   const core::SpecRunResult consecutive_run = core::RunSpec(consecutive);
@@ -140,7 +107,7 @@ int main(int argc, char** argv) {
   // Determinism: the hardened storm run twice with the decision audit
   // attached must produce byte-identical decision logs, and attaching the
   // audit + trace must not move a single commit (observation only).
-  core::ExperimentSpec audited = LoadStormSpec();
+  core::ExperimentSpec audited = bench::LoadBenchSpec("fault_storm.spec");
   audited.decisions_path = decisions_csv;
   audited.trace_path = out_dir + "/fault_storm.trace.json";
   const core::SpecRunResult first = core::RunSpec(audited);
@@ -153,7 +120,9 @@ int main(int argc, char** argv) {
                            cons.false_declarations > 0;
   const bool still_detects =
       hard.detection_latency_mean > 0.0 && hard.declared_down > 0;
-  const bool response_wins = SurgeThroughput(hard) > SurgeThroughput(bare);
+  const bool response_wins =
+      bench::SurgeThroughput(hard, kSurgeStart, kSurgeEnd) >
+      bench::SurgeThroughput(bare, kSurgeStart, kSurgeEnd);
   const bool faults_ran = hard.faults_started == hard.faults_ended &&
                           hard.faults_started > 0 && hard.probes_lost > 0;
 
@@ -176,7 +145,8 @@ int main(int argc, char** argv) {
       fewer_false ? "YES" : "NO",
       static_cast<unsigned long long>(hard.declared_down),
       hard.detection_latency_mean, still_detects ? "YES" : "NO",
-      SurgeThroughput(hard), SurgeThroughput(bare),
+      bench::SurgeThroughput(hard, kSurgeStart, kSurgeEnd),
+      bench::SurgeThroughput(bare, kSurgeStart, kSurgeEnd),
       response_wins ? "YES" : "NO",
       static_cast<unsigned long long>(fingerprint), bit_exact ? "YES" : "NO",
       static_cast<unsigned long long>(first.cluster_result.commits),

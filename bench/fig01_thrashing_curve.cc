@@ -17,7 +17,7 @@ int main() {
       "Figure 1: throughput vs. load with thrashing (three phases)",
       "throughput rises ~linearly, flattens at saturation, then drops");
 
-  core::ScenarioConfig base = bench::PaperScenario();
+  const core::ExperimentSpec base = bench::PaperSpec();
   const std::vector<double> loads = {10,  25,  50,  75,  100, 150, 195,
                                      250, 300, 400, 500, 600, 750};
   util::Table table({"load n", "throughput", "phase"});

@@ -19,7 +19,7 @@ int main() {
       "Figure 2: the time-varying performance surface P(n, t)",
       "the ridge (optimum) moves when the workload mix changes");
 
-  core::ScenarioConfig scenario = bench::JumpScenario();
+  const core::ExperimentSpec spec = bench::JumpSpec();
   const std::vector<double> loads = {50, 125, 195, 265, 330, 450, 600};
   // One column per regime of the jump schedule (the surface is piecewise
   // stationary, so sampling one t per regime captures it exactly).
@@ -34,7 +34,7 @@ int main() {
     std::vector<std::string> cells = {util::StrFormat("%.0f", loads[row])};
     for (double t : times) {
       const double throughput = core::StationaryThroughput(
-          scenario, loads[row], t + 1e-6, 80.0, 20.0, 13);
+          spec, loads[row], t + 1e-6, 80.0, 20.0, 13);
       surface[row].push_back(throughput);
       cells.push_back(util::StrFormat("%.1f", throughput));
     }

@@ -15,17 +15,18 @@ int main() {
                      "IS climbs from a cold start and oscillates about the "
                      "ridge of the throughput mountain");
 
-  core::ScenarioConfig scenario = bench::PaperScenario();
-  scenario.control.name = "incremental-steps";
-  scenario.control.is.initial_bound = 30.0;  // cold start well below n_opt
-  scenario.duration = 300.0;
+  core::ExperimentSpec spec = bench::PaperSpec();
+  spec.nodes[0].control.controller = "incremental-steps";
+  // Cold start well below n_opt.
+  spec.nodes[0].control.params.SetDouble("is.initial_bound", 30.0);
+  spec.duration = 300.0;
 
-  core::OptimumFinder finder(scenario, bench::FastSearch());
+  core::OptimumFinder finder(spec, bench::FastSearch());
   const core::OptimumResult optimum = finder.FindAt(0.0);
   std::printf("true optimum (offline): n_opt=%.0f, peak=%.1f/s\n\n",
               optimum.n_opt, optimum.peak_throughput);
 
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   const std::vector<core::OptimumRegime> timeline = {
       {0.0, optimum.n_opt, optimum.peak_throughput}};
   core::PrintTrajectory(std::cout, result.trajectory, timeline, 10);

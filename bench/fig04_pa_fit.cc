@@ -10,6 +10,7 @@
 #include "control/gate.h"
 #include "control/monitor.h"
 #include "control/parabola.h"
+#include "control/registry.h"
 #include "db/system.h"
 #include "sim/simulator.h"
 #include "util/strformat.h"
@@ -21,25 +22,27 @@ int main() {
                      "P(n) = a0 + a1 n + a2 n^2 fitted by fading-memory RLS; "
                      "its maximum is the next load threshold");
 
-  core::ScenarioConfig scenario = bench::PaperScenario();
-  scenario.duration = 300.0;
+  core::ExperimentSpec spec = bench::PaperSpec();
+  spec.duration = 300.0;
+  const core::NodeSpec& node = spec.nodes[0];
 
   // Run the PA controller attached to the real system, but keep our own
   // mirror of it so we can read out the fitted coefficients afterwards.
-  control::ParabolaApproximationController pa(scenario.control.pa);
+  control::ParabolaApproximationController pa(
+      control::PaFromParams(node.control.params));
   sim::Simulator simulator;
-  db::TransactionSystem system(&simulator, scenario.system);
-  system.SetWorkloadDynamics(scenario.dynamics);
-  system.SetActiveTerminalsSchedule(scenario.active_terminals);
-  control::AdmissionGate gate(&system, scenario.control.initial_limit);
+  db::TransactionSystem system(&simulator, node.system);
+  system.SetWorkloadDynamics(node.dynamics);
+  system.SetActiveTerminalsSchedule(spec.active_terminals);
+  control::AdmissionGate gate(&system, node.control.initial_limit);
   control::Monitor monitor(&simulator, &system,
-                           scenario.control.measurement_interval);
+                           node.control.measurement_interval);
   monitor.SetCallback([&](const control::Sample& sample) {
     gate.SetLimit(pa.Update(sample));
   });
   system.Start();
   monitor.Start();
-  simulator.RunUntil(scenario.duration);
+  simulator.RunUntil(spec.duration);
 
   double a0, a1, a2;
   pa.FittedCoefficients(&a0, &a1, &a2);
@@ -50,7 +53,7 @@ int main() {
   }
 
   // Compare the fit against the true curve near the operating region.
-  core::OptimumFinder finder(scenario, bench::FastSearch());
+  core::OptimumFinder finder(spec, bench::FastSearch());
   const core::OptimumResult optimum = finder.FindAt(0.0);
   util::Table table({"n", "measured T(n)", "parabola fit"});
   for (const auto& [n, t] : optimum.curve) {

@@ -12,6 +12,7 @@
 
 #include "bench/common.h"
 #include "control/parabola.h"
+#include "control/registry.h"
 #include "sim/random.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -74,7 +75,8 @@ int main() {
   for (PaRecoveryPolicy policy :
        {PaRecoveryPolicy::kHold, PaRecoveryPolicy::kGradient,
         PaRecoveryPolicy::kContract, PaRecoveryPolicy::kReset}) {
-    PaConfig config = bench::PaperScenario().control.pa;
+    PaConfig config =
+        control::PaFromParams(bench::PaperSpec().nodes[0].control.params);
     config.recovery = policy;
     config.initial_bound = 150.0;
     ParabolaApproximationController pa(config);
@@ -101,7 +103,8 @@ int main() {
   for (PaRecoveryPolicy policy :
        {PaRecoveryPolicy::kHold, PaRecoveryPolicy::kGradient,
         PaRecoveryPolicy::kContract, PaRecoveryPolicy::kReset}) {
-    PaConfig config = bench::PaperScenario().control.pa;
+    PaConfig config =
+        control::PaFromParams(bench::PaperSpec().nodes[0].control.params);
     config.recovery = policy;
     config.initial_bound = 150.0;
     ParabolaApproximationController pa(config);

@@ -18,7 +18,7 @@ int main() {
       "Figure 12: throughput with and without control (stationary)",
       "both controllers keep the load at the optimum and prevent thrashing");
 
-  core::ScenarioConfig base = bench::PaperScenario();
+  const core::ExperimentSpec base = bench::PaperSpec();
 
   // Without control: the classic sweep (the paper's falling curve).
   util::Table sweep({"load n", "T (no control)"});
@@ -43,14 +43,14 @@ int main() {
   for (double population : {300.0, 550.0, 850.0}) {
     for (const char* controller :
          {"parabola-approximation", "incremental-steps"}) {
-      core::ScenarioConfig scenario = bench::PaperScenario();
-      scenario.active_terminals = db::Schedule::Constant(population);
-      scenario.control.name = controller;
-      const core::ExperimentResult result = core::Experiment(scenario).Run();
+      core::ExperimentSpec spec = bench::PaperSpec();
+      spec.active_terminals = db::Schedule::Constant(population);
+      spec.nodes[0].control.controller = controller;
+      const core::ExperimentResult result = core::Experiment(spec).Run();
       double bound_sum = 0.0;
       int bound_n = 0;
       for (const core::TrajectoryPoint& point : result.trajectory) {
-        if (point.time >= scenario.warmup) {
+        if (point.time >= spec.warmup) {
           bound_sum += point.bound;
           ++bound_n;
         }

@@ -16,18 +16,18 @@ int main() {
       "Figure 13: Incremental Steps trajectory under abrupt optimum jumps",
       "IS reacts quickly but adjusts to the new situation with difficulty");
 
-  core::ScenarioConfig scenario = bench::JumpScenario();
-  scenario.control.name = "incremental-steps";
+  core::ExperimentSpec spec = bench::JumpSpec();
+  spec.nodes[0].control.controller = "incremental-steps";
 
   std::printf("computing true optimum per regime (offline sweeps)...\n");
-  core::OptimumFinder finder(scenario, bench::FastSearch());
-  const auto timeline = finder.Timeline(scenario.duration);
+  core::OptimumFinder finder(spec, bench::FastSearch());
+  const auto timeline = finder.Timeline(spec.duration);
   for (const core::OptimumRegime& regime : timeline) {
     std::printf("  regime from t=%4.0f: n_opt=%4.0f peak=%7.1f/s\n",
                 regime.start_time, regime.n_opt, regime.peak_throughput);
   }
 
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   std::printf("\ntrajectory (every 25th interval):\n");
   core::PrintTrajectory(std::cout, result.trajectory, timeline, 25);
 

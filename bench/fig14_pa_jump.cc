@@ -17,18 +17,18 @@ int main() {
       "Figure 14: Parabola Approximation trajectory under abrupt jumps",
       "PA responds slower than IS but tracks more accurately and reliably");
 
-  core::ScenarioConfig scenario = bench::JumpScenario();
-  scenario.control.name = "parabola-approximation";
+  core::ExperimentSpec spec = bench::JumpSpec();
+  spec.nodes[0].control.controller = "parabola-approximation";
 
   std::printf("computing true optimum per regime (offline sweeps)...\n");
-  core::OptimumFinder finder(scenario, bench::FastSearch());
-  const auto timeline = finder.Timeline(scenario.duration);
+  core::OptimumFinder finder(spec, bench::FastSearch());
+  const auto timeline = finder.Timeline(spec.duration);
   for (const core::OptimumRegime& regime : timeline) {
     std::printf("  regime from t=%4.0f: n_opt=%4.0f peak=%7.1f/s\n",
                 regime.start_time, regime.n_opt, regime.peak_throughput);
   }
 
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   std::printf("\ntrajectory (every 25th interval):\n");
   core::PrintTrajectory(std::cout, result.trajectory, timeline, 25);
 
@@ -50,10 +50,9 @@ int main() {
 
   // Head-to-head with IS on the identical workload (the paper's central
   // comparison: "PA outperformed IS in all cases examined").
-  core::ScenarioConfig is_scenario = bench::JumpScenario();
-  is_scenario.control.name = "incremental-steps";
-  const core::ExperimentResult is_result =
-      core::Experiment(is_scenario).Run();
+  core::ExperimentSpec is_spec = bench::JumpSpec();
+  is_spec.nodes[0].control.controller = "incremental-steps";
+  const core::ExperimentResult is_result = core::Experiment(is_spec).Run();
   const core::TrackingStats is_stats =
       core::EvaluateTracking(is_result.trajectory, timeline, options);
   std::printf("\nhead-to-head on the identical workload:\n");

@@ -20,32 +20,31 @@ int main() {
       "IS/PA are CC-agnostic; they find the (much lower) lock-thrashing "
       "optimum of the blocking system unchanged");
 
-  core::ScenarioConfig base = bench::PaperScenario();
-  base.system.cc = db::CcScheme::kTwoPhaseLocking;
+  core::ExperimentSpec base = bench::PaperSpec();
+  core::NodeSpec& node = base.nodes[0];
+  node.system.cc = db::CcScheme::kTwoPhaseLocking;
   // Lock thrashing has a far lower optimum; give the hill climbers
   // commensurate step sizes and starting points.
-  base.system.logical.db_size = 4000;
-  base.system.logical.write_fraction = 0.4;
+  node.system.logical.db_size = 4000;
+  node.system.logical.write_fraction = 0.4;
   // Lock thrashing caps throughput near 60/s; stretch the measurement
   // interval so each sample still contains a few hundred departures
   // (section 5's sizing rule).
-  base.control.measurement_interval = 4.0;
+  node.control.measurement_interval = 4.0;
   base.duration = 600.0;
-  base.control.initial_limit = 15.0;
-  base.control.is.initial_bound = 15.0;
-  base.control.is.beta = 0.5;
-  base.control.is.gamma = 4.0;
-  base.control.is.delta = 10.0;
-  base.control.is.min_bound = 2.0;
-  base.control.pa.initial_bound = 15.0;
-  base.control.pa.dither = 6.0;
-  base.control.pa.min_bound = 2.0;
-  // The admissible range also scales the PA regressor; matching it to the
-  // blocking system's much smaller operating range conditions the fit, and
-  // the sharply peaked lock-thrashing curve rewards faster forgetting.
-  base.control.pa.max_bound = 300.0;
-  base.control.pa.forgetting = 0.90;
-  base.control.is.max_bound = 300.0;
+  node.control.initial_limit = 15.0;
+  // The admissible ranges shrink to the blocking system's much smaller
+  // operating range; for PA that also scales the regressor and conditions
+  // the fit, and the sharply peaked lock-thrashing curve rewards faster
+  // forgetting.
+  bench::SetParams(&node, {{"is.initial_bound", 15.0}, {"is.beta", 0.5},
+                           {"is.gamma", 4.0},          {"is.delta", 10.0},
+                           {"is.min_bound", 2.0},      {"is.max_bound", 300.0},
+                           {"pa.initial_bound", 15.0}, {"pa.dither", 6.0},
+                           {"pa.min_bound", 2.0},      {"pa.max_bound", 300.0},
+                           {"pa.forgetting", 0.90},    {"gs.min_bound", 2.0},
+                           {"gs.max_bound", 300.0},
+                           {"gs.min_bracket", 15.0}});
 
   core::OptimumSearchConfig search = bench::FastSearch();
   search.n_lo = 4.0;
@@ -65,12 +64,9 @@ int main() {
   for (const char* controller :
        {"none", "incremental-steps", "parabola-approximation",
         "golden-section"}) {
-    core::ScenarioConfig scenario = base;
-    scenario.control.name = controller;
-    scenario.control.gs.min_bound = 2.0;
-    scenario.control.gs.max_bound = 300.0;
-    scenario.control.gs.min_bracket = 15.0;
-    const core::ExperimentResult result = core::Experiment(scenario).Run();
+    core::ExperimentSpec spec = base;
+    spec.nodes[0].control.controller = controller;
+    const core::ExperimentResult result = core::Experiment(spec).Run();
     table.AddRow(
         {std::string(controller),
          util::StrFormat("%.1f", result.mean_throughput),

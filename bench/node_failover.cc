@@ -26,10 +26,6 @@
 
 #include "bench/common.h"
 #include "cluster/lifecycle.h"
-#include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
-#include "core/spec.h"
-#include "core/sweep.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -41,70 +37,27 @@ constexpr int kNumNodes = 4;
 constexpr double kCrashTime = 60.0;
 constexpr double kRejoinTime = 110.0;
 
-/// Downscaled node (4 CPUs, 600-granule DB), same calibration as
-/// bench/cluster_routing so the numbers are comparable.
-core::ClusterNodeScenario BenchNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
-  node.system.physical.num_cpus = 4;
-  node.system.physical.cpu_init_mean = 0.001;
-  node.system.physical.cpu_access_mean = 0.001;
-  node.system.physical.cpu_commit_mean = 0.001;
-  node.system.physical.cpu_write_commit_mean = 0.004;
-  node.system.physical.io_time = 0.008;
-  node.system.physical.restart_delay_mean = 0.02;
-  node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
-  node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.measurement_interval = 0.5;
-  node.control.initial_limit = 20.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 200.0;
-  node.control.pa.dither = 5.0;
-  return node;
-}
-
-/// The spec-file scenario, built through the struct API: flash crowd, node
-/// 0 crashing mid-crowd and rejoining fresh.
-core::ClusterScenarioConfig FailoverCluster(uint64_t seed) {
-  core::ClusterScenarioConfig scenario;
-  for (int i = 0; i < kNumNodes; ++i) {
-    scenario.nodes.push_back(BenchNode(core::DecorrelatedNodeSeed(seed, i)));
-  }
-  scenario.seed = seed;
-  scenario.duration = 200.0;
-  scenario.warmup = 20.0;
-  scenario.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 70.0);
-  scenario.routing_name = "join-shortest-queue";
-  cluster::AvailabilitySchedule availability;
+/// The spec-file scenario, built in code on the bench::SmallNode fleet
+/// (the calibration of bench/cluster_routing, so the numbers are
+/// comparable): flash crowd, node 0 crashing mid-crowd and rejoining fresh.
+core::ExperimentSpec FailoverCluster(uint64_t seed) {
+  core::ExperimentSpec spec = bench::Fleet(kNumNodes, bench::SmallNode(), seed);
+  spec.duration = 200.0;
+  spec.warmup = 20.0;
+  spec.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 70.0);
+  spec.routing = "join-shortest-queue";
   std::string error;
   if (!cluster::AvailabilitySchedule::Make(
           cluster::NodeState::kUp,
           {{kCrashTime, cluster::NodeState::kDown},
            {kRejoinTime, cluster::NodeState::kUp}},
-          &availability, &error)) {
+          &spec.nodes[0].availability, &error)) {
     std::fprintf(stderr, "availability: %s\n", error.c_str());
     std::abort();
   }
-  scenario.nodes[0].availability = availability;
-  scenario.nodes[0].rejoin = cluster::RejoinPolicy::kFresh;
-  scenario.retraction.enabled = true;
-  return scenario;
-}
-
-/// Mean aggregate throughput over ticks after `from` (commits/s).
-double ThroughputAfter(const core::ClusterResult& result, double from) {
-  double sum = 0.0;
-  int count = 0;
-  for (const core::TrajectoryPoint& point : result.aggregate) {
-    if (point.time <= from) continue;
-    sum += point.throughput;
-    ++count;
-  }
-  return count > 0 ? sum / count : 0.0;
+  spec.nodes[0].rejoin = cluster::RejoinPolicy::kFresh;
+  spec.retraction.enabled = true;
+  return spec;
 }
 
 }  // namespace
@@ -115,7 +68,7 @@ int main() {
       "retracting a crashed node's queued admissions and re-routing them "
       "through the live membership recovers post-failure throughput");
 
-  core::SweepRunner runner(core::SpecFromCluster(FailoverCluster(42)),
+  core::SweepRunner runner(FailoverCluster(42),
                            {{"retraction", {"false", "true"}}});
   const std::vector<core::SweepPointResult> results =
       runner.Run(bench::SweepThreads(runner.num_points()));
@@ -130,7 +83,8 @@ int main() {
     table.AddRow(
         {retraction ? "displacement + rejoin" : "crash, no retraction",
          util::StrFormat("%.1f/s", result.total_throughput),
-         util::StrFormat("%.1f/s", ThroughputAfter(result, kCrashTime)),
+         util::StrFormat("%.1f/s",
+                         bench::SurgeThroughput(result, kCrashTime, 1e30)),
          util::StrFormat("%llu",
                          static_cast<unsigned long long>(result.commits)),
          util::StrFormat("%llu",
@@ -142,8 +96,10 @@ int main() {
   }
   table.Print(std::cout);
 
-  const double baseline_post = ThroughputAfter(baseline, kCrashTime);
-  const double displaced_post = ThroughputAfter(displaced, kCrashTime);
+  const double baseline_post =
+      bench::SurgeThroughput(baseline, kCrashTime, 1e30);
+  const double displaced_post =
+      bench::SurgeThroughput(displaced, kCrashTime, 1e30);
   std::printf(
       "\nverdict:\n"
       "  post-failure throughput, displacement + rejoin : %.1f commits/s\n"

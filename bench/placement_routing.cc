@@ -34,8 +34,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "placement/catalog.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -50,32 +48,6 @@ constexpr int kNumPartitions = 16;
 // hot-key conflicts stay moderate — the comparison should hinge on data
 // placement economics, not on a 2PL/OCC meltdown.
 constexpr uint32_t kDbSize = 9600;
-
-/// Downscaled node (4 CPUs), same scale as cluster_routing.
-core::ClusterNodeScenario BenchNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
-  node.system.physical.num_cpus = 4;
-  node.system.physical.cpu_init_mean = 0.001;
-  node.system.physical.cpu_access_mean = 0.001;
-  node.system.physical.cpu_commit_mean = 0.001;
-  node.system.physical.cpu_write_commit_mean = 0.004;
-  node.system.physical.io_time = 0.008;
-  node.system.physical.restart_delay_mean = 0.02;
-  node.system.logical.db_size = kDbSize;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
-  node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.name = "parabola-approximation";
-  node.control.measurement_interval = 0.5;
-  node.control.initial_limit = 20.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 200.0;
-  node.control.pa.dither = 5.0;
-  return node;
-}
 
 /// The skewed global workload: 80% of accesses hit the first 1/16 of the
 /// keyspace — exactly partition 0 under the range key map, so the typical
@@ -94,30 +66,29 @@ db::LogicalConfig SkewedWorkload() {
   workload.hotspot_size_fraction = 1.0 / kNumPartitions;
   return workload;
 }
-core::ClusterScenarioConfig BaseCluster(uint64_t seed,
-                                        placement::PlacementKind kind) {
-  core::ClusterScenarioConfig scenario;
-  for (int i = 0; i < kNumNodes; ++i) {
-    scenario.nodes.push_back(BenchNode(core::DecorrelatedNodeSeed(seed, i)));
-  }
-  scenario.seed = seed;
-  scenario.duration = 120.0;
-  scenario.warmup = 20.0;
-  scenario.arrival_rate = db::Schedule::Constant(800.0);
 
-  scenario.placement_enabled = true;
-  scenario.placement.placement.kind = kind;
-  scenario.placement.placement.num_partitions = kNumPartitions;
-  scenario.placement.placement.replication_factor = 3;
-  scenario.placement.workload = SkewedWorkload();
+/// Four bench nodes (see bench::SmallNode) over the skewed keyspace.
+core::ExperimentSpec BaseCluster(uint64_t seed, placement::PlacementKind kind) {
+  core::NodeSpec node = bench::SmallNode();
+  node.system.logical.db_size = kDbSize;
+  core::ExperimentSpec spec = bench::Fleet(kNumNodes, node, seed);
+  spec.duration = 120.0;
+  spec.warmup = 20.0;
+  spec.arrival_rate = db::Schedule::Constant(800.0);
+
+  spec.placement_enabled = true;
+  spec.placement.placement.kind = kind;
+  spec.placement.placement.num_partitions = kNumPartitions;
+  spec.placement.placement.replication_factor = 3;
+  spec.placement.workload = SkewedWorkload();
   // A remote access is an RPC to the granule's home: the executing node
   // pays marshalling CPU and a network round trip on top of the local
   // I/O, and the home node pays serve CPU per request — shipping hot work
   // off the replicas does not relieve the data holders.
-  scenario.remote_access.cpu_penalty = 0.003;
-  scenario.remote_access.latency = 0.016;
-  scenario.remote_access.serve_cpu = 0.004;
-  return scenario;
+  spec.remote_access.cpu_penalty = 0.003;
+  spec.remote_access.latency = 0.016;
+  spec.remote_access.serve_cpu = 0.004;
+  return spec;
 }
 
 struct Cell {
@@ -152,10 +123,9 @@ int main() {
                      "remote frac", "abort ratio", "commits"});
   for (placement::PlacementKind kind : placements) {
     for (const std::string& routing : routings) {
-      core::ClusterScenarioConfig scenario = BaseCluster(seed, kind);
-      scenario.routing_name = routing;
-      const core::ClusterResult result =
-          core::ClusterExperiment(scenario).Run();
+      core::ExperimentSpec spec = BaseCluster(seed, kind);
+      spec.routing = routing;
+      const core::ClusterResult result = core::ClusterExperiment(spec).Run();
       table.AddRow(
           {placement::PlacementKindName(kind),
            routing,

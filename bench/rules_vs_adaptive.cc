@@ -44,23 +44,24 @@ int main() {
   };
 
   for (const Mix& mix : mixes) {
-    core::ScenarioConfig base = bench::PaperScenario();
-    base.system.logical.accesses_per_txn = mix.k;
-    base.system.logical.query_fraction = mix.query_fraction;
-    base.system.logical.write_fraction = mix.write_fraction;
-    base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
-    base.control.fixed_limit = 195.0;  // tuned for the *default* mix
-    base.control.gs.min_bound = 5.0;
-    base.control.gs.max_bound = 750.0;
-    base.control.gs.min_bracket = 60.0;
+    core::ExperimentSpec base = bench::PaperSpec();
+    core::NodeSpec& node = base.nodes[0];
+    node.system.logical.accesses_per_txn = mix.k;
+    node.system.logical.query_fraction = mix.query_fraction;
+    node.system.logical.write_fraction = mix.write_fraction;
+    node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+    // fixed.limit is tuned for the *default* mix.
+    node.control.params.SetDouble("fixed.limit", 195.0);
+    node.control.params.SetDouble("gs.min_bound", 5.0);
+    node.control.params.SetDouble("gs.max_bound", 750.0);
+    node.control.params.SetDouble("gs.min_bracket", 60.0);
 
     core::OptimumFinder finder(base, bench::FastSearch());
     const core::OptimumResult optimum = finder.FindAt(0.0);
     std::printf("\nworkload: %s  (true n_opt=%.0f, peak=%.1f/s)\n", mix.name,
                 optimum.n_opt, optimum.peak_throughput);
 
-    core::SweepRunner runner(core::SpecFromScenario(base),
-                             {{"node.control.controller", controllers}});
+    core::SweepRunner runner(base, {{"node.control.controller", controllers}});
     const std::vector<core::SweepPointResult> results =
         runner.Run(bench::SweepThreads(runner.num_points()));
 

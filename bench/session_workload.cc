@@ -25,9 +25,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "core/cluster_experiment.h"
-#include "core/spec.h"
-#include "core/sweep.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -41,14 +38,7 @@ constexpr double kSurgeEnd = 90.0;
 /// 8-node locality-routed placement fleet driven by the hybrid session
 /// source; the session-opening rate triples during [60s, 90s).
 core::ExperimentSpec SurgeSpec() {
-  core::ExperimentSpec spec;
-  std::string error;
-  const std::string source_dir = ALC_SOURCE_DIR;
-  if (!core::LoadSpecFile(source_dir + "/specs/diurnal_1m.spec", &spec,
-                          &error)) {
-    std::fprintf(stderr, "diurnal_1m.spec: %s\n", error.c_str());
-    std::abort();
-  }
+  core::ExperimentSpec spec = bench::LoadBenchSpec("diurnal_1m.spec");
   // Bench scale: 8 nodes, flash-crowd session rate sized to the smaller
   // fleet (~2x capacity during the surge), 16 partitions.
   const auto overrides = std::vector<std::pair<std::string, std::string>>{
@@ -70,25 +60,9 @@ core::ExperimentSpec SurgeSpec() {
   // seeds are already decorrelated by the spec's count-expansion).
   spec.nodes.resize(8);
   for (const auto& [key, value] : overrides) {
-    if (!core::ApplySpecOverride(&spec, key, value, &error)) {
-      std::fprintf(stderr, "override %s: %s\n", key.c_str(), error.c_str());
-      std::abort();
-    }
+    bench::Override(&spec, key, value);
   }
   return spec;
-}
-
-/// Mean aggregate throughput over ticks in (from, to] (commits/s).
-double ThroughputBetween(const core::ClusterResult& result, double from,
-                         double to) {
-  double sum = 0.0;
-  int count = 0;
-  for (const core::TrajectoryPoint& point : result.aggregate) {
-    if (point.time <= from || point.time > to) continue;
-    sum += point.throughput;
-    ++count;
-  }
-  return count > 0 ? sum / count : 0.0;
 }
 
 }  // namespace
@@ -121,19 +95,20 @@ int main() {
     table.AddRow(
         {is_adaptive ? "adaptive (parabola)" : "fixed gate",
          util::StrFormat("%.1f/s", result.total_throughput),
+         util::StrFormat("%.1f/s", bench::SurgeThroughput(result, kSurgeStart,
+                                                          kSurgeEnd)),
          util::StrFormat("%.1f/s",
-                         ThroughputBetween(result, kSurgeStart, kSurgeEnd)),
-         util::StrFormat("%.1f/s",
-                         ThroughputBetween(result, kSurgeEnd, 1e30)),
+                         bench::SurgeThroughput(result, kSurgeEnd, 1e30)),
          util::StrFormat("%.3fs", result.response_hist.Quantile(0.99)),
          util::StrFormat("%llu",
                          static_cast<unsigned long long>(result.commits))});
   }
   table.Print(std::cout);
 
-  const double fixed_surge = ThroughputBetween(fixed, kSurgeStart, kSurgeEnd);
+  const double fixed_surge =
+      bench::SurgeThroughput(fixed, kSurgeStart, kSurgeEnd);
   const double adaptive_surge =
-      ThroughputBetween(adaptive, kSurgeStart, kSurgeEnd);
+      bench::SurgeThroughput(adaptive, kSurgeStart, kSurgeEnd);
   std::printf(
       "\nverdict:\n"
       "  surge-window throughput, adaptive : %.1f commits/s\n"

@@ -19,29 +19,30 @@ int main() {
       "both algorithms follow gradual changes");
 
   const double period = 300.0;
-  auto make_scenario = [&](const char* controller) {
-    core::ScenarioConfig scenario = bench::PaperScenario();
-    scenario.duration = 900.0;
-    scenario.warmup = 100.0;
+  auto make_spec = [&](const char* controller) {
+    core::ExperimentSpec spec = bench::PaperSpec();
+    spec.duration = 900.0;
+    spec.warmup = 100.0;
     // Query fraction swings 0.30 +/- 0.35 -> optimum swings accordingly.
-    scenario.dynamics.query_fraction =
+    spec.nodes[0].dynamics.query_fraction =
         db::Schedule::Sinusoid(0.5, 0.35, period);
-    scenario.control.name = controller;
-    return scenario;
+    spec.nodes[0].control.controller = controller;
+    return spec;
   };
 
   for (const char* controller :
        {"incremental-steps", "parabola-approximation"}) {
-    core::ScenarioConfig scenario = make_scenario(controller);
-    const core::ExperimentResult result = core::Experiment(scenario).Run();
+    const core::ExperimentSpec spec = make_spec(controller);
+    const db::Schedule& query_fraction = spec.nodes[0].dynamics.query_fraction;
+    const core::ExperimentResult result = core::Experiment(spec).Run();
 
     // Correlate the bound with the query fraction (which raises the
     // optimum): phase-locked tracking shows up as positive correlation.
     double sum_b = 0.0, sum_q = 0.0, sum_bq = 0.0, sum_b2 = 0.0, sum_q2 = 0.0;
     int count = 0;
     for (const core::TrajectoryPoint& point : result.trajectory) {
-      if (point.time < scenario.warmup) continue;
-      const double q = scenario.dynamics.query_fraction.Value(point.time);
+      if (point.time < spec.warmup) continue;
+      const double q = query_fraction.Value(point.time);
       sum_b += point.bound;
       sum_q += q;
       sum_bq += point.bound * q;
@@ -65,8 +66,7 @@ int main() {
       if (point.time < 450.0 || point.time > 750.0) continue;
       if (std::fmod(point.time, 25.0) >= 1.0) continue;
       table.AddRow({util::StrFormat("%.0f", point.time),
-                    util::StrFormat("%.2f", scenario.dynamics.query_fraction
-                                                .Value(point.time)),
+                    util::StrFormat("%.2f", query_fraction.Value(point.time)),
                     util::StrFormat("%.0f", point.bound),
                     util::StrFormat("%.1f", point.throughput)});
     }

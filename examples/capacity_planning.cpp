@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "core/optimum.h"
-#include "core/scenario.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -42,14 +41,14 @@ int main() {
   util::Table table({"workload mix", "recommended MPL limit",
                      "peak throughput", "knee throughput @ 2x limit"});
   for (const Mix& mix : mixes) {
-    core::ScenarioConfig scenario = core::DefaultScenario();
-    scenario.system.logical.accesses_per_txn = mix.k;
-    scenario.system.logical.query_fraction = mix.query_fraction;
-    scenario.system.logical.write_fraction = mix.write_fraction;
-    scenario.dynamics =
-        db::WorkloadDynamics::FromConfig(scenario.system.logical);
+    core::ExperimentSpec spec;
+    core::NodeSpec& node = spec.nodes.emplace_back();
+    node.system.logical.accesses_per_txn = mix.k;
+    node.system.logical.query_fraction = mix.query_fraction;
+    node.system.logical.write_fraction = mix.write_fraction;
+    node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
 
-    core::OptimumFinder finder(scenario, search);
+    core::OptimumFinder finder(spec, search);
     const core::OptimumResult optimum = finder.FindAt(0.0);
 
     // What happens if the limit is set to twice the recommendation.

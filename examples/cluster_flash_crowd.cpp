@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
+#include "core/spec.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -21,32 +21,37 @@ int main() {
 
   // One downscaled node: 4 CPUs, 600-granule database, thrashing knee near
   // n=25, peak ~150 commits/s.
-  core::ScenarioConfig base = core::DefaultScenario();
-  base.system.physical.num_cpus = 4;
-  base.system.physical.cpu_init_mean = 0.001;
-  base.system.physical.cpu_access_mean = 0.001;
-  base.system.physical.cpu_commit_mean = 0.001;
-  base.system.physical.cpu_write_commit_mean = 0.004;
-  base.system.physical.io_time = 0.008;
-  base.system.physical.restart_delay_mean = 0.02;
+  core::NodeSpec base;
+  db::PhysicalConfig& physical = base.system.physical;
+  physical.num_cpus = 4;
+  physical.cpu_init_mean = 0.001;
+  physical.cpu_access_mean = 0.001;
+  physical.cpu_commit_mean = 0.001;
+  physical.cpu_write_commit_mean = 0.004;
+  physical.io_time = 0.008;
+  physical.restart_delay_mean = 0.02;
   base.system.logical.db_size = 600;
   base.system.logical.accesses_per_txn = 8;
   base.system.logical.write_fraction = 0.4;
-  base.system.seed = 42;
   base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
   base.control.measurement_interval = 0.5;
   base.control.initial_limit = 20.0;
-  base.control.pa.initial_bound = 20.0;
-  base.control.pa.min_bound = 2.0;
-  base.control.pa.max_bound = 200.0;
-  base.control.pa.dither = 5.0;
+  util::ParamMap& params = base.control.params;
+  params.SetDouble("pa.initial_bound", 20.0);
+  params.SetDouble("pa.min_bound", 2.0);
+  params.SetDouble("pa.max_bound", 200.0);
+  params.SetDouble("pa.dither", 5.0);
   // The "statically tuned" limit: fine for the normal 320/s, deep in
   // thrashing territory once the crowd arrives.
-  base.control.fixed_limit = 150.0;
-  base.duration = 200.0;
-  base.warmup = 20.0;
+  params.SetDouble("fixed.limit", 150.0);
 
-  core::ClusterScenarioConfig cluster = core::UniformCluster(4, base);
+  // Four copies; the seed override gives each node its own random stream.
+  core::ExperimentSpec cluster;
+  cluster.cluster = true;
+  cluster.nodes.assign(4, base);
+  if (!core::ApplySpecOverride(&cluster, "seed", "42", nullptr)) return 1;
+  cluster.duration = 200.0;
+  cluster.warmup = 20.0;
   cluster.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 60.0, 100.0);
 
   util::Table table({"configuration", "throughput", "p-mean response",
@@ -61,10 +66,10 @@ int main() {
        {Setup{"random + fixed(150)", "random", "fixed"},
         Setup{"jsq + parabola", "join-shortest-queue",
               "parabola-approximation"}}) {
-    core::ClusterScenarioConfig run = cluster;
-    run.routing_name = setup.routing;
-    for (core::ClusterNodeScenario& node : run.nodes) {
-      node.control.name = setup.admission;
+    core::ExperimentSpec run = cluster;
+    run.routing = setup.routing;
+    for (core::NodeSpec& node : run.nodes) {
+      node.control.controller = setup.admission;
     }
     const core::ClusterResult result = core::ClusterExperiment(run).Run();
     if (std::string_view(setup.admission) == "parabola-approximation") {

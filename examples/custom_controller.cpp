@@ -1,7 +1,7 @@
 // Custom controller: the LoadController interface is the extension point,
 // and control::ControllerRegistry is the plug socket — register a factory
 // under a name and the controller becomes selectable everywhere a built-in
-// is: ScenarioConfig, ExperimentSpec, spec files, sweep axes. No core
+// is: ExperimentSpec, spec files, sweep axes. No core
 // edits, no manual monitor/gate wiring.
 //
 // The example controller is TCP-style AIMD on the conflict rate: additive
@@ -54,14 +54,14 @@ class AimdController : public control::LoadController {
 /// Runs the canonical scenario with the named controller through the
 /// standard spec path; returns post-warmup committed throughput.
 core::SpecRunResult RunNamed(const std::string& controller, uint64_t seed) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = seed;
-  scenario.duration = 300.0;
-  scenario.warmup = 60.0;
-
-  core::ExperimentSpec spec = core::SpecFromScenario(scenario);
+  core::ExperimentSpec spec;
   spec.name = "custom-controller-demo";
-  spec.nodes[0].control.controller = controller;
+  spec.seed = seed;
+  spec.duration = 300.0;
+  spec.warmup = 60.0;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.seed = seed;
+  node.control.controller = controller;
   return core::RunSpec(spec);
 }
 

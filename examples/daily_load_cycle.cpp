@@ -11,7 +11,6 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "core/scenario.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
@@ -20,22 +19,24 @@ int main() {
 
   // One "day" compressed into 1440 simulated seconds (1 s per minute).
   const double day = 1440.0;
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.duration = day;
-  scenario.warmup = 120.0;
+  core::ExperimentSpec spec;
+  spec.duration = day;
+  spec.warmup = 120.0;
   // Query fraction peaks at "noon" (t = day/2), bottoms at "midnight".
-  scenario.dynamics.query_fraction =
+  const db::Schedule query_fraction =
       db::Schedule::Sinusoid(0.55, 0.35, day, -M_PI / 2.0);
+  spec.nodes.emplace_back().dynamics.query_fraction = query_fraction;
   // The offered population also swells during business hours.
-  scenario.active_terminals = db::Schedule::Sinusoid(600.0, 250.0, day,
-                                                     -M_PI / 2.0);
+  spec.active_terminals = db::Schedule::Sinusoid(600.0, 250.0, day,
+                                                 -M_PI / 2.0);
 
   util::Table table({"policy", "committed txns", "mean response",
                      "abort ratio"});
   for (const char* controller : {"fixed", "parabola-approximation"}) {
-    core::ScenarioConfig run = scenario;
-    run.control.name = controller;
-    run.control.fixed_limit = 195.0;  // tuned for the night mix
+    core::ExperimentSpec run = spec;
+    run.nodes[0].control.controller = controller;
+    // Tuned for the night mix.
+    run.nodes[0].control.params.SetDouble("fixed.limit", 195.0);
     const core::ExperimentResult result = core::Experiment(run).Run();
     table.AddRow({std::string(controller),
                   util::StrFormat("%llu",
@@ -51,7 +52,7 @@ int main() {
         const int minute = static_cast<int>(point.time);
         if (minute % 120 != 0 || minute == 0) continue;
         std::printf("%8d %12.2f %12.0f %12.1f\n", minute / 60,
-                    scenario.dynamics.query_fraction.Value(point.time),
+                    query_fraction.Value(point.time),
                     point.bound, point.throughput);
       }
       std::printf("\n");

@@ -14,17 +14,16 @@
 #include "core/experiment.h"
 #include "core/export.h"
 #include "core/optimum.h"
-#include "core/scenario.h"
 
 int main() {
   using namespace alc;
 
   // The jump scenario of figures 13/14: the optimum's position moves
   // abruptly at t=333 and t=666 via a query-fraction jump.
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.duration = 1000.0;
-  scenario.warmup = 50.0;
-  scenario.dynamics.query_fraction =
+  core::ExperimentSpec spec;
+  spec.duration = 1000.0;
+  spec.warmup = 50.0;
+  spec.nodes.emplace_back().dynamics.query_fraction =
       db::Schedule::Steps(0.30, {{333.0, 0.85}, {666.0, 0.30}});
 
   std::printf("computing the true-optimum timeline (offline sweeps)...\n");
@@ -33,13 +32,13 @@ int main() {
   search.refine_rounds = 1;
   search.sim_duration = 60.0;
   search.sim_warmup = 15.0;
-  core::OptimumFinder finder(scenario, search);
-  const auto timeline = finder.Timeline(scenario.duration);
+  core::OptimumFinder finder(spec, search);
+  const auto timeline = finder.Timeline(spec.duration);
 
   for (const char* controller :
        {"incremental-steps", "parabola-approximation"}) {
-    core::ScenarioConfig run = scenario;
-    run.control.name = controller;
+    core::ExperimentSpec run = spec;
+    run.nodes[0].control.controller = controller;
     const core::ExperimentResult result = core::Experiment(run).Run();
     const char* path = std::string_view(controller) == "incremental-steps"
                            ? "fig13_is_trajectory.csv"

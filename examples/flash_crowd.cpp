@@ -10,27 +10,27 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "core/scenario.h"
 #include "util/strformat.h"
 #include "util/table.h"
 
 int main() {
   using namespace alc;
 
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.duration = 600.0;
-  scenario.warmup = 60.0;
+  core::ExperimentSpec spec;
+  spec.nodes.emplace_back();
+  spec.duration = 600.0;
+  spec.warmup = 60.0;
   // 250 terminals in normal operation; the crowd arrives at t=240 and
   // leaves at t=480.
-  scenario.active_terminals =
+  spec.active_terminals =
       db::Schedule::Steps(250.0, {{240.0, 850.0}, {480.0, 250.0}});
 
   util::Table table({"policy", "throughput", "p-mean response",
                      "abort ratio", "commits"});
   core::ExperimentResult adaptive_result;
   for (const char* controller : {"none", "parabola-approximation"}) {
-    core::ScenarioConfig run = scenario;
-    run.control.name = controller;
+    core::ExperimentSpec run = spec;
+    run.nodes[0].control.controller = controller;
     const core::ExperimentResult result = core::Experiment(run).Run();
     if (std::string_view(controller) == "parabola-approximation") {
       adaptive_result = result;
@@ -51,7 +51,7 @@ int main() {
     const int t = static_cast<int>(point.time);
     if (t % 30 != 0 || t < 180 || t > 570) continue;
     std::printf("%8d %12.0f %10.0f %12.1f %12.1f\n", t,
-                scenario.active_terminals.Value(point.time), point.bound,
+                spec.active_terminals.Value(point.time), point.bound,
                 point.load, point.throughput);
   }
   std::printf("\nDuring the crowd the gate keeps the *admitted* load near "

@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
+#include "core/spec.h"
 #include "placement/catalog.h"
 #include "util/strformat.h"
 #include "util/table.h"
@@ -31,32 +31,37 @@ int main() {
   constexpr uint32_t kDbSize = 9600;
 
   // One downscaled node: 4 CPUs, thrashing knee near n=25.
-  core::ScenarioConfig base = core::DefaultScenario();
-  base.system.physical.num_cpus = 4;
-  base.system.physical.cpu_init_mean = 0.001;
-  base.system.physical.cpu_access_mean = 0.001;
-  base.system.physical.cpu_commit_mean = 0.001;
-  base.system.physical.cpu_write_commit_mean = 0.004;
-  base.system.physical.io_time = 0.008;
-  base.system.physical.restart_delay_mean = 0.02;
+  core::NodeSpec base;
+  db::PhysicalConfig& physical = base.system.physical;
+  physical.num_cpus = 4;
+  physical.cpu_init_mean = 0.001;
+  physical.cpu_access_mean = 0.001;
+  physical.cpu_commit_mean = 0.001;
+  physical.cpu_write_commit_mean = 0.004;
+  physical.io_time = 0.008;
+  physical.restart_delay_mean = 0.02;
   base.system.logical.db_size = kDbSize;
   base.system.logical.accesses_per_txn = 8;
   base.system.logical.query_fraction = 0.5;
   base.system.logical.write_fraction = 0.1;
-  base.system.seed = 7;
   base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
-  base.control.name = "parabola-approximation";
+  base.control.controller = "parabola-approximation";
   base.control.measurement_interval = 0.5;
   base.control.initial_limit = 20.0;
-  base.control.pa.initial_bound = 20.0;
-  base.control.pa.min_bound = 2.0;
-  base.control.pa.max_bound = 200.0;
-  base.control.pa.dither = 5.0;
-  base.duration = 150.0;
-  base.warmup = 20.0;
+  util::ParamMap& params = base.control.params;
+  params.SetDouble("pa.initial_bound", 20.0);
+  params.SetDouble("pa.min_bound", 2.0);
+  params.SetDouble("pa.max_bound", 200.0);
+  params.SetDouble("pa.dither", 5.0);
 
-  core::ClusterScenarioConfig cluster = core::UniformCluster(kNumNodes, base);
-  cluster.routing_name = "locality-threshold";
+  // Four copies; the seed override gives each node its own random stream.
+  core::ExperimentSpec cluster;
+  cluster.cluster = true;
+  cluster.nodes.assign(kNumNodes, base);
+  if (!core::ApplySpecOverride(&cluster, "seed", "7", nullptr)) return 1;
+  cluster.duration = 150.0;
+  cluster.warmup = 20.0;
+  cluster.routing = "locality-threshold";
   cluster.arrival_rate = db::Schedule::Constant(450.0);
   cluster.placement_enabled = true;
   cluster.placement.placement.kind = placement::PlacementKind::kRange;
@@ -79,7 +84,7 @@ int main() {
   for (const Setup& setup :
        {Setup{"static placement", 0.0, 0},
         Setup{"rebalance every 15s (2 moves)", 15.0, 2}}) {
-    core::ClusterScenarioConfig run = cluster;
+    core::ExperimentSpec run = cluster;
     run.placement.placement.rebalance_interval = setup.rebalance_interval;
     run.placement.placement.rebalance_moves = setup.rebalance_moves;
     const core::ClusterResult result = core::ClusterExperiment(run).Run();

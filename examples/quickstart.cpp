@@ -9,25 +9,25 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "core/scenario.h"
 
 int main() {
   using namespace alc;
 
-  // 1. Describe the experiment. DefaultScenario() is the calibrated
-  //    paper-scale system: 850 terminals, 16 CPUs, 16k-granule database,
-  //    optimistic concurrency control.
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.duration = 300.0;  // simulated seconds
-  scenario.warmup = 60.0;     // excluded from the summary statistics
+  // 1. Describe the experiment: one node. A default NodeSpec is the
+  //    calibrated paper-scale system: 850 terminals, 16 CPUs, 16k-granule
+  //    database, optimistic concurrency control.
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  spec.duration = 300.0;  // simulated seconds
+  spec.warmup = 60.0;     // excluded from the summary statistics
 
   // 2. Pick the load-control policy: the adaptive Parabola Approximation.
-  scenario.control.name = "parabola-approximation";
-  scenario.control.measurement_interval = 1.0;
-  scenario.control.initial_limit = 50.0;  // cold start far from the optimum
+  node.control.controller = "parabola-approximation";
+  node.control.measurement_interval = 1.0;
+  node.control.initial_limit = 50.0;  // cold start far from the optimum
 
-  // 3. Run. Everything is deterministic given scenario.system.seed.
-  core::Experiment experiment(scenario);
+  // 3. Run. Everything is deterministic given node.system.seed.
+  core::Experiment experiment(spec);
   const core::ExperimentResult result = experiment.Run();
 
   // 4. Inspect.

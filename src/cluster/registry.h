@@ -27,8 +27,8 @@ using RoutingPolicyFactory =
 
 /// String-keyed factory registry for routing policies, mirroring
 /// control::ControllerRegistry: built-ins self-register, user code can add
-/// policies by name and select them through ClusterScenarioConfig /
-/// ExperimentSpec with no core edits. Registration must finish before
+/// policies by name and select them through an ExperimentSpec's `routing`
+/// key with no core edits. Registration must finish before
 /// concurrent Make() calls begin (the registry takes no locks).
 class RoutingPolicyRegistry {
  public:

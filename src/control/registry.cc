@@ -34,26 +34,26 @@ constexpr util::ParamType kRecoveryParam{IsRecoveryText,
                                          "hold/gradient/contract/reset"};
 
 /// Every key the built-in factories read, with the type they parse it as.
+/// A sign bound is the check of the controller constructor reading the key;
+/// the min_bound < max_bound orderings are core::ValidateSpec's.
 constexpr util::TypedParam kBuiltinParams[] = {
     {"fixed.limit", util::kDoubleParam},
-    {"tay.threshold", util::kDoubleParam},
+    {"tay.threshold", util::kPositiveDoubleParam},
     {"iyer.target_conflicts", util::kDoubleParam},
-    {"iyer.gain", util::kDoubleParam},
+    {"iyer.gain", util::kPositiveDoubleParam},
     {"iyer.initial_bound", util::kDoubleParam},
-    {"iyer.min_bound", util::kDoubleParam},
+    {"iyer.min_bound", util::kPositiveDoubleParam},
     {"iyer.max_bound", util::kDoubleParam},
-    {"is.beta", util::kDoubleParam},
-    {"is.gamma", util::kDoubleParam},
-    {"is.delta", util::kDoubleParam},
+    {"is.beta", util::kPositiveDoubleParam},
+    {"is.gamma", util::kPositiveDoubleParam},
+    {"is.delta", util::kNonNegativeDoubleParam},
     {"is.initial_bound", util::kDoubleParam},
-    {"is.min_bound", util::kDoubleParam},
+    {"is.min_bound", util::kPositiveDoubleParam},
     {"is.max_bound", util::kDoubleParam},
     {"is.index", kIndexParam},
     {"pa.forgetting", util::kDoubleParam},
     {"pa.initial_covariance", util::kDoubleParam},
     {"pa.initial_bound", util::kDoubleParam},
-    // The ParabolaApproximationController constructor's checks; the
-    // min_bound < max_bound ordering is core::ValidateSpec's.
     {"pa.min_bound", util::kPositiveDoubleParam},
     {"pa.max_bound", util::kPositiveDoubleParam},
     {"pa.dither", util::kNonNegativeDoubleParam},
@@ -65,8 +65,8 @@ constexpr util::TypedParam kBuiltinParams[] = {
     {"pa.index", kIndexParam},
     {"gs.min_bound", util::kDoubleParam},
     {"gs.max_bound", util::kDoubleParam},
-    {"gs.samples_per_probe", util::kIntParam},
-    {"gs.min_bracket", util::kDoubleParam},
+    {"gs.samples_per_probe", util::kPositiveIntParam},
+    {"gs.min_bracket", util::kPositiveDoubleParam},
     {"gs.restart_width_factor", util::kDoubleParam},
     {"gs.index", kIndexParam},
 };

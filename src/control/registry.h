@@ -20,7 +20,7 @@ namespace alc::control {
 /// Everything a controller factory may consume. `params` carries the
 /// string-keyed configuration (canonical keys are namespaced per family:
 /// "pa.dither", "is.beta", "fixed.limit", ...); the remaining fields are
-/// scenario-derived context that cannot be expressed as scalars — the Tay
+/// node-derived context that cannot be expressed as scalars — the Tay
 /// rule needs the declared database size and k(t) schedule.
 struct ControllerContext {
   const util::ParamMap* params = nullptr;  // never null inside a factory
@@ -35,8 +35,8 @@ using ControllerFactory =
 /// (none, fixed, tay-rule, iyer-rule, incremental-steps,
 /// parabola-approximation, golden-section) self-registers; user code — an
 /// example binary, a bench, a test — registers additional policies with
-/// Register() and then runs them through the standard ExperimentSpec /
-/// ScenarioConfig path by name, with no core edits.
+/// Register() and then runs them by name through a node's
+/// `control.controller` in an ExperimentSpec, with no core edits.
 ///
 /// Registration must finish before concurrent Make() calls begin (the sweep
 /// runner constructs controllers from worker threads; the registry itself

@@ -6,6 +6,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/metrics.h"
+#include "cluster/registry.h"
 #include "control/monitor.h"
 #include "control/tuner.h"
 #include "core/introspect.h"
@@ -57,37 +58,55 @@ class ClusterFaultHost : public fault::FaultHost {
   cluster::Cluster* cluster_;
 };
 
+/// The spec's routing policy: one RoutingPolicyRegistry lookup on
+/// `routing` with `routing_params`. Aborts (with the registered names
+/// listed) on an unknown policy name.
+std::unique_ptr<cluster::RoutingPolicy> MakeRoutingPolicy(
+    const ExperimentSpec& spec) {
+  cluster::RoutingPolicyContext context;
+  context.params = &spec.routing_params;
+  context.seed = spec.seed;
+  std::string error;
+  std::unique_ptr<cluster::RoutingPolicy> policy =
+      cluster::RoutingPolicyRegistry::Global().Make(spec.routing, context,
+                                                    &error);
+  if (policy == nullptr) {
+    ALC_LOG(kError, error);
+    ALC_CHECK(policy != nullptr);
+  }
+  return policy;
+}
+
 }  // namespace
 
-ClusterExperiment::ClusterExperiment(const ClusterScenarioConfig& scenario)
-    : scenario_(scenario) {
-  ALC_CHECK(!scenario.nodes.empty());
-  ALC_CHECK_GT(scenario.duration, 0.0);
-  ALC_CHECK_GE(scenario.warmup, 0.0);
-  ALC_CHECK_LT(scenario.warmup, scenario.duration);
+ClusterExperiment::ClusterExperiment(const ExperimentSpec& spec) : spec_(spec) {
+  ALC_CHECK(spec.cluster);
+  ALC_CHECK(!spec.nodes.empty());
+  ALC_CHECK_GT(spec.duration, 0.0);
+  ALC_CHECK_GE(spec.warmup, 0.0);
+  ALC_CHECK_LT(spec.warmup, spec.duration);
   // ClusterMetrics::Aggregate pairs node samples index-wise, which is only
   // meaningful when every monitor ticks on the same grid.
-  for (const ClusterNodeScenario& node : scenario.nodes) {
+  for (const NodeSpec& node : spec.nodes) {
     ALC_CHECK_EQ(node.control.measurement_interval,
-                 scenario.nodes[0].control.measurement_interval);
+                 spec.nodes[0].control.measurement_interval);
   }
 }
 
 ClusterResult ClusterExperiment::Run() {
-  const int num_nodes = static_cast<int>(scenario_.nodes.size());
+  const int num_nodes = static_cast<int>(spec_.nodes.size());
   sim::Simulator simulator;
 
   std::vector<cluster::NodeConfig> node_configs;
   node_configs.reserve(num_nodes);
-  for (const ClusterNodeScenario& node : scenario_.nodes) {
+  for (const NodeSpec& node : spec_.nodes) {
     cluster::NodeConfig config;
     config.system = node.system;
-    if (scenario_.placement_enabled) {
-      config.system.remote = scenario_.remote_access;
+    if (spec_.placement_enabled) {
+      config.system.remote = spec_.remote_access;
       // Nodes must cover the global keyspace the front-end plans against.
-      if (config.system.logical.db_size <
-          scenario_.placement.workload.db_size) {
-        config.system.logical.db_size = scenario_.placement.workload.db_size;
+      if (config.system.logical.db_size < spec_.placement.workload.db_size) {
+        config.system.logical.db_size = spec_.placement.workload.db_size;
       }
     }
     config.dynamics = node.dynamics;
@@ -99,23 +118,22 @@ ClusterResult ClusterExperiment::Run() {
     node_configs.push_back(std::move(config));
   }
 
-  cluster::Cluster cluster(&simulator, node_configs,
-                           MakeScenarioRoutingPolicy(scenario_),
-                           scenario_.seed);
-  cluster.SetArrivalRateSchedule(scenario_.arrival_rate);
-  if (scenario_.placement_enabled) {
-    cluster.EnablePlacement(scenario_.placement);
+  cluster::Cluster cluster(&simulator, node_configs, MakeRoutingPolicy(spec_),
+                           spec_.seed);
+  cluster.SetArrivalRateSchedule(spec_.arrival_rate);
+  if (spec_.placement_enabled) {
+    cluster.EnablePlacement(spec_.placement);
   }
-  cluster.SetRetraction(scenario_.retraction);
-  cluster.SetRetry(scenario_.retry);
-  cluster.SetDegrade(scenario_.degrade);
+  cluster.SetRetraction(spec_.retraction);
+  cluster.SetRetry(spec_.retry);
+  cluster.SetDegrade(spec_.degrade);
   if (audit_ != nullptr) cluster.SetDecisionAudit(audit_);
   if (trace_ != nullptr) cluster.SetTraceRecorder(trace_);
 
   // Elasticity wiring happens before Start(): managed membership flips the
   // availability schedules to ground-truth injection, and the standby pool
   // is the last `standby` node indices (so node 0 is always base fleet).
-  const elasticity::ElasticityConfig& elastic = scenario_.elasticity;
+  const elasticity::ElasticityConfig& elastic = spec_.elasticity;
   if (elastic.enabled) {
     ALC_CHECK_GE(elastic.standby, 0);
     ALC_CHECK_LT(elastic.standby, num_nodes);
@@ -131,13 +149,13 @@ ClusterResult ClusterExperiment::Run() {
   // spec files. The raw pointer stays valid for metric registration below
   // (the cluster owns the source for the run's lifetime).
   workload::WorkloadSourceContext source_context;
-  source_context.spec = &scenario_.workload;
-  source_context.arrival_rate = scenario_.arrival_rate;
-  source_context.seed = scenario_.seed;
+  source_context.spec = &spec_.workload;
+  source_context.arrival_rate = spec_.arrival_rate;
+  source_context.seed = spec_.seed;
   std::string source_error;
   std::unique_ptr<workload::WorkloadSource> source =
       workload::WorkloadRegistry::Global().Make(
-          scenario_.workload.source, source_context, &source_error);
+          spec_.workload.source, source_context, &source_error);
   if (source == nullptr) {
     ALC_LOG(kError, source_error);
     ALC_CHECK(source != nullptr);
@@ -155,8 +173,8 @@ ClusterResult ClusterExperiment::Run() {
   controllers.reserve(num_nodes);
   monitors.reserve(num_nodes);
   for (int i = 0; i < num_nodes; ++i) {
-    const ClusterNodeScenario& node = scenario_.nodes[i];
-    controllers.push_back(MakeNodeController(node));
+    const NodeSpec& node = spec_.nodes[i];
+    controllers.push_back(MakeController(node));
     monitors.push_back(std::make_unique<control::Monitor>(
         &simulator, &cluster.node(i).system(),
         node.control.measurement_interval));
@@ -238,8 +256,8 @@ ClusterResult ClusterExperiment::Run() {
     if ((from == cluster::NodeState::kDown ||
          from == cluster::NodeState::kStandby) &&
         to == cluster::NodeState::kUp &&
-        scenario_.nodes[node].rejoin == cluster::RejoinPolicy::kFresh) {
-      controllers[node] = MakeNodeController(scenario_.nodes[node]);
+        spec_.nodes[node].rejoin == cluster::RejoinPolicy::kFresh) {
+      controllers[node] = MakeController(spec_.nodes[node]);
     }
   });
 
@@ -248,7 +266,7 @@ ClusterResult ClusterExperiment::Run() {
   std::vector<telemetry::LogHistogram> hist_at_warmup(num_nodes);
   std::vector<std::array<telemetry::LogHistogram, telemetry::kNumPhases>>
       phases_at_warmup(num_nodes);
-  simulator.ScheduleAt(scenario_.warmup, [&] {
+  simulator.ScheduleAt(spec_.warmup, [&] {
     for (int i = 0; i < num_nodes; ++i) {
       at_warmup[i] = cluster.node(i).system().metrics().counters;
       hist_at_warmup[i] = cluster.node(i).system().metrics().response_hist;
@@ -272,7 +290,7 @@ ClusterResult ClusterExperiment::Run() {
   std::unique_ptr<elasticity::ElasticityController> elasticity_loop;
   if (elastic.enabled) {
     elasticity_loop = std::make_unique<elasticity::ElasticityController>(
-        &simulator, &cluster, elastic, scenario_.seed, audit_, trace_);
+        &simulator, &cluster, elastic, spec_.seed, audit_, trace_);
     elasticity_loop->RegisterMetrics(&registry);
     elasticity_loop->Start();
   }
@@ -282,10 +300,9 @@ ClusterResult ClusterExperiment::Run() {
   // measured path through the host adapter, nothing else.
   ClusterFaultHost fault_host(&cluster);
   std::unique_ptr<fault::FaultInjector> injector;
-  if (scenario_.fault.enabled) {
+  if (spec_.fault.enabled) {
     injector = std::make_unique<fault::FaultInjector>(
-        &simulator, &fault_host, scenario_.fault, scenario_.seed, audit_,
-        trace_);
+        &simulator, &fault_host, spec_.fault, spec_.seed, audit_, trace_);
     if (elasticity_loop != nullptr) {
       elasticity_loop->SetProbePerturber(injector.get());
     }
@@ -295,12 +312,12 @@ ClusterResult ClusterExperiment::Run() {
 
   cluster.Start();
   for (auto& monitor : monitors) monitor->Start();
-  simulator.RunUntil(scenario_.duration);
+  simulator.RunUntil(spec_.duration);
 
   ClusterResult result;
   result.metrics = registry.Snapshot();
-  result.duration = scenario_.duration;
-  result.warmup = scenario_.warmup;
+  result.duration = spec_.duration;
+  result.warmup = spec_.warmup;
   result.routed = cluster.total_routed();
   result.membership = metrics.membership();
   result.final_epoch = cluster.epoch();
@@ -338,7 +355,7 @@ ClusterResult ClusterExperiment::Run() {
       result.partitions.push_back(partition);
     }
   }
-  const double span = scenario_.duration - scenario_.warmup;
+  const double span = spec_.duration - spec_.warmup;
   double response_sum = 0.0;
   uint64_t total_local = 0;
   uint64_t total_remote = 0;
@@ -401,7 +418,7 @@ ClusterResult ClusterExperiment::Run() {
     double load_sum = 0.0;
     int load_count = 0;
     for (const TrajectoryPoint& point : node.trajectory) {
-      if (point.time >= scenario_.warmup) {
+      if (point.time >= spec_.warmup) {
         load_sum += point.load;
         ++load_count;
       }

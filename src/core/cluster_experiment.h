@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "cluster/metrics.h"
-#include "core/cluster_scenario.h"
 #include "core/experiment.h"
+#include "core/experiment_spec.h"
 #include "telemetry/histogram.h"
 #include "telemetry/trace.h"
 
@@ -140,11 +140,11 @@ struct ClusterResult {
 
 /// Builds the full cluster stack (one simulator, N node systems with gates,
 /// per-node monitor + controller + optional tuner, router, arrival driver)
-/// from a ClusterScenarioConfig, runs it, and returns per-node trajectories
-/// plus aggregate statistics. Deterministic given the config.
+/// from a cluster-mode spec (`cluster` true), runs it, and returns per-node
+/// trajectories plus aggregate statistics. Deterministic given the spec.
 class ClusterExperiment {
  public:
-  explicit ClusterExperiment(const ClusterScenarioConfig& scenario);
+  explicit ClusterExperiment(const ExperimentSpec& spec);
 
   /// Attaches an optional trace recorder for the next Run(): per-node
   /// transaction lifecycle, gate decisions, controller limit changes, and
@@ -161,10 +161,8 @@ class ClusterExperiment {
 
   ClusterResult Run();
 
-  const ClusterScenarioConfig& scenario() const { return scenario_; }
-
  private:
-  ClusterScenarioConfig scenario_;
+  ExperimentSpec spec_;
   telemetry::TraceRecorder* trace_ = nullptr;
   telemetry::DecisionAudit* audit_ = nullptr;
 };

@@ -1,9 +1,12 @@
 #include "core/experiment.h"
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include "control/gate.h"
 #include "control/monitor.h"
+#include "control/registry.h"
 #include "control/tuner.h"
 #include "core/introspect.h"
 #include "db/system.h"
@@ -13,36 +16,57 @@
 
 namespace alc::core {
 
-Experiment::Experiment(const ScenarioConfig& scenario) : scenario_(scenario) {
-  ALC_CHECK_GT(scenario.duration, 0.0);
-  ALC_CHECK_GE(scenario.warmup, 0.0);
-  ALC_CHECK_LT(scenario.warmup, scenario.duration);
+std::unique_ptr<control::LoadController> MakeController(const NodeSpec& node) {
+  control::ControllerContext context;
+  context.params = &node.control.params;
+  context.db_size = static_cast<double>(node.system.logical.db_size);
+  // The Tay rule reads the *declared* workload descriptor k(t).
+  db::Schedule k_schedule = node.dynamics.k;
+  context.k_of_time = [k_schedule](double t) { return k_schedule.Value(t); };
+
+  std::string error;
+  std::unique_ptr<control::LoadController> controller =
+      control::ControllerRegistry::Global().Make(node.control.controller,
+                                                 context, &error);
+  if (controller == nullptr) {
+    std::fprintf(stderr, "MakeController: %s\n", error.c_str());
+    ALC_CHECK(controller != nullptr);
+  }
+  return controller;
+}
+
+Experiment::Experiment(const ExperimentSpec& spec) : spec_(spec) {
+  ALC_CHECK(!spec.cluster);
+  ALC_CHECK_EQ(spec.nodes.size(), 1u);
+  ALC_CHECK_GT(spec.duration, 0.0);
+  ALC_CHECK_GE(spec.warmup, 0.0);
+  ALC_CHECK_LT(spec.warmup, spec.duration);
 }
 
 ExperimentResult Experiment::Run() {
+  const NodeSpec& node = spec_.nodes[0];
   sim::Simulator simulator;
-  db::TransactionSystem system(&simulator, scenario_.system);
-  system.SetWorkloadDynamics(scenario_.dynamics);
-  system.SetActiveTerminalsSchedule(scenario_.active_terminals);
+  db::TransactionSystem system(&simulator, node.system);
+  system.SetWorkloadDynamics(node.dynamics);
+  system.SetActiveTerminalsSchedule(spec_.active_terminals);
   if (trace_ != nullptr) system.SetTraceRecorder(trace_, 0);
 
-  control::AdmissionGate gate(&system, scenario_.control.initial_limit);
-  gate.EnableDisplacement(scenario_.control.displacement);
+  control::AdmissionGate gate(&system, node.control.initial_limit);
+  gate.EnableDisplacement(node.control.displacement);
 
-  std::unique_ptr<control::LoadController> controller =
-      MakeController(scenario_);
+  std::unique_ptr<control::LoadController> controller = MakeController(node);
 
   control::Monitor monitor(&simulator, &system,
-                           scenario_.control.measurement_interval);
+                           node.control.measurement_interval);
   std::unique_ptr<control::OuterTuner> tuner;
-  if (scenario_.control.outer_tuner) {
+  if (node.control.outer_tuner) {
     tuner = std::make_unique<control::OuterTuner>(
         &monitor, control::OuterTuner::Config{});
   }
 
   ExperimentResult result;
-  result.duration = scenario_.duration;
-  result.warmup = scenario_.warmup;
+  result.duration = spec_.duration;
+  result.warmup = spec_.warmup;
 
   DecisionProbe probe(audit_, trace_);
   monitor.SetCallback([&](const control::Sample& sample) {
@@ -77,7 +101,7 @@ ExperimentResult Experiment::Run() {
   db::Counters at_warmup;
   telemetry::LogHistogram hist_at_warmup;
   std::array<telemetry::LogHistogram, telemetry::kNumPhases> phases_at_warmup;
-  simulator.ScheduleAt(scenario_.warmup, [&] {
+  simulator.ScheduleAt(spec_.warmup, [&] {
     at_warmup = system.metrics().counters;
     hist_at_warmup = system.metrics().response_hist;
     phases_at_warmup = system.metrics().phase_hists;
@@ -90,7 +114,7 @@ ExperimentResult Experiment::Run() {
 
   system.Start();
   monitor.Start();
-  simulator.RunUntil(scenario_.duration);
+  simulator.RunUntil(spec_.duration);
 
   result.metrics = registry.Snapshot();
   const db::Counters& final = system.metrics().counters;
@@ -103,7 +127,7 @@ ExperimentResult Experiment::Run() {
     result.phase_hists[static_cast<size_t>(i)].Subtract(
         phases_at_warmup[static_cast<size_t>(i)]);
   }
-  const double span = scenario_.duration - scenario_.warmup;
+  const double span = spec_.duration - spec_.warmup;
   const uint64_t commits = final.commits - at_warmup.commits;
   const uint64_t aborts = final.total_aborts() - at_warmup.total_aborts();
   result.commits = commits;
@@ -128,7 +152,7 @@ ExperimentResult Experiment::Run() {
   int load_count = 0;
   sim::BatchMeans throughput_batches(10);
   for (const TrajectoryPoint& point : result.trajectory) {
-    if (point.time >= scenario_.warmup) {
+    if (point.time >= spec_.warmup) {
       load_sum += point.load;
       ++load_count;
       throughput_batches.Add(point.throughput);
@@ -139,35 +163,34 @@ ExperimentResult Experiment::Run() {
   return result;
 }
 
-ScenarioConfig FrozenAt(const ScenarioConfig& base, double freeze_time) {
-  ScenarioConfig frozen = base;
-  frozen.dynamics.k =
-      db::Schedule::Constant(base.dynamics.k.Value(freeze_time));
-  frozen.dynamics.query_fraction =
-      db::Schedule::Constant(base.dynamics.query_fraction.Value(freeze_time));
-  frozen.dynamics.write_fraction =
-      db::Schedule::Constant(base.dynamics.write_fraction.Value(freeze_time));
+ExperimentSpec FrozenAt(const ExperimentSpec& base, double freeze_time) {
+  ExperimentSpec frozen = base;
+  db::WorkloadDynamics& dynamics = frozen.nodes[0].dynamics;
+  dynamics.k = db::Schedule::Constant(dynamics.k.Value(freeze_time));
+  dynamics.query_fraction =
+      db::Schedule::Constant(dynamics.query_fraction.Value(freeze_time));
+  dynamics.write_fraction =
+      db::Schedule::Constant(dynamics.write_fraction.Value(freeze_time));
   frozen.active_terminals =
       db::Schedule::Constant(base.active_terminals.Value(freeze_time));
   return frozen;
 }
 
-double StationaryThroughput(const ScenarioConfig& base, double fixed_limit,
+double StationaryThroughput(const ExperimentSpec& base, double fixed_limit,
                             double freeze_time, double duration,
                             double warmup, uint64_t seed) {
-  ScenarioConfig scenario = FrozenAt(base, freeze_time);
-  // ForceController also clears params overrides a spec-derived base may
-  // carry; a lingering "fixed.limit" param would shadow the probe limit.
-  scenario.control.ForceController("fixed");
-  scenario.control.fixed_limit = fixed_limit;
-  scenario.control.initial_limit = fixed_limit;
-  scenario.control.displacement = false;
-  scenario.control.outer_tuner = false;
-  scenario.duration = duration;
-  scenario.warmup = warmup;
-  scenario.system.seed = seed;
-  Experiment experiment(scenario);
-  return experiment.Run().mean_throughput;
+  ExperimentSpec spec = FrozenAt(base, freeze_time);
+  NodeSpec& node = spec.nodes[0];
+  node.control.controller = "fixed";
+  node.control.params = util::ParamMap();
+  node.control.params.SetDouble("fixed.limit", fixed_limit);
+  node.control.initial_limit = fixed_limit;
+  node.control.displacement = false;
+  node.control.outer_tuner = false;
+  node.system.seed = seed;
+  spec.duration = duration;
+  spec.warmup = warmup;
+  return Experiment(spec).Run().mean_throughput;
 }
 
 }  // namespace alc::core

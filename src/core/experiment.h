@@ -2,9 +2,11 @@
 #define ALC_CORE_EXPERIMENT_H_
 
 #include <array>
+#include <memory>
 #include <vector>
 
-#include "core/scenario.h"
+#include "control/controller.h"
+#include "core/experiment_spec.h"
 #include "db/metrics.h"
 #include "telemetry/audit.h"
 #include "telemetry/histogram.h"
@@ -61,7 +63,7 @@ struct ExperimentResult {
   /// warmup snapshot): any quantile of the run is one lookup away.
   telemetry::LogHistogram response_hist;
   /// Post-warmup per-phase wall-clock distributions, indexed by
-  /// telemetry::Phase. Empty when the scenario disabled per-phase
+  /// telemetry::Phase. Empty when the spec disabled per-phase
   /// recording (telemetry.per_phase = false).
   std::array<telemetry::LogHistogram, telemetry::kNumPhases> phase_hists;
 
@@ -72,11 +74,12 @@ struct ExperimentResult {
 };
 
 /// Builds the full stack (simulator, transaction system, gate, monitor,
-/// controller, optional tuner) from a ScenarioConfig, runs it, and returns
-/// the trajectory plus summary statistics. Deterministic given the config.
+/// controller, optional tuner) from a single-node spec (`cluster` false,
+/// one node), runs it, and returns the trajectory plus summary statistics.
+/// Deterministic given the spec.
 class Experiment {
  public:
-  explicit Experiment(const ScenarioConfig& scenario);
+  explicit Experiment(const ExperimentSpec& spec);
 
   /// Attaches an optional trace recorder for the next Run(): transaction
   /// lifecycle, gate decisions, and controller limit changes are emitted
@@ -93,23 +96,29 @@ class Experiment {
 
   ExperimentResult Run();
 
-  const ScenarioConfig& scenario() const { return scenario_; }
-
  private:
-  ScenarioConfig scenario_;
+  ExperimentSpec spec_;
   telemetry::TraceRecorder* trace_ = nullptr;
   telemetry::DecisionAudit* audit_ = nullptr;
 };
 
-/// Convenience: stationary throughput under a fixed admission limit with
-/// all schedules frozen at their value at `freeze_time`. The workhorse of
-/// the figure-12 sweep and the true-optimum search.
-double StationaryThroughput(const ScenarioConfig& base, double fixed_limit,
+/// Builds a node's admission controller: one ControllerRegistry lookup on
+/// `control.controller` with `control.params`. The Tay rule also reads the
+/// node's declared database size and k(t) schedule. Aborts (with the
+/// registered names listed) on an unknown controller name.
+std::unique_ptr<control::LoadController> MakeController(const NodeSpec& node);
+
+/// Convenience: stationary throughput of a single-node spec under a fixed
+/// admission limit with all schedules frozen at their value at
+/// `freeze_time`. The workhorse of the figure-12 sweep and the
+/// true-optimum search.
+double StationaryThroughput(const ExperimentSpec& base, double fixed_limit,
                             double freeze_time, double duration,
                             double warmup, uint64_t seed);
 
-/// Freezes all dynamic schedules of `base` at time `freeze_time`.
-ScenarioConfig FrozenAt(const ScenarioConfig& base, double freeze_time);
+/// Freezes the dynamic schedules of a single-node spec (its node's workload
+/// dynamics and the terminal population) at time `freeze_time`.
+ExperimentSpec FrozenAt(const ExperimentSpec& base, double freeze_time);
 
 }  // namespace alc::core
 

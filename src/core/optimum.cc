@@ -8,7 +8,7 @@
 
 namespace alc::core {
 
-OptimumFinder::OptimumFinder(const ScenarioConfig& base,
+OptimumFinder::OptimumFinder(const ExperimentSpec& base,
                              const OptimumSearchConfig& search)
     : base_(base), search_(search) {
   ALC_CHECK_GT(search.n_hi, search.n_lo);
@@ -64,7 +64,7 @@ OptimumResult OptimumFinder::FindAt(double freeze_time) {
 }
 
 std::vector<OptimumRegime> OptimumFinder::Timeline(double horizon) {
-  std::vector<double> changes = base_.dynamics.ChangePoints();
+  std::vector<double> changes = base_.nodes[0].dynamics.ChangePoints();
   auto terminal_changes = base_.active_terminals.ChangePoints();
   changes.insert(changes.end(), terminal_changes.begin(),
                  terminal_changes.end());

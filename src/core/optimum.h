@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/scenario.h"
+#include "core/experiment_spec.h"
 
 namespace alc::core {
 
@@ -42,7 +42,8 @@ struct OptimumRegime {
 /// evaluating the online controllers, not part of them.
 class OptimumFinder {
  public:
-  OptimumFinder(const ScenarioConfig& base, const OptimumSearchConfig& search);
+  /// `base` is a single-node spec.
+  OptimumFinder(const ExperimentSpec& base, const OptimumSearchConfig& search);
 
   /// Optimum with all schedules frozen at `freeze_time`.
   OptimumResult FindAt(double freeze_time);
@@ -53,7 +54,7 @@ class OptimumFinder {
  private:
   double Evaluate(double fixed_limit, double freeze_time);
 
-  ScenarioConfig base_;
+  ExperimentSpec base_;
   OptimumSearchConfig search_;
 };
 

@@ -564,8 +564,10 @@ using Heartbeat = elasticity::HeartbeatConfig;
 using Logical = db::LogicalConfig;
 using Physical = db::PhysicalConfig;
 using Partitions = placement::PlacementConfig;
+using Placement = cluster::PlacementSpec;
 using Remote = db::RemoteAccessConfig;
 using Spec = ExperimentSpec;
+using Retraction = cluster::RetractionConfig;
 using Retry = cluster::RetryConfig;
 using System = db::SystemConfig;
 using Workload = workload::WorkloadSpec;
@@ -602,6 +604,15 @@ struct SpecTables {
       Leaf<&Dynamics::write_fraction>("write_fraction"),
   };
 
+  /// Mounted under "retraction", so the keys are "retraction",
+  /// "retraction_queue_factor" and "retraction_interval".
+  const Table<Retraction> retraction_fields = {
+      Leaf<&Retraction::enabled>("", nullptr, kRetraction),
+      Leaf<&Retraction::queue_factor>("_queue_factor", NonNegative,
+                                      kRetraction),
+      Leaf<&Retraction::check_interval>("_interval", Positive),
+  };
+
   const Table<Retry> retry_fields = {
       Leaf<&Retry::enabled>("enabled"),
       Leaf<&Retry::budget>("budget", NonNegative),
@@ -633,10 +644,7 @@ struct SpecTables {
       // Empty disables tracing / the decision audit (and round-trips).
       Leaf<&Spec::trace_path>("trace"),
       Leaf<&Spec::decisions_path>("decisions"),
-      Leaf<&Spec::retraction>("retraction", nullptr, kRetraction),
-      Leaf<&Spec::retraction_queue_factor>("retraction_queue_factor",
-                                           NonNegative, kRetraction),
-      Leaf<&Spec::retraction_interval>("retraction_interval", Positive),
+      Mount<&Spec::retraction>("retraction", retraction_fields),
       Mount<&Spec::retry>("retry.", retry_fields, kRobustness),
       Mount<&Spec::degrade>("degrade.", degrade_fields, kRobustness),
   };
@@ -662,11 +670,15 @@ struct SpecTables {
       Leaf<&Partitions::rebalance_moves>("rebalance_moves"),
   };
 
+  const Table<Placement> placement_spec_fields = {
+      Mount<&Placement::placement>("", partition_fields),
+      Mount<&Placement::workload>("workload.", logical_fields),
+      Mount<&Placement::dynamics>("dynamics.", dynamics_fields),
+  };
+
   const Table<Spec> placement_fields = {
       Leaf<&Spec::placement_enabled>("enabled"),
-      Mount<&Spec::placement>("", partition_fields),
-      Mount<&Spec::placement_workload>("workload.", logical_fields),
-      Mount<&Spec::placement_dynamics>("dynamics.", dynamics_fields),
+      Mount<&Spec::placement>("", placement_spec_fields),
       Mount<&Spec::remote_access>("remote.", remote_fields),
   };
 
@@ -785,33 +797,6 @@ const SpecTables& Tables() {
   return *tables;
 }
 
-// ------------------------------------------------------ control bridging --
-
-ControlConfig ToControlConfig(const ControlSpec& spec) {
-  ControlConfig control;
-  control.name = spec.controller;
-  control.params = spec.params;
-  control.measurement_interval = spec.measurement_interval;
-  control.initial_limit = spec.initial_limit;
-  control.displacement = spec.displacement;
-  control.outer_tuner = spec.outer_tuner;
-  return control;
-}
-
-ControlSpec FromControlConfig(const ControlConfig& control) {
-  ControlSpec spec;
-  spec.controller = control.resolved_name();
-  // Embed the typed structs as canonical params; explicit params win, which
-  // mirrors the MakeController merge order exactly.
-  spec.params = ControlStructParams(control);
-  spec.params.Merge(control.params);
-  spec.measurement_interval = control.measurement_interval;
-  spec.initial_limit = control.initial_limit;
-  spec.displacement = control.displacement;
-  spec.outer_tuner = control.outer_tuner;
-  return spec;
-}
-
 }  // namespace
 
 bool ControlSpec::operator==(const ControlSpec& other) const {
@@ -857,6 +842,16 @@ std::string RunWindowError(const ExperimentSpec& spec) {
          ") must be < duration (" + util::FormatDouble(spec.duration) + ")";
 }
 
+/// Empty when a controller's min_bound < max_bound, else the message
+/// (following "node <i>").
+template <typename Config>
+std::string BoundOrderError(const std::string& family, const Config& config) {
+  if (config.min_bound < config.max_bound) return std::string();
+  return " control." + family + ".min_bound (" +
+         util::FormatDouble(config.min_bound) + ") must be < control." +
+         family + ".max_bound (" + util::FormatDouble(config.max_bound) + ")";
+}
+
 /// ValidateSpec's rules apart from the run window.
 bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
   auto fail = [error](const std::string& message) {
@@ -864,7 +859,7 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
     return false;
   };
   // Mode/fleet-shape validation here, with a message, rather than as a
-  // CHECK abort inside ToScenario/ToClusterScenario.
+  // CHECK abort inside the Experiment/ClusterExperiment constructors.
   if (spec.nodes.empty()) return fail("spec declares no [node] section");
   if (!spec.cluster && spec.nodes.size() != 1) {
     return fail("single-node mode (cluster = false) requires exactly one "
@@ -878,7 +873,7 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
     const std::pair<bool, std::string> fleet_features[] = {
         {!spec.nodes[0].availability.always_up(),
          "node availability schedules require"},
-        {spec.retraction || spec.retraction_queue_factor > 0.0,
+        {spec.retraction.enabled || spec.retraction.queue_factor > 0.0,
          "retraction requires"},
         {spec.workload.source != "open",
          "workload source '" + spec.workload.source + "' requires"},
@@ -914,22 +909,34 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
     }
   }
   for (size_t i = 0; i < spec.nodes.size(); ++i) {
-    // The PA controller's bound ordering (its constructor checks it); the
-    // per-key param check covers each bound's sign.
-    const ControlSpec& control = spec.nodes[i].control;
-    if (control.controller != "parabola-approximation") continue;
-    const control::PaConfig pa = control::PaFromParams(control.params);
-    if (!(pa.min_bound < pa.max_bound)) {
-      return fail("node " + std::to_string(i) + " control.pa.min_bound (" +
-                  util::FormatDouble(pa.min_bound) +
-                  ") must be < control.pa.max_bound (" +
-                  util::FormatDouble(pa.max_bound) + ")");
+    // What the node's controller constructor checks beyond each param's
+    // sign (the per-key param check): the bound ordering, and for the Tay
+    // rule the declared k(t) its Update divides by.
+    const NodeSpec& node = spec.nodes[i];
+    const std::string& controller = node.control.controller;
+    const util::ParamMap& params = node.control.params;
+    std::string problem;
+    if (controller == "parabola-approximation") {
+      problem = BoundOrderError("pa", control::PaFromParams(params));
+    } else if (controller == "incremental-steps") {
+      problem = BoundOrderError("is", control::IsFromParams(params));
+    } else if (controller == "golden-section") {
+      problem = BoundOrderError("gs", control::GsFromParams(params));
+    } else if (controller == "iyer-rule") {
+      problem = BoundOrderError("iyer", control::IyerFromParams(params));
+    } else if (controller == "tay-rule") {
+      const double k_min = node.dynamics.k.Range(spec.duration).first;
+      if (k_min <= 0.0) {
+        problem = " dynamics.k reaches " + util::FormatDouble(k_min) +
+                  " within the run; the tay-rule needs k > 0";
+      }
     }
+    if (!problem.empty()) return fail("node " + std::to_string(i) + problem);
   }
   if (spec.cluster && spec.placement_enabled) {
     // The partition catalog's shape.
-    const placement::PlacementConfig& placement = spec.placement;
-    const uint32_t db_size = spec.placement_workload.db_size;
+    const placement::PlacementConfig& placement = spec.placement.placement;
+    const uint32_t db_size = spec.placement.workload.db_size;
     if (db_size < static_cast<uint32_t>(placement.num_partitions)) {
       return fail("placement num_partitions (" +
                   std::to_string(placement.num_partitions) +
@@ -951,7 +958,7 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
         spec.nodes[0].control.measurement_interval) {
       problem = " control.measurement_interval must equal node 0's";
     } else if (spec.placement_enabled &&
-               node.system.logical.db_size < spec.placement_workload.db_size) {
+               node.system.logical.db_size < spec.placement.workload.db_size) {
       problem = " logical.db_size must be >= placement workload.db_size";
     }
     if (problem != nullptr) return fail("node " + std::to_string(i) + problem);
@@ -1243,107 +1250,28 @@ bool ApplySpecOverride(ExperimentSpec* spec, const std::string& key,
   return true;
 }
 
-ExperimentSpec SpecFromScenario(const ScenarioConfig& scenario) {
-  ExperimentSpec spec;
-  spec.cluster = false;
-  spec.seed = scenario.system.seed;
-  spec.duration = scenario.duration;
-  spec.warmup = scenario.warmup;
-  spec.active_terminals = scenario.active_terminals;
-  NodeSpec node;
-  node.system = scenario.system;
-  node.dynamics = scenario.dynamics;
-  node.control = FromControlConfig(scenario.control);
-  spec.nodes.push_back(std::move(node));
-  return spec;
+uint64_t DecorrelatedNodeSeed(uint64_t base, int node_index) {
+  // splitmix64 finalizer over a strided input: scrambles the additive
+  // structure so no arithmetic relation survives between node seeds.
+  uint64_t z = base + (static_cast<uint64_t>(node_index) + 1) *
+                          0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
-ExperimentSpec SpecFromCluster(const ClusterScenarioConfig& scenario) {
-  ExperimentSpec spec;
-  spec.cluster = true;
-  spec.seed = scenario.seed;
-  spec.duration = scenario.duration;
-  spec.warmup = scenario.warmup;
-  spec.routing = scenario.resolved_routing_name();
-  cluster::AppendThresholdParams(scenario.threshold, &spec.routing_params);
-  cluster::AppendPowerOfDParams(scenario.power_of_d, &spec.routing_params);
-  spec.routing_params.Merge(scenario.routing_params);
-  spec.arrival_rate = scenario.arrival_rate;
-  spec.workload = scenario.workload;
-  spec.retraction = scenario.retraction.enabled;
-  spec.retraction_queue_factor = scenario.retraction.queue_factor;
-  spec.retraction_interval = scenario.retraction.check_interval;
-  spec.retry = scenario.retry;
-  spec.degrade = scenario.degrade;
-  spec.fault = scenario.fault;
-  spec.placement_enabled = scenario.placement_enabled;
-  spec.placement = scenario.placement.placement;
-  spec.placement_workload = scenario.placement.workload;
-  spec.placement_dynamics = scenario.placement.dynamics;
-  spec.remote_access = scenario.remote_access;
-  spec.elasticity = scenario.elasticity;
-  spec.nodes.reserve(scenario.nodes.size());
-  for (const ClusterNodeScenario& node : scenario.nodes) {
-    NodeSpec node_spec;
-    node_spec.system = node.system;
-    node_spec.dynamics = node.dynamics;
-    node_spec.control = FromControlConfig(node.control);
-    node_spec.cpu_speed = node.cpu_speed;
-    node_spec.availability = node.availability;
-    node_spec.rejoin = node.rejoin;
-    spec.nodes.push_back(std::move(node_spec));
-  }
-  return spec;
+db::Schedule FlashCrowdSchedule(double base_rate, double crowd_rate,
+                                double start, double end) {
+  ALC_CHECK_LT(start, end);
+  return db::Schedule::Steps(base_rate,
+                             {{start, crowd_rate}, {end, base_rate}});
 }
 
-ScenarioConfig ToScenario(const ExperimentSpec& spec) {
-  ALC_CHECK(!spec.cluster);
-  ALC_CHECK_EQ(spec.nodes.size(), 1u);
-  ScenarioConfig scenario;
-  scenario.system = spec.nodes[0].system;
-  scenario.dynamics = spec.nodes[0].dynamics;
-  scenario.active_terminals = spec.active_terminals;
-  scenario.control = ToControlConfig(spec.nodes[0].control);
-  scenario.duration = spec.duration;
-  scenario.warmup = spec.warmup;
-  return scenario;
-}
-
-ClusterScenarioConfig ToClusterScenario(const ExperimentSpec& spec) {
-  ALC_CHECK(spec.cluster);
-  ALC_CHECK(!spec.nodes.empty());
-  ClusterScenarioConfig scenario;
-  scenario.routing_name = spec.routing;
-  scenario.routing_params = spec.routing_params;
-  scenario.arrival_rate = spec.arrival_rate;
-  scenario.workload = spec.workload;
-  scenario.retraction.enabled = spec.retraction;
-  scenario.retraction.queue_factor = spec.retraction_queue_factor;
-  scenario.retraction.check_interval = spec.retraction_interval;
-  scenario.retry = spec.retry;
-  scenario.degrade = spec.degrade;
-  scenario.fault = spec.fault;
-  scenario.placement_enabled = spec.placement_enabled;
-  scenario.placement.placement = spec.placement;
-  scenario.placement.workload = spec.placement_workload;
-  scenario.placement.dynamics = spec.placement_dynamics;
-  scenario.remote_access = spec.remote_access;
-  scenario.elasticity = spec.elasticity;
-  scenario.seed = spec.seed;
-  scenario.duration = spec.duration;
-  scenario.warmup = spec.warmup;
-  scenario.nodes.reserve(spec.nodes.size());
-  for (const NodeSpec& node : spec.nodes) {
-    ClusterNodeScenario node_scenario;
-    node_scenario.system = node.system;
-    node_scenario.dynamics = node.dynamics;
-    node_scenario.control = ToControlConfig(node.control);
-    node_scenario.cpu_speed = node.cpu_speed;
-    node_scenario.availability = node.availability;
-    node_scenario.rejoin = node.rejoin;
-    scenario.nodes.push_back(std::move(node_scenario));
-  }
-  return scenario;
+db::Schedule NodeSlowdownSchedule(double degraded_speed, double start,
+                                  double end) {
+  ALC_CHECK_LT(start, end);
+  ALC_CHECK_GT(degraded_speed, 0.0);
+  return db::Schedule::Steps(1.0, {{start, degraded_speed}, {end, 1.0}});
 }
 
 SpecRunResult RunSpec(const ExperimentSpec& spec) {
@@ -1363,12 +1291,12 @@ SpecRunResult RunSpec(const ExperimentSpec& spec) {
     audit = std::make_unique<telemetry::DecisionAudit>();
   }
   if (spec.cluster) {
-    ClusterExperiment experiment(ToClusterScenario(spec));
+    ClusterExperiment experiment(spec);
     if (trace) experiment.SetTraceRecorder(trace.get());
     if (audit) experiment.SetDecisionAudit(audit.get());
     result.cluster_result = experiment.Run();
   } else {
-    Experiment experiment(ToScenario(spec));
+    Experiment experiment(spec);
     if (trace) experiment.SetTraceRecorder(trace.get());
     if (audit) experiment.SetDecisionAudit(audit.get());
     result.single = experiment.Run();

@@ -105,6 +105,11 @@ bool IsNonNegativeIntText(const std::string& text) {
   return ParseInt(text, &parsed) && parsed >= 0 && parsed <= INT_MAX;
 }
 
+bool IsPositiveIntText(const std::string& text) {
+  long long parsed = 0;
+  return ParseInt(text, &parsed) && parsed >= 1 && parsed <= INT_MAX;
+}
+
 bool CheckTypedParam(const TypedParam* params, size_t count, const char* what,
                      const std::string& key, const std::string& value,
                      std::string* error) {

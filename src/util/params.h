@@ -35,6 +35,7 @@ bool IsIntText(const std::string& text);
 bool IsPositiveDoubleText(const std::string& text);
 bool IsNonNegativeDoubleText(const std::string& text);
 bool IsNonNegativeIntText(const std::string& text);
+bool IsPositiveIntText(const std::string& text);
 inline constexpr ParamType kDoubleParam{IsDoubleText, "a number"};
 inline constexpr ParamType kIntParam{IsIntText, "an integer"};
 inline constexpr ParamType kPositiveDoubleParam{IsPositiveDoubleText,
@@ -43,6 +44,8 @@ inline constexpr ParamType kNonNegativeDoubleParam{IsNonNegativeDoubleText,
                                                    "a number >= 0"};
 inline constexpr ParamType kNonNegativeIntParam{IsNonNegativeIntText,
                                                 "an integer >= 0"};
+inline constexpr ParamType kPositiveIntParam{IsPositiveIntText,
+                                             "an integer >= 1"};
 
 /// One key a built-in policy factory reads, with the form it parses.
 struct TypedParam {

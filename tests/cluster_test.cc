@@ -6,7 +6,7 @@
 #include "cluster/metrics.h"
 #include "cluster/router.h"
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
+#include "core/spec.h"
 
 namespace alc {
 namespace {
@@ -141,9 +141,9 @@ TEST(RoutingPolicyTest, ThresholdDecaysWhenLoadLeaves) {
 // -------------------------------------------------------------- experiment --
 
 /// Downscaled node so cluster tests stay fast (mirrors the experiment-test
-/// SmallScenario).
-core::ClusterNodeScenario SmallNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
+/// SmallSpec).
+core::NodeSpec SmallNode(uint64_t seed) {
+  core::NodeSpec node;
   node.system.physical.num_cpus = 4;
   node.system.physical.cpu_init_mean = 0.001;
   node.system.physical.cpu_access_mean = 0.001;
@@ -157,32 +157,33 @@ core::ClusterNodeScenario SmallNode(uint64_t seed) {
   node.system.logical.write_fraction = 0.4;
   node.system.seed = seed;
   node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.name = "parabola-approximation";
+  node.control.controller = "parabola-approximation";
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 150.0;
-  node.control.pa.dither = 5.0;
+  node.control.params.SetDouble("pa.initial_bound", 20.0);
+  node.control.params.SetDouble("pa.min_bound", 2.0);
+  node.control.params.SetDouble("pa.max_bound", 150.0);
+  node.control.params.SetDouble("pa.dither", 5.0);
   return node;
 }
 
-core::ClusterScenarioConfig SmallCluster(int num_nodes, uint64_t seed = 17) {
-  core::ClusterScenarioConfig scenario;
+core::ExperimentSpec SmallCluster(int num_nodes, uint64_t seed = 17) {
+  core::ExperimentSpec spec;
+  spec.cluster = true;
   for (int i = 0; i < num_nodes; ++i) {
-    scenario.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
+    spec.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
   }
-  scenario.seed = seed;
-  scenario.arrival_rate = db::Schedule::Constant(80.0 * num_nodes);
-  scenario.duration = 40.0;
-  scenario.warmup = 10.0;
-  return scenario;
+  spec.seed = seed;
+  spec.arrival_rate = db::Schedule::Constant(80.0 * num_nodes);
+  spec.duration = 40.0;
+  spec.warmup = 10.0;
+  return spec;
 }
 
 TEST(ClusterExperimentTest, RunsAndCommitsOnEveryNode) {
-  core::ClusterScenarioConfig scenario = SmallCluster(4);
-  scenario.routing_name = "join-shortest-queue";
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = SmallCluster(4);
+  spec.routing = "join-shortest-queue";
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   ASSERT_EQ(result.nodes.size(), 4u);
   EXPECT_GT(result.routed, 0u);
   uint64_t routed_sum = 0;
@@ -205,11 +206,11 @@ TEST(ClusterExperimentTest, EveryRoutingPolicyRuns) {
   for (const char* routing :
        {"round-robin", "random", "join-shortest-queue", "threshold",
         "power-of-d", "locality", "locality-threshold"}) {
-    core::ClusterScenarioConfig scenario = SmallCluster(3);
-    scenario.duration = 20.0;
-    scenario.warmup = 5.0;
-    scenario.routing_name = routing;
-    const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+    core::ExperimentSpec spec = SmallCluster(3);
+    spec.duration = 20.0;
+    spec.warmup = 5.0;
+    spec.routing = routing;
+    const core::ClusterResult result = core::ClusterExperiment(spec).Run();
     EXPECT_GT(result.commits, 0u) << routing;
   }
 }
@@ -218,15 +219,15 @@ TEST(ClusterExperimentTest, EveryControllerComposesWithRouting) {
   for (const char* controller :
        {"none", "fixed", "incremental-steps", "parabola-approximation",
         "golden-section"}) {
-    core::ClusterScenarioConfig scenario = SmallCluster(2);
-    scenario.duration = 20.0;
-    scenario.warmup = 5.0;
-    scenario.routing_name = "threshold";
-    for (core::ClusterNodeScenario& node : scenario.nodes) {
-      node.control.name = controller;
-      node.control.fixed_limit = 20.0;
+    core::ExperimentSpec spec = SmallCluster(2);
+    spec.duration = 20.0;
+    spec.warmup = 5.0;
+    spec.routing = "threshold";
+    for (core::NodeSpec& node : spec.nodes) {
+      node.control.controller = controller;
+      node.control.params.SetDouble("fixed.limit", 20.0);
     }
-    const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+    const core::ClusterResult result = core::ClusterExperiment(spec).Run();
     EXPECT_GT(result.commits, 0u) << controller;
   }
 }
@@ -238,10 +239,10 @@ void ExpectPointsBitIdentical(const core::TrajectoryPoint& a,
 }
 
 TEST(ClusterExperimentTest, FourNodeRunIsBitDeterministic) {
-  core::ClusterScenarioConfig scenario = SmallCluster(4, 23);
-  scenario.routing_name = "join-shortest-queue";
-  const core::ClusterResult a = core::ClusterExperiment(scenario).Run();
-  const core::ClusterResult b = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = SmallCluster(4, 23);
+  spec.routing = "join-shortest-queue";
+  const core::ClusterResult a = core::ClusterExperiment(spec).Run();
+  const core::ClusterResult b = core::ClusterExperiment(spec).Run();
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   EXPECT_EQ(a.commits, b.commits);
   EXPECT_EQ(a.routed, b.routed);
@@ -261,8 +262,8 @@ TEST(ClusterExperimentTest, FourNodeRunIsBitDeterministic) {
 }
 
 TEST(ClusterExperimentTest, SeedChangesOutcome) {
-  core::ClusterScenarioConfig a = SmallCluster(2, 1);
-  core::ClusterScenarioConfig b = SmallCluster(2, 2);
+  core::ExperimentSpec a = SmallCluster(2, 1);
+  core::ExperimentSpec b = SmallCluster(2, 2);
   a.duration = b.duration = 20.0;
   a.warmup = b.warmup = 5.0;
   EXPECT_NE(core::ClusterExperiment(a).Run().commits,
@@ -270,25 +271,25 @@ TEST(ClusterExperimentTest, SeedChangesOutcome) {
 }
 
 TEST(ClusterExperimentTest, JsqShiftsLoadAwayFromDegradedNode) {
-  core::ClusterScenarioConfig scenario = SmallCluster(2, 31);
-  scenario.routing_name = "join-shortest-queue";
+  core::ExperimentSpec spec = SmallCluster(2, 31);
+  spec.routing = "join-shortest-queue";
   // Node 0 loses 70% of its CPU speed for the whole run.
-  scenario.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.3, 0.0, 1e9);
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  spec.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.3, 0.0, 1e9);
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   // The router observes the backlog on the slow node and sends the bulk of
   // the work to the healthy one.
   EXPECT_GT(result.nodes[1].routed, result.nodes[0].routed);
 }
 
 TEST(ClusterExperimentTest, HeterogeneousNodesAllowed) {
-  core::ClusterScenarioConfig scenario = SmallCluster(3, 41);
-  scenario.duration = 20.0;
-  scenario.warmup = 5.0;
-  scenario.routing_name = "join-shortest-queue";
-  scenario.nodes[0].system.physical.num_cpus = 8;   // big node
-  scenario.nodes[1].system.logical.db_size = 300;   // contended node
-  scenario.nodes[2].system.cc = db::CcScheme::kTwoPhaseLocking;
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = SmallCluster(3, 41);
+  spec.duration = 20.0;
+  spec.warmup = 5.0;
+  spec.routing = "join-shortest-queue";
+  spec.nodes[0].system.physical.num_cpus = 8;   // big node
+  spec.nodes[1].system.logical.db_size = 300;   // contended node
+  spec.nodes[2].system.cc = db::CcScheme::kTwoPhaseLocking;
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   for (const core::ClusterNodeResult& node : result.nodes) {
     EXPECT_GT(node.commits, 0u);
   }
@@ -330,22 +331,23 @@ TEST(ClusterMetricsTest, AggregateTruncatesToShortestSeries) {
   EXPECT_EQ(metrics.Aggregate().size(), 1u);
 }
 
-TEST(UniformClusterTest, DecorrelatesNodeSeeds) {
-  core::ScenarioConfig base = core::DefaultScenario();
-  base.system.seed = 99;
-  const core::ClusterScenarioConfig scenario = core::UniformCluster(4, base);
-  ASSERT_EQ(scenario.nodes.size(), 4u);
-  for (size_t i = 0; i < scenario.nodes.size(); ++i) {
-    for (size_t j = i + 1; j < scenario.nodes.size(); ++j) {
-      EXPECT_NE(scenario.nodes[i].system.seed, scenario.nodes[j].system.seed);
+TEST(ClusterSeedTest, SeedOverrideDecorrelatesNodeSeeds) {
+  core::ExperimentSpec spec;
+  spec.cluster = true;
+  spec.nodes.resize(4);
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "seed", "99", nullptr));
+  ASSERT_EQ(spec.nodes.size(), 4u);
+  for (size_t i = 0; i < spec.nodes.size(); ++i) {
+    for (size_t j = i + 1; j < spec.nodes.size(); ++j) {
+      EXPECT_NE(spec.nodes[i].system.seed, spec.nodes[j].system.seed);
     }
   }
   // Node seeds must not form an arithmetic progression: the system derives
   // its internal streams by adding fixed offsets to its seed, so a constant
   // stride would alias one node's stream onto a neighbor's.
-  EXPECT_NE(scenario.nodes[1].system.seed - scenario.nodes[0].system.seed,
-            scenario.nodes[2].system.seed - scenario.nodes[1].system.seed);
-  EXPECT_EQ(scenario.seed, 99u);
+  EXPECT_NE(spec.nodes[1].system.seed - spec.nodes[0].system.seed,
+            spec.nodes[2].system.seed - spec.nodes[1].system.seed);
+  EXPECT_EQ(spec.seed, 99u);
 }
 
 }  // namespace

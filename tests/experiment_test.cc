@@ -5,42 +5,42 @@
 #include "core/experiment.h"
 #include "core/optimum.h"
 #include "core/report.h"
-#include "core/scenario.h"
 
 namespace alc::core {
 namespace {
 
 /// Downscaled system so core-layer tests stay fast.
-ScenarioConfig SmallScenario(uint64_t seed = 5) {
-  ScenarioConfig scenario;
-  scenario.system.physical.num_terminals = 120;
-  scenario.system.physical.think_time_mean = 0.3;
-  scenario.system.physical.num_cpus = 4;
-  scenario.system.physical.cpu_init_mean = 0.001;
-  scenario.system.physical.cpu_access_mean = 0.001;
-  scenario.system.physical.cpu_commit_mean = 0.001;
-  scenario.system.physical.cpu_write_commit_mean = 0.004;
-  scenario.system.physical.io_time = 0.008;
-  scenario.system.physical.restart_delay_mean = 0.02;
-  scenario.system.logical.db_size = 600;
-  scenario.system.logical.accesses_per_txn = 8;
-  scenario.system.logical.query_fraction = 0.3;
-  scenario.system.logical.write_fraction = 0.4;
-  scenario.system.seed = seed;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(120);
-  scenario.duration = 60.0;
-  scenario.warmup = 10.0;
-  scenario.control.measurement_interval = 0.5;
-  scenario.control.initial_limit = 20.0;
-  return scenario;
+ExperimentSpec SmallSpec(uint64_t seed = 5) {
+  ExperimentSpec spec;
+  NodeSpec& node = spec.nodes.emplace_back();
+  node.system.physical.num_terminals = 120;
+  node.system.physical.think_time_mean = 0.3;
+  node.system.physical.num_cpus = 4;
+  node.system.physical.cpu_init_mean = 0.001;
+  node.system.physical.cpu_access_mean = 0.001;
+  node.system.physical.cpu_commit_mean = 0.001;
+  node.system.physical.cpu_write_commit_mean = 0.004;
+  node.system.physical.io_time = 0.008;
+  node.system.physical.restart_delay_mean = 0.02;
+  node.system.logical.db_size = 600;
+  node.system.logical.accesses_per_txn = 8;
+  node.system.logical.query_fraction = 0.3;
+  node.system.logical.write_fraction = 0.4;
+  node.system.seed = seed;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(120);
+  spec.duration = 60.0;
+  spec.warmup = 10.0;
+  node.control.measurement_interval = 0.5;
+  node.control.initial_limit = 20.0;
+  return spec;
 }
 
 TEST(ExperimentTest, ProducesTrajectoryAndSummary) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 30.0;
-  Experiment experiment(scenario);
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].control.controller = "fixed";
+  spec.nodes[0].control.params.SetDouble("fixed.limit", 30.0);
+  Experiment experiment(spec);
   const ExperimentResult result = experiment.Run();
   EXPECT_EQ(result.trajectory.size(), 120u);  // 60s / 0.5s
   EXPECT_GT(result.mean_throughput, 10.0);
@@ -53,10 +53,10 @@ TEST(ExperimentTest, ProducesTrajectoryAndSummary) {
 }
 
 TEST(ExperimentTest, DeterministicAcrossRuns) {
-  ScenarioConfig scenario = SmallScenario(11);
-  scenario.control.name = "parabola-approximation";
-  const ExperimentResult a = Experiment(scenario).Run();
-  const ExperimentResult b = Experiment(scenario).Run();
+  ExperimentSpec spec = SmallSpec(11);
+  spec.nodes[0].control.controller = "parabola-approximation";
+  const ExperimentResult a = Experiment(spec).Run();
+  const ExperimentResult b = Experiment(spec).Run();
   ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
   EXPECT_EQ(a.commits, b.commits);
   EXPECT_DOUBLE_EQ(a.mean_throughput, b.mean_throughput);
@@ -69,10 +69,10 @@ TEST(ExperimentTest, TrajectoriesBitIdenticalAcrossRuns) {
   // Stronger than DeterministicAcrossRuns: every field of every trajectory
   // point must be bit-identical, the contract the cluster determinism test
   // (tests/cluster_test.cc) also enforces.
-  ScenarioConfig scenario = SmallScenario(13);
-  scenario.control.name = "incremental-steps";
-  const ExperimentResult a = Experiment(scenario).Run();
-  const ExperimentResult b = Experiment(scenario).Run();
+  ExperimentSpec spec = SmallSpec(13);
+  spec.nodes[0].control.controller = "incremental-steps";
+  const ExperimentResult a = Experiment(spec).Run();
+  const ExperimentResult b = Experiment(spec).Run();
   ASSERT_EQ(a.trajectory.size(), b.trajectory.size());
   for (size_t i = 0; i < a.trajectory.size(); ++i) {
     EXPECT_EQ(
@@ -83,9 +83,9 @@ TEST(ExperimentTest, TrajectoriesBitIdenticalAcrossRuns) {
 }
 
 TEST(ExperimentTest, SeedChangesOutcome) {
-  ScenarioConfig a = SmallScenario(1);
-  ScenarioConfig b = SmallScenario(2);
-  a.control.name = b.control.name = "fixed";
+  ExperimentSpec a = SmallSpec(1);
+  ExperimentSpec b = SmallSpec(2);
+  a.nodes[0].control.controller = b.nodes[0].control.controller = "fixed";
   EXPECT_NE(Experiment(a).Run().commits, Experiment(b).Run().commits);
 }
 
@@ -93,35 +93,35 @@ TEST(ExperimentTest, EveryBuiltInControllerRuns) {
   for (const char* controller :
        {"none", "fixed", "tay-rule", "iyer-rule", "incremental-steps",
         "parabola-approximation"}) {
-    ScenarioConfig scenario = SmallScenario();
-    scenario.duration = 20.0;
-    scenario.warmup = 5.0;
-    scenario.control.name = controller;
-    const ExperimentResult result = Experiment(scenario).Run();
+    ExperimentSpec spec = SmallSpec();
+    spec.duration = 20.0;
+    spec.warmup = 5.0;
+    spec.nodes[0].control.controller = controller;
+    const ExperimentResult result = Experiment(spec).Run();
     EXPECT_GT(result.commits, 0u) << controller;
   }
 }
 
 TEST(ExperimentTest, DisplacementRunsAndDisplaces) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.control.name = "incremental-steps";
-  scenario.control.displacement = true;
-  scenario.control.is.initial_bound = 40.0;
-  scenario.control.is.beta = 3.0;
-  scenario.control.is.gamma = 8.0;
-  const ExperimentResult result = Experiment(scenario).Run();
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].control.controller = "incremental-steps";
+  spec.nodes[0].control.displacement = true;
+  spec.nodes[0].control.params.SetDouble("is.initial_bound", 40.0);
+  spec.nodes[0].control.params.SetDouble("is.beta", 3.0);
+  spec.nodes[0].control.params.SetDouble("is.gamma", 8.0);
+  const ExperimentResult result = Experiment(spec).Run();
   EXPECT_GT(result.commits, 0u);
   // A hill-climbing controller moving the bound down displaces sometimes.
   EXPECT_GT(result.final_counters.aborts_displacement, 0u);
 }
 
 TEST(ExperimentTest, OuterTunerAdjustsInterval) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 30.0;
-  scenario.control.outer_tuner = true;
-  scenario.control.measurement_interval = 0.25;
-  const ExperimentResult result = Experiment(scenario).Run();
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].control.controller = "fixed";
+  spec.nodes[0].control.params.SetDouble("fixed.limit", 30.0);
+  spec.nodes[0].control.outer_tuner = true;
+  spec.nodes[0].control.measurement_interval = 0.25;
+  const ExperimentResult result = Experiment(spec).Run();
   // With tuning enabled the tick spacing changes over the run, so the
   // trajectory is not uniformly sampled at 0.25s any more.
   ASSERT_GE(result.trajectory.size(), 3u);
@@ -137,35 +137,36 @@ TEST(ExperimentTest, OuterTunerAdjustsInterval) {
 }
 
 TEST(ExperimentTest, FrozenAtSnapshotsSchedules) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.dynamics.k = db::Schedule::Steps(8.0, {{20.0, 4.0}});
-  scenario.dynamics.query_fraction = db::Schedule::Sinusoid(0.5, 0.4, 100.0);
-  const ScenarioConfig early = FrozenAt(scenario, 0.0);
-  const ScenarioConfig late = FrozenAt(scenario, 25.0);  // sinusoid crest
-  EXPECT_TRUE(early.dynamics.k.is_constant());
-  EXPECT_DOUBLE_EQ(early.dynamics.k.Value(999.0), 8.0);
-  EXPECT_DOUBLE_EQ(late.dynamics.k.Value(0.0), 4.0);
-  EXPECT_NE(early.dynamics.query_fraction.Value(0.0),
-            late.dynamics.query_fraction.Value(0.0));
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].dynamics.k = db::Schedule::Steps(8.0, {{20.0, 4.0}});
+  spec.nodes[0].dynamics.query_fraction =
+      db::Schedule::Sinusoid(0.5, 0.4, 100.0);
+  const ExperimentSpec early = FrozenAt(spec, 0.0);
+  const ExperimentSpec late = FrozenAt(spec, 25.0);  // sinusoid crest
+  EXPECT_TRUE(early.nodes[0].dynamics.k.is_constant());
+  EXPECT_DOUBLE_EQ(early.nodes[0].dynamics.k.Value(999.0), 8.0);
+  EXPECT_DOUBLE_EQ(late.nodes[0].dynamics.k.Value(0.0), 4.0);
+  EXPECT_NE(early.nodes[0].dynamics.query_fraction.Value(0.0),
+            late.nodes[0].dynamics.query_fraction.Value(0.0));
 }
 
 TEST(ExperimentTest, StationaryThroughputIsUnimodalish) {
   // Low limits and very high limits must both underperform the middle.
-  ScenarioConfig scenario = SmallScenario();
-  scenario.system.logical.db_size = 150;  // strong contention
-  scenario.system.logical.write_fraction = 0.6;
-  const double low = StationaryThroughput(scenario, 2.0, 0.0, 40.0, 10.0, 9);
-  const double mid = StationaryThroughput(scenario, 25.0, 0.0, 40.0, 10.0, 9);
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].system.logical.db_size = 150;  // strong contention
+  spec.nodes[0].system.logical.write_fraction = 0.6;
+  const double low = StationaryThroughput(spec, 2.0, 0.0, 40.0, 10.0, 9);
+  const double mid = StationaryThroughput(spec, 25.0, 0.0, 40.0, 10.0, 9);
   const double high =
-      StationaryThroughput(scenario, 120.0, 0.0, 40.0, 10.0, 9);
+      StationaryThroughput(spec, 120.0, 0.0, 40.0, 10.0, 9);
   EXPECT_GT(mid, low);
   EXPECT_GT(mid, high);
 }
 
 TEST(OptimumFinderTest, FindsKnownOptimumRegion) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.system.logical.db_size = 150;
-  scenario.system.logical.write_fraction = 0.6;
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].system.logical.db_size = 150;
+  spec.nodes[0].system.logical.write_fraction = 0.6;
   OptimumSearchConfig search;
   search.n_lo = 2.0;
   search.n_hi = 120.0;
@@ -174,7 +175,7 @@ TEST(OptimumFinderTest, FindsKnownOptimumRegion) {
   search.refine_points = 5;
   search.sim_duration = 30.0;
   search.sim_warmup = 8.0;
-  OptimumResult result = OptimumFinder(scenario, search).FindAt(0.0);
+  OptimumResult result = OptimumFinder(spec, search).FindAt(0.0);
   EXPECT_GT(result.n_opt, 5.0);
   EXPECT_LT(result.n_opt, 90.0);
   EXPECT_GT(result.peak_throughput, 0.0);
@@ -186,10 +187,10 @@ TEST(OptimumFinderTest, FindsKnownOptimumRegion) {
 }
 
 TEST(OptimumFinderTest, TimelineSplitsAtChangePoints) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.system.logical.db_size = 150;
-  scenario.system.logical.write_fraction = 0.6;
-  scenario.dynamics.k = db::Schedule::Steps(8.0, {{30.0, 4.0}});
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].system.logical.db_size = 150;
+  spec.nodes[0].system.logical.write_fraction = 0.6;
+  spec.nodes[0].dynamics.k = db::Schedule::Steps(8.0, {{30.0, 4.0}});
   OptimumSearchConfig search;
   search.n_lo = 2.0;
   search.n_hi = 120.0;
@@ -197,7 +198,7 @@ TEST(OptimumFinderTest, TimelineSplitsAtChangePoints) {
   search.refine_rounds = 0;
   search.sim_duration = 20.0;
   search.sim_warmup = 5.0;
-  const auto timeline = OptimumFinder(scenario, search).Timeline(60.0);
+  const auto timeline = OptimumFinder(spec, search).Timeline(60.0);
   ASSERT_EQ(timeline.size(), 2u);
   EXPECT_DOUBLE_EQ(timeline[0].start_time, 0.0);
   EXPECT_DOUBLE_EQ(timeline[1].start_time, 30.0);
@@ -206,8 +207,8 @@ TEST(OptimumFinderTest, TimelineSplitsAtChangePoints) {
 }
 
 TEST(OptimumFinderTest, ChangePointsBeyondHorizonIgnored) {
-  ScenarioConfig scenario = SmallScenario();
-  scenario.dynamics.k = db::Schedule::Steps(8.0, {{500.0, 4.0}});
+  ExperimentSpec spec = SmallSpec();
+  spec.nodes[0].dynamics.k = db::Schedule::Steps(8.0, {{500.0, 4.0}});
   OptimumSearchConfig search;
   search.coarse_points = 3;
   search.refine_rounds = 0;
@@ -215,7 +216,7 @@ TEST(OptimumFinderTest, ChangePointsBeyondHorizonIgnored) {
   search.sim_warmup = 2.0;
   search.n_lo = 5.0;
   search.n_hi = 50.0;
-  const auto timeline = OptimumFinder(scenario, search).Timeline(100.0);
+  const auto timeline = OptimumFinder(spec, search).Timeline(100.0);
   EXPECT_EQ(timeline.size(), 1u);
 }
 

@@ -12,7 +12,6 @@
 #include "control/golden_section.h"
 #include "core/experiment.h"
 #include "core/export.h"
-#include "core/scenario.h"
 #include "db/system.h"
 #include "sim/simulator.h"
 
@@ -176,23 +175,24 @@ TEST(GoldenSectionTest, RestartRecoversFromRegimeChange) {
 }
 
 TEST(GoldenSectionTest, WorksInsideExperiment) {
-  core::ScenarioConfig scenario;
-  scenario.system.physical.num_terminals = 80;
-  scenario.system.physical.think_time_mean = 0.2;
-  scenario.system.physical.num_cpus = 4;
-  scenario.system.physical.cpu_access_mean = 0.001;
-  scenario.system.physical.io_time = 0.006;
-  scenario.system.logical.db_size = 300;
-  scenario.system.logical.accesses_per_txn = 6;
-  scenario.system.seed = 5;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(80);
-  scenario.duration = 40.0;
-  scenario.warmup = 10.0;
-  scenario.control.name = "golden-section";
-  scenario.control.gs.min_bound = 2.0;
-  scenario.control.gs.max_bound = 80.0;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.physical.num_terminals = 80;
+  node.system.physical.think_time_mean = 0.2;
+  node.system.physical.num_cpus = 4;
+  node.system.physical.cpu_access_mean = 0.001;
+  node.system.physical.io_time = 0.006;
+  node.system.logical.db_size = 300;
+  node.system.logical.accesses_per_txn = 6;
+  node.system.seed = 5;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(80);
+  spec.duration = 40.0;
+  spec.warmup = 10.0;
+  node.control.controller = "golden-section";
+  node.control.params.SetDouble("gs.min_bound", 2.0);
+  node.control.params.SetDouble("gs.max_bound", 80.0);
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   EXPECT_GT(result.commits, 500u);
   for (const core::TrajectoryPoint& point : result.trajectory) {
     EXPECT_GE(point.bound, 2.0);

@@ -9,7 +9,6 @@
 #include "core/experiment.h"
 #include "core/optimum.h"
 #include "core/report.h"
-#include "core/scenario.h"
 #include "db/system.h"
 #include "sim/simulator.h"
 
@@ -17,69 +16,70 @@ namespace alc::core {
 namespace {
 
 /// A scaled-down contention-bound system with a clear interior optimum.
-ScenarioConfig MidScenario(uint64_t seed = 21) {
-  ScenarioConfig scenario;
-  scenario.system.physical.num_terminals = 200;
-  scenario.system.physical.think_time_mean = 0.4;
-  scenario.system.physical.num_cpus = 6;
-  scenario.system.physical.cpu_init_mean = 0.0008;
-  scenario.system.physical.cpu_access_mean = 0.0008;
-  scenario.system.physical.cpu_commit_mean = 0.001;
-  scenario.system.physical.cpu_write_commit_mean = 0.006;
-  scenario.system.physical.io_time = 0.012;
-  scenario.system.physical.restart_delay_mean = 0.02;
-  scenario.system.logical.db_size = 2000;
-  scenario.system.logical.accesses_per_txn = 10;
-  scenario.system.logical.query_fraction = 0.3;
-  scenario.system.logical.write_fraction = 0.4;
-  scenario.system.seed = seed;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(200);
-  scenario.duration = 120.0;
-  scenario.warmup = 30.0;
-  scenario.control.measurement_interval = 1.0;
-  scenario.control.initial_limit = 20.0;
-  scenario.control.is.min_bound = 4.0;
-  scenario.control.is.max_bound = 200.0;
-  scenario.control.is.initial_bound = 20.0;
-  scenario.control.is.beta = 0.5;
-  scenario.control.is.gamma = 4.0;
-  scenario.control.is.delta = 12.0;
-  scenario.control.pa.min_bound = 4.0;
-  scenario.control.pa.max_bound = 200.0;
-  scenario.control.pa.initial_bound = 20.0;
-  scenario.control.pa.dither = 5.0;
-  return scenario;
+ExperimentSpec MidSpec(uint64_t seed = 21) {
+  ExperimentSpec spec;
+  NodeSpec& node = spec.nodes.emplace_back();
+  node.system.physical.num_terminals = 200;
+  node.system.physical.think_time_mean = 0.4;
+  node.system.physical.num_cpus = 6;
+  node.system.physical.cpu_init_mean = 0.0008;
+  node.system.physical.cpu_access_mean = 0.0008;
+  node.system.physical.cpu_commit_mean = 0.001;
+  node.system.physical.cpu_write_commit_mean = 0.006;
+  node.system.physical.io_time = 0.012;
+  node.system.physical.restart_delay_mean = 0.02;
+  node.system.logical.db_size = 2000;
+  node.system.logical.accesses_per_txn = 10;
+  node.system.logical.query_fraction = 0.3;
+  node.system.logical.write_fraction = 0.4;
+  node.system.seed = seed;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(200);
+  spec.duration = 120.0;
+  spec.warmup = 30.0;
+  node.control.measurement_interval = 1.0;
+  node.control.initial_limit = 20.0;
+  node.control.params.SetDouble("is.min_bound", 4.0);
+  node.control.params.SetDouble("is.max_bound", 200.0);
+  node.control.params.SetDouble("is.initial_bound", 20.0);
+  node.control.params.SetDouble("is.beta", 0.5);
+  node.control.params.SetDouble("is.gamma", 4.0);
+  node.control.params.SetDouble("is.delta", 12.0);
+  node.control.params.SetDouble("pa.min_bound", 4.0);
+  node.control.params.SetDouble("pa.max_bound", 200.0);
+  node.control.params.SetDouble("pa.initial_bound", 20.0);
+  node.control.params.SetDouble("pa.dither", 5.0);
+  return spec;
 }
 
-double RunWith(const char* controller, ScenarioConfig scenario) {
-  scenario.control.name = controller;
-  return Experiment(scenario).Run().mean_throughput;
+double RunWith(const char* controller, ExperimentSpec spec) {
+  spec.nodes[0].control.controller = controller;
+  return Experiment(spec).Run().mean_throughput;
 }
 
 TEST(IntegrationTest, ThrashingExistsWithoutControl) {
   // Figure 1 / figure 12 premise: a moderate fixed bound beats letting the
   // full population in.
-  ScenarioConfig scenario = MidScenario();
-  scenario.control.fixed_limit = 40.0;
-  const double bounded = RunWith("fixed", scenario);
-  const double unbounded = RunWith("none", scenario);
+  ExperimentSpec spec = MidSpec();
+  spec.nodes[0].control.params.SetDouble("fixed.limit", 40.0);
+  const double bounded = RunWith("fixed", spec);
+  const double unbounded = RunWith("none", spec);
   EXPECT_GT(bounded, unbounded * 1.3)
       << "bounded=" << bounded << " unbounded=" << unbounded;
 }
 
 TEST(IntegrationTest, AdaptiveControllersPreventThrashing) {
-  const ScenarioConfig scenario = MidScenario();
-  const double none = RunWith("none", scenario);
-  const double pa = RunWith("parabola-approximation", scenario);
-  const double is = RunWith("incremental-steps", scenario);
+  const ExperimentSpec spec = MidSpec();
+  const double none = RunWith("none", spec);
+  const double pa = RunWith("parabola-approximation", spec);
+  const double is = RunWith("incremental-steps", spec);
   EXPECT_GT(pa, none * 1.2) << "pa=" << pa << " none=" << none;
   EXPECT_GT(is, none * 1.2) << "is=" << is << " none=" << none;
 }
 
 TEST(IntegrationTest, AdaptiveNearStationaryOptimum) {
   // Figure 12's claim: with control the system operates near the optimum.
-  ScenarioConfig scenario = MidScenario();
+  ExperimentSpec spec = MidSpec();
   OptimumSearchConfig search;
   search.n_lo = 5.0;
   search.n_hi = 150.0;
@@ -87,9 +87,9 @@ TEST(IntegrationTest, AdaptiveNearStationaryOptimum) {
   search.refine_rounds = 1;
   search.sim_duration = 40.0;
   search.sim_warmup = 10.0;
-  const OptimumResult optimum = OptimumFinder(scenario, search).FindAt(0.0);
+  const OptimumResult optimum = OptimumFinder(spec, search).FindAt(0.0);
   ASSERT_GT(optimum.peak_throughput, 0.0);
-  const double pa = RunWith("parabola-approximation", scenario);
+  const double pa = RunWith("parabola-approximation", spec);
   EXPECT_GT(pa, 0.80 * optimum.peak_throughput)
       << "pa=" << pa << " peak=" << optimum.peak_throughput;
 }
@@ -97,16 +97,16 @@ TEST(IntegrationTest, AdaptiveNearStationaryOptimum) {
 TEST(IntegrationTest, ControllersFollowJumpOfOptimum) {
   // Figures 13/14: the optimum's position jumps; both controllers must
   // leave the old operating point and re-settle near the new one.
-  ScenarioConfig scenario = MidScenario();
-  scenario.duration = 300.0;
-  scenario.warmup = 30.0;
+  ExperimentSpec spec = MidSpec();
+  spec.duration = 300.0;
+  spec.warmup = 30.0;
   // Keep both regimes contention-bound (interior optimum) so a gradient
   // signal exists on both sides of the jump.
-  scenario.system.logical.db_size = 800;
-  scenario.control.is.max_bound = 150.0;
-  scenario.control.pa.max_bound = 150.0;
+  spec.nodes[0].system.logical.db_size = 800;
+  spec.nodes[0].control.params.SetDouble("is.max_bound", 150.0);
+  spec.nodes[0].control.params.SetDouble("pa.max_bound", 150.0);
   // Write-fraction jump moves the resource bottleneck and with it n_opt.
-  scenario.dynamics.write_fraction =
+  spec.nodes[0].dynamics.write_fraction =
       db::Schedule::Steps(0.5, {{120.0, 0.15}});
 
   OptimumSearchConfig search;
@@ -116,7 +116,7 @@ TEST(IntegrationTest, ControllersFollowJumpOfOptimum) {
   search.refine_rounds = 1;
   search.sim_duration = 40.0;
   search.sim_warmup = 10.0;
-  const auto timeline = OptimumFinder(scenario, search).Timeline(300.0);
+  const auto timeline = OptimumFinder(spec, search).Timeline(300.0);
   ASSERT_EQ(timeline.size(), 2u);
   EXPECT_GT(timeline[1].n_opt, timeline[0].n_opt * 1.3)
       << "the jump must move the optimum substantially";
@@ -132,9 +132,9 @@ TEST(IntegrationTest, ControllersFollowJumpOfOptimum) {
   for (const Expectation& expect :
        {Expectation{"incremental-steps", 1.10},
         Expectation{"parabola-approximation", 1.25}}) {
-    ScenarioConfig run_scenario = scenario;
-    run_scenario.control.name = expect.controller;
-    const ExperimentResult result = Experiment(run_scenario).Run();
+    ExperimentSpec run = spec;
+    run.nodes[0].control.controller = expect.controller;
+    const ExperimentResult result = Experiment(run).Run();
 
     double before = 0.0, after = 0.0;
     int n_before = 0, n_after = 0;
@@ -161,15 +161,15 @@ TEST(IntegrationTest, ControllersFollowJumpOfOptimum) {
 
 TEST(IntegrationTest, SinusoidalVariationIsTracked) {
   // Section 9: both algorithms follow gradual (sinusoidal) changes.
-  ScenarioConfig scenario = MidScenario();
-  scenario.duration = 360.0;
-  scenario.warmup = 60.0;
-  scenario.dynamics.write_fraction =
+  ExperimentSpec spec = MidSpec();
+  spec.duration = 360.0;
+  spec.warmup = 60.0;
+  spec.nodes[0].dynamics.write_fraction =
       db::Schedule::Sinusoid(0.25, 0.2, 150.0);  // 0.05..0.45
 
-  ScenarioConfig run_scenario = scenario;
-  run_scenario.control.name = "parabola-approximation";
-  const ExperimentResult result = Experiment(run_scenario).Run();
+  ExperimentSpec run = spec;
+  run.nodes[0].control.controller = "parabola-approximation";
+  const ExperimentResult result = Experiment(run).Run();
 
   // The bound should be higher when the write fraction is low. Compare the
   // mean bound in low-write windows vs high-write windows (steady state).
@@ -177,7 +177,7 @@ TEST(IntegrationTest, SinusoidalVariationIsTracked) {
   int low_n = 0, high_n = 0;
   for (const TrajectoryPoint& point : result.trajectory) {
     if (point.time < 100.0) continue;
-    const double w = scenario.dynamics.write_fraction.Value(point.time);
+    const double w = spec.nodes[0].dynamics.write_fraction.Value(point.time);
     if (w < 0.15) {
       low_sum += point.bound;
       ++low_n;
@@ -195,17 +195,17 @@ TEST(IntegrationTest, BlockedTransactionsGrowSuperlinearly2PL) {
   // Section 1 (Tay): for blocking CC the mean number of blocked
   // transactions is a quadratic function of the concurrency level.
   auto blocked_at = [](double limit) {
-    ScenarioConfig scenario = MidScenario();
-    scenario.system.cc = db::CcScheme::kTwoPhaseLocking;
-    scenario.system.logical.db_size = 600;
-    scenario.system.logical.write_fraction = 0.5;
-    scenario.control.name = "fixed";
-    scenario.control.fixed_limit = limit;
-    scenario.control.initial_limit = limit;
-    scenario.duration = 60.0;
-    scenario.warmup = 15.0;
+    ExperimentSpec spec = MidSpec();
+    spec.nodes[0].system.cc = db::CcScheme::kTwoPhaseLocking;
+    spec.nodes[0].system.logical.db_size = 600;
+    spec.nodes[0].system.logical.write_fraction = 0.5;
+    spec.nodes[0].control.controller = "fixed";
+    spec.nodes[0].control.params.SetDouble("fixed.limit", limit);
+    spec.nodes[0].control.initial_limit = limit;
+    spec.duration = 60.0;
+    spec.warmup = 15.0;
     sim::Simulator simulator;
-    db::TransactionSystem system(&simulator, scenario.system);
+    db::TransactionSystem system(&simulator, spec.nodes[0].system);
     control::AdmissionGate gate(&system, limit);
     system.Start();
     simulator.RunUntil(60.0);
@@ -222,16 +222,17 @@ TEST(IntegrationTest, DisplacementSpeedsUpDownwardAdjustment) {
   // Section 4.3: displacement enforces a lowered bound instantly, at the
   // cost of aborted work. After a downward jump of the optimum, the
   // displacing variant reaches low load sooner.
-  ScenarioConfig scenario = MidScenario();
-  scenario.duration = 160.0;
-  scenario.warmup = 20.0;
-  scenario.dynamics.write_fraction = db::Schedule::Steps(0.05, {{80.0, 0.6}});
-  scenario.control.name = "parabola-approximation";
+  ExperimentSpec spec = MidSpec();
+  spec.duration = 160.0;
+  spec.warmup = 20.0;
+  spec.nodes[0].dynamics.write_fraction =
+      db::Schedule::Steps(0.05, {{80.0, 0.6}});
+  spec.nodes[0].control.controller = "parabola-approximation";
 
   auto load_after_jump = [&](bool displacement) {
-    ScenarioConfig run_scenario = scenario;
-    run_scenario.control.displacement = displacement;
-    const ExperimentResult result = Experiment(run_scenario).Run();
+    ExperimentSpec run = spec;
+    run.nodes[0].control.displacement = displacement;
+    const ExperimentResult result = Experiment(run).Run();
     double sum = 0.0;
     int count = 0;
     for (const TrajectoryPoint& point : result.trajectory) {

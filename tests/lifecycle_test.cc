@@ -14,7 +14,6 @@
 #include "cluster/lifecycle.h"
 #include "cluster/router.h"
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
 #include "core/spec.h"
 #include "placement/catalog.h"
@@ -204,8 +203,8 @@ TEST(CatalogMembershipTest, RebalanceNeverHomesOntoDeadNodes) {
 
 // ------------------------------------------------------------ experiment --
 
-core::ClusterNodeScenario SmallNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
+core::NodeSpec SmallNode(uint64_t seed) {
+  core::NodeSpec node;
   node.system.physical.num_cpus = 4;
   node.system.physical.cpu_init_mean = 0.001;
   node.system.physical.cpu_access_mean = 0.001;
@@ -221,27 +220,28 @@ core::ClusterNodeScenario SmallNode(uint64_t seed) {
   node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 200.0;
-  node.control.pa.dither = 5.0;
+  node.control.params.SetDouble("pa.initial_bound", 20.0);
+  node.control.params.SetDouble("pa.min_bound", 2.0);
+  node.control.params.SetDouble("pa.max_bound", 200.0);
+  node.control.params.SetDouble("pa.dither", 5.0);
   return node;
 }
 
 /// A 3-node cluster with node 0 crashing at t=20 and rejoining at t=35,
 /// loaded hard enough that gates hold queues when the crash lands.
-core::ClusterScenarioConfig FailoverCluster(uint64_t seed, bool retraction) {
-  core::ClusterScenarioConfig scenario;
+core::ExperimentSpec FailoverCluster(uint64_t seed, bool retraction) {
+  core::ExperimentSpec spec;
+  spec.cluster = true;
   for (int i = 0; i < 3; ++i) {
-    scenario.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
+    spec.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
   }
-  scenario.seed = seed;
-  scenario.duration = 60.0;
-  scenario.warmup = 10.0;
-  scenario.arrival_rate = core::FlashCrowdSchedule(250.0, 700.0, 15.0, 30.0);
-  scenario.nodes[0].availability = Avail("avail(up; 20:down, 35:up)");
-  scenario.retraction.enabled = retraction;
-  return scenario;
+  spec.seed = seed;
+  spec.duration = 60.0;
+  spec.warmup = 10.0;
+  spec.arrival_rate = core::FlashCrowdSchedule(250.0, 700.0, 15.0, 30.0);
+  spec.nodes[0].availability = Avail("avail(up; 20:down, 35:up)");
+  spec.retraction.enabled = retraction;
+  return spec;
 }
 
 std::string ClusterCsv(const core::ClusterResult& result) {
@@ -309,21 +309,21 @@ TEST(LifecycleExperimentTest, DisplacementBeatsCrashBaselineOnCommits) {
   // Long enough past the crowd that the backlog fully drains either way —
   // only then does the retained work show up as extra commits (while the
   // fleet stays saturated, dropped work just shortens the queues).
-  core::ClusterScenarioConfig baseline_scenario = FailoverCluster(13, false);
-  core::ClusterScenarioConfig displaced_scenario = FailoverCluster(13, true);
-  baseline_scenario.duration = displaced_scenario.duration = 120.0;
+  core::ExperimentSpec baseline_spec = FailoverCluster(13, false);
+  core::ExperimentSpec displaced_spec = FailoverCluster(13, true);
+  baseline_spec.duration = displaced_spec.duration = 120.0;
   const core::ClusterResult baseline =
-      core::ClusterExperiment(baseline_scenario).Run();
+      core::ClusterExperiment(baseline_spec).Run();
   const core::ClusterResult displaced =
-      core::ClusterExperiment(displaced_scenario).Run();
+      core::ClusterExperiment(displaced_spec).Run();
   // The retained backlog finishes on the survivors: strictly more commits.
   EXPECT_GT(displaced.commits, baseline.commits);
 }
 
 TEST(LifecycleExperimentTest, DrainFinishesItsQueueWithoutNewWork) {
-  core::ClusterScenarioConfig scenario = FailoverCluster(17, false);
-  scenario.nodes[0].availability = Avail("avail(up; 20:drain)");
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = FailoverCluster(17, false);
+  spec.nodes[0].availability = Avail("avail(up; 20:drain)");
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   // No crash: nothing killed, nothing lost — the backlog completes.
   EXPECT_EQ(result.crash_kills, 0u);
   EXPECT_EQ(result.lost, 0u);
@@ -346,12 +346,12 @@ TEST(LifecycleExperimentTest, RetractionQueueFactorShedsDegradedBacklog) {
   // Slow node 0 to a crawl so its queue balloons, and let the degradation
   // trigger shed the excess through the router — no lifecycle transition
   // involved.
-  core::ClusterScenarioConfig scenario = FailoverCluster(19, true);
-  scenario.nodes[0].availability = AvailabilitySchedule();  // always up
-  scenario.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.1, 15.0, 45.0);
-  scenario.retraction.queue_factor = 2.0;
-  scenario.retraction.check_interval = 1.0;
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = FailoverCluster(19, true);
+  spec.nodes[0].availability = AvailabilitySchedule();  // always up
+  spec.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.1, 15.0, 45.0);
+  spec.retraction.queue_factor = 2.0;
+  spec.retraction.check_interval = 1.0;
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   EXPECT_EQ(result.final_epoch, 0u);  // membership never changed
   EXPECT_GT(result.retracted, 0u);    // but backlog moved anyway
   EXPECT_EQ(result.lost, 0u);
@@ -372,16 +372,16 @@ TEST(LifecycleExperimentTest, FailureRecoveryRunIsBitDeterministic) {
 }
 
 TEST(LifecycleExperimentTest, PlacementClusterSurvivesFailover) {
-  core::ClusterScenarioConfig scenario = FailoverCluster(29, true);
-  scenario.routing_name = "locality-threshold";
-  scenario.placement_enabled = true;
-  scenario.placement.placement.kind = placement::PlacementKind::kReplicated;
-  scenario.placement.placement.num_partitions = 6;
-  scenario.placement.placement.replication_factor = 2;
-  scenario.placement.workload = scenario.nodes[0].system.logical;
-  scenario.remote_access.cpu_penalty = 0.001;
-  scenario.remote_access.latency = 0.008;
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = FailoverCluster(29, true);
+  spec.routing = "locality-threshold";
+  spec.placement_enabled = true;
+  spec.placement.placement.kind = placement::PlacementKind::kReplicated;
+  spec.placement.placement.num_partitions = 6;
+  spec.placement.placement.replication_factor = 2;
+  spec.placement.workload = spec.nodes[0].system.logical;
+  spec.remote_access.cpu_penalty = 0.001;
+  spec.remote_access.latency = 0.008;
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   EXPECT_GT(result.commits, 0u);
   EXPECT_EQ(result.final_epoch, 2u);
   // The crash orphaned node 0's homes; re-homing counts as migrations.
@@ -413,8 +413,8 @@ TEST(LifecycleSpecTest, AvailabilityAndRejoinRoundTripThroughText) {
       << error;
   EXPECT_EQ(spec.nodes[0].availability, Avail("avail(up; 60:down, 90:up)"));
   EXPECT_EQ(spec.nodes[0].rejoin, cluster::RejoinPolicy::kRetained);
-  EXPECT_TRUE(spec.retraction);
-  EXPECT_EQ(spec.retraction_queue_factor, 1.5);
+  EXPECT_TRUE(spec.retraction.enabled);
+  EXPECT_EQ(spec.retraction.queue_factor, 1.5);
 
   core::ExperimentSpec reparsed;
   ASSERT_TRUE(core::ParseSpec(core::PrintSpec(spec), &reparsed, &error))
@@ -522,24 +522,20 @@ TEST(LifecycleSpecTest, OverridesValidateNodeIndexAndValues) {
 
 // --------------------------------------- checked-in spec reproduces bench --
 
-/// bench/node_failover's node, reproduced through the struct API as the
-/// reference for the checked-in spec file (mirrors sweep_test's pinning of
-/// specs/cluster_routing_flash.spec).
-core::ClusterNodeScenario BenchNode(uint64_t seed) {
-  core::ClusterNodeScenario node = SmallNode(seed);
-  return node;
-}
-
 TEST(LifecycleSpecTest, NodeFailoverSpecReproducesBenchBitExactly) {
-  core::ClusterScenarioConfig reference;
+  // bench/node_failover's fleet (SmallNode is its node), built in code as
+  // the reference for the checked-in spec file (mirrors sweep_test's
+  // pinning of specs/cluster_routing_flash.spec).
+  core::ExperimentSpec reference;
+  reference.cluster = true;
   for (int i = 0; i < 4; ++i) {
-    reference.nodes.push_back(BenchNode(core::DecorrelatedNodeSeed(42, i)));
+    reference.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(42, i)));
   }
   reference.seed = 42;
   reference.duration = 200.0;
   reference.warmup = 20.0;
   reference.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 70.0);
-  reference.routing_name = "join-shortest-queue";
+  reference.routing = "join-shortest-queue";
   reference.nodes[0].availability = Avail("avail(up; 60:down, 110:up)");
   reference.nodes[0].rejoin = cluster::RejoinPolicy::kFresh;
   reference.retraction.enabled = true;

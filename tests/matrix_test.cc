@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/scenario.h"
 
 namespace alc {
 namespace {
@@ -42,70 +41,70 @@ std::string ParamName(const ::testing::TestParamInfo<MatrixParam>& info) {
 
 class MatrixTest : public ::testing::TestWithParam<MatrixParam> {
  protected:
-  core::ScenarioConfig MakeScenario() const {
+  core::ExperimentSpec MakeSpec() const {
     const auto& [cc, arrivals, controller, dist] = GetParam();
-    core::ScenarioConfig scenario;
-    scenario.system.physical.num_terminals = 80;
-    scenario.system.physical.think_time_mean = 0.25;
-    scenario.system.physical.num_cpus = 4;
-    scenario.system.physical.cpu_init_mean = 0.001;
-    scenario.system.physical.cpu_access_mean = 0.001;
-    scenario.system.physical.cpu_commit_mean = 0.001;
-    scenario.system.physical.cpu_write_commit_mean = 0.003;
-    scenario.system.physical.io_time = 0.006;
-    scenario.system.physical.restart_delay_mean = 0.015;
-    scenario.system.physical.cpu_distribution = dist;
-    scenario.system.logical.db_size = 400;
-    scenario.system.logical.accesses_per_txn = 6;
-    scenario.system.logical.query_fraction = 0.3;
-    scenario.system.logical.write_fraction = 0.4;
-    scenario.system.cc = cc;
-    scenario.system.arrivals = arrivals;
-    scenario.system.open_arrival_rate = 120.0;
-    scenario.system.seed = 1234;
-    scenario.dynamics =
-        db::WorkloadDynamics::FromConfig(scenario.system.logical);
-    scenario.active_terminals = db::Schedule::Constant(80);
-    scenario.duration = 30.0;
-    scenario.warmup = 8.0;
-    scenario.control.name = controller;
-    scenario.control.measurement_interval = 0.5;
-    scenario.control.initial_limit = 15.0;
-    scenario.control.fixed_limit = 20.0;
-    scenario.control.is.initial_bound = 15.0;
-    scenario.control.is.min_bound = 2.0;
-    scenario.control.is.max_bound = 90.0;
-    scenario.control.is.beta = 0.3;
-    scenario.control.is.gamma = 3.0;
-    scenario.control.is.delta = 8.0;
-    scenario.control.pa.initial_bound = 15.0;
-    scenario.control.pa.min_bound = 2.0;
-    scenario.control.pa.max_bound = 90.0;
-    scenario.control.pa.dither = 4.0;
-    scenario.control.gs.min_bound = 2.0;
-    scenario.control.gs.max_bound = 90.0;
-    scenario.control.gs.min_bracket = 10.0;
-    scenario.control.iyer.initial_bound = 15.0;
-    scenario.control.iyer.min_bound = 2.0;
-    scenario.control.iyer.max_bound = 90.0;
-    return scenario;
+    core::ExperimentSpec spec;
+    core::NodeSpec& node = spec.nodes.emplace_back();
+    node.system.physical.num_terminals = 80;
+    node.system.physical.think_time_mean = 0.25;
+    node.system.physical.num_cpus = 4;
+    node.system.physical.cpu_init_mean = 0.001;
+    node.system.physical.cpu_access_mean = 0.001;
+    node.system.physical.cpu_commit_mean = 0.001;
+    node.system.physical.cpu_write_commit_mean = 0.003;
+    node.system.physical.io_time = 0.006;
+    node.system.physical.restart_delay_mean = 0.015;
+    node.system.physical.cpu_distribution = dist;
+    node.system.logical.db_size = 400;
+    node.system.logical.accesses_per_txn = 6;
+    node.system.logical.query_fraction = 0.3;
+    node.system.logical.write_fraction = 0.4;
+    node.system.cc = cc;
+    node.system.arrivals = arrivals;
+    node.system.open_arrival_rate = 120.0;
+    node.system.seed = 1234;
+    node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+    spec.active_terminals = db::Schedule::Constant(80);
+    spec.duration = 30.0;
+    spec.warmup = 8.0;
+    node.control.controller = controller;
+    node.control.measurement_interval = 0.5;
+    node.control.initial_limit = 15.0;
+    node.control.params.SetDouble("fixed.limit", 20.0);
+    node.control.params.SetDouble("is.initial_bound", 15.0);
+    node.control.params.SetDouble("is.min_bound", 2.0);
+    node.control.params.SetDouble("is.max_bound", 90.0);
+    node.control.params.SetDouble("is.beta", 0.3);
+    node.control.params.SetDouble("is.gamma", 3.0);
+    node.control.params.SetDouble("is.delta", 8.0);
+    node.control.params.SetDouble("pa.initial_bound", 15.0);
+    node.control.params.SetDouble("pa.min_bound", 2.0);
+    node.control.params.SetDouble("pa.max_bound", 90.0);
+    node.control.params.SetDouble("pa.dither", 4.0);
+    node.control.params.SetDouble("gs.min_bound", 2.0);
+    node.control.params.SetDouble("gs.max_bound", 90.0);
+    node.control.params.SetDouble("gs.min_bracket", 10.0);
+    node.control.params.SetDouble("iyer.initial_bound", 15.0);
+    node.control.params.SetDouble("iyer.min_bound", 2.0);
+    node.control.params.SetDouble("iyer.max_bound", 90.0);
+    return spec;
   }
 };
 
 TEST_P(MatrixTest, RunsAndCommits) {
   const core::ExperimentResult result =
-      core::Experiment(MakeScenario()).Run();
+      core::Experiment(MakeSpec()).Run();
   EXPECT_GT(result.commits, 100u) << "no progress";
   EXPECT_GT(result.mean_throughput, 5.0);
   EXPECT_GE(result.mean_response, 0.0);
 }
 
 TEST_P(MatrixTest, TrajectoryIsWellFormed) {
-  const core::ScenarioConfig scenario = MakeScenario();
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  const core::ExperimentSpec spec = MakeSpec();
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   ASSERT_EQ(result.trajectory.size(),
-            static_cast<size_t>(scenario.duration /
-                                scenario.control.measurement_interval));
+            static_cast<size_t>(spec.duration /
+                                spec.nodes[0].control.measurement_interval));
   double prev_time = 0.0;
   for (const core::TrajectoryPoint& point : result.trajectory) {
     EXPECT_GT(point.time, prev_time);
@@ -120,8 +119,8 @@ TEST_P(MatrixTest, TrajectoryIsWellFormed) {
 }
 
 TEST_P(MatrixTest, DeterministicRerun) {
-  const core::ExperimentResult a = core::Experiment(MakeScenario()).Run();
-  const core::ExperimentResult b = core::Experiment(MakeScenario()).Run();
+  const core::ExperimentResult a = core::Experiment(MakeSpec()).Run();
+  const core::ExperimentResult b = core::Experiment(MakeSpec()).Run();
   EXPECT_EQ(a.commits, b.commits);
   EXPECT_EQ(a.aborts, b.aborts);
   EXPECT_DOUBLE_EQ(a.mean_throughput, b.mean_throughput);
@@ -130,7 +129,7 @@ TEST_P(MatrixTest, DeterministicRerun) {
 TEST_P(MatrixTest, AbortReasonsMatchCcScheme) {
   const auto& [cc, arrivals, controller, dist] = GetParam();
   const core::ExperimentResult result =
-      core::Experiment(MakeScenario()).Run();
+      core::Experiment(MakeSpec()).Run();
   if (cc == db::CcScheme::kOptimisticCertification) {
     EXPECT_EQ(result.final_counters.aborts_deadlock, 0u);
     EXPECT_EQ(result.final_counters.lock_waits, 0u);
@@ -138,7 +137,7 @@ TEST_P(MatrixTest, AbortReasonsMatchCcScheme) {
     EXPECT_EQ(result.final_counters.aborts_certification, 0u);
     EXPECT_GT(result.final_counters.lock_requests, 0u);
   }
-  if (!MakeScenario().control.displacement) {
+  if (!MakeSpec().nodes[0].control.displacement) {
     EXPECT_EQ(result.displacements, 0u);
   }
 }
@@ -163,24 +162,25 @@ class ServiceDistributionTest
 TEST_P(ServiceDistributionTest, MeanThroughputInsensitiveToDistribution) {
   // First-order: throughput depends on the mean demand, not its shape
   // (the knee shifts slightly; deterministic service queues the least).
-  core::ScenarioConfig scenario;
-  scenario.system.physical.num_terminals = 60;
-  scenario.system.physical.think_time_mean = 0.3;
-  scenario.system.physical.num_cpus = 4;
-  scenario.system.physical.cpu_access_mean = 0.002;
-  scenario.system.physical.io_time = 0.004;
-  scenario.system.logical.db_size = 5000;  // negligible contention
-  scenario.system.logical.accesses_per_txn = 5;
-  scenario.system.physical.cpu_distribution = GetParam();
-  scenario.system.seed = 77;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(60);
-  scenario.duration = 40.0;
-  scenario.warmup = 10.0;
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 30.0;
-  scenario.control.initial_limit = 30.0;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.physical.num_terminals = 60;
+  node.system.physical.think_time_mean = 0.3;
+  node.system.physical.num_cpus = 4;
+  node.system.physical.cpu_access_mean = 0.002;
+  node.system.physical.io_time = 0.004;
+  node.system.logical.db_size = 5000;  // negligible contention
+  node.system.logical.accesses_per_txn = 5;
+  node.system.physical.cpu_distribution = GetParam();
+  node.system.seed = 77;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(60);
+  spec.duration = 40.0;
+  spec.warmup = 10.0;
+  node.control.controller = "fixed";
+  node.control.params.SetDouble("fixed.limit", 30.0);
+  node.control.initial_limit = 30.0;
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   // All three distributions land in the same band (measured: 160-162/s).
   EXPECT_GT(result.mean_throughput, 120.0);
   EXPECT_LT(result.mean_throughput, 190.0);
@@ -193,24 +193,25 @@ INSTANTIATE_TEST_SUITE_P(
                       db::ServiceDistribution::kErlang2));
 
 TEST(ConfidenceIntervalTest, StationaryRunHasTightCi) {
-  core::ScenarioConfig scenario;
-  scenario.system.physical.num_terminals = 80;
-  scenario.system.physical.think_time_mean = 0.25;
-  scenario.system.physical.num_cpus = 4;
-  scenario.system.physical.cpu_access_mean = 0.001;
-  scenario.system.physical.io_time = 0.005;
-  scenario.system.logical.db_size = 2000;
-  scenario.system.logical.accesses_per_txn = 6;
-  scenario.system.seed = 3;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(80);
-  scenario.duration = 120.0;
-  scenario.warmup = 20.0;
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 25.0;
-  scenario.control.initial_limit = 25.0;
-  scenario.control.measurement_interval = 0.5;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.physical.num_terminals = 80;
+  node.system.physical.think_time_mean = 0.25;
+  node.system.physical.num_cpus = 4;
+  node.system.physical.cpu_access_mean = 0.001;
+  node.system.physical.io_time = 0.005;
+  node.system.logical.db_size = 2000;
+  node.system.logical.accesses_per_txn = 6;
+  node.system.seed = 3;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(80);
+  spec.duration = 120.0;
+  spec.warmup = 20.0;
+  node.control.controller = "fixed";
+  node.control.params.SetDouble("fixed.limit", 25.0);
+  node.control.initial_limit = 25.0;
+  node.control.measurement_interval = 0.5;
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   EXPECT_GT(result.throughput_ci_half_width, 0.0);
   // The CI must bracket the reported mean sensibly (within 15%).
   EXPECT_LT(result.throughput_ci_half_width,
@@ -218,18 +219,19 @@ TEST(ConfidenceIntervalTest, StationaryRunHasTightCi) {
 }
 
 TEST(ConfidenceIntervalTest, ShortRunReportsZero) {
-  core::ScenarioConfig scenario;
-  scenario.system.physical.num_terminals = 10;
-  scenario.system.physical.think_time_mean = 0.2;
-  scenario.system.logical.db_size = 100;
-  scenario.system.logical.accesses_per_txn = 3;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(10);
-  scenario.duration = 5.0;
-  scenario.warmup = 1.0;  // only 4 intervals -> less than 2 batches
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 5.0;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.physical.num_terminals = 10;
+  node.system.physical.think_time_mean = 0.2;
+  node.system.logical.db_size = 100;
+  node.system.logical.accesses_per_txn = 3;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(10);
+  spec.duration = 5.0;
+  spec.warmup = 1.0;  // only 4 intervals -> less than 2 batches
+  node.control.controller = "fixed";
+  node.control.params.SetDouble("fixed.limit", 5.0);
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   EXPECT_EQ(result.throughput_ci_half_width, 0.0);
 }
 

@@ -7,7 +7,6 @@
 
 #include "cluster/router.h"
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
 #include "db/system.h"
 #include "placement/catalog.h"
@@ -351,8 +350,8 @@ TEST(PlannedSubmissionTest, RemoteAccessesAreCountedAndPenalized) {
 
 // -------------------------------------------------------------- experiment --
 
-core::ClusterNodeScenario SmallNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
+core::NodeSpec SmallNode(uint64_t seed) {
+  core::NodeSpec node;
   node.system.physical.num_cpus = 4;
   node.system.physical.cpu_init_mean = 0.001;
   node.system.physical.cpu_access_mean = 0.001;
@@ -366,42 +365,43 @@ core::ClusterNodeScenario SmallNode(uint64_t seed) {
   node.system.logical.write_fraction = 0.4;
   node.system.seed = seed;
   node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.name = "parabola-approximation";
+  node.control.controller = "parabola-approximation";
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 150.0;
-  node.control.pa.dither = 5.0;
+  node.control.params.SetDouble("pa.initial_bound", 20.0);
+  node.control.params.SetDouble("pa.min_bound", 2.0);
+  node.control.params.SetDouble("pa.max_bound", 150.0);
+  node.control.params.SetDouble("pa.dither", 5.0);
   return node;
 }
 
-core::ClusterScenarioConfig PlacedCluster(int num_nodes, uint64_t seed = 19) {
-  core::ClusterScenarioConfig scenario;
+core::ExperimentSpec PlacedCluster(int num_nodes, uint64_t seed = 19) {
+  core::ExperimentSpec spec;
+  spec.cluster = true;
   for (int i = 0; i < num_nodes; ++i) {
-    scenario.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
+    spec.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(seed, i)));
   }
-  scenario.seed = seed;
-  scenario.arrival_rate = db::Schedule::Constant(60.0 * num_nodes);
-  scenario.duration = 40.0;
-  scenario.warmup = 10.0;
-  scenario.routing_name = "locality-threshold";
-  scenario.placement_enabled = true;
-  scenario.placement.placement.kind = placement::PlacementKind::kReplicated;
-  scenario.placement.placement.num_partitions = 8;
-  scenario.placement.placement.replication_factor = 2;
-  scenario.placement.workload = scenario.nodes[0].system.logical;
-  scenario.placement.workload.hotspot_access_prob = 0.6;
-  scenario.placement.workload.hotspot_size_fraction = 0.125;
-  scenario.remote_access.cpu_penalty = 0.001;
-  scenario.remote_access.latency = 0.008;
-  scenario.remote_access.serve_cpu = 0.001;
-  return scenario;
+  spec.seed = seed;
+  spec.arrival_rate = db::Schedule::Constant(60.0 * num_nodes);
+  spec.duration = 40.0;
+  spec.warmup = 10.0;
+  spec.routing = "locality-threshold";
+  spec.placement_enabled = true;
+  spec.placement.placement.kind = placement::PlacementKind::kReplicated;
+  spec.placement.placement.num_partitions = 8;
+  spec.placement.placement.replication_factor = 2;
+  spec.placement.workload = spec.nodes[0].system.logical;
+  spec.placement.workload.hotspot_access_prob = 0.6;
+  spec.placement.workload.hotspot_size_fraction = 0.125;
+  spec.remote_access.cpu_penalty = 0.001;
+  spec.remote_access.latency = 0.008;
+  spec.remote_access.serve_cpu = 0.001;
+  return spec;
 }
 
 TEST(PlacementExperimentTest, PlacedRunCommitsAndTracksRemoteTraffic) {
-  const core::ClusterScenarioConfig scenario = PlacedCluster(4);
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  const core::ExperimentSpec spec = PlacedCluster(4);
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   ASSERT_EQ(result.nodes.size(), 4u);
   EXPECT_GT(result.commits, 0u);
   EXPECT_GT(result.remote_frac, 0.0);
@@ -433,13 +433,13 @@ TEST(PlacementExperimentTest, EveryPlacementKindAndRoutingRuns) {
     for (const char* routing :
          {"join-shortest-queue", "power-of-d", "locality",
           "locality-threshold"}) {
-      core::ClusterScenarioConfig scenario = PlacedCluster(2);
-      scenario.duration = 15.0;
-      scenario.warmup = 5.0;
-      scenario.placement.placement.kind = kind;
-      scenario.routing_name = routing;
+      core::ExperimentSpec spec = PlacedCluster(2);
+      spec.duration = 15.0;
+      spec.warmup = 5.0;
+      spec.placement.placement.kind = kind;
+      spec.routing = routing;
       const core::ClusterResult result =
-          core::ClusterExperiment(scenario).Run();
+          core::ClusterExperiment(spec).Run();
       EXPECT_GT(result.commits, 0u)
           << PlacementKindName(kind) << " + "
           << routing;
@@ -448,10 +448,10 @@ TEST(PlacementExperimentTest, EveryPlacementKindAndRoutingRuns) {
 }
 
 TEST(PlacementExperimentTest, RebalancerRunsOnSchedule) {
-  core::ClusterScenarioConfig scenario = PlacedCluster(4);
-  scenario.placement.placement.rebalance_interval = 5.0;
-  scenario.placement.placement.rebalance_moves = 2;
-  const core::ClusterResult result = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = PlacedCluster(4);
+  spec.placement.placement.rebalance_interval = 5.0;
+  spec.placement.placement.rebalance_moves = 2;
+  const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   EXPECT_GE(result.rebalances, 7u);  // 40s run / 5s interval, minus edge
   EXPECT_GT(result.commits, 0u);
 }
@@ -474,10 +474,10 @@ std::string ClusterCsv(const core::ClusterResult& result) {
 }
 
 TEST(PlacementExperimentTest, FourNodePlacedRunIsBitDeterministic) {
-  core::ClusterScenarioConfig scenario = PlacedCluster(4, 29);
-  scenario.placement.placement.rebalance_interval = 7.0;
-  const core::ClusterResult a = core::ClusterExperiment(scenario).Run();
-  const core::ClusterResult b = core::ClusterExperiment(scenario).Run();
+  core::ExperimentSpec spec = PlacedCluster(4, 29);
+  spec.placement.placement.rebalance_interval = 7.0;
+  const core::ClusterResult a = core::ClusterExperiment(spec).Run();
+  const core::ClusterResult b = core::ClusterExperiment(spec).Run();
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   EXPECT_EQ(a.commits, b.commits);
   EXPECT_EQ(a.routed, b.routed);

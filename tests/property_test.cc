@@ -9,7 +9,6 @@
 #include "control/gate.h"
 #include "control/monitor.h"
 #include "core/experiment.h"
-#include "core/scenario.h"
 #include "db/system.h"
 
 namespace alc {
@@ -199,26 +198,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
 class ControllerProperty : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ControllerProperty, BoundStaysWithinStaticLimits) {
-  core::ScenarioConfig scenario;
-  scenario.system = PropertyConfig(42, db::CcScheme::kOptimisticCertification);
-  scenario.dynamics =
-      db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(60);
-  scenario.duration = 40.0;
-  scenario.warmup = 5.0;
-  scenario.control.name = GetParam();
-  scenario.control.measurement_interval = 0.5;
-  scenario.control.initial_limit = 10.0;
-  scenario.control.is.min_bound = 2.0;
-  scenario.control.is.max_bound = 50.0;
-  scenario.control.is.initial_bound = 10.0;
-  scenario.control.pa.min_bound = 2.0;
-  scenario.control.pa.max_bound = 50.0;
-  scenario.control.pa.initial_bound = 10.0;
-  scenario.control.iyer.min_bound = 2.0;
-  scenario.control.iyer.max_bound = 50.0;
-  scenario.control.iyer.initial_bound = 10.0;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system = PropertyConfig(42, db::CcScheme::kOptimisticCertification);
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(60);
+  spec.duration = 40.0;
+  spec.warmup = 5.0;
+  node.control.controller = GetParam();
+  node.control.measurement_interval = 0.5;
+  node.control.initial_limit = 10.0;
+  node.control.params.SetDouble("is.min_bound", 2.0);
+  node.control.params.SetDouble("is.max_bound", 50.0);
+  node.control.params.SetDouble("is.initial_bound", 10.0);
+  node.control.params.SetDouble("pa.min_bound", 2.0);
+  node.control.params.SetDouble("pa.max_bound", 50.0);
+  node.control.params.SetDouble("pa.initial_bound", 10.0);
+  node.control.params.SetDouble("iyer.min_bound", 2.0);
+  node.control.params.SetDouble("iyer.max_bound", 50.0);
+  node.control.params.SetDouble("iyer.initial_bound", 10.0);
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   for (const core::TrajectoryPoint& point : result.trajectory) {
     EXPECT_GE(point.bound, 2.0);
     EXPECT_LE(point.bound, 50.0);
@@ -226,15 +225,15 @@ TEST_P(ControllerProperty, BoundStaysWithinStaticLimits) {
 }
 
 TEST_P(ControllerProperty, MakesProgressUnderControl) {
-  core::ScenarioConfig scenario;
-  scenario.system = PropertyConfig(7, db::CcScheme::kOptimisticCertification);
-  scenario.dynamics =
-      db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(60);
-  scenario.duration = 30.0;
-  scenario.warmup = 5.0;
-  scenario.control.name = GetParam();
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system = PropertyConfig(7, db::CcScheme::kOptimisticCertification);
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(60);
+  spec.duration = 30.0;
+  spec.warmup = 5.0;
+  node.control.controller = GetParam();
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   EXPECT_GT(result.commits, 100u);
 }
 

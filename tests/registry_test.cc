@@ -13,8 +13,6 @@
 #include "control/fixed.h"
 #include "control/registry.h"
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
-#include "core/scenario.h"
 #include "core/spec.h"
 
 namespace alc {
@@ -38,10 +36,10 @@ TEST(ControllerRegistryTest, BuiltInNamesReachTheExpectedFactories) {
        {"none", "fixed", "tay-rule", "iyer-rule", "incremental-steps",
         "parabola-approximation", "golden-section"}) {
     EXPECT_TRUE(control::ControllerRegistry::Global().Contains(name)) << name;
-    core::ScenarioConfig scenario = core::DefaultScenario();
-    scenario.control.name = name;
+    core::NodeSpec node;
+    node.control.controller = name;
     std::unique_ptr<control::LoadController> controller =
-        core::MakeController(scenario);
+        core::MakeController(node);
     ASSERT_NE(controller, nullptr);
     EXPECT_EQ(controller->name(), std::string_view(name));
   }
@@ -124,13 +122,13 @@ TEST(ControllerRegistryTest, ExternalControllerRunsThroughSpecPath) {
             context.params->GetDouble("halving.initial", 100.0));
       });
 
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 3;
-  scenario.duration = 10.0;
-  scenario.warmup = 2.0;
-  core::ExperimentSpec spec = core::SpecFromScenario(scenario);
-  spec.nodes[0].control.controller = "test-halving";
-  spec.nodes[0].control.params.SetDouble("halving.initial", 64.0);
+  core::ExperimentSpec spec;
+  spec.duration = 10.0;
+  spec.warmup = 2.0;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.seed = 3;
+  node.control.controller = "test-halving";
+  node.control.params.SetDouble("halving.initial", 64.0);
 
   // Through the text form too: registration is all it takes for the name
   // to work in a spec file.

@@ -18,7 +18,6 @@
 #include "cluster/registry.h"
 #include "control/registry.h"
 #include "core/experiment.h"
-#include "core/scenario.h"
 #include "core/spec.h"
 #include "core/sweep.h"
 #include "db/system.h"
@@ -311,18 +310,19 @@ TEST(RobustnessTest, PaBoostStretchesDitherPeriod) {
 }
 
 TEST(RobustnessTest, ExperimentWithTayRuleTracksDeclaredK) {
-  core::ScenarioConfig scenario;
-  scenario.system = TinyConfig(7);
-  scenario.system.physical.num_terminals = 40;
-  scenario.system.logical.db_size = 400;
-  scenario.system.logical.accesses_per_txn = 8;
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.dynamics.k = db::Schedule::Steps(8.0, {{10.0, 4.0}});
-  scenario.active_terminals = db::Schedule::Constant(40);
-  scenario.duration = 20.0;
-  scenario.warmup = 2.0;
-  scenario.control.name = "tay-rule";
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system = TinyConfig(7);
+  node.system.physical.num_terminals = 40;
+  node.system.logical.db_size = 400;
+  node.system.logical.accesses_per_txn = 8;
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  node.dynamics.k = db::Schedule::Steps(8.0, {{10.0, 4.0}});
+  spec.active_terminals = db::Schedule::Constant(40);
+  spec.duration = 20.0;
+  spec.warmup = 2.0;
+  node.control.controller = "tay-rule";
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   // Bound before the k change: 1.5*400/64 = 9.375; after: 1.5*400/16 = 37.5.
   bool saw_low = false, saw_high = false;
   for (const core::TrajectoryPoint& point : result.trajectory) {
@@ -338,15 +338,16 @@ TEST(RobustnessTest, ExperimentWithTayRuleTracksDeclaredK) {
 }
 
 TEST(RobustnessTest, ZeroWarmupExperiment) {
-  core::ScenarioConfig scenario;
-  scenario.system = TinyConfig(3);
-  scenario.dynamics = db::WorkloadDynamics::FromConfig(scenario.system.logical);
-  scenario.active_terminals = db::Schedule::Constant(4);
-  scenario.duration = 5.0;
-  scenario.warmup = 0.0;
-  scenario.control.name = "fixed";
-  scenario.control.fixed_limit = 5.0;
-  const core::ExperimentResult result = core::Experiment(scenario).Run();
+  core::ExperimentSpec spec;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system = TinyConfig(3);
+  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  spec.active_terminals = db::Schedule::Constant(4);
+  spec.duration = 5.0;
+  spec.warmup = 0.0;
+  node.control.controller = "fixed";
+  node.control.params.SetDouble("fixed.limit", 5.0);
+  const core::ExperimentResult result = core::Experiment(spec).Run();
   EXPECT_GT(result.commits, 0u);
 }
 
@@ -382,7 +383,8 @@ TEST(RobustnessTest, MalformedControllerParamInSpecFileIsALineNumberedError) {
 }
 
 TEST(RobustnessTest, MalformedControllerParamOverrideIsAnError) {
-  core::ExperimentSpec spec = core::SpecFromScenario(core::DefaultScenario());
+  core::ExperimentSpec spec;
+  spec.nodes.emplace_back();
   std::string error;
   EXPECT_FALSE(
       core::ApplySpecOverride(&spec, "node.control.pa.dither", "abc", &error));
@@ -416,6 +418,31 @@ TEST(RobustnessTest, EveryBuiltinControllerParamIsValidated) {
         << key << ": " << error;
     EXPECT_FALSE(control::ValidateControllerParam(key, "not-a-value", &error))
         << key;
+  }
+  // A key whose controller constructor checks its sign rejects a value
+  // that check would abort on, and accepts the boundary it allows.
+  const std::pair<const char*, const char*> aborting[] = {
+      {"is.beta", "0"},          {"is.gamma", "-1"},
+      {"is.delta", "-0.5"},      {"is.min_bound", "0"},
+      {"iyer.gain", "-1"},       {"iyer.min_bound", "0"},
+      {"gs.samples_per_probe", "0"}, {"gs.min_bracket", "0"},
+      {"tay.threshold", "0"},    {"pa.min_bound", "0"},
+      {"pa.max_bound", "-1"},    {"pa.dither", "-5"},
+      {"pa.warmup_updates", "-1"},
+  };
+  for (const auto& [key, value] : aborting) {
+    std::string error;
+    EXPECT_FALSE(control::ValidateControllerParam(key, value, &error))
+        << key << "=" << value;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
+  const std::pair<const char*, const char*> boundary[] = {
+      {"is.delta", "0"}, {"gs.samples_per_probe", "1"}, {"pa.dither", "0"},
+      {"pa.warmup_updates", "0"}};
+  for (const auto& [key, value] : boundary) {
+    std::string error;
+    EXPECT_TRUE(control::ValidateControllerParam(key, value, &error))
+        << key << "=" << value << ": " << error;
   }
 }
 
@@ -529,6 +556,67 @@ TEST(RobustnessTest, ValuesTheConsumersCheckAreErrorsNotRunAborts) {
   // Only the PA controller orders its bounds.
   EXPECT_EQ(OverrideError(failover, {{"node.control.controller", "fixed"},
                                      {"node.control.pa.min_bound", "300"}}),
+            "");
+
+  // The other bounded controllers: a sign their constructor checks (a
+  // per-key error, at the line that sets it), their own bound ordering, and
+  // the Tay rule's k(t), which its Update divides by (cross-field errors,
+  // once the node is complete). Each case names a controller and a bad
+  // node key and value; the error names the key.
+  struct ControllerCase {
+    const char* controller;
+    const char* key;
+    const char* value;
+    bool per_key;
+  };
+  const ControllerCase controller_cases[] = {
+      {"incremental-steps", "control.is.beta", "0", true},
+      {"incremental-steps", "control.is.min_bound", "5000", false},
+      {"golden-section", "control.gs.samples_per_probe", "0", true},
+      {"golden-section", "control.gs.min_bound", "5000", false},
+      {"iyer-rule", "control.iyer.gain", "-1", true},
+      {"iyer-rule", "control.iyer.min_bound", "5000", false},
+      {"tay-rule", "control.tay.threshold", "0", true},
+      {"tay-rule", "dynamics.k", "steps(8;2:0)", false},
+  };
+  for (const ControllerCase& c : controller_cases) {
+    const std::string key = c.key;
+    const std::string named =
+        key.rfind("control.", 0) == 0 ? key.substr(8) : key;
+    // As overrides, in the order alc_run --set applies them.
+    const std::string override_error =
+        OverrideError(failover, {{"node.control.controller", c.controller},
+                                 {"node." + key, c.value}});
+    EXPECT_NE(override_error.find(named), std::string::npos)
+        << c.controller << " " << key << "=" << c.value << ": "
+        << override_error;
+    // As spec file lines.
+    core::ExperimentSpec parsed;
+    std::string file_error;
+    EXPECT_FALSE(core::ParseSpec("[node]\ncontrol.controller = " +
+                                     std::string(c.controller) + "\n" + key +
+                                     " = " + c.value + "\n",
+                                 &parsed, &file_error))
+        << c.controller << " " << key;
+    EXPECT_NE(file_error.find(named), std::string::npos) << file_error;
+    EXPECT_EQ(file_error.find("line 3") != std::string::npos, c.per_key)
+        << file_error;
+  }
+  // The boundaries the consumers allow still pass: a bound ordering or k(t)
+  // only matters to the controller that reads it, and the Tay rule only
+  // reads k(t) up to the end of the run.
+  EXPECT_EQ(OverrideError(failover, {{"node.control.controller", "fixed"},
+                                     {"node.control.is.min_bound", "5000"},
+                                     {"node.dynamics.k", "steps(8;2:0)"}}),
+            "");
+  EXPECT_EQ(OverrideError(failover,
+                          {{"node.control.controller", "tay-rule"},
+                           {"node.dynamics.k", "steps(8;2:1, 500:0)"}}),
+            "");
+  EXPECT_EQ(OverrideError(failover,
+                          {{"node.control.controller", "incremental-steps"},
+                           {"node.control.is.delta", "0"},
+                           {"node.control.is.min_bound", "999"}}),
             "");
 
   // In a spec file a per-key range fails with the line that sets it.

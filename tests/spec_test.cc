@@ -1,7 +1,7 @@
 // ExperimentSpec layer: schedule literals, Parse(Print(spec)) == spec
 // round trips on representative specs, parser conveniences (node cloning,
 // named schedules) and error reporting, overrides, and run-equivalence of
-// the spec path against the legacy struct path.
+// RunSpec against a directly built Experiment.
 
 #include "core/spec.h"
 
@@ -15,7 +15,6 @@
 
 #include "core/experiment.h"
 #include "core/export.h"
-#include "core/scenario.h"
 #include "db/schedule.h"
 
 namespace alc {
@@ -82,21 +81,21 @@ core::ExperimentSpec RoundTrip(const core::ExperimentSpec& spec) {
 }
 
 TEST(SpecRoundTripTest, SingleNodeWithDynamicWorkload) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 123;
-  scenario.system.cc = db::CcScheme::kTwoPhaseLocking;
-  scenario.system.physical.cpu_distribution =
-      db::ServiceDistribution::kErlang2;
-  scenario.dynamics.query_fraction =
+  core::ExperimentSpec spec;
+  spec.seed = 123;
+  spec.active_terminals = db::Schedule::Sinusoid(600, 200, 500);
+  spec.duration = 700.0;
+  spec.warmup = 50.0;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.seed = 123;
+  node.system.cc = db::CcScheme::kTwoPhaseLocking;
+  node.system.physical.cpu_distribution = db::ServiceDistribution::kErlang2;
+  node.dynamics.query_fraction =
       db::Schedule::Steps(0.30, {{333.0, 0.85}, {666.0, 0.30}});
-  scenario.active_terminals = db::Schedule::Sinusoid(600, 200, 500);
-  scenario.control.name = "incremental-steps";
-  scenario.control.is.beta = 1.25;
-  scenario.control.measurement_interval = 0.5;
-  scenario.duration = 700.0;
-  scenario.warmup = 50.0;
+  node.control.controller = "incremental-steps";
+  node.control.params.SetDouble("is.beta", 1.25);
+  node.control.measurement_interval = 0.5;
 
-  const core::ExperimentSpec spec = core::SpecFromScenario(scenario);
   EXPECT_TRUE(RoundTrip(spec) == spec);
 }
 
@@ -162,18 +161,18 @@ TEST(SpecRoundTripTest, PlacementClusterWithDynamics) {
   spec.cluster = true;
   spec.routing = "locality-threshold";
   spec.placement_enabled = true;
-  spec.placement.kind = placement::PlacementKind::kReplicated;
-  spec.placement.num_partitions = 16;
-  spec.placement.replication_factor = 3;
-  spec.placement.rebalance_interval = 10.0;
-  spec.placement_workload.db_size = 9600;
-  spec.placement_workload.hotspot_access_prob = 0.8;
-  spec.placement_workload.hotspot_size_fraction = 0.0625;
+  spec.placement.placement.kind = placement::PlacementKind::kReplicated;
+  spec.placement.placement.num_partitions = 16;
+  spec.placement.placement.replication_factor = 3;
+  spec.placement.placement.rebalance_interval = 10.0;
+  spec.placement.workload.db_size = 9600;
+  spec.placement.workload.hotspot_access_prob = 0.8;
+  spec.placement.workload.hotspot_size_fraction = 0.0625;
   db::WorkloadDynamics dynamics;
   dynamics.k = db::Schedule::Constant(8);
   dynamics.query_fraction = db::Schedule::Steps(0.5, {{60.0, 0.9}});
   dynamics.write_fraction = db::Schedule::Constant(0.1);
-  spec.placement_dynamics = dynamics;
+  spec.placement.dynamics = dynamics;
   spec.remote_access.cpu_penalty = 0.003;
   spec.remote_access.latency = 0.016;
   spec.remote_access.serve_cpu = 0.004;
@@ -331,7 +330,8 @@ TEST(SpecParseTest, RejectsWarmupNotBeforeDurationWithLineNumber) {
 }
 
 TEST(SpecOverrideTest, RunWindowIsValidatedOnceOverridesAreIn) {
-  core::ExperimentSpec spec = core::SpecFromScenario(core::DefaultScenario());
+  core::ExperimentSpec spec;
+  spec.nodes.emplace_back();
   spec.duration = 300.0;
   spec.warmup = 30.0;
   std::string error;
@@ -402,7 +402,8 @@ TEST(SpecOverrideTest, SeedOverrideRederivesNodeSeeds) {
 
   // Single-node: the node runs the new seed directly, so two overrides
   // produce genuinely different runs.
-  core::ExperimentSpec single = core::SpecFromScenario(core::DefaultScenario());
+  core::ExperimentSpec single;
+  single.nodes.emplace_back();
   single.duration = 10.0;
   single.warmup = 2.0;
   ASSERT_TRUE(core::ApplySpecOverride(&single, "seed", "5", &error));
@@ -690,17 +691,17 @@ TEST(SpecKeyOracleTest, SingleNodeOverridesRefuseExactlyTheClusterOnlyKeys) {
 
 // --------------------------------------------------- run equivalence --
 
-TEST(SpecRunTest, SpecPathMatchesLegacyScenarioPathBitExactly) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 99;
-  scenario.control.name = "parabola-approximation";
-  scenario.control.pa.dither = 10.0;
-  scenario.duration = 20.0;
-  scenario.warmup = 4.0;
+TEST(SpecRunTest, RunSpecMatchesDirectExperimentBitExactly) {
+  core::ExperimentSpec spec;
+  spec.duration = 20.0;
+  spec.warmup = 4.0;
+  core::NodeSpec& node = spec.nodes.emplace_back();
+  node.system.seed = 99;
+  node.control.controller = "parabola-approximation";
+  node.control.params.SetDouble("pa.dither", 10.0);
 
-  const core::ExperimentResult direct = core::Experiment(scenario).Run();
-  const core::SpecRunResult via_spec =
-      core::RunSpec(core::SpecFromScenario(scenario));
+  const core::ExperimentResult direct = core::Experiment(spec).Run();
+  const core::SpecRunResult via_spec = core::RunSpec(spec);
 
   ASSERT_FALSE(via_spec.cluster);
   std::ostringstream direct_csv, spec_csv;
@@ -712,11 +713,10 @@ TEST(SpecRunTest, SpecPathMatchesLegacyScenarioPathBitExactly) {
 }
 
 TEST(SpecRunTest, PrintedSpecRunsIdenticallyToOriginal) {
-  core::ScenarioConfig scenario = core::DefaultScenario();
-  scenario.system.seed = 7;
-  scenario.duration = 15.0;
-  scenario.warmup = 3.0;
-  const core::ExperimentSpec spec = core::SpecFromScenario(scenario);
+  core::ExperimentSpec spec;
+  spec.duration = 15.0;
+  spec.warmup = 3.0;
+  spec.nodes.emplace_back().system.seed = 7;
 
   core::ExperimentSpec reparsed;
   std::string error;

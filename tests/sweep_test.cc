@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster_experiment.h"
-#include "core/cluster_scenario.h"
 #include "core/export.h"
 #include "core/spec.h"
 
@@ -98,10 +97,10 @@ TEST(SweepRunnerTest, ParallelMatchesSequentialBitExactly) {
 
 // --------------------------------------------- bench reproduction (spec) --
 
-/// bench/cluster_routing's BenchNode/BaseCluster, reproduced through the
-/// legacy struct API as the reference for the spec file.
-core::ClusterNodeScenario LegacyBenchNode(uint64_t seed) {
-  core::ClusterNodeScenario node;
+/// bench/cluster_routing's node and fleet, built in code as the reference
+/// for the spec file.
+core::NodeSpec BenchNode(uint64_t seed) {
+  core::NodeSpec node;
   node.system.physical.num_cpus = 4;
   node.system.physical.cpu_init_mean = 0.001;
   node.system.physical.cpu_access_mean = 0.001;
@@ -115,33 +114,34 @@ core::ClusterNodeScenario LegacyBenchNode(uint64_t seed) {
   node.system.logical.write_fraction = 0.4;
   node.system.seed = seed;
   node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.name = "parabola-approximation";
+  node.control.controller = "parabola-approximation";
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;
-  node.control.is.initial_bound = 20.0;
-  node.control.is.min_bound = 2.0;
-  node.control.is.max_bound = 200.0;
-  node.control.pa.initial_bound = 20.0;
-  node.control.pa.min_bound = 2.0;
-  node.control.pa.max_bound = 200.0;
-  node.control.pa.dither = 5.0;
-  node.control.fixed_limit = 25.0;
+  node.control.params.SetDouble("is.initial_bound", 20.0);
+  node.control.params.SetDouble("is.min_bound", 2.0);
+  node.control.params.SetDouble("is.max_bound", 200.0);
+  node.control.params.SetDouble("pa.initial_bound", 20.0);
+  node.control.params.SetDouble("pa.min_bound", 2.0);
+  node.control.params.SetDouble("pa.max_bound", 200.0);
+  node.control.params.SetDouble("pa.dither", 5.0);
+  node.control.params.SetDouble("fixed.limit", 25.0);
   return node;
 }
 
 TEST(SpecFileTest, FlashSpecReproducesClusterRoutingBenchBitExactly) {
   // Reference: the configuration bench/cluster_routing builds for its
-  // headline flash-crowd JSQ + Parabola cell, via the legacy struct path.
-  core::ClusterScenarioConfig reference;
+  // headline flash-crowd JSQ + Parabola cell, built field by field.
+  core::ExperimentSpec reference;
+  reference.cluster = true;
   for (int i = 0; i < 4; ++i) {
     reference.nodes.push_back(
-        LegacyBenchNode(core::DecorrelatedNodeSeed(42, i)));
+        BenchNode(core::DecorrelatedNodeSeed(42, i)));
   }
   reference.seed = 42;
   reference.duration = 160.0;
   reference.warmup = 20.0;
   reference.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 80.0);
-  reference.routing_name = "join-shortest-queue";
+  reference.routing = "join-shortest-queue";
   const core::ClusterResult expected =
       core::ClusterExperiment(reference).Run();
 
@@ -170,7 +170,8 @@ TEST(SpecFileTest, SmokeSpecParsesAndDescribesAPlacementCluster) {
   EXPECT_TRUE(spec.cluster);
   EXPECT_EQ(spec.nodes.size(), 4u);
   EXPECT_TRUE(spec.placement_enabled);
-  EXPECT_EQ(spec.placement.kind, placement::PlacementKind::kReplicated);
+  EXPECT_EQ(spec.placement.placement.kind,
+            placement::PlacementKind::kReplicated);
   EXPECT_EQ(spec.routing, "locality-threshold");
 }
 

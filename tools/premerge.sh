@@ -18,8 +18,9 @@
 #      controller param in a spec file and one in a --set override, an
 #      out-of-range value, an overflowing db_size, malformed routing and
 #      autoscaler params, a sweep grid point whose axis values are
-#      valid alone, non-positive service-time means, an empty database and
-#      inverted or negative PA controller bounds must each exit 1 with an
+#      valid alone, non-positive service-time means, an empty database,
+#      inverted or negative PA/IS/GS/Iyer controller bounds, a non-positive
+#      Tay threshold and a Tay-rule k(t) reaching 0 must each exit 1 with an
 #      error line, never die by a signal
 #
 #   $ tools/premerge.sh            # uses ./build
@@ -113,6 +114,20 @@ for bad in node.physical.cpu_access_mean=-0.001 \
   node.physical.restart_delay_mean=-1 node.logical.db_size=0 \
   node.control.pa.min_bound=300 node.control.pa.dither=-5; do
   expect_input_error specs/node_failover.spec --set "$bad"
+done
+# Each entry: a controller, a colon, and an override that controller's
+# constructor or Update would abort on.
+for bad in incremental-steps:node.control.is.beta=0 \
+  incremental-steps:node.control.is.min_bound=5000 \
+  golden-section:node.control.gs.samples_per_probe=0 \
+  golden-section:node.control.gs.min_bound=5000 \
+  iyer-rule:node.control.iyer.gain=-1 \
+  iyer-rule:node.control.iyer.min_bound=5000 \
+  tay-rule:node.control.tay.threshold=0 \
+  'tay-rule:node.dynamics.k=steps(8;2:0)'; do
+  expect_input_error specs/node_failover.spec --set duration=5 \
+    --set warmup=1 --set "node.control.controller=${bad%%:*}" \
+    --set "${bad#*:}"
 done
 
 echo "premerge: all gates passed"
