@@ -1,6 +1,7 @@
 // perf_suite — the tracked performance rail. Times the hot paths that bound
 // simulation speed (event queue push/pop, schedule/cancel churn, a
-// steady-state hold model, access-set sampling), one end-to-end
+// steady-state hold model, access-set sampling, histogram recording and the
+// per-tick window read), one end-to-end
 // paper-default simulation, a 64-node routed cluster, and two real spec runs
 // (specs/node_failover.spec, specs/elasticity_flash.spec), and emits
 // machine-readable BENCH_perf.json
@@ -234,6 +235,52 @@ SuiteResult BenchLogHistogramAdd(double target_sec) {
   return Finish("log_histogram_add", start, items, allocs_before);
 }
 
+/// The per-tick latency read at fleet scale: 64 node windows each record
+/// ~10 responses (fleet's commits per node per 0.25 s tick), then every
+/// node reads its four percentiles, merges into the tick's fleet window and
+/// clears, and the fleet window is read and cleared — what the monitors and
+/// ClusterMetrics do each tick. Values are pre-drawn so the loop times the
+/// windows. Items = node ticks. Must be exactly allocation-free: windows
+/// never allocate.
+SuiteResult BenchHistogramWindowTick(double target_sec) {
+  constexpr int kNodes = 64;
+  constexpr int kPerTick = 10;
+  static constexpr double kQuantiles[] = {0.50, 0.95, 0.99, 0.999};
+  std::vector<telemetry::HistogramWindow> nodes(kNodes);
+  telemetry::HistogramWindow fleet;
+  sim::RandomStream rng(13);
+  std::vector<double> values(4096);
+  for (double& v : values) v = rng.NextExponential(0.05);
+  size_t next_value = 0;
+  double percentiles[4] = {};
+  double sink = 0.0;
+  uint64_t items = 0;
+  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const auto start = Clock::now();
+  do {
+    for (int rep = 0; rep < 100; ++rep) {
+      for (telemetry::HistogramWindow& node : nodes) {
+        for (int i = 0; i < kPerTick; ++i) {
+          node.Add(values[next_value]);
+          next_value = (next_value + 1) % values.size();
+        }
+      }
+      for (telemetry::HistogramWindow& node : nodes) {
+        node.Quantiles(kQuantiles, 4, percentiles);
+        sink += percentiles[3];
+        node.MergeInto(&fleet);
+        node.Clear();
+      }
+      fleet.Quantiles(kQuantiles, 4, percentiles);
+      sink += percentiles[3];
+      fleet.Clear();
+      items += kNodes;
+    }
+  } while (Seconds(start, Clock::now()) < target_sec);
+  if (!(sink >= 0.0)) std::abort();  // keep the reads observable
+  return Finish("histogram_window_tick", start, items, allocs_before);
+}
+
 /// End-to-end paper-default closed system; items = simulated events over
 /// the measured span (after a warmup that settles pools and trackers).
 /// `per_phase` toggles the phase histograms and `trace` optionally attaches
@@ -450,7 +497,12 @@ std::string ToJson(const std::vector<SuiteResult>& results, bool smoke) {
       "quartiles 108.4k-114.2k: node execution dominates this bench), 0 "
       "allocs/item; spec_node_failover 0.985 and spec_elasticity_flash "
       "1.709 allocs/commit unchanged by the retry pool's move to "
-      "ChunkVector (neither spec enables retry)\"\n"
+      "ChunkVector (neither spec enables retry)\",\n"
+      "    \"histogram_window_tick pins the per-tick latency read (64 "
+      "response windows of 10 values: 4 quantiles, merge into a fleet "
+      "window, clear) at 0 allocs/item; session_source_hybrid grows its "
+      "free-slot list geometrically (it reserved exactly the pool size, "
+      "4 allocations over the full 120 s span under a 0 budget)\"\n"
       "  ],\n";
   json += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -511,6 +563,7 @@ int main(int argc, char** argv) {
   results.push_back(BenchEventQueueHold(micro_sec));
   results.push_back(BenchSampleWithoutReplacement(micro_sec));
   results.push_back(BenchLogHistogramAdd(micro_sec));
+  results.push_back(BenchHistogramWindowTick(micro_sec));
   results.push_back(BenchEndToEnd(sim_span));
   // Telemetry overhead rail: the same simulation with per-phase histograms
   // disabled and with a trace recorder attached, so a regression in either
@@ -570,14 +623,16 @@ int main(int argc, char** argv) {
       // steady-state allocation is a regression in the source itself.
       // So is the 64-node routed cluster: routing reads the published
       // membership view and every per-arrival buffer is reused, so an
-      // allocation there is a regression on the per-arrival path.
+      // allocation there is a regression on the per-arrival path. And so
+      // is the per-tick window read: windows are fixed arrays.
       const double limit =
           (r.name == "event_queue_push_pop" || r.name == "event_queue_cancel" ||
            r.name == "event_queue_hold" ||
            r.name == "sample_without_replacement_k32" ||
            r.name == "session_source_hybrid" ||
            r.name == "cluster_route_locality64" ||
-           r.name == "log_histogram_add")
+           r.name == "log_histogram_add" ||
+           r.name == "histogram_window_tick")
               ? 0.0
               : (r.name == "end_to_end_paper_default" ||
                          r.name == "end_to_end_telemetry_off" ||

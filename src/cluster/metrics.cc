@@ -16,16 +16,22 @@ void ClusterMetrics::AddPoint(int node, const core::TrajectoryPoint& point) {
   trajectories_[node].push_back(point);
 }
 
-void ClusterMetrics::AddPoint(int node, const core::TrajectoryPoint& point,
-                              const telemetry::LogHistogram& interval_hist) {
+void ClusterMetrics::AddPoint(
+    int node, const core::TrajectoryPoint& point,
+    const telemetry::HistogramWindow& interval_window) {
   ALC_CHECK_GE(node, 0);
   ALC_CHECK_LT(node, static_cast<int>(trajectories_.size()));
-  // Tick index before the push: every node reporting the same aligned tick
-  // merges into the same slot regardless of callback order.
-  const size_t tick = trajectories_[node].size();
-  if (tick >= tick_hists_.size()) tick_hists_.resize(tick + 1);
-  tick_hists_[tick].Merge(interval_hist);
+  // Ticks complete in order, so the node's tick index must be the one in
+  // progress.
+  ALC_CHECK_EQ(trajectories_[node].size(), tick_percentiles_.size());
+  interval_window.MergeInto(&tick_window_);
   trajectories_[node].push_back(point);
+  if (++tick_reports_ < static_cast<int>(trajectories_.size())) return;
+  static constexpr double kQuantiles[] = {0.50, 0.95, 0.99, 0.999};
+  std::array<double, 4>& percentiles = tick_percentiles_.emplace_back();
+  tick_window_.Quantiles(kQuantiles, 4, percentiles.data());
+  tick_window_.Clear();
+  tick_reports_ = 0;
 }
 
 std::vector<core::TrajectoryPoint> ClusterMetrics::Aggregate() const {
@@ -56,12 +62,12 @@ std::vector<core::TrajectoryPoint> ClusterMetrics::Aggregate() const {
       sum.conflict_rate = weighted_conflicts / sum.throughput;
     }
     sum.cpu_utilization = cpu_sum / static_cast<double>(trajectories_.size());
-    if (t < tick_hists_.size()) {
-      const telemetry::LogHistogram& hist = tick_hists_[t];
-      sum.response_p50 = hist.Quantile(0.50);
-      sum.response_p95 = hist.Quantile(0.95);
-      sum.response_p99 = hist.Quantile(0.99);
-      sum.response_p999 = hist.Quantile(0.999);
+    if (t < tick_percentiles_.size()) {
+      const std::array<double, 4>& percentiles = tick_percentiles_[t];
+      sum.response_p50 = percentiles[0];
+      sum.response_p95 = percentiles[1];
+      sum.response_p99 = percentiles[2];
+      sum.response_p999 = percentiles[3];
     }
     aggregate.push_back(sum);
   }

@@ -1,6 +1,7 @@
 #ifndef ALC_CLUSTER_METRICS_H_
 #define ALC_CLUSTER_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -28,13 +29,16 @@ class ClusterMetrics {
 
   void AddPoint(int node, const core::TrajectoryPoint& point);
 
-  /// Adds a node's point together with its interval response histogram.
-  /// Per-tick histograms are merged across nodes as they arrive, so
+  /// Adds a node's point together with its interval response window.
+  /// Windows merge across nodes into the tick's window as they arrive, so
   /// Aggregate() can report true cluster-wide percentiles — a quantile
   /// cannot be recovered from per-node quantiles, only from merged
-  /// buckets. Memory is O(ticks), independent of transaction count.
+  /// buckets. Every node must report tick t before any node reports tick
+  /// t + 1 (the shared monitor grid ClusterExperiment enforces); once all
+  /// have, the tick's four percentiles are kept and the window is cleared.
+  /// Memory: one window plus four doubles per tick.
   void AddPoint(int node, const core::TrajectoryPoint& point,
-                const telemetry::LogHistogram& interval_hist);
+                const telemetry::HistogramWindow& interval_window);
 
   /// Records the membership in force at one tick (the experiment samples
   /// it once per grid tick, alongside node 0's trajectory point).
@@ -57,15 +61,18 @@ class ClusterMetrics {
   /// commit-weighted means (weight = per-node throughput of the tick);
   /// cpu_utilization is the unweighted node mean (the front-end has no view
   /// of per-node processor counts). Response percentiles come from the
-  /// tick's merged cross-node histogram (see the AddPoint overload); zero
-  /// when points were added without histograms.
+  /// tick's merged cross-node window (see the AddPoint overload); zero
+  /// when points were added without windows.
   std::vector<core::TrajectoryPoint> Aggregate() const;
 
  private:
   std::vector<std::vector<core::TrajectoryPoint>> trajectories_;
-  /// Per aligned tick: the interval response histogram merged across every
-  /// node that reported the tick.
-  std::vector<telemetry::LogHistogram> tick_hists_;
+  /// p50/p95/p99/p999 of each completed aligned tick's merged window.
+  std::vector<std::array<double, 4>> tick_percentiles_;
+  /// The tick in progress: windows of the tick_reports_ nodes that have
+  /// reported it so far.
+  telemetry::HistogramWindow tick_window_;
+  int tick_reports_ = 0;
   std::vector<MembershipSample> membership_;
 };
 

@@ -12,6 +12,7 @@ Monitor::Monitor(sim::Simulator* sim, db::TransactionSystem* system,
   ALC_CHECK(sim != nullptr);
   ALC_CHECK(system != nullptr);
   ALC_CHECK_GT(interval, 0.0);
+  window_ = system->metrics().AddResponseWindow();
 }
 
 void Monitor::SetCallback(std::function<void(const Sample&)> callback) {
@@ -27,13 +28,13 @@ void Monitor::Start() {
   ALC_CHECK(!started_);
   started_ = true;
   last_ = TakeSnapshot();
+  window_->Clear();
   sim_->Schedule(interval_, [this] { Tick(); });
 }
 
 Monitor::Snapshot Monitor::TakeSnapshot() const {
   Snapshot snapshot;
   snapshot.counters = system_->metrics().counters;
-  snapshot.response_hist = system_->metrics().response_hist;
   snapshot.cpu_busy_time = system_->cpu().busy_time();
   snapshot.time = sim_->Now();
   return snapshot;
@@ -62,14 +63,14 @@ void Monitor::Tick() {
           ? (now.response_time_sum - before.response_time_sum) / commits
           : 0.0;
 
-  // Interval percentiles: the cumulative histogram minus its last-tick
-  // snapshot is exactly the histogram of the interval's commits.
-  interval_hist_ = current.response_hist;
-  interval_hist_.Subtract(last_.response_hist);
-  sample.response_p50 = interval_hist_.Quantile(0.50);
-  sample.response_p95 = interval_hist_.Quantile(0.95);
-  sample.response_p99 = interval_hist_.Quantile(0.99);
-  sample.response_p999 = interval_hist_.Quantile(0.999);
+  // Interval percentiles: the window holds exactly the interval's commits.
+  static constexpr double kQuantiles[] = {0.50, 0.95, 0.99, 0.999};
+  double percentiles[4];
+  window_->Quantiles(kQuantiles, 4, percentiles);
+  sample.response_p50 = percentiles[0];
+  sample.response_p95 = percentiles[1];
+  sample.response_p99 = percentiles[2];
+  sample.response_p999 = percentiles[3];
 
   db::Metrics& metrics = system_->metrics();
   sample.mean_active = metrics.active_track.AverageUntil(current.time);
@@ -90,6 +91,7 @@ void Monitor::Tick() {
   samples_.push_back(sample);
   last_ = current;
   if (callback_) callback_(sample);
+  window_->Clear();
   sim_->Schedule(interval_, [this] { Tick(); });
 }
 

@@ -36,18 +36,18 @@ class Monitor {
   /// All samples observed so far (kept for reporting).
   const std::vector<Sample>& samples() const { return samples_; }
 
-  /// Response-time histogram of the most recent completed interval (the
-  /// difference of consecutive cumulative snapshots). Valid during and
-  /// after the callback of that interval; the cluster layer merges it
-  /// across nodes for aggregate percentiles.
-  const telemetry::LogHistogram& interval_response_hist() const {
-    return interval_hist_;
+  /// Response times committed in the interval being sampled: the window
+  /// the system records into, read for the sample's percentiles. Valid
+  /// only during the callback of that interval (it is cleared right
+  /// after); the cluster layer merges it across nodes for aggregate
+  /// percentiles.
+  const telemetry::HistogramWindow& interval_response_window() const {
+    return *window_;
   }
 
  private:
   struct Snapshot {
     db::Counters counters;
-    telemetry::LogHistogram response_hist;
     double cpu_busy_time = 0.0;
     double time = 0.0;
   };
@@ -60,7 +60,8 @@ class Monitor {
   double interval_;
   std::function<void(const Sample&)> callback_;
   Snapshot last_;
-  telemetry::LogHistogram interval_hist_;
+  /// Owned by the system's metrics; holds the commits since the last tick.
+  telemetry::HistogramWindow* window_ = nullptr;
   std::vector<Sample> samples_;
   bool started_ = false;
 };

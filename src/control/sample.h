@@ -21,7 +21,7 @@ struct Sample {
   long long commits = 0;        // raw commit count (estimation accuracy)
 
   // Response-time percentiles of the interval's commits, from the
-  // differenced telemetry::LogHistogram (zero when no commits landed in
+  // monitor's telemetry::HistogramWindow (zero when no commits landed in
   // the interval). Few-commit intervals make the tails coarse — p999 of 40
   // commits is just the maximum — but the columns stay comparable across
   // ticks and nodes because the bucketing is fixed.

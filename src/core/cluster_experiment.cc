@@ -85,11 +85,14 @@ ClusterExperiment::ClusterExperiment(const ExperimentSpec& spec) : spec_(spec) {
   ALC_CHECK_GT(spec.duration, 0.0);
   ALC_CHECK_GE(spec.warmup, 0.0);
   ALC_CHECK_LT(spec.warmup, spec.duration);
-  // ClusterMetrics::Aggregate pairs node samples index-wise, which is only
-  // meaningful when every monitor ticks on the same grid.
+  // ClusterMetrics pairs node samples index-wise and completes a tick once
+  // every node has reported it, which needs every monitor on the same grid:
+  // one interval, never retuned by an outer tuner (unless it is the only
+  // monitor).
   for (const NodeSpec& node : spec.nodes) {
     ALC_CHECK_EQ(node.control.measurement_interval,
                  spec.nodes[0].control.measurement_interval);
+    ALC_CHECK(!node.control.outer_tuner || spec.nodes.size() == 1);
   }
 }
 
@@ -231,7 +234,7 @@ ClusterResult ClusterExperiment::Run() {
       point.response_p95 = sample.response_p95;
       point.response_p99 = sample.response_p99;
       point.response_p999 = sample.response_p999;
-      metrics.AddPoint(i, point, monitor->interval_response_hist());
+      metrics.AddPoint(i, point, monitor->interval_response_window());
       if (i == 0) {
         // One membership sample per grid tick, alongside node 0's point
         // (membership only changes at lifecycle events, so intra-tick

@@ -950,13 +950,18 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
   }
   for (size_t i = 0; spec.cluster && i < spec.nodes.size(); ++i) {
     // ClusterMetrics pairs node samples index-wise, so every monitor must
-    // tick on one grid; with placement, every node must be able to execute
-    // any key of the global key space.
+    // tick on one grid (an outer tuner retunes its own node's interval);
+    // with placement, every node must be able to execute any key of the
+    // global key space.
     const NodeSpec& node = spec.nodes[i];
     const char* problem = nullptr;
     if (node.control.measurement_interval !=
         spec.nodes[0].control.measurement_interval) {
       problem = " control.measurement_interval must equal node 0's";
+    } else if (node.control.outer_tuner && spec.nodes.size() > 1) {
+      problem =
+          " control.outer_tuner would move its monitor off the fleet's "
+          "shared tick grid (allowed only on a one-node cluster)";
     } else if (spec.placement_enabled &&
                node.system.logical.db_size < spec.placement.workload.db_size) {
       problem = " logical.db_size must be >= placement workload.db_size";

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,9 +80,10 @@ class Metrics {
 
   /// Log-bucketed distribution of committed response times (submit->commit,
   /// cumulative like the counters): the canonical latency statistic. The
-  /// monitor differences per-tick snapshots for interval percentiles and
-  /// the experiment layer subtracts the warmup snapshot / merges nodes for
-  /// run-level p50/p95/p99/p999 — all in O(1) memory per system.
+  /// experiment layer subtracts the warmup snapshot and merges nodes for
+  /// run-level p50/p95/p99/p999, in O(1) memory per system. Per-interval
+  /// percentiles do not come from here: each periodic reader owns a
+  /// response window (AddResponseWindow) that sees the same values.
   telemetry::LogHistogram response_hist;
   /// Wall-clock decomposition of committed responses, indexed by
   /// telemetry::Phase. Recorded only when SystemConfig::telemetry.per_phase
@@ -91,6 +93,25 @@ class Metrics {
   bool record_history = false;
   std::vector<CommitRecord> history;
 
+  /// Records one committed response: computes its bucket once and bumps
+  /// response_hist and every response window.
+  void RecordResponse(double response) {
+    const int index = telemetry::LogHistogram::BucketIndex(response);
+    response_hist.AddAt(index, response);
+    for (const auto& window : response_windows_) {
+      window->AddAt(index, response);
+    }
+  }
+
+  /// A new window that sees every response recorded from now on, for a
+  /// reader that samples per interval (the monitor, the autoscaler, the
+  /// probe-delay model): it reads the window and clears it each interval.
+  /// Owned here, so it stays valid as long as this Metrics.
+  telemetry::HistogramWindow* AddResponseWindow() {
+    response_windows_.push_back(std::make_unique<telemetry::HistogramWindow>());
+    return response_windows_.back().get();
+  }
+
   /// Links every counter, the load gauges, and the response/phase
   /// histograms into `registry` under `prefix` (e.g. "node0."). Linking is
   /// observation-only: the registry reads these fields at snapshot time and
@@ -98,6 +119,9 @@ class Metrics {
   /// outlive the registry's last Snapshot().
   void RegisterMetrics(telemetry::MetricRegistry* registry,
                        const std::string& prefix) const;
+
+ private:
+  std::vector<std::unique_ptr<telemetry::HistogramWindow>> response_windows_;
 };
 
 }  // namespace alc::db

@@ -445,7 +445,7 @@ void TransactionSystem::Commit(Transaction* txn) {
   metrics_.response_times.Add(response);
   metrics_.attempts_per_commit.Add(txn->attempts);
   metrics_.counters.useful_cpu += txn->attempt_cpu;
-  metrics_.response_hist.Add(response);
+  metrics_.RecordResponse(response);
   if (config_.telemetry.per_phase) {
     auto& phases = metrics_.phase_hists;
     phases[static_cast<size_t>(telemetry::Phase::kGateWait)].Add(

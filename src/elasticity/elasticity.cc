@@ -26,8 +26,7 @@ ElasticityController::ElasticityController(sim::Simulator* sim,
       hb_rng_(seed ^ 0x5be0cd19137e2179ULL),
       detector_(config.heartbeat, cluster->size()),
       pool_member_(cluster->size(), 0),
-      ramps_(cluster->size()),
-      prev_hists_(cluster->size()) {
+      ramps_(cluster->size()) {
   ALC_CHECK(sim != nullptr);
   ALC_CHECK(cluster != nullptr);
   ALC_CHECK(config.enabled);
@@ -37,7 +36,12 @@ ElasticityController::ElasticityController(sim::Simulator* sim,
   ALC_CHECK(config.heartbeat.delay_source == "occupancy" ||
             config.heartbeat.delay_source == "response");
   if (config.heartbeat.delay_source == "response") {
-    probe_hists_.resize(static_cast<size_t>(cluster->size()));
+    for (int i = 0; i < cluster->size(); ++i) {
+      db::TransactionSystem& system = cluster->node(i).system();
+      probe_windows_.push_back(system.config().telemetry.per_phase
+                                   ? system.metrics().AddResponseWindow()
+                                   : nullptr);
+    }
   }
   if (config.detector) ALC_CHECK(cluster->managed_membership());
   AutoscalerContext context;
@@ -50,6 +54,10 @@ ElasticityController::ElasticityController(sim::Simulator* sim,
     ALC_CHECK(scaler_ != nullptr);
   }
   scaling_enabled_ = config_.scaler != "none";
+  for (int i = 0; scaling_enabled_ && i < cluster_->size(); ++i) {
+    scaler_windows_.push_back(
+        cluster_->node(i).system().metrics().AddResponseWindow());
+  }
   for (int i = 0; i < cluster_->size(); ++i) {
     if (cluster_->node_state(i) == cluster::NodeState::kStandby) {
       pool_member_[i] = 1;
@@ -82,19 +90,14 @@ void ElasticityController::Start() {
                      [this, i] { HeartbeatTick(i); });
     }
   }
-  if (scaling_enabled_) {
-    // Seed the p95 window baselines so the first sample covers exactly the
-    // first interval.
-    for (int i = 0; i < cluster_->size(); ++i) {
-      prev_hists_[i] = cluster_->node(i).system().metrics().response_hist;
-    }
-    sim_->Schedule(config_.scaler_interval, [this] { ScalerTick(); });
+  // Empty the response windows so the first sample and the first probe
+  // cover exactly the time since Start().
+  for (telemetry::HistogramWindow* window : scaler_windows_) window->Clear();
+  for (telemetry::HistogramWindow* window : probe_windows_) {
+    if (window != nullptr) window->Clear();
   }
-  if (!probe_hists_.empty()) {
-    // Same for the response-based probe-delay windows.
-    for (int i = 0; i < cluster_->size(); ++i) {
-      probe_hists_[i] = cluster_->node(i).system().metrics().response_hist;
-    }
+  if (scaling_enabled_) {
+    sim_->Schedule(config_.scaler_interval, [this] { ScalerTick(); });
   }
   UpdatePoolGauge();
 }
@@ -163,18 +166,15 @@ void ElasticityController::HeartbeatTick(int node) {
   // off.
   double rtt = 0.0;
   bool modeled = false;
-  if (!probe_hists_.empty() &&
-      cluster_->node(node).system().config().telemetry.per_phase) {
-    const telemetry::LogHistogram& hist =
-        cluster_->node(node).system().metrics().response_hist;
-    probe_delta_ = hist;
-    probe_delta_.Subtract(probe_hists_[node]);
-    probe_hists_[node] = hist;
-    if (probe_delta_.count() > 0) {
+  telemetry::HistogramWindow* window =
+      probe_windows_.empty() ? nullptr : probe_windows_[node];
+  if (window != nullptr) {
+    if (window->count() > 0) {
       rtt = config_.heartbeat.delay_base +
-            config_.heartbeat.delay_response * probe_delta_.Quantile(0.95);
+            config_.heartbeat.delay_response * window->Quantile(0.95);
       modeled = true;
     }
+    window->Clear();
   }
   if (!modeled) {
     const cluster::NodeView& view = cluster_->view(node);
@@ -328,15 +328,13 @@ void ElasticityController::ScalerTick() {
   sample.queue_factor =
       sample.live > 0 ? queue_factor_sum / sample.live : 0.0;
 
-  // Fleet p95 over the last interval: merge each node's histogram delta.
-  window_.Clear();
-  for (int i = 0; i < cluster_->size(); ++i) {
-    delta_ = cluster_->node(i).system().metrics().response_hist;
-    delta_.Subtract(prev_hists_[i]);
-    window_.Merge(delta_);
-    prev_hists_[i] = cluster_->node(i).system().metrics().response_hist;
+  // Fleet p95 over the last interval: merge each node's window.
+  for (telemetry::HistogramWindow* window : scaler_windows_) {
+    window->MergeInto(&fleet_window_);
+    window->Clear();
   }
-  sample.p95 = window_.count() > 0 ? window_.Quantile(0.95) : 0.0;
+  sample.p95 = fleet_window_.Quantile(0.95);
+  fleet_window_.Clear();
 
   int standby = 0;
   for (int i = 0; i < cluster_->size(); ++i) {

@@ -32,8 +32,8 @@ namespace alc::elasticity {
 /// Determinism: everything runs on the shared simulator queue off fixed
 /// intervals; heartbeat outcomes are pure functions of ground truth and
 /// front-end occupancy. Steady-state operation (heartbeats, scaler
-/// samples) allocates nothing — histogram window deltas use the fixed-
-/// array LogHistogram, and all event captures fit the queue cell's inline
+/// samples) allocates nothing — the response windows are preallocated
+/// HistogramWindows, and all event captures fit the queue cell's inline
 /// buffer.
 class ElasticityController {
  public:
@@ -117,18 +117,16 @@ class ElasticityController {
   };
   std::vector<Ramp> ramps_;
 
-  /// Autoscaler p95 signal: per-node response histogram at the previous
-  /// sample, plus scratch for the window delta. Fixed-array histograms —
-  /// the whole sampling path is allocation-free after construction.
-  std::vector<telemetry::LogHistogram> prev_hists_;
-  telemetry::LogHistogram window_;
-  telemetry::LogHistogram delta_;
+  /// Autoscaler p95 signal: each node's responses since the previous
+  /// sample (windows owned by the node's metrics; empty unless scaling is
+  /// enabled), merged into one fleet window per sample.
+  std::vector<telemetry::HistogramWindow*> scaler_windows_;
+  telemetry::HistogramWindow fleet_window_;
 
-  /// Probe-delay model "response": per-node response histogram at the
-  /// previous probe, plus scratch for the inter-probe delta (allocated
-  /// only when that model is selected).
-  std::vector<telemetry::LogHistogram> probe_hists_;
-  telemetry::LogHistogram probe_delta_;
+  /// Probe-delay model "response": each node's responses since its
+  /// previous probe (empty unless that model is selected; null for nodes
+  /// without per-phase telemetry, which fall back to occupancy).
+  std::vector<telemetry::HistogramWindow*> probe_windows_;
 
   uint64_t suspicions_ = 0;
   uint64_t false_suspicions_ = 0;

@@ -1,5 +1,6 @@
 #include "telemetry/histogram.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -51,19 +52,6 @@ double LogHistogram::BucketHigh(int index) {
   ALC_CHECK_LT(index, kNumBuckets);
   return index + 1 < kNumBuckets ? BucketLow(index + 1)
                                  : kMinValue * std::ldexp(1.0, kOctaves);
-}
-
-void LogHistogram::Add(double value) {
-  const int index = BucketIndex(value);
-  if (index < 0) {
-    ++underflow_;
-  } else if (index >= kNumBuckets) {
-    ++overflow_;
-  } else {
-    ++buckets_[static_cast<size_t>(index)];
-  }
-  ++count_;
-  sum_ += value;
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
@@ -125,6 +113,94 @@ double LogHistogram::Quantile(double q) const {
   }
   // Only overflow mass remains: report the histogram ceiling.
   return kMinValue * std::ldexp(1.0, kOctaves);
+}
+
+void HistogramWindow::Quantiles(const double* qs, int n, double* out) {
+  if (count_ == 0) {
+    std::fill(out, out + n, 0.0);
+    return;
+  }
+  if (!sorted_) {
+    std::sort(touched_.begin(), touched_.begin() + num_touched_);
+    sorted_ = true;
+  }
+  // The arithmetic below is LogHistogram::Quantile's, step for step: the
+  // same clamping, the same running double `cumulative` over the nonzero
+  // buckets in ascending order, the same interpolation. A non-decreasing
+  // target resumes at the bucket the previous one landed in, because every
+  // bucket before it ended below the previous target.
+  const double underflow = static_cast<double>(underflow_);
+  size_t pos = 0;
+  double cumulative = underflow;
+  double last_target = 0.0;
+  for (int k = 0; k < n; ++k) {
+    double q = qs[k];
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const double target = q * static_cast<double>(count_);
+    if (target <= underflow) {
+      out[k] = underflow_ > 0 ? LogHistogram::kMinValue * (target / underflow)
+                              : 0.0;
+      continue;
+    }
+    if (!(target >= last_target)) {  // descending (or NaN): rescan
+      pos = 0;
+      cumulative = underflow;
+    }
+    last_target = target;
+    // Only overflow mass remains past the last touched bucket.
+    out[k] = LogHistogram::kMinValue * std::ldexp(1.0, LogHistogram::kOctaves);
+    for (; pos < num_touched_; ++pos) {
+      const int i = touched_[pos];
+      const uint64_t in_bucket = buckets_[static_cast<size_t>(i)];
+      const double next = cumulative + static_cast<double>(in_bucket);
+      if (target <= next) {
+        const double fraction =
+            (target - cumulative) / static_cast<double>(in_bucket);
+        const double low = LogHistogram::BucketLow(i);
+        out[k] = low + fraction * (LogHistogram::BucketHigh(i) - low);
+        break;
+      }
+      cumulative = next;
+    }
+  }
+}
+
+void HistogramWindow::MergeInto(LogHistogram* out) const {
+  for (size_t k = 0; k < num_touched_; ++k) {
+    out->buckets_[touched_[k]] += buckets_[touched_[k]];
+  }
+  out->underflow_ += underflow_;
+  out->overflow_ += overflow_;
+  out->count_ += count_;
+  out->sum_ += sum_;
+}
+
+void HistogramWindow::MergeInto(HistogramWindow* out) const {
+  for (size_t k = 0; k < num_touched_; ++k) {
+    const uint16_t i = touched_[k];
+    if (out->buckets_[i] == 0) {
+      if (out->num_touched_ > 0 && out->touched_[out->num_touched_ - 1] > i) {
+        out->sorted_ = false;
+      }
+      out->touched_[out->num_touched_++] = i;
+    }
+    out->buckets_[i] += buckets_[i];
+  }
+  out->underflow_ += underflow_;
+  out->overflow_ += overflow_;
+  out->count_ += count_;
+  out->sum_ += sum_;
+}
+
+void HistogramWindow::Clear() {
+  for (size_t k = 0; k < num_touched_; ++k) buckets_[touched_[k]] = 0;
+  num_touched_ = 0;
+  sorted_ = true;
+  underflow_ = 0;
+  overflow_ = 0;
+  count_ = 0;
+  sum_ = 0.0;
 }
 
 }  // namespace alc::telemetry

@@ -2,6 +2,7 @@
 #define ALC_TELEMETRY_HISTOGRAM_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace alc::telemetry {
@@ -33,8 +34,9 @@ const char* PhaseName(Phase phase);
 /// Everything is integer bucket counts over a fixed array: recording never
 /// allocates, Merge() of per-node histograms is bucket-wise addition and
 /// therefore exactly equals the histogram of the pooled samples, and
-/// Subtract() of an earlier snapshot yields the interval histogram (counts
-/// are cumulative and monotone). This is the repo's canonical latency
+/// Subtract() of an earlier snapshot yields the histogram of the values
+/// recorded since (counts are cumulative and monotone). Per-interval reads
+/// use HistogramWindow below instead of snapshots. This is the repo's canonical latency
 /// statistic: a 10M-transaction run reports p50/p99/p999 from ~9 KB of
 /// state instead of a full sample series.
 class LogHistogram {
@@ -48,7 +50,11 @@ class LogHistogram {
   static constexpr double kMinValue = 1e-6;
 
   /// Records one value. Negative and NaN values count as underflow (zero).
-  void Add(double value);
+  void Add(double value) { AddAt(BucketIndex(value), value); }
+  /// Add() with the bucket already computed: `index` must equal
+  /// BucketIndex(value). Lets a recorder that feeds several histograms the
+  /// same value compute the index once.
+  void AddAt(int index, double value);
 
   /// Bucket-wise addition: afterwards *this equals the histogram of the
   /// union of both sample sets, exactly.
@@ -86,12 +92,95 @@ class LogHistogram {
   uint64_t overflow() const { return overflow_; }
 
  private:
+  friend class HistogramWindow;
+
   std::array<uint64_t, kNumBuckets> buckets_{};
   uint64_t underflow_ = 0;
   uint64_t overflow_ = 0;
   uint64_t count_ = 0;
   double sum_ = 0.0;
 };
+
+/// The histogram of one measurement window: LogHistogram's bucket layout
+/// plus the list of buckets the window has touched. A reader owns a
+/// window, has it fed every value as it is recorded, reads it at the end of
+/// an interval and clears it. Reading, merging and clearing each cost
+/// O(touched buckets), which is at most the number of values in the window,
+/// instead of a pass over all kNumBuckets — at short intervals a window
+/// holds a handful of values. The quantiles are bit-identical to
+/// LogHistogram::Quantile over the same values. Never allocates.
+class HistogramWindow {
+ public:
+  void Add(double value) { AddAt(LogHistogram::BucketIndex(value), value); }
+  /// `index` must equal LogHistogram::BucketIndex(value).
+  void AddAt(int index, double value);
+
+  /// out[i] = LogHistogram::Quantile(qs[i]) of the window's values, for
+  /// i in [0, n). Non-decreasing qs share one ascending pass over the
+  /// touched buckets. Sorts the touched list, hence non-const.
+  void Quantiles(const double* qs, int n, double* out);
+  double Quantile(double q) {
+    double out;
+    Quantiles(&q, 1, &out);
+    return out;
+  }
+
+  /// Adds the window's values to `out`: the same result as
+  /// LogHistogram::Merge of a histogram holding them.
+  void MergeInto(LogHistogram* out) const;
+  void MergeInto(HistogramWindow* out) const;
+
+  /// Empties the window; every bucket is zero afterwards.
+  void Clear();
+
+  uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  const std::array<uint64_t, LogHistogram::kNumBuckets>& buckets() const {
+    return buckets_;
+  }
+
+ private:
+  static_assert(LogHistogram::kNumBuckets <= UINT16_MAX,
+                "touched_ stores bucket indices as uint16_t");
+
+  std::array<uint64_t, LogHistogram::kNumBuckets> buckets_{};
+  /// touched_[0, num_touched_) are the indices of the nonzero buckets, in
+  /// first-touch order until a read sorts them.
+  std::array<uint16_t, LogHistogram::kNumBuckets> touched_;
+  size_t num_touched_ = 0;
+  bool sorted_ = true;
+  uint64_t underflow_ = 0;
+  uint64_t overflow_ = 0;
+  uint64_t count_ = 0;
+  double sum_ = 0.0;
+};
+
+inline void LogHistogram::AddAt(int index, double value) {
+  if (index < 0) {
+    ++underflow_;
+  } else if (index >= kNumBuckets) {
+    ++overflow_;
+  } else {
+    ++buckets_[static_cast<size_t>(index)];
+  }
+  ++count_;
+  sum_ += value;
+}
+
+inline void HistogramWindow::AddAt(int index, double value) {
+  if (index < 0) {
+    ++underflow_;
+  } else if (index >= LogHistogram::kNumBuckets) {
+    ++overflow_;
+  } else if (buckets_[static_cast<size_t>(index)]++ == 0) {
+    if (num_touched_ > 0 && touched_[num_touched_ - 1] > index) {
+      sorted_ = false;
+    }
+    touched_[num_touched_++] = static_cast<uint16_t>(index);
+  }
+  ++count_;
+  sum_ += value;
+}
 
 }  // namespace alc::telemetry
 

@@ -87,7 +87,11 @@ int32_t SessionWorkload::AcquireSlot() {
   }
   const int32_t slot = static_cast<int32_t>(pool_.size());
   pool_.emplace_back();
-  free_slots_.reserve(pool_.size());
+  // The free list never holds more than every slot; growing its capacity
+  // geometrically keeps each new pool high-water mark allocation-free.
+  if (free_slots_.capacity() < pool_.size()) {
+    free_slots_.reserve(2 * pool_.size());
+  }
   return slot;
 }
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "control/monitor.h"
 #include "db/system.h"
 #include "sim/simulator.h"
+#include "telemetry/histogram.h"
 
 namespace alc::control {
 namespace {
@@ -165,6 +167,48 @@ TEST(MonitorTest, IntervalCommitsSumToTotal) {
   sim.RunUntil(10.5);
   const uint64_t at_last_tick = sum;
   EXPECT_GT(at_last_tick, 0u);
+}
+
+// The monitor reads interval percentiles from its response window. Rebuild
+// the snapshot-subtract computation that window replaced — the cumulative
+// histogram minus its snapshot at the previous tick — and check every
+// sample against it bit for bit, across a short interval (a few commits
+// per tick, some ticks empty) and a retuned longer one.
+TEST(MonitorTest, PercentilesMatchSnapshotSubtractBitForBit) {
+  sim::Simulator sim;
+  db::TransactionSystem system(&sim, SmallConfig(11));
+  Monitor monitor(&sim, &system, 0.002);
+  telemetry::LogHistogram last;
+  int ticks = 0;
+  int nonempty = 0;
+  const auto bits = [](double v) {
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  monitor.SetCallback([&](const Sample& sample) {
+    telemetry::LogHistogram interval = system.metrics().response_hist;
+    interval.Subtract(last);
+    last = system.metrics().response_hist;
+    ++ticks;
+    if (interval.count() > 0) ++nonempty;
+    EXPECT_EQ(monitor.interval_response_window().count(), interval.count());
+    EXPECT_EQ(static_cast<uint64_t>(sample.commits), interval.count());
+    EXPECT_EQ(bits(sample.response_p50), bits(interval.Quantile(0.50)));
+    EXPECT_EQ(bits(sample.response_p95), bits(interval.Quantile(0.95)));
+    EXPECT_EQ(bits(sample.response_p99), bits(interval.Quantile(0.99)));
+    EXPECT_EQ(bits(sample.response_p999), bits(interval.Quantile(0.999)));
+  });
+  system.Start();
+  sim.RunUntil(0.5);  // commits before Start() belong to no interval
+  last = system.metrics().response_hist;
+  monitor.Start();
+  sim.RunUntil(5.0);
+  monitor.SetInterval(0.7);
+  sim.RunUntil(20.0);
+  EXPECT_GT(ticks, 200);
+  EXPECT_GT(nonempty, 100);
+  EXPECT_LT(nonempty, ticks);  // some 2 ms ticks see no commit
 }
 
 TEST(MonitorTest, ThroughputMatchesCommitDeltas) {

@@ -474,6 +474,7 @@ TEST(RobustnessTest, OutOfRangeValuesAreErrorsNotRunAborts) {
   // would be truncated to 1), so the spec layer must reject it.
   const core::ExperimentSpec fleet =
       LoadCommittedSpec("perfbench/workloads/fleet.spec");
+  std::string error;
   const std::pair<std::string, std::string> bad[] = {
       {"node.physical.num_cpus", "0"},
       {"node.physical.num_terminals", "-5"},
@@ -507,10 +508,20 @@ TEST(RobustnessTest, OutOfRangeValuesAreErrorsNotRunAborts) {
                                    "0.5"}})
                 .find("measurement_interval"),
             std::string::npos);
+  // An outer tuner retunes its own node's interval, which would move that
+  // monitor off the shared grid ClusterMetrics completes ticks on; a
+  // one-node cluster has no grid to leave.
+  EXPECT_NE(OverrideError(fleet, {{"node3.control.outer_tuner", "true"}})
+                .find("outer_tuner"),
+            std::string::npos);
+  core::ExperimentSpec one_node;
+  ASSERT_TRUE(core::ParseSpec(
+      "[experiment]\ncluster = true\n[node]\ncontrol.outer_tuner = true\n",
+      &one_node, &error))
+      << error;
 
   // In a spec file the same values fail with the line that sets them.
   core::ExperimentSpec spec;
-  std::string error;
   EXPECT_FALSE(core::ParseSpec("[node]\nphysical.num_cpus = 0\n", &spec,
                                &error));
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;

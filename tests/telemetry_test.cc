@@ -1,8 +1,10 @@
 // LogHistogram properties (quantile error bound, exact merge determinism,
-// interval subtraction) and TraceRecorder structural checks.
+// interval subtraction), HistogramWindow's bit-equality with LogHistogram,
+// and TraceRecorder structural checks.
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 namespace alc {
 namespace {
 
+using telemetry::HistogramWindow;
 using telemetry::LogHistogram;
 using telemetry::TraceRecorder;
 
@@ -190,6 +193,143 @@ TEST(LogHistogramTest, ClearResets) {
   EXPECT_EQ(hist.underflow(), 0u);
   EXPECT_EQ(hist.overflow(), 0u);
   EXPECT_EQ(hist.sum(), 0.0);
+}
+
+// ----------------------------------------------------------------- window --
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Value sets that reach every branch of LogHistogram::Quantile: the empty
+/// set, underflow (values below kMinValue, zero, negatives, NaN), overflow
+/// (beyond the top octave), single-bucket sets, and random mixes of all of
+/// them with ordinary response times spread over many octaves.
+std::vector<std::vector<double>> WindowCases() {
+  std::vector<std::vector<double>> cases = {
+      {},
+      {0.25},
+      {0.25, 0.25, 0.25, 0.2500001},
+      {0.0, -1.0, std::nan(""), 1e-7},
+      {1e6, 1e12, 2e5},
+      {1e-7, 0.03, 1e7},
+  };
+  sim::RandomStream rng(23);
+  const double specials[] = {0.0,   -0.5, std::nan(""), 1e-9, 5e-7,
+                             1e5,   1e12, LogHistogram::kMinValue};
+  for (int c = 0; c < 200; ++c) {
+    std::vector<double> values;
+    const int n = static_cast<int>(rng.NextUint64(60));
+    for (int i = 0; i < n; ++i) {
+      const double u = rng.NextDouble();
+      if (u < 0.15) {
+        values.push_back(specials[rng.NextUint64(8)]);
+      } else if (u < 0.5) {
+        values.push_back(rng.NextExponential(0.05));
+      } else {
+        values.push_back(std::pow(10.0, -8.0 + 14.0 * rng.NextDouble()));
+      }
+    }
+    cases.push_back(std::move(values));
+  }
+  return cases;
+}
+
+constexpr double kWindowQuantiles[] = {0.0, 0.5, 0.95, 0.99, 0.999, 1.0};
+constexpr int kNumWindowQuantiles = 6;
+
+TEST(HistogramWindowTest, QuantilesAreBitEqualToLogHistogram) {
+  for (const std::vector<double>& values : WindowCases()) {
+    SCOPED_TRACE(values.size());
+    LogHistogram hist;
+    HistogramWindow window;
+    for (const double v : values) {
+      hist.Add(v);
+      window.Add(v);
+    }
+    EXPECT_EQ(window.count(), hist.count());
+    double out[kNumWindowQuantiles];
+    window.Quantiles(kWindowQuantiles, kNumWindowQuantiles, out);
+    for (int k = 0; k < kNumWindowQuantiles; ++k) {
+      EXPECT_TRUE(BitEqual(out[k], hist.Quantile(kWindowQuantiles[k])))
+          << "q=" << kWindowQuantiles[k] << " window " << out[k]
+          << " histogram " << hist.Quantile(kWindowQuantiles[k]);
+    }
+    // Descending and out-of-range requests rescan instead of resuming.
+    const double mixed[] = {0.99, 0.5, 1.5, -0.5, 0.95};
+    double mixed_out[5];
+    window.Quantiles(mixed, 5, mixed_out);
+    for (int k = 0; k < 5; ++k) {
+      EXPECT_TRUE(BitEqual(mixed_out[k], hist.Quantile(mixed[k])))
+          << "q=" << mixed[k];
+    }
+  }
+}
+
+TEST(HistogramWindowTest, MergeIntoEqualsMerge) {
+  const std::vector<std::vector<double>> cases = WindowCases();
+  for (size_t c = 0; c + 1 < cases.size(); ++c) {
+    LogHistogram base;
+    HistogramWindow base_window;
+    for (const double v : cases[c + 1]) {
+      base.Add(v);
+      base_window.Add(v);
+    }
+    LogHistogram added;
+    HistogramWindow window;
+    for (const double v : cases[c]) {
+      added.Add(v);
+      window.Add(v);
+    }
+
+    LogHistogram merged = base;
+    merged.Merge(added);
+    LogHistogram into = base;
+    window.MergeInto(&into);
+    EXPECT_EQ(into.buckets(), merged.buckets());
+    EXPECT_EQ(into.underflow(), merged.underflow());
+    EXPECT_EQ(into.overflow(), merged.overflow());
+    EXPECT_EQ(into.count(), merged.count());
+    EXPECT_TRUE(BitEqual(into.sum(), merged.sum()));
+
+    window.MergeInto(&base_window);
+    EXPECT_EQ(base_window.buckets(), merged.buckets());
+    EXPECT_EQ(base_window.count(), merged.count());
+    EXPECT_TRUE(BitEqual(base_window.sum(), merged.sum()));
+    double out[kNumWindowQuantiles];
+    base_window.Quantiles(kWindowQuantiles, kNumWindowQuantiles, out);
+    for (int k = 0; k < kNumWindowQuantiles; ++k) {
+      EXPECT_TRUE(BitEqual(out[k], merged.Quantile(kWindowQuantiles[k])))
+          << "case " << c << " q=" << kWindowQuantiles[k];
+    }
+  }
+}
+
+TEST(HistogramWindowTest, ClearLeavesEveryBucketZero) {
+  const std::vector<std::vector<double>> cases = WindowCases();
+  HistogramWindow window;
+  for (const std::vector<double>& values : cases) {
+    for (const double v : values) window.Add(v);
+    window.Clear();
+    EXPECT_EQ(window.buckets(), LogHistogram().buckets());
+    EXPECT_EQ(window.count(), 0u);
+    EXPECT_EQ(window.sum(), 0.0);
+    // A cleared window reads like an empty histogram, including underflow
+    // and overflow, and refills like a fresh one.
+    double out[kNumWindowQuantiles];
+    window.Quantiles(kWindowQuantiles, kNumWindowQuantiles, out);
+    for (const double q : out) EXPECT_EQ(q, 0.0);
+    LogHistogram refill;
+    window.Add(0.125);
+    window.Add(-1.0);
+    refill.Add(0.125);
+    refill.Add(-1.0);
+    window.Quantiles(kWindowQuantiles, kNumWindowQuantiles, out);
+    for (int k = 0; k < kNumWindowQuantiles; ++k) {
+      EXPECT_TRUE(BitEqual(out[k], refill.Quantile(kWindowQuantiles[k])));
+    }
+    window.Clear();
+  }
 }
 
 // ------------------------------------------------------------------ trace --

@@ -12,16 +12,18 @@
 #   4. the fault_storm spec end to end: the [fault] injector, phi/quorum
 #      detection, bounded retry, and the degradation ladder must all
 #      leave their marks in the manifest and decision audit
-#   5. perf_suite --smoke --check: the allocation pins (event engine,
-#      session source, cluster pools) must hold
+#   5. perf_suite --check, smoke and full spans (~7 s): the allocation
+#      pins (event engine, session source, cluster pools, histogram
+#      windows) must hold
 #   6. bad input: a run window with warmup >= duration, a malformed
 #      controller param in a spec file and one in a --set override, an
 #      out-of-range value, an overflowing db_size, malformed routing and
 #      autoscaler params, a sweep grid point whose axis values are
 #      valid alone, non-positive service-time means, an empty database,
 #      inverted or negative PA/IS/GS/Iyer controller bounds, a non-positive
-#      Tay threshold and a Tay-rule k(t) reaching 0 must each exit 1 with an
-#      error line, never die by a signal
+#      Tay threshold, a Tay-rule k(t) reaching 0 and an outer tuner on a
+#      multi-node cluster must each exit 1 with an error line, never die by
+#      a signal
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -77,9 +79,11 @@ grep -q 'cluster.dead_letters' "$OUT_DIR/fault-storm/run.json"
 grep -q 'fault-injector' "$OUT_DIR/fault-storm/decisions.csv"
 grep -q 'degrade-ladder' "$OUT_DIR/fault-storm/decisions.csv"
 
-echo "== perf allocation pins"
+echo "== perf allocation pins (smoke, then full spans)"
 "./$BUILD_DIR/bench/perf_suite" --smoke --check \
   --out "$OUT_DIR/BENCH_perf.json" >/dev/null
+"./$BUILD_DIR/bench/perf_suite" --check \
+  --out "$OUT_DIR/BENCH_perf_full.json" >/dev/null
 
 echo "== bad input is an error, not a crash"
 # Runs alc_run with arguments that must be rejected: exit status exactly 1
@@ -112,7 +116,8 @@ expect_input_error specs/smoke.spec --set warmup=1 --set duration=6 \
   --sweep warmup=1,5 --sweep duration=3,10
 for bad in node.physical.cpu_access_mean=-0.001 \
   node.physical.restart_delay_mean=-1 node.logical.db_size=0 \
-  node.control.pa.min_bound=300 node.control.pa.dither=-5; do
+  node.control.pa.min_bound=300 node.control.pa.dither=-5 \
+  node.control.outer_tuner=true; do
   expect_input_error specs/node_failover.spec --set "$bad"
 done
 # Each entry: a controller, a colon, and an override that controller's
