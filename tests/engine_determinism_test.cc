@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,9 +116,11 @@ TEST(EngineDeterminismTest, SingleNodePaperModelIsPinned) {
 }
 
 // A 2PL point shaped like the matrix grid's (tests/matrix_test.cc): lock
-// waits, deadlock restarts and Incremental Steps under a closed
-// population, sampled every 0.5 s.
-TEST(EngineDeterminismTest, TwoPhaseLockingMatrixPointIsPinned) {
+// waits, deadlock restarts and the named controller under a closed
+// population with exponential service, sampled every 0.5 s. `control`
+// appends the controller's own `control.*` lines.
+core::ExperimentSpec MatrixPointSpec(const std::string& controller,
+                                     const std::string& control) {
   const std::string text =
       "[experiment]\n"
       "cluster = false\n"
@@ -142,21 +145,133 @@ TEST(EngineDeterminismTest, TwoPhaseLockingMatrixPointIsPinned) {
       "logical.write_fraction = 0.4\n"
       "dynamics.query_fraction = constant(0.3)\n"
       "dynamics.write_fraction = constant(0.4)\n"
-      "control.controller = incremental-steps\n"
+      "control.controller = " +
+      controller +
+      "\n"
       "control.measurement_interval = 0.5\n"
-      "control.initial_limit = 15\n"
-      "control.is.initial_bound = 15\n"
-      "control.is.min_bound = 2\n"
-      "control.is.max_bound = 90\n";
+      "control.initial_limit = 15\n" +
+      control;
   core::ExperimentSpec spec;
   std::string error;
-  ASSERT_TRUE(core::ParseSpec(text, &spec, &error)) << error;
-  const SingleNodeArtifacts run = RunSingleNode(spec, "2pl");
+  EXPECT_TRUE(core::ParseSpec(text, &spec, &error)) << error;
+  return spec;
+}
+
+TEST(EngineDeterminismTest, TwoPhaseLockingMatrixPointIsPinned) {
+  const SingleNodeArtifacts run = RunSingleNode(
+      MatrixPointSpec("incremental-steps",
+                      "control.is.initial_bound = 15\n"
+                      "control.is.min_bound = 2\n"
+                      "control.is.max_bound = 90\n"),
+      "2pl");
 
   EXPECT_EQ(run.trajectory.size(), 5703u);
   EXPECT_EQ(run.decisions.size(), 7352u);
   EXPECT_EQ(util::Fnv1a(run.trajectory), 7096997119426906532ULL);
   EXPECT_EQ(util::Fnv1a(run.decisions), 17103433606639336377ULL);
+}
+
+// The same point under every other built-in controller, with the matrix
+// grid's params, so a factory that stops reading one of its keys (or reads
+// it into the wrong member) changes bytes.
+struct ControllerPin {
+  const char* controller;
+  const char* control;
+  size_t trajectory_size;
+  size_t decisions_size;
+  uint64_t trajectory_fnv;
+  uint64_t decisions_fnv;
+};
+
+TEST(EngineDeterminismTest, EveryBuiltinControllerMatrixPointIsPinned) {
+  const ControllerPin pins[] = {
+      {"none", "", 5486u, 5245u, 4897731437803407095ULL, 8148431433808035224ULL},
+      {"fixed", "control.fixed.limit = 20\n", 5570u, 4632u, 12044019594535437303ULL, 17890835852754853332ULL},
+      {"tay-rule", "control.tay.threshold = 1.2\n", 5371u, 5095u, 9235359394868756751ULL, 12148148160781119171ULL},
+      {"iyer-rule",
+       "control.iyer.initial_bound = 15\n"
+       "control.iyer.min_bound = 2\n"
+       "control.iyer.max_bound = 90\n",
+       6081u, 8557u, 1530494219137107962ULL, 9138576639138114376ULL},
+      {"golden-section",
+       "control.gs.min_bound = 2\n"
+       "control.gs.max_bound = 90\n"
+       "control.gs.min_bracket = 10\n",
+       5984u, 11792u, 12730268363739663651ULL, 413458578072848823ULL},
+  };
+  for (const ControllerPin& pin : pins) {
+    const SingleNodeArtifacts run =
+        RunSingleNode(MatrixPointSpec(pin.controller, pin.control),
+                      pin.controller);
+    EXPECT_EQ(run.trajectory.size(), pin.trajectory_size) << pin.controller;
+    EXPECT_EQ(run.decisions.size(), pin.decisions_size) << pin.controller;
+    EXPECT_EQ(util::Fnv1a(run.trajectory), pin.trajectory_fnv)
+        << pin.controller;
+    EXPECT_EQ(util::Fnv1a(run.decisions), pin.decisions_fnv)
+        << pin.controller;
+  }
+}
+
+// Cluster specs cut short under the param-reading routing policies and
+// autoscaler no other pin or golden selects. Each override list sets
+// non-default params, so the factories' reads are pinned too.
+struct ClusterPin {
+  const char* spec;
+  std::vector<std::pair<std::string, std::string>> overrides;
+  size_t cluster_size;
+  size_t decisions_size;
+  uint64_t cluster_fnv;
+  uint64_t decisions_fnv;
+};
+
+TEST(EngineDeterminismTest, ParamReadingClusterPoliciesArePinned) {
+  const ClusterPin pins[] = {
+      {"specs/cluster_routing_flash.spec",
+       {{"routing", "threshold"},
+        {"routing.threshold.initial_threshold", "6"},
+        {"routing.threshold.min_threshold", "2"},
+        {"routing.threshold.max_threshold", "40"}},
+       60198u, 104394u, 18195109175676466754ULL, 14882910925442078412ULL},
+      {"specs/cluster_routing_flash.spec",
+       {{"routing", "power-of-d"}, {"routing.power-of-d.d", "3"}},
+       60554u, 104702u, 11240280899149023134ULL, 11997886075992170381ULL},
+      {"specs/elasticity_flash.spec",
+       {{"elasticity.scaler", "pi"},
+        {"elasticity.scaler.pi.target_queue_factor", "0.8"},
+        {"elasticity.scaler.pi.kp", "1.5"},
+        {"elasticity.scaler.pi.ki", "0.3"},
+        {"elasticity.scaler.pi.integral_clamp", "4"},
+        {"elasticity.scaler.pi.cooldown", "4"}},
+       77024u, 128537u, 10466753290016564686ULL, 10573579173730174440ULL},
+  };
+  for (const ClusterPin& pin : pins) {
+    const std::string label = pin.spec + (" " + pin.overrides[0].second);
+    core::ExperimentSpec spec;
+    std::string error;
+    ASSERT_TRUE(core::LoadSpecFile(
+        std::string(ALC_SOURCE_DIR) + "/" + pin.spec, &spec, &error))
+        << error;
+    ASSERT_TRUE(core::ApplySpecOverride(&spec, "duration", "70", &error))
+        << error;
+    ASSERT_TRUE(core::ApplySpecOverride(&spec, "warmup", "10", &error))
+        << error;
+    for (const auto& [key, value] : pin.overrides) {
+      ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+    }
+    spec.decisions_path =
+        testing::TempDir() + "/cluster_" + pin.overrides[0].second + ".csv";
+    const core::SpecRunResult result = core::RunSpec(spec);
+    std::remove(spec.decisions_path.c_str());
+    ASSERT_TRUE(result.cluster) << label;
+    const std::string cluster_csv = ClusterCsv(result.cluster_result);
+    std::ostringstream decisions;
+    telemetry::WriteDecisionsCsv(decisions, result.decisions);
+
+    EXPECT_EQ(cluster_csv.size(), pin.cluster_size) << label;
+    EXPECT_EQ(decisions.str().size(), pin.decisions_size) << label;
+    EXPECT_EQ(util::Fnv1a(cluster_csv), pin.cluster_fnv) << label;
+    EXPECT_EQ(util::Fnv1a(decisions.str()), pin.decisions_fnv) << label;
+  }
 }
 
 }  // namespace
