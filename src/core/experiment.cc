@@ -183,7 +183,8 @@ double StationaryThroughput(const ExperimentSpec& base, double fixed_limit,
   NodeSpec& node = spec.nodes[0];
   node.control.controller = "fixed";
   node.control.params = util::ParamMap();
-  node.control.params.SetDouble("fixed.limit", fixed_limit);
+  control::AppendFixedParams(control::FixedConfig{fixed_limit},
+                             &node.control.params);
   node.control.initial_limit = fixed_limit;
   node.control.displacement = false;
   node.control.outer_tuner = false;

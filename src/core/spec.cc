@@ -27,19 +27,6 @@ bool HasPrefix(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
-/// Registry membership check shared by the policy-name keys and fault
-/// kinds: unknown names fail at assign time with the registered names
-/// listed, instead of aborting deep inside the run. Names must therefore be
-/// registered before specs referencing them are parsed.
-template <typename Registry>
-bool CheckRegistered(const Registry& registry, const std::string& name,
-                     std::string* error) {
-  if (registry.Contains(name)) return true;
-  *error = "unknown '" + name + "'; registered:";
-  for (const std::string& known : registry.Names()) *error += " " + known;
-  return false;
-}
-
 /// The named-schedule context of a parse: numeric schedules and
 /// availability schedules share the [schedules] section (disambiguated by
 /// the avail(...) literal head) and the `$name` reference syntax.
@@ -162,11 +149,7 @@ auto WriteText(const T& value) -> decltype(value.ToString()) {
   return value.ToString();
 }
 
-template <typename T>
-struct Name {
-  std::string_view text;
-  T value;
-};
+using util::Name;
 
 constexpr Name<db::CcScheme> kCcSchemes[] = {
     {"occ", db::CcScheme::kOptimisticCertification},
@@ -198,11 +181,7 @@ struct NamedCodec {
   template <typename T>
   static bool Read(const std::string& text, const NamedSchedules&, T* out,
                    std::string* error) {
-    for (const auto& name : kNames) {
-      if (text != name.text) continue;
-      *out = T(name.value);
-      return true;
-    }
+    if (util::Named<kNames>::Read(text, out)) return true;
     *error = "expected ";
     for (const auto& name : kNames) {
       if (&name != &kNames[0]) *error += "/";
@@ -212,11 +191,8 @@ struct NamedCodec {
     return false;
   }
   template <typename T>
-  static std::string Write(const T& value) {
-    for (const auto& name : kNames) {
-      if (name.value == value) return std::string(name.text);
-    }
-    return "?";
+  static const char* Write(const T& value) {
+    return util::Named<kNames>::Write(value);
   }
 };
 
@@ -231,12 +207,15 @@ struct TypeCodec {
   static decltype(auto) Write(const T& value) { return WriteText(value); }
 };
 
-/// A policy name, checked against its registry when assigned.
+/// A policy name, checked against its registry when assigned: unknown names
+/// fail with the registered names listed, instead of aborting deep inside
+/// the run. Names must therefore be registered before specs referencing
+/// them are parsed.
 template <typename Registry>
 struct RegisteredCodec {
   static bool Read(const std::string& text, const NamedSchedules&,
                    std::string* out, std::string* error) {
-    if (!CheckRegistered(Registry::Global(), text, error)) return false;
+    if (!Registry::Global().Check(text, error)) return false;
     *out = text;
     return true;
   }
@@ -518,8 +497,7 @@ Field<fault::FaultConfig> FaultInjects() {
           *in.error = "key '" + in.key + "': " + message;
           return Assigned::kError;
         }
-        if (!CheckRegistered(fault::FaultRegistry::Global(), parsed.kind,
-                             &message)) {
+        if (!fault::FaultRegistry::Global().Check(parsed.kind, &message)) {
           *in.error = "key '" + in.key + "': " + message;
           return Assigned::kError;
         }
@@ -842,14 +820,26 @@ std::string RunWindowError(const ExperimentSpec& spec) {
          ") must be < duration (" + util::FormatDouble(spec.duration) + ")";
 }
 
+/// Empty when `low` < `high` (or == when not `strict`), else the message
+/// naming both params under `prefix`: an ordering between two of a policy's
+/// params that its constructor checks and no single param row can.
+std::string OrderError(const std::string& prefix, const char* low_name,
+                       double low, const char* high_name, double high,
+                       bool strict) {
+  if (low < high || (!strict && low == high)) return std::string();
+  return prefix + low_name + " (" + util::FormatDouble(low) + ") must be " +
+         (strict ? "< " : "<= ") + prefix + high_name + " (" +
+         util::FormatDouble(high) + ")";
+}
+
 /// Empty when a controller's min_bound < max_bound, else the message
 /// (following "node <i>").
 template <typename Config>
 std::string BoundOrderError(const std::string& family, const Config& config) {
-  if (config.min_bound < config.max_bound) return std::string();
-  return " control." + family + ".min_bound (" +
-         util::FormatDouble(config.min_bound) + ") must be < control." +
-         family + ".max_bound (" + util::FormatDouble(config.max_bound) + ")";
+  const std::string error =
+      OrderError("control." + family + ".", "min_bound", config.min_bound,
+                 "max_bound", config.max_bound, /*strict=*/true);
+  return error.empty() ? error : " " + error;
 }
 
 /// ValidateSpec's rules apart from the run window.
@@ -892,6 +882,20 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
   if (spec.degrade.enabled &&
       spec.degrade.shed_update < spec.degrade.shed_query) {
     return fail("degrade.shed_update must be >= degrade.shed_query");
+  }
+  if (spec.cluster && spec.routing == "threshold") {
+    const cluster::ThresholdPolicy::Config threshold =
+        cluster::ThresholdFromParams(spec.routing_params);
+    std::string problem =
+        OrderError("routing.threshold.", "min_threshold",
+                   threshold.min_threshold, "initial_threshold",
+                   threshold.initial_threshold, /*strict=*/false);
+    if (problem.empty()) {
+      problem = OrderError("routing.threshold.", "initial_threshold",
+                           threshold.initial_threshold, "max_threshold",
+                           threshold.max_threshold, /*strict=*/false);
+    }
+    if (!problem.empty()) return fail(problem);
   }
   for (const fault::FaultSpec& injected : spec.fault.faults) {
     // Window and target validation a per-key validator cannot see (the
@@ -981,6 +985,15 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
     }
     if (heartbeat.quorum > heartbeat.observers) {
       return fail("elasticity hb.quorum must be <= hb.observers");
+    }
+    if (spec.elasticity.scaler == "hysteresis") {
+      const elasticity::HysteresisAutoscaler::Config hysteresis =
+          elasticity::HysteresisFromParams(spec.elasticity.scaler_params);
+      const std::string problem = OrderError(
+          "elasticity.scaler.hysteresis.", "down_queue_factor",
+          hysteresis.down_queue_factor, "up_queue_factor",
+          hysteresis.up_queue_factor, /*strict=*/true);
+      if (!problem.empty()) return fail(problem);
     }
     if (spec.elasticity.standby >= static_cast<int>(spec.nodes.size())) {
       return fail("elasticity standby pool (" +

@@ -1,7 +1,5 @@
 #include "elasticity/autoscaler.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace alc::elasticity {
@@ -88,115 +86,72 @@ void PiAutoscaler::DescribeDecision(control::DecisionState* state) const {
   state->Set("drive", last_drive_);
 }
 
+namespace {
+
+// A row's bound is the check of the scaler constructor reading the key;
+// the hysteresis up > down ordering is core::ValidateSpec's.
+using util::Param;
+using HysteresisConfig = HysteresisAutoscaler::Config;
+constexpr util::ParamField<HysteresisConfig> kHysteresisParams[] = {
+    Param<&HysteresisConfig::up_queue_factor>("hysteresis.up_queue_factor",
+                                              util::kDoubleParam),
+    Param<&HysteresisConfig::down_queue_factor>("hysteresis.down_queue_factor",
+                                                util::kDoubleParam),
+    Param<&HysteresisConfig::up_p95>("hysteresis.up_p95", util::kDoubleParam),
+    Param<&HysteresisConfig::hold_ticks>("hysteresis.hold_ticks",
+                                         util::kPositiveIntParam),
+    Param<&HysteresisConfig::cooldown>("hysteresis.cooldown",
+                                       util::kNonNegativeDoubleParam),
+};
+using PiConfig = PiAutoscaler::Config;
+constexpr util::ParamField<PiConfig> kPiParams[] = {
+    Param<&PiConfig::target_queue_factor>("pi.target_queue_factor",
+                                          util::kDoubleParam),
+    Param<&PiConfig::kp>("pi.kp", util::kDoubleParam),
+    Param<&PiConfig::ki>("pi.ki", util::kDoubleParam),
+    Param<&PiConfig::integral_clamp>("pi.integral_clamp",
+                                     util::kPositiveDoubleParam),
+    Param<&PiConfig::cooldown>("pi.cooldown", util::kNonNegativeDoubleParam),
+};
+
+}  // namespace
+
 void AppendHysteresisParams(const HysteresisAutoscaler::Config& config,
                             util::ParamMap* params) {
-  params->SetDouble("hysteresis.up_queue_factor", config.up_queue_factor);
-  params->SetDouble("hysteresis.down_queue_factor", config.down_queue_factor);
-  params->SetDouble("hysteresis.up_p95", config.up_p95);
-  params->SetInt("hysteresis.hold_ticks", config.hold_ticks);
-  params->SetDouble("hysteresis.cooldown", config.cooldown);
+  util::WriteParams(kHysteresisParams, config, params);
 }
 
 HysteresisAutoscaler::Config HysteresisFromParams(
     const util::ParamMap& params) {
-  HysteresisAutoscaler::Config config;
-  config.up_queue_factor =
-      params.GetDouble("hysteresis.up_queue_factor", config.up_queue_factor);
-  config.down_queue_factor = params.GetDouble("hysteresis.down_queue_factor",
-                                              config.down_queue_factor);
-  config.up_p95 = params.GetDouble("hysteresis.up_p95", config.up_p95);
-  config.hold_ticks = params.GetInt("hysteresis.hold_ticks", config.hold_ticks);
-  config.cooldown = params.GetDouble("hysteresis.cooldown", config.cooldown);
-  return config;
+  return util::ReadParams(kHysteresisParams, params);
 }
 
 void AppendPiParams(const PiAutoscaler::Config& config,
                     util::ParamMap* params) {
-  params->SetDouble("pi.target_queue_factor", config.target_queue_factor);
-  params->SetDouble("pi.kp", config.kp);
-  params->SetDouble("pi.ki", config.ki);
-  params->SetDouble("pi.integral_clamp", config.integral_clamp);
-  params->SetDouble("pi.cooldown", config.cooldown);
+  util::WriteParams(kPiParams, config, params);
 }
 
 PiAutoscaler::Config PiFromParams(const util::ParamMap& params) {
-  PiAutoscaler::Config config;
-  config.target_queue_factor =
-      params.GetDouble("pi.target_queue_factor", config.target_queue_factor);
-  config.kp = params.GetDouble("pi.kp", config.kp);
-  config.ki = params.GetDouble("pi.ki", config.ki);
-  config.integral_clamp =
-      params.GetDouble("pi.integral_clamp", config.integral_clamp);
-  config.cooldown = params.GetDouble("pi.cooldown", config.cooldown);
-  return config;
+  return util::ReadParams(kPiParams, params);
 }
 
 bool ValidateAutoscalerParam(const std::string& key, const std::string& value,
                              std::string* error) {
-  static constexpr util::TypedParam kBuiltinParams[] = {
-      {"hysteresis.up_queue_factor", util::kDoubleParam},
-      {"hysteresis.down_queue_factor", util::kDoubleParam},
-      {"hysteresis.up_p95", util::kDoubleParam},
-      {"hysteresis.hold_ticks", util::kIntParam},
-      {"hysteresis.cooldown", util::kDoubleParam},
-      {"pi.target_queue_factor", util::kDoubleParam},
-      {"pi.kp", util::kDoubleParam},
-      {"pi.ki", util::kDoubleParam},
-      {"pi.integral_clamp", util::kDoubleParam},
-      {"pi.cooldown", util::kDoubleParam},
-  };
-  return util::CheckTypedParam(kBuiltinParams, "autoscaler param", key, value,
-                               error);
+  return util::CheckParam("autoscaler param", key, value, error,
+                          kHysteresisParams, kPiParams);
 }
 
-AutoscalerRegistry::AutoscalerRegistry() {
-  Register("none", [](const AutoscalerContext&) {
-    return std::make_unique<NoneAutoscaler>();
-  });
-  Register("hysteresis", [](const AutoscalerContext& context) {
+AutoscalerRegistry BuiltinRegistry(AutoscalerRegistry*) {
+  AutoscalerRegistry registry("autoscaler");
+  registry.Register<NoneAutoscaler>("none");
+  registry.Register("hysteresis", [](const AutoscalerContext& context) {
     return std::make_unique<HysteresisAutoscaler>(
         HysteresisFromParams(*context.params));
   });
-  Register("pi", [](const AutoscalerContext& context) {
+  registry.Register("pi", [](const AutoscalerContext& context) {
     return std::make_unique<PiAutoscaler>(PiFromParams(*context.params));
   });
-}
-
-AutoscalerRegistry& AutoscalerRegistry::Global() {
-  static AutoscalerRegistry* registry = new AutoscalerRegistry();
-  return *registry;
-}
-
-bool AutoscalerRegistry::Register(const std::string& name,
-                                  AutoscalerFactory factory) {
-  ALC_CHECK(factory != nullptr);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
-bool AutoscalerRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> AutoscalerRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<AutoscalerPolicy> AutoscalerRegistry::Make(
-    const std::string& name, const AutoscalerContext& context,
-    std::string* error) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    if (error != nullptr) {
-      *error = "unknown autoscaler '" + name + "'; registered:";
-      for (const auto& [known, factory] : factories_) *error += " " + known;
-    }
-    return nullptr;
-  }
-  ALC_CHECK(context.params != nullptr);
-  return it->second(context);
+  return registry;
 }
 
 }  // namespace alc::elasticity

@@ -2,15 +2,12 @@
 #define ALC_ELASTICITY_AUTOSCALER_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "control/controller.h"
 #include "util/params.h"
+#include "util/registry.h"
 
 namespace alc::elasticity {
 
@@ -134,35 +131,15 @@ struct AutoscalerContext {
   uint64_t seed = 0;
 };
 
-using AutoscalerFactory =
-    std::function<std::unique_ptr<AutoscalerPolicy>(const AutoscalerContext&)>;
+/// Autoscaler policies by name: the built-ins ("none", "hysteresis", "pi")
+/// come with Global(), user code adds policies and selects them through the
+/// [elasticity] spec section.
+using AutoscalerRegistry = util::Registry<AutoscalerPolicy, AutoscalerContext>;
+AutoscalerRegistry BuiltinRegistry(AutoscalerRegistry*);
 
-/// String-keyed factory registry for autoscaler policies, mirroring
-/// cluster::RoutingPolicyRegistry: built-ins ("none", "hysteresis", "pi")
-/// self-register; user code adds policies by name and selects them through
-/// the [elasticity] spec section with no core edits. Registration must
-/// finish before concurrent Make() calls begin (no locks).
-class AutoscalerRegistry {
- public:
-  static AutoscalerRegistry& Global();
-
-  bool Register(const std::string& name, AutoscalerFactory factory);
-
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
-  std::unique_ptr<AutoscalerPolicy> Make(const std::string& name,
-                                         const AutoscalerContext& context,
-                                         std::string* error = nullptr) const;
-
- private:
-  AutoscalerRegistry();
-
-  std::map<std::string, AutoscalerFactory> factories_;
-};
-
-/// Struct <-> ParamMap serialization for the built-in scaler configs; the
-/// writers emit exactly the keys the factories read.
+/// Struct <-> ParamMap serialization for the built-in scaler configs, each
+/// derived from the config's param table; the writers emit exactly the keys
+/// the factories read.
 void AppendHysteresisParams(const HysteresisAutoscaler::Config& config,
                             util::ParamMap* params);
 HysteresisAutoscaler::Config HysteresisFromParams(const util::ParamMap& params);
@@ -170,8 +147,8 @@ HysteresisAutoscaler::Config HysteresisFromParams(const util::ParamMap& params);
 void AppendPiParams(const PiAutoscaler::Config& config, util::ParamMap* params);
 PiAutoscaler::Config PiFromParams(const util::ParamMap& params);
 
-/// Checks that `value` parses as the type the built-in scalers read `key`
-/// as (util::CheckTypedParam); keys no built-in reads pass.
+/// Checks `value` against the row of `key` in the built-in param tables
+/// (util::CheckParam); keys no built-in reads pass.
 bool ValidateAutoscalerParam(const std::string& key, const std::string& value,
                              std::string* error);
 

@@ -94,46 +94,15 @@ void FaultKind::OnStart(const FaultSpec& /*spec*/,
                         FaultHost* /*host*/) const {}
 void FaultKind::OnEnd(const FaultSpec& /*spec*/, FaultHost* /*host*/) const {}
 
-FaultRegistry::FaultRegistry() {
-  Register("probe-delay", std::make_unique<ProbeDelayFault>());
-  Register("probe-loss", std::make_unique<ProbeLossFault>());
-  Register("partition", std::make_unique<PartitionFault>());
-  Register("disk-stall", std::make_unique<DiskStallFault>());
-  Register("cpu-degrade", std::make_unique<CpuDegradeFault>());
-  Register("crash-burst", std::make_unique<CrashBurstFault>());
-}
-
-FaultRegistry& FaultRegistry::Global() {
-  static FaultRegistry* registry = new FaultRegistry();
-  return *registry;
-}
-
-void FaultRegistry::Register(const std::string& name,
-                             std::unique_ptr<FaultKind> kind) {
-  ALC_CHECK(kind != nullptr);
-  kinds_[name] = std::move(kind);
-}
-
-bool FaultRegistry::Contains(const std::string& name) const {
-  return kinds_.find(name) != kinds_.end();
-}
-
-std::vector<std::string> FaultRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(kinds_.size());
-  for (const auto& [name, kind] : kinds_) names.push_back(name);
-  return names;
-}
-
-const FaultKind* FaultRegistry::Find(const std::string& name,
-                                     std::string* error) const {
-  auto it = kinds_.find(name);
-  if (it != kinds_.end()) return it->second.get();
-  if (error != nullptr) {
-    *error = "unknown fault kind '" + name + "'; registered:";
-    for (const std::string& known : Names()) *error += " " + known;
-  }
-  return nullptr;
+FaultRegistry BuiltinRegistry(FaultRegistry*) {
+  FaultRegistry registry("fault kind");
+  registry.Register<ProbeDelayFault>("probe-delay");
+  registry.Register<ProbeLossFault>("probe-loss");
+  registry.Register<PartitionFault>("partition");
+  registry.Register<DiskStallFault>("disk-stall");
+  registry.Register<CpuDegradeFault>("cpu-degrade");
+  registry.Register<CrashBurstFault>("crash-burst");
+  return registry;
 }
 
 FaultInjector::FaultInjector(sim::Simulator* simulator, FaultHost* host,
@@ -153,7 +122,7 @@ FaultInjector::FaultInjector(sim::Simulator* simulator, FaultHost* host,
     Entry entry;
     entry.spec = spec;
     std::string error;
-    entry.kind = FaultRegistry::Global().Find(spec.kind, &error);
+    entry.kind = FaultRegistry::Global().Make(spec.kind, spec, &error);
     if (entry.kind == nullptr) {
       ALC_LOG(kError, error);
       ALC_CHECK(entry.kind != nullptr);

@@ -2,9 +2,7 @@
 #define ALC_FAULT_FAULT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "elasticity/probe.h"
@@ -14,6 +12,7 @@
 #include "telemetry/audit.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
+#include "util/registry.h"
 
 namespace alc::fault {
 
@@ -70,9 +69,10 @@ class FaultKind {
   virtual void OnEnd(const FaultSpec& spec, FaultHost* host) const;
 };
 
-/// Name -> FaultKind registry, mirroring AutoscalerRegistry: built-ins are
-/// registered by the constructor, external kinds can be added before spec
-/// validation. Registered names are valid in `[fault] inject = ...` lines.
+/// Fault kinds by name: built-ins come with Global(), external kinds can
+/// be added before spec validation. Registered names are valid in
+/// `[fault] inject = ...` lines; the injector makes one kind per window,
+/// handing the factory the window it serves.
 ///
 /// Built-in kinds (magnitude semantics in parentheses):
 ///   probe-delay  — additive heartbeat-probe RTT spike (seconds)
@@ -82,22 +82,8 @@ class FaultKind {
 ///   cpu-degrade  — CPU speed multiplier (> 0, e.g. 0.5 = half speed)
 ///   crash-burst  — correlated crash of the node set at start, repair at
 ///                  end (-)
-class FaultRegistry {
- public:
-  FaultRegistry();
-
-  static FaultRegistry& Global();
-
-  void Register(const std::string& name, std::unique_ptr<FaultKind> kind);
-  bool Contains(const std::string& name) const;
-  std::vector<std::string> Names() const;
-
-  /// Null (with `error` set to the registered names) on unknown kinds.
-  const FaultKind* Find(const std::string& name, std::string* error) const;
-
- private:
-  std::map<std::string, std::unique_ptr<FaultKind>> kinds_;
-};
+using FaultRegistry = util::Registry<FaultKind, FaultSpec>;
+FaultRegistry BuiltinRegistry(FaultRegistry*);
 
 /// Spec-driven fault injector. Start() schedules one event per window
 /// edge on the shared simulator queue; each edge recomputes the affected
@@ -140,7 +126,7 @@ class FaultInjector : public elasticity::ProbePerturber {
  private:
   struct Entry {
     FaultSpec spec;
-    const FaultKind* kind = nullptr;
+    std::unique_ptr<FaultKind> kind;
     bool active = false;
     // Process-lifetime interned audit reasons (DecisionRecord stores raw
     // pointers that outlive the injector).

@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/check.h"
-
 namespace alc::util {
 
 std::string FormatDouble(double value) {
@@ -54,6 +52,15 @@ bool ParseInt(const std::string& text, long long* out) {
   return true;
 }
 
+bool ParseInt(const std::string& text, int* out) {
+  long long parsed = 0;
+  if (!ParseInt(text, &parsed) || parsed < INT_MIN || parsed > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 bool ParseUint64(const std::string& text, uint64_t* out) {
   if (text.empty() || text[0] == '-') return false;
   errno = 0;
@@ -80,47 +87,10 @@ bool ParseBool(const std::string& text, bool* out) {
   return false;
 }
 
-bool IsDoubleText(const std::string& text) {
-  double parsed = 0.0;
-  return ParseDouble(text, &parsed);
-}
-
-bool IsIntText(const std::string& text) {
-  long long parsed = 0;
-  return ParseInt(text, &parsed) && parsed >= INT_MIN && parsed <= INT_MAX;
-}
-
-bool IsPositiveDoubleText(const std::string& text) {
-  double parsed = 0.0;
-  return ParseDouble(text, &parsed) && parsed > 0.0;
-}
-
-bool IsNonNegativeDoubleText(const std::string& text) {
-  double parsed = 0.0;
-  return ParseDouble(text, &parsed) && parsed >= 0.0;
-}
-
-bool IsNonNegativeIntText(const std::string& text) {
-  long long parsed = 0;
-  return ParseInt(text, &parsed) && parsed >= 0 && parsed <= INT_MAX;
-}
-
-bool IsPositiveIntText(const std::string& text) {
-  long long parsed = 0;
-  return ParseInt(text, &parsed) && parsed >= 1 && parsed <= INT_MAX;
-}
-
-bool CheckTypedParam(const TypedParam* params, size_t count, const char* what,
-                     const std::string& key, const std::string& value,
-                     std::string* error) {
-  for (size_t i = 0; i < count; ++i) {
-    if (params[i].key != key) continue;
-    if (params[i].type.accepts(value)) return true;
-    *error = std::string(what) + " '" + key + "': expected " +
-             params[i].type.expected + ", got '" + value + "'";
-    return false;
-  }
-  return true;
+void MalformedParam(std::string_view key, const std::string& value) {
+  std::fprintf(stderr, "ParamMap: key '%.*s' holds malformed value '%s'\n",
+               static_cast<int>(key.size()), key.data(), value.c_str());
+  std::abort();
 }
 
 std::string TrimWhitespace(std::string_view text) {
@@ -159,20 +129,6 @@ void ParamMap::SetDouble(const std::string& key, double value) {
   Set(key, FormatDouble(value));
 }
 
-void ParamMap::SetInt(const std::string& key, long long value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%lld", value);
-  Set(key, buffer);
-}
-
-void ParamMap::SetBool(const std::string& key, bool value) {
-  Set(key, value ? "true" : "false");
-}
-
-bool ParamMap::Has(const std::string& key) const {
-  return entries_.count(key) > 0;
-}
-
 const std::string* ParamMap::Find(const std::string& key) const {
   auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : &it->second;
@@ -188,44 +144,16 @@ double ParamMap::GetDouble(const std::string& key, double fallback) const {
   const std::string* value = Find(key);
   if (value == nullptr) return fallback;
   double parsed = 0.0;
-  if (!ParseDouble(*value, &parsed)) {
-    std::fprintf(stderr, "ParamMap: key '%s' holds non-numeric value '%s'\n",
-                 key.c_str(), value->c_str());
-    ALC_CHECK(false);
-  }
+  if (!ParseDouble(*value, &parsed)) MalformedParam(key, *value);
   return parsed;
 }
 
 int ParamMap::GetInt(const std::string& key, int fallback) const {
   const std::string* value = Find(key);
   if (value == nullptr) return fallback;
-  long long parsed = 0;
-  if (!ParseInt(*value, &parsed) || parsed < INT_MIN || parsed > INT_MAX) {
-    std::fprintf(stderr,
-                 "ParamMap: key '%s' holds non-integer or out-of-range "
-                 "value '%s'\n",
-                 key.c_str(), value->c_str());
-    ALC_CHECK(false);
-  }
-  return static_cast<int>(parsed);
-}
-
-bool ParamMap::GetBool(const std::string& key, bool fallback) const {
-  const std::string* value = Find(key);
-  if (value == nullptr) return fallback;
-  bool parsed = false;
-  if (!ParseBool(*value, &parsed)) {
-    std::fprintf(stderr, "ParamMap: key '%s' holds non-boolean value '%s'\n",
-                 key.c_str(), value->c_str());
-    ALC_CHECK(false);
-  }
+  int parsed = 0;
+  if (!ParseInt(*value, &parsed)) MalformedParam(key, *value);
   return parsed;
-}
-
-void ParamMap::Merge(const ParamMap& other) {
-  for (const auto& [key, value] : other.entries_) {
-    entries_[key] = value;
-  }
 }
 
 }  // namespace alc::util

@@ -1,62 +1,24 @@
 #include "workload/registry.h"
 
-#include <utility>
-
-#include "util/check.h"
 #include "workload/session.h"
 
 namespace alc::workload {
 
-WorkloadRegistry::WorkloadRegistry() {
-  Register("open", [](const WorkloadSourceContext& context) {
+WorkloadRegistry BuiltinRegistry(WorkloadRegistry*) {
+  WorkloadRegistry registry("workload source");
+  registry.Register("open", [](const WorkloadSourceContext& context) {
     return std::make_unique<OpenArrivalSource>(
         context.arrival_rate, context.seed ^ kOpenArrivalSeedSalt);
   });
-  Register("closed", [](const WorkloadSourceContext& context) {
+  registry.Register("closed", [](const WorkloadSourceContext& context) {
     return std::make_unique<SessionWorkload>(SessionWorkload::Mode::kClosed,
                                              *context.spec, context.seed);
   });
-  Register("hybrid", [](const WorkloadSourceContext& context) {
+  registry.Register("hybrid", [](const WorkloadSourceContext& context) {
     return std::make_unique<SessionWorkload>(SessionWorkload::Mode::kHybrid,
                                              *context.spec, context.seed);
   });
-}
-
-WorkloadRegistry& WorkloadRegistry::Global() {
-  static WorkloadRegistry* registry = new WorkloadRegistry();
-  return *registry;
-}
-
-bool WorkloadRegistry::Register(const std::string& name,
-                                WorkloadSourceFactory factory) {
-  ALC_CHECK(factory != nullptr);
-  return factories_.emplace(name, std::move(factory)).second;
-}
-
-bool WorkloadRegistry::Contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
-std::vector<std::string> WorkloadRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<WorkloadSource> WorkloadRegistry::Make(
-    const std::string& name, const WorkloadSourceContext& context,
-    std::string* error) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    if (error != nullptr) {
-      *error = "unknown workload source '" + name + "'; registered:";
-      for (const auto& [known, factory] : factories_) *error += " " + known;
-    }
-    return nullptr;
-  }
-  ALC_CHECK(context.spec != nullptr);
-  return it->second(context);
+  return registry;
 }
 
 }  // namespace alc::workload

@@ -2,12 +2,8 @@
 #define ALC_WORKLOAD_REGISTRY_H_
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
 
+#include "util/registry.h"
 #include "workload/source.h"
 
 namespace alc::workload {
@@ -21,37 +17,11 @@ struct WorkloadSourceContext {
   uint64_t seed = 0;
 };
 
-using WorkloadSourceFactory =
-    std::function<std::unique_ptr<WorkloadSource>(const WorkloadSourceContext&)>;
-
-/// String-keyed factory registry for workload sources, mirroring
-/// RoutingPolicyRegistry / ControllerRegistry: built-ins ("open", "closed",
-/// "hybrid") self-register, user code adds sources by name and selects
-/// them through `[workload] source = name` with no core edits.
-/// Registration must finish before concurrent Make() calls begin (the
-/// registry takes no locks).
-class WorkloadRegistry {
- public:
-  static WorkloadRegistry& Global();
-
-  /// False (and no change) when `name` is already taken.
-  bool Register(const std::string& name, WorkloadSourceFactory factory);
-
-  bool Contains(const std::string& name) const;
-  /// Registered names, sorted.
-  std::vector<std::string> Names() const;
-
-  /// Builds the named source. Null on unknown name; `error` (optional)
-  /// then receives a message listing the registered names.
-  std::unique_ptr<WorkloadSource> Make(const std::string& name,
-                                       const WorkloadSourceContext& context,
-                                       std::string* error = nullptr) const;
-
- private:
-  WorkloadRegistry();
-
-  std::map<std::string, WorkloadSourceFactory> factories_;
-};
+/// Workload sources by name: the built-ins ("open", "closed", "hybrid")
+/// come with Global(), user code adds sources and selects them through
+/// `[workload] source = name`.
+using WorkloadRegistry = util::Registry<WorkloadSource, WorkloadSourceContext>;
+WorkloadRegistry BuiltinRegistry(WorkloadRegistry*);
 
 }  // namespace alc::workload
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,16 +97,43 @@ TEST(FaultRegistryTest, BuiltInKindsAreRegistered) {
                            "disk-stall", "cpu-degrade", "crash-burst"}) {
     EXPECT_TRUE(registry.Contains(kind)) << kind;
     std::string error;
-    EXPECT_NE(registry.Find(kind, &error), nullptr) << error;
+    EXPECT_NE(registry.Make(kind, fault::FaultSpec{}, &error), nullptr)
+        << error;
   }
 }
 
 TEST(FaultRegistryTest, UnknownKindListsRegisteredNames) {
   std::string error;
-  EXPECT_EQ(fault::FaultRegistry::Global().Find("meteor-strike", &error),
+  EXPECT_EQ(fault::FaultRegistry::Global().Make("meteor-strike",
+                                                fault::FaultSpec{}, &error),
             nullptr);
   EXPECT_NE(error.find("meteor-strike"), std::string::npos);
   EXPECT_NE(error.find("crash-burst"), std::string::npos);
+}
+
+/// A kind whose every window doubles the probe delay it is folded into.
+class DoublingDelayFault : public fault::FaultKind {
+ public:
+  void Contribute(const fault::FaultSpec&,
+                  fault::NodePerturbation* out) const override {
+    out->probe_delay *= 2.0;
+  }
+};
+
+TEST(FaultRegistryTest, DuplicateRegistrationIsRejected) {
+  fault::FaultRegistry& registry = fault::FaultRegistry::Global();
+  EXPECT_FALSE(registry.Register("probe-delay", [](const fault::FaultSpec&) {
+    return std::make_unique<DoublingDelayFault>();
+  }));
+  // The original factory survives: "probe-delay" still adds its magnitude.
+  fault::FaultSpec spec;
+  spec.magnitude = 0.25;
+  std::unique_ptr<fault::FaultKind> kind =
+      registry.Make("probe-delay", spec);
+  ASSERT_NE(kind, nullptr);
+  fault::NodePerturbation perturbation;
+  kind->Contribute(spec, &perturbation);
+  EXPECT_EQ(perturbation.probe_delay, 0.25);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // deprecated enums' alias names, unknown-name and duplicate-registration
 // errors, param serialization round trips, and external registration
 // running through the standard ExperimentSpec path with no core edits.
+// Every family is one util::Registry, so the unknown-name error is checked
+// once per family here.
 
 #include <algorithm>
 #include <memory>
@@ -14,6 +16,9 @@
 #include "control/registry.h"
 #include "core/cluster_experiment.h"
 #include "core/spec.h"
+#include "elasticity/autoscaler.h"
+#include "fault/fault.h"
+#include "workload/registry.h"
 
 namespace alc {
 namespace {
@@ -141,6 +146,43 @@ TEST(ControllerRegistryTest, ExternalControllerRunsThroughSpecPath) {
   ASSERT_FALSE(result.single.trajectory.empty());
   // The halving policy collapses the bound toward its floor.
   EXPECT_EQ(result.single.trajectory.back().bound, 5.0);
+}
+
+// ----------------------------------------------------------- every family --
+
+template <typename Registry>
+std::string UnknownNameError(const Registry& registry) {
+  std::string error;
+  EXPECT_FALSE(registry.Check("warp-drive", &error));
+  return error;
+}
+
+TEST(RegistryTest, UnknownNameErrorNamesTheFamilyAndListsItsNames) {
+  // The registered names are listed in sorted order after the family noun.
+  EXPECT_EQ(UnknownNameError(control::ControllerRegistry::Global())
+                .rfind("unknown controller 'warp-drive'; registered: fixed "
+                       "golden-section incremental-steps iyer-rule none",
+                       0),
+            0u);
+  EXPECT_EQ(UnknownNameError(cluster::RoutingPolicyRegistry::Global())
+                .rfind("unknown routing policy 'warp-drive'; registered: "
+                       "join-shortest-queue",
+                       0),
+            0u);
+  EXPECT_EQ(UnknownNameError(workload::WorkloadRegistry::Global()),
+            "unknown workload source 'warp-drive'; registered: closed "
+            "hybrid open");
+  EXPECT_EQ(UnknownNameError(elasticity::AutoscalerRegistry::Global()),
+            "unknown autoscaler 'warp-drive'; registered: hysteresis none pi");
+  EXPECT_EQ(UnknownNameError(fault::FaultRegistry::Global())
+                .rfind("unknown fault kind 'warp-drive'; registered: "
+                       "cpu-degrade crash-burst disk-stall",
+                       0),
+            0u);
+  // A registered name passes, and a null error is allowed.
+  EXPECT_TRUE(control::ControllerRegistry::Global().Check("fixed", nullptr));
+  EXPECT_FALSE(
+      control::ControllerRegistry::Global().Check("warp-drive", nullptr));
 }
 
 // --------------------------------------------------------- routing policies --

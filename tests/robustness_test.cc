@@ -686,6 +686,71 @@ TEST(RobustnessTest, MalformedRoutingAndScalerParamsAreErrors) {
       << error;
 }
 
+TEST(RobustnessTest, PolicyParamsTheirConstructorsCheckAreErrors) {
+  // Each value used to pass the spec layer and then abort the run in the
+  // constructor of the policy reading it: the PA controller's RLS estimator,
+  // the threshold and power-of-d routers, and the two autoscalers. A single
+  // value's bound is its param row's (a per-key error); an ordering between
+  // two params is ValidateSpec's. Each case names a committed spec, the
+  // policy-selecting override, and the bad key and value; the error names
+  // the key's last two segments.
+  struct PolicyCase {
+    const char* spec;
+    std::pair<std::string, std::string> policy;
+    std::string key;
+    const char* value;
+  };
+  const PolicyCase cases[] = {
+      {"specs/smoke.spec", {}, "node.control.pa.forgetting", "1.5"},
+      {"specs/smoke.spec", {}, "node.control.pa.initial_covariance", "0"},
+      {"specs/smoke.spec", {"routing", "power-of-d"}, "routing.power-of-d.d",
+       "0"},
+      {"specs/smoke.spec", {"routing", "threshold"},
+       "routing.threshold.min_threshold", "0.5"},
+      {"specs/smoke.spec", {"routing", "threshold"},
+       "routing.threshold.min_threshold", "6"},
+      {"specs/smoke.spec", {"routing", "threshold"},
+       "routing.threshold.max_threshold", "3"},
+      {"specs/elasticity_flash.spec", {},
+       "elasticity.scaler.hysteresis.hold_ticks", "0"},
+      {"specs/elasticity_flash.spec", {},
+       "elasticity.scaler.hysteresis.up_queue_factor", "0.1"},
+      {"specs/elasticity_flash.spec", {"elasticity.scaler", "pi"},
+       "elasticity.scaler.pi.integral_clamp", "0"},
+      {"specs/elasticity_flash.spec", {"elasticity.scaler", "pi"},
+       "elasticity.scaler.pi.cooldown", "-1"},
+  };
+  for (const PolicyCase& c : cases) {
+    std::vector<std::pair<std::string, std::string>> overrides = {
+        {"duration", "2"}, {"warmup", "0"}};
+    if (!c.policy.first.empty()) overrides.push_back(c.policy);
+    overrides.emplace_back(c.key, c.value);
+    const std::string error =
+        OverrideError(LoadCommittedSpec(c.spec), overrides);
+    const std::string named =
+        c.key.substr(c.key.rfind('.', c.key.rfind('.') - 1) + 1);
+    EXPECT_NE(error.find(named), std::string::npos)
+        << c.spec << " " << c.key << "=" << c.value << ": " << error;
+  }
+  // The boundaries the constructors allow still pass, and an ordering only
+  // matters to the policy that reads it.
+  EXPECT_EQ(OverrideError(LoadCommittedSpec("specs/smoke.spec"),
+                          {{"node.control.pa.forgetting", "1"},
+                           {"routing", "threshold"},
+                           {"routing.threshold.min_threshold", "4"},
+                           {"routing.threshold.max_threshold", "4"}}),
+            "");
+  EXPECT_EQ(OverrideError(LoadCommittedSpec("specs/smoke.spec"),
+                          {{"routing.threshold.min_threshold", "6"}}),
+            "");
+  EXPECT_EQ(OverrideError(LoadCommittedSpec("specs/elasticity_flash.spec"),
+                          {{"elasticity.scaler", "pi"},
+                           {"elasticity.scaler.pi.cooldown", "0"},
+                           {"elasticity.scaler.hysteresis.up_queue_factor",
+                            "0.1"}}),
+            "");
+}
+
 TEST(RobustnessTest, EveryBuiltinRoutingAndScalerParamIsValidated) {
   // As for the controllers: the Append* writers emit exactly the keys
   // their factories read, so each must be type-checked.

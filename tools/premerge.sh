@@ -21,9 +21,10 @@
 #      autoscaler params, a sweep grid point whose axis values are
 #      valid alone, non-positive service-time means, an empty database,
 #      inverted or negative PA/IS/GS/Iyer controller bounds, a non-positive
-#      Tay threshold, a Tay-rule k(t) reaching 0 and an outer tuner on a
-#      multi-node cluster must each exit 1 with an error line, never die by
-#      a signal
+#      Tay threshold, a Tay-rule k(t) reaching 0, an outer tuner on a
+#      multi-node cluster, and PA estimator, threshold and power-of-d router
+#      and hysteresis and PI autoscaler params their constructors reject
+#      must each exit 1 with an error line, never die by a signal
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -133,6 +134,24 @@ for bad in incremental-steps:node.control.is.beta=0 \
   expect_input_error specs/node_failover.spec --set duration=5 \
     --set warmup=1 --set "node.control.controller=${bad%%:*}" \
     --set "${bad#*:}"
+done
+
+# Each entry: a spec, a colon, and comma-separated overrides with a value a
+# policy constructor would abort on (the PA controller's RLS estimator, the
+# threshold and power-of-d routers, the hysteresis and PI autoscalers).
+for bad in specs/smoke.spec:node.control.pa.forgetting=1.5 \
+  specs/smoke.spec:node.control.pa.initial_covariance=0 \
+  specs/smoke.spec:routing=power-of-d,routing.power-of-d.d=0 \
+  specs/smoke.spec:routing=threshold,routing.threshold.min_threshold=0.5 \
+  specs/elasticity_flash.spec:elasticity.scaler.hysteresis.hold_ticks=0 \
+  specs/elasticity_flash.spec:elasticity.scaler.hysteresis.up_queue_factor=0.1 \
+  specs/elasticity_flash.spec:elasticity.scaler=pi,elasticity.scaler.pi.integral_clamp=0 \
+  specs/elasticity_flash.spec:elasticity.scaler=pi,elasticity.scaler.pi.cooldown=-1; do
+  sets=()
+  IFS=, read -ra overrides <<< "${bad#*:}"
+  for override in "${overrides[@]}"; do sets+=(--set "$override"); done
+  expect_input_error "${bad%%:*}" --set duration=2 --set warmup=0 \
+    "${sets[@]}"
 done
 
 echo "premerge: all gates passed"
