@@ -547,38 +547,25 @@ SuiteResult BenchClusterRouteLocality64(double sim_span) {
   return Finish("cluster_route_locality64", start, items, allocs_before);
 }
 
-/// One real bench through the spec path: the node-failover cluster run
-/// (crash + displacement + rejoin mid flash crowd). Items = commits.
-SuiteResult BenchSpecNodeFailover(const std::string& specs_dir) {
+/// One real run through the spec path: `file` under `specs_dir` with
+/// `overrides` applied. Items = commits.
+SuiteResult BenchSpec(
+    const char* name, const std::string& specs_dir, const char* file,
+    const std::vector<std::pair<const char*, const char*>>& overrides = {}) {
   core::ExperimentSpec spec;
   std::string error;
-  if (!core::LoadSpecFile(specs_dir + "/node_failover.spec", &spec, &error)) {
+  bool ok = core::LoadSpecFile(specs_dir + "/" + file, &spec, &error);
+  for (const auto& [key, value] : overrides) {
+    ok = ok && core::ApplySpecOverride(&spec, key, value, &error);
+  }
+  if (!ok) {
     std::fprintf(stderr, "perf_suite: %s\n", error.c_str());
     std::exit(1);
   }
   const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   const auto start = Clock::now();
   const core::SpecRunResult result = core::RunSpec(spec);
-  return Finish("spec_node_failover", start, result.commits(), allocs_before);
-}
-
-/// The closed-loop elasticity headline through the spec path: heartbeat
-/// detection, autoscaler provisioning/draining the standby pool, slow-start
-/// ramps, and a mid-surge crash — the whole fleet-level control loop on top
-/// of the failover machinery. Items = commits.
-SuiteResult BenchSpecElasticity(const std::string& specs_dir) {
-  core::ExperimentSpec spec;
-  std::string error;
-  if (!core::LoadSpecFile(specs_dir + "/elasticity_flash.spec", &spec,
-                          &error)) {
-    std::fprintf(stderr, "perf_suite: %s\n", error.c_str());
-    std::exit(1);
-  }
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  const auto start = Clock::now();
-  const core::SpecRunResult result = core::RunSpec(spec);
-  return Finish("spec_elasticity_flash", start, result.commits(),
-                allocs_before);
+  return Finish(name, start, result.commits(), allocs_before);
 }
 
 std::string ToJson(const std::vector<SuiteResult>& results, bool smoke) {
@@ -633,7 +620,15 @@ std::string ToJson(const std::vector<SuiteResult>& results, bool smoke) {
       "allocs/item, except controller_update_pa at 1 (the feature vector "
       "each update hands the estimator) and lock_acquire_release at 4 per "
       "8-lock transaction (the growth of the released-item list at "
-      "commit)\"\n"
+      "commit)\",\n"
+      "    \"spec_smoke_retry pins the placed smoke cluster with a "
+      "mid-surge crash, queue-factor retraction, the shed ladder and "
+      "bounded retry (75362 re-submissions, 21303 dead letters, 8688 "
+      "commits): 8.145 allocs/commit both before and after the front "
+      "door's five route-and-submit copies became one Dispatch, budget "
+      "8.45; pools growing to the surge's high-water mark dominate the "
+      "count (the retry pool alone peaks at ~4-5k parked slots, each "
+      "with two plan vectors)\"\n"
       "  ],\n";
   json += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
@@ -713,8 +708,26 @@ int main(int argc, char** argv) {
   }
   results.push_back(BenchSessionSource(smoke ? 20.0 : 120.0));
   results.push_back(BenchClusterRouteLocality64(smoke ? 2.0 : 20.0));
-  results.push_back(BenchSpecNodeFailover(specs_dir));
-  results.push_back(BenchSpecElasticity(specs_dir));
+  // The node-failover cluster run (crash + displacement + rejoin mid flash
+  // crowd).
+  results.push_back(
+      BenchSpec("spec_node_failover", specs_dir, "node_failover.spec"));
+  // The closed-loop elasticity headline: heartbeat detection, autoscaler
+  // provisioning/draining the standby pool, slow-start ramps, and a
+  // mid-surge crash on top of the failover machinery.
+  results.push_back(
+      BenchSpec("spec_elasticity_flash", specs_dir, "elasticity_flash.spec"));
+  // The placed smoke cluster with a crash, a surge, queue-factor
+  // retraction, the degradation ladder and bounded retry: the parked
+  // re-submission slots, their plan copies and the dead-letter path.
+  results.push_back(BenchSpec(
+      "spec_smoke_retry", specs_dir, "smoke.spec",
+      {{"node0.availability", "avail(up; 15:down, 25:up)"},
+       {"arrival_rate", "steps(600; 12:1400, 30:600)"},
+       {"retraction", "true"},
+       {"retraction_queue_factor", "3"},
+       {"degrade.enabled", "true"},
+       {"retry.enabled", "true"}}));
 
   for (const SuiteResult& r : results) {
     std::printf("%-32s %12.0f items/s  %8.3fs  %.4f allocs/item\n",
@@ -754,6 +767,11 @@ int main(int argc, char** argv) {
       // a ring buffer (was ~4.08 when every migrated slot cost a deque
       // block and every drain/refill cycle churned queue blocks); budget
       // ~5% above that.
+      // The placed smoke run with crash, retraction and retry commits
+      // little of its surge (most dead-letters or is shed), so pool growth
+      // to the surge's high-water mark dominates: ~8.15/commit, budget ~4%
+      // above. A re-submission slot or staged plan that stopped reusing
+      // its vectors would show here.
       // The session source is pinned at exactly zero too: session state is
       // pooled and the warmup covers the pool's high-water mark, so any
       // steady-state allocation is a regression in the source itself.
@@ -786,6 +804,7 @@ int main(int argc, char** argv) {
           {"end_to_end_trace", 0.05},
           {"spec_node_failover", 1.02},
           {"spec_elasticity_flash", 1.80},
+          {"spec_smoke_retry", 8.45},
       };
       double limit = -1.0;
       for (const auto& [name, budget] : kBudgets) {

@@ -78,9 +78,7 @@ Cluster::Cluster(sim::Simulator* sim, const std::vector<NodeConfig>& nodes,
     states_.push_back(node.availability.initial_state());
     if (!node.availability.always_up()) lifecycle_active_ = true;
   }
-  for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
-    if (states_[i] == NodeState::kUp) live_.push_back(i);
-  }
+  RebuildLive();
 }
 
 void Cluster::SetArrivalRateSchedule(db::Schedule schedule) {
@@ -147,10 +145,7 @@ void Cluster::SetNodeStandby(int node) {
   ALC_CHECK_LT(node, size());
   states_[node] = NodeState::kStandby;
   lifecycle_active_ = true;
-  live_.clear();
-  for (int i = 0; i < size(); ++i) {
-    if (states_[i] == NodeState::kUp) live_.push_back(i);
-  }
+  RebuildLive();
 }
 
 void Cluster::ForceTransition(int node, NodeState to) {
@@ -171,13 +166,7 @@ void Cluster::InjectTruth(int node, NodeState to) {
       truth_down_[node] = 1;
       truth_down_since_[node] = sim_->Now();
       nodes_[node]->gate().SetFrozen(true);
-      const int killed = nodes_[node]->system().CrashActive();
-      crash_kills_[node] += static_cast<uint64_t>(killed);
-      if (retraction_.enabled) {
-        for (int k = 0; k < killed; ++k) RetryElsewhere(node);
-      } else {
-        lost_[node] += static_cast<uint64_t>(killed);
-      }
+      const int killed = KillInFlight(node);
       if (trace_ != nullptr) trace_->Instant("node_fault", node, sim_->Now());
       if (util::Logger::level() <= util::LogLevel::kInfo) {
         ALC_LOG(kInfo, "node_fault node=" + std::to_string(node) +
@@ -309,22 +298,51 @@ void Cluster::Start() {
   if (degrade_.enabled) ScheduleDegradeTick();
 }
 
-MembershipView Cluster::Snapshot() const {
+MembershipView Cluster::Snapshot(const std::vector<int>& live) const {
   MembershipView membership;
   membership.nodes = &views_;
-  membership.live = &live_;
+  membership.live = &live;
   membership.epoch = epoch_;
   return membership;
+}
+
+void Cluster::RebuildLive() {
+  live_.clear();
+  for (int i = 0; i < size(); ++i) {
+    if (states_[i] == NodeState::kUp) live_.push_back(i);
+  }
+}
+
+double Cluster::MeanQueueFactor() const {
+  if (live_.empty()) return 0.0;
+  double sum = 0.0;
+  for (const int i : live_) {
+    const NodeView& view = views_[i];
+    sum += static_cast<double>(view.gate_queue) / std::max(view.limit, 1.0);
+  }
+  return sum / static_cast<double>(live_.size());
+}
+
+int Cluster::KillInFlight(int node) {
+  const int killed = nodes_[node]->system().CrashActive();
+  crash_kills_[node] += static_cast<uint64_t>(killed);
+  if (retraction_.enabled) {
+    for (int k = 0; k < killed; ++k) RetryElsewhere(node);
+  } else {
+    lost_[node] += static_cast<uint64_t>(killed);
+  }
+  return killed;
+}
+
+void Cluster::ReportFailed(int32_t session) {
+  if (session >= 0) source_->OnComplete(session, 0.0, false);
 }
 
 void Cluster::ApplyTransition(int node, NodeState to) {
   const NodeState from = states_[node];
   if (from == to) return;
   states_[node] = to;
-  live_.clear();
-  for (int i = 0; i < size(); ++i) {
-    if (states_[i] == NodeState::kUp) live_.push_back(i);
-  }
+  RebuildLive();
   ++epoch_;
   const char* transition_name = to == NodeState::kDown      ? "node_down"
                                 : to == NodeState::kDrain   ? "node_drain"
@@ -359,15 +377,7 @@ void Cluster::ApplyTransition(int node, NodeState to) {
       // detection window. A falsely declared node keeps its admitted work
       // running, like a drain.
       RetractAndReroute(node, INT_MAX, /*drop=*/!retraction_.enabled);
-      if (!managed_) {
-        const int killed = nodes_[node]->system().CrashActive();
-        crash_kills_[node] += static_cast<uint64_t>(killed);
-        if (retraction_.enabled) {
-          for (int k = 0; k < killed; ++k) RetryElsewhere(node);
-        } else {
-          lost_[node] += static_cast<uint64_t>(killed);
-        }
-      }
+      if (!managed_) KillInFlight(node);
       break;
     }
     case NodeState::kDrain:
@@ -414,81 +424,37 @@ void Cluster::RetractAndReroute(int node, int max_count, bool drop) {
   for (const int i : live_) {
     if (i != node) live_scratch_.push_back(i);
   }
+  const MembershipView members = Snapshot(live_scratch_);
   db::TransactionSystem& origin = nodes_[node]->system();
-  MembershipView membership;
-  membership.nodes = &views_;
-  membership.live = &live_scratch_;
-  membership.epoch = epoch_;
+  // Bounded retry defers the re-route by a backoff delay and charges it
+  // against the work unit's budget. An empty live set is then no longer
+  // terminal: the resubmit re-checks membership after the backoff, so
+  // short total outages are ridden out instead of dropping the queue.
+  const bool deferred = !drop && retry_.enabled;
   for (db::Transaction* txn : retract_scratch_) {
     // Retraction bypasses the node's terminal paths, so the session tag
     // travels with the front-end: re-routes keep it, drops report it.
     const int32_t session = txn->session;
-    if (!drop && retry_.enabled) {
-      // Bounded retry: the re-route is deferred by a backoff delay and
-      // charged against the work unit's budget. An empty live set is no
-      // longer terminal — the resubmit re-checks membership after the
-      // backoff, so short total outages are ridden out instead of
-      // dropping the queue.
-      if (txn->retry_count >= retry_.budget) {
-        origin.ReleaseQueued(txn);
-        ++dead_letters_;
-        ++lost_[node];
-        if (session >= 0) source_->OnComplete(session, 0.0, false);
-        continue;
-      }
-      ++retracted_[node];
-      const bool preplanned = txn->preplanned;
-      const int prior = txn->retry_count;
-      if (preplanned) {
-        // Copy the plan out before the slot is released (see below);
-        // ScheduleRetry parks it in the pending slot.
-        plan_.cls = txn->cls;
-        plan_.access_items = txn->planned_items;
-        plan_.access_modes = txn->planned_modes;
-      }
+    const int prior = txn->retry_count;
+    const bool lost = deferred ? prior >= retry_.budget
+                               : drop || live_scratch_.empty();
+    if (lost) {
       origin.ReleaseQueued(txn);
-      ScheduleRetry(node, session, prior, preplanned);
-      continue;
-    }
-    if (drop || live_scratch_.empty()) {
-      origin.ReleaseQueued(txn);
+      if (deferred) ++dead_letters_;
       ++lost_[node];
-      if (session >= 0) source_->OnComplete(session, 0.0, false);
+      ReportFailed(session);
       continue;
     }
     ++retracted_[node];
     const bool preplanned = txn->preplanned;
-    if (preplanned) {
-      // Copy the plan out before the slot is released: the retried request
-      // keeps its exact key set, so the remote/local split stays honest.
-      plan_.cls = txn->cls;
-      plan_.access_items = txn->planned_items;
-      plan_.access_modes = txn->planned_modes;
-    }
+    // Copy the plan out before the slot is released: the re-routed request
+    // keeps its exact key set, so the remote/local split stays honest.
+    if (preplanned) StagePlan(txn->cls, txn->planned_items, txn->planned_modes);
     origin.ReleaseQueued(txn);
-    if (preplanned) {
-      ALC_CHECK(catalog_ != nullptr);
-      plan_partitions_.clear();
-      for (const db::ItemId key : plan_.access_items) {
-        // No heat re-recording: the original submission already counted
-        // these accesses for the rebalancer.
-        plan_partitions_.push_back(catalog_->PartitionOf(key));
-      }
-      RouteContext context;
-      context.keys = &plan_.access_items;
-      context.catalog = catalog_.get();
-      context.partitions = &plan_partitions_;
-      context.is_retraction = true;
-      const int target = policy_->Route(membership, context);
-      SubmitPlanned(target, session);
+    if (deferred) {
+      ScheduleRetry(node, session, prior, preplanned);
     } else {
-      RouteContext context;
-      context.is_retraction = true;
-      const int target = policy_->Route(membership, context);
-      ALC_CHECK_GE(target, 0);
-      ALC_CHECK_LT(target, size());
-      NoteRouted(target);
-      nodes_[target]->system().SubmitExternal(session);
+      Dispatch(members, /*retraction=*/true, session, /*retry_count=*/0);
     }
   }
 }
@@ -512,21 +478,9 @@ void Cluster::RetryElsewhere(int origin) {
   // execution state is unrecoverable, re-stamping models the retry). The
   // retry is untagged: the crash kill already reported the session's
   // request as failed, so the replay runs as background repair traffic.
-  if (catalog_ != nullptr) {
-    StampPlan(workload::Arrival{});
-    RouteContext context;
-    context.keys = &plan_.access_items;
-    context.catalog = catalog_.get();
-    context.partitions = &plan_partitions_;
-    const int target = policy_->Route(Snapshot(), context);
-    SubmitPlanned(target);
-  } else {
-    const int target = policy_->Route(Snapshot(), RouteContext{});
-    ALC_CHECK_GE(target, 0);
-    ALC_CHECK_LT(target, size());
-    NoteRouted(target);
-    nodes_[target]->system().SubmitExternal();
-  }
+  if (catalog_ != nullptr) StampPlan(workload::Arrival{});
+  Dispatch(Snapshot(live_), /*retraction=*/false, /*session=*/-1,
+           /*retry_count=*/0);
 }
 
 double Cluster::BackoffDelay(int prior_attempts) {
@@ -579,50 +533,20 @@ void Cluster::ResubmitRetry(int slot) {
     // is not re-charged — a dead fleet is not the bouncing the budget
     // guards against.
     ++lost_[pending.origin];
-    if (session >= 0) source_->OnComplete(session, 0.0, false);
+    ReportFailed(session);
     retry_free_.push_back(slot);
     return;
   }
   ++retries_;
   if (pending.preplanned) {
-    // The retried request keeps its exact key set, so the remote/local
-    // split stays honest. No heat re-recording: the original submission
-    // already counted these accesses for the rebalancer.
-    ALC_CHECK(catalog_ != nullptr);
-    plan_.cls = pending.cls;
-    plan_.access_items = pending.items;
-    plan_.access_modes = pending.modes;
-    plan_partitions_.clear();
-    for (const db::ItemId key : plan_.access_items) {
-      plan_partitions_.push_back(catalog_->PartitionOf(key));
-    }
-    RouteContext context;
-    context.keys = &plan_.access_items;
-    context.catalog = catalog_.get();
-    context.partitions = &plan_partitions_;
-    context.is_retraction = true;
-    const int target = policy_->Route(Snapshot(), context);
-    SubmitPlanned(target, session, pending.attempts);
+    // The retried request keeps its exact key set.
+    StagePlan(pending.cls, pending.items, pending.modes);
   } else if (catalog_ != nullptr) {
     // Crash replay under placement: the original plan died with the node,
     // so the client re-draws (models a re-issued request).
     StampPlan(workload::Arrival{});
-    RouteContext context;
-    context.keys = &plan_.access_items;
-    context.catalog = catalog_.get();
-    context.partitions = &plan_partitions_;
-    context.is_retraction = true;
-    const int target = policy_->Route(Snapshot(), context);
-    SubmitPlanned(target, session, pending.attempts);
-  } else {
-    RouteContext context;
-    context.is_retraction = true;
-    const int target = policy_->Route(Snapshot(), context);
-    ALC_CHECK_GE(target, 0);
-    ALC_CHECK_LT(target, size());
-    NoteRouted(target);
-    nodes_[target]->system().SubmitExternal(session, pending.attempts);
   }
+  Dispatch(Snapshot(live_), /*retraction=*/true, session, pending.attempts);
   retry_free_.push_back(slot);
 }
 
@@ -635,12 +559,7 @@ void Cluster::ScheduleDegradeTick() {
 
 void Cluster::DegradeTick() {
   if (live_.empty()) return;  // nothing to measure; hold the level
-  double sum = 0.0;
-  for (const int i : live_) {
-    const NodeView& view = views_[i];
-    sum += static_cast<double>(view.gate_queue) / std::max(view.limit, 1.0);
-  }
-  const double queue_factor = sum / static_cast<double>(live_.size());
+  const double queue_factor = MeanQueueFactor();
   const int old_level = degrade_level_;
   // One rung per tick, in either direction: shedding escalates query-first,
   // restoration retraces in reverse below hysteresis-scaled thresholds.
@@ -721,42 +640,32 @@ void Cluster::SubmitArrival(const workload::Arrival& arrival) {
     // work and sheds the arrival. A tracked session hears about the loss
     // immediately so its think/issue loop keeps turning.
     ++arrivals_dropped_;
-    if (arrival.session >= 0) {
-      source_->OnComplete(arrival.session, 0.0, false);
-    }
+    ReportFailed(arrival.session);
     return;
   }
   if (catalog_ != nullptr) {
-    RouteOnePlaced(arrival);
-    return;
-  }
-  if (degrade_level_ > 0) {
-    // Degradation ladder, class unknown at the front door (the node stamps
-    // the class after routing): level 2 sheds everything; level 1 sheds
-    // the query-fraction share statistically from the seeded shed stream
-    // (drawn only while degraded, so undegraded runs see no variates).
-    if (degrade_level_ >= 2) {
-      ++shed_update_;
-      if (arrival.session >= 0) {
-        source_->OnComplete(arrival.session, 0.0, false);
-      }
-      return;
-    }
-    if (shed_rng_.NextBernoulli(
-            configs_[0].dynamics.QueryFractionAt(sim_->Now()))) {
-      ++shed_query_;
-      if (arrival.session >= 0) {
-        source_->OnComplete(arrival.session, 0.0, false);
-      }
+    StampPlan(arrival);
+    // The ladder sees the stamped class, so placement runs shed exactly by
+    // class. The shed plan's heat was already recorded by StampPlan — a
+    // deliberate simplification (the rebalancer sees offered, not
+    // admitted, demand).
+    if (ShedArrival(plan_.cls, arrival.session)) return;
+  } else if (degrade_level_ > 0) {
+    // Class unknown at the front door (the node stamps the class after
+    // routing): level 2 sheds everything, counted as updates; level 1
+    // sheds the query-fraction share statistically from the seeded shed
+    // stream (drawn only at level 1, so undegraded runs see no variates).
+    const bool query =
+        degrade_level_ == 1 &&
+        shed_rng_.NextBernoulli(
+            configs_[0].dynamics.QueryFractionAt(sim_->Now()));
+    if (ShedArrival(query ? db::TxnClass::kQuery : db::TxnClass::kUpdater,
+                    arrival.session)) {
       return;
     }
   }
-  const int target = policy_->Route(Snapshot(), RouteContext{});
-  ALC_CHECK_GE(target, 0);
-  ALC_CHECK_LT(target, size());
-  ALC_CHECK(states_[target] == NodeState::kUp);
-  NoteRouted(target);
-  nodes_[target]->system().SubmitExternal(arrival.session);
+  Dispatch(Snapshot(live_), /*retraction=*/false, arrival.session,
+           /*retry_count=*/0);
 }
 
 void Cluster::StampPlan(const workload::Arrival& arrival) {
@@ -790,12 +699,16 @@ void Cluster::StampPlan(const workload::Arrival& arrival) {
   }
 }
 
-void Cluster::NoteRouted(int target) {
-  ++routed_[target];
-  ++total_routed_;
-  // A routed arrival landing on an in-truth-dead member is a misroute: the
-  // cost of measured (rather than oracle) failure detection.
-  if (managed_ && truth_down_[target] != 0) ++misroutes_;
+void Cluster::StagePlan(db::TxnClass cls,
+                        const std::vector<db::ItemId>& items,
+                        const std::vector<db::AccessMode>& modes) {
+  // No heat re-recording: the original submission already counted these
+  // accesses for the rebalancer. Copy-assignment reuses plan_'s capacity.
+  ALC_CHECK(catalog_ != nullptr);
+  plan_.cls = cls;
+  plan_.access_items = items;
+  plan_.access_modes = modes;
+  catalog_->MapToPartitions(plan_.access_items, &plan_partitions_);
 }
 
 bool Cluster::ShedArrival(db::TxnClass cls, int32_t session) {
@@ -806,14 +719,34 @@ bool Cluster::ShedArrival(db::TxnClass cls, int32_t session) {
   } else {
     ++shed_update_;
   }
-  if (session >= 0) source_->OnComplete(session, 0.0, false);
+  ReportFailed(session);
   return true;
 }
 
-void Cluster::SubmitPlanned(int target, int32_t session, int retry_count) {
+void Cluster::Dispatch(const MembershipView& members, bool retraction,
+                       int32_t session, int retry_count) {
+  RouteContext context;
+  context.is_retraction = retraction;
+  if (catalog_ != nullptr) {
+    context.keys = &plan_.access_items;
+    context.catalog = catalog_.get();
+    context.partitions = &plan_partitions_;
+  }
+  const int target = policy_->Route(members, context);
   ALC_CHECK_GE(target, 0);
   ALC_CHECK_LT(target, size());
   ALC_CHECK(states_[target] == NodeState::kUp);
+  ++routed_[target];
+  ++total_routed_;
+  // A routed arrival landing on an in-truth-dead member is a misroute: the
+  // cost of measured (rather than oracle) failure detection.
+  if (managed_ && truth_down_[target] != 0) ++misroutes_;
+  db::TransactionSystem& system = nodes_[target]->system();
+  if (catalog_ == nullptr) {
+    // Placement-blind: the node stamps the work from its own dynamics.
+    system.SubmitExternal(session, retry_count);
+    return;
+  }
 
   // Keys whose partition has no copy on the target execute remotely there.
   // Each remote access is served by the partition's home node (primary-
@@ -834,27 +767,9 @@ void Cluster::SubmitPlanned(int target, int32_t session, int retry_count) {
       }
     }
   }
-
-  NoteRouted(target);
-  nodes_[target]->system().SubmitExternalPlanned(
-      plan_.cls, plan_.access_items, plan_.access_modes, remote_flags_,
-      session, retry_count);
-}
-
-void Cluster::RouteOnePlaced(const workload::Arrival& arrival) {
-  StampPlan(arrival);
-  // The ladder sees the stamped class, so placement runs shed exactly by
-  // class. The shed plan's heat was already recorded by StampPlan — a
-  // deliberate simplification (the rebalancer sees offered, not admitted,
-  // demand).
-  if (ShedArrival(plan_.cls, arrival.session)) return;
-  RouteContext context;
-  context.keys = &plan_.access_items;
-  context.catalog = catalog_.get();
-  context.partitions = &plan_partitions_;
-  const int target = policy_->Route(Snapshot(), context);
-  ALC_CHECK(states_[target] == NodeState::kUp);
-  SubmitPlanned(target, arrival.session);
+  system.SubmitExternalPlanned(plan_.cls, plan_.access_items,
+                               plan_.access_modes, remote_flags_, session,
+                               retry_count);
 }
 
 }  // namespace alc::cluster

@@ -82,16 +82,6 @@ struct RetryConfig {
   double jitter = 0.2;
 };
 
-inline bool operator==(const RetryConfig& a, const RetryConfig& b) {
-  return a.enabled == b.enabled && a.budget == b.budget &&
-         a.backoff_base == b.backoff_base &&
-         a.backoff_factor == b.backoff_factor &&
-         a.backoff_max == b.backoff_max && a.jitter == b.jitter;
-}
-inline bool operator!=(const RetryConfig& a, const RetryConfig& b) {
-  return !(a == b);
-}
-
 /// Graceful-degradation ladder: when the fleet-mean gate queue factor
 /// (queue length / n*, averaged over live nodes) crosses tiered thresholds,
 /// the front door sheds fresh arrivals by transaction class — queries first
@@ -110,15 +100,6 @@ struct DegradeConfig {
   /// Restore when the factor drops below threshold * hysteresis.
   double restore_hysteresis = 0.8;
 };
-
-inline bool operator==(const DegradeConfig& a, const DegradeConfig& b) {
-  return a.enabled == b.enabled && a.interval == b.interval &&
-         a.shed_query == b.shed_query && a.shed_update == b.shed_update &&
-         a.restore_hysteresis == b.restore_hysteresis;
-}
-inline bool operator!=(const DegradeConfig& a, const DegradeConfig& b) {
-  return !(a == b);
-}
 
 /// One TP node: a full TransactionSystem replica plus the admission gate in
 /// front of it. The per-node controller and monitor are wired by the
@@ -331,6 +312,10 @@ class Cluster : public workload::WorkloadHost {
   int num_live() const { return static_cast<int>(live_.size()); }
   uint64_t epoch() const { return epoch_; }
   const std::vector<int>& live_nodes() const { return live_; }
+  /// Gate queue length over max(n*, 1), averaged over the live set in
+  /// live-set order (0 when none is live): the pressure signal of the
+  /// degradation ladder and the autoscaler.
+  double MeanQueueFactor() const;
 
   uint64_t total_routed() const { return total_routed_; }
   const std::vector<uint64_t>& routed_per_node() const { return routed_; }
@@ -355,46 +340,51 @@ class Cluster : public workload::WorkloadHost {
   const placement::PlacementCatalog* catalog() const { return catalog_.get(); }
 
  private:
-  void RouteOnePlaced(const workload::Arrival& arrival);
   void ScheduleRebalance();
   void ScheduleRetractionScan();
-  /// The membership view over the published node views and the live set.
-  MembershipView Snapshot() const;
+  /// The membership view over the published node views and `live`.
+  MembershipView Snapshot(const std::vector<int>& live) const;
+  /// Recomputes live_ (sorted kUp nodes) from states_.
+  void RebuildLive();
   void ApplyTransition(int node, NodeState to);
+  /// Crash kill of `node`'s in-flight work: retried elsewhere with
+  /// retraction, lost without. Returns the number killed.
+  int KillInFlight(int node);
   /// Pulls up to `max_count` queued admissions out of `node`'s gate and
-  /// re-routes them through the policy over the live set (dropping them
-  /// when none is live or retraction is disabled and `forced` says drop).
+  /// re-routes them over the live set minus `node` (after a backoff when
+  /// retry is on), or loses them with `drop` or nowhere to go.
   void RetractAndReroute(int node, int max_count, bool drop);
-  /// Routes one retried request (a crash-killed in-flight submission)
-  /// as a fresh arrival over the live set.
+  /// Replays one crash-killed request as a fresh, untagged arrival.
   void RetryElsewhere(int origin);
-  /// Stamps plan_ from the front-end keyspace at the current time
-  /// (placement mode) — shared by fresh arrivals and crash retries. The
-  /// arrival's affinity range, when present, biases the key draw.
+  /// Draws plan_ from the front-end keyspace (placement mode), biased to
+  /// the arrival's affinity range, and records its heat.
   void StampPlan(const workload::Arrival& arrival);
-  /// Routes the already-stamped plan_ to `target`: remote marking, serve
-  /// charges, submission (tagged with `session` when >= 0; `retry_count`
-  /// carries the retry-budget progress of re-submitted work).
-  void SubmitPlanned(int target, int32_t session = -1, int retry_count = 0);
+  /// Reloads a kept plan into plan_ and maps its partitions (no heat).
+  void StagePlan(db::TxnClass cls, const std::vector<db::ItemId>& items,
+                 const std::vector<db::AccessMode>& modes);
+  /// The one route-and-submit path: routes over `members` (on plan_ under
+  /// placement), counts the routing and submits to the target, tagged with
+  /// `session` when >= 0 and stamped with `retry_count`.
+  void Dispatch(const MembershipView& members, bool retraction,
+                int32_t session, int retry_count);
+  /// Reports a failed request back to the source when `session` >= 0.
+  void ReportFailed(int32_t session);
   /// Backoff delay before a re-submission that already saw `prior_attempts`
   /// re-submissions, with deterministic jitter from retry_rng_.
   double BackoffDelay(int prior_attempts);
   /// Executes the deferred re-submission parked in retry_slots_[slot].
   void ResubmitRetry(int slot);
-  /// Parks a re-submission (retraction or crash retry) in a retry slot and
-  /// schedules ResubmitRetry after the backoff delay. `prior` is the
+  /// Parks a re-submission (with plan_ when `preplanned`) in a retry slot
+  /// and schedules ResubmitRetry after the backoff delay. `prior` is the
   /// work unit's re-submission count before this one.
   void ScheduleRetry(int origin, int32_t session, int prior, bool preplanned);
   /// One degradation-ladder evaluation: steps the shed level at most one
-  /// rung per tick based on the fleet-mean gate queue factor.
+  /// rung per tick based on MeanQueueFactor().
   void DegradeTick();
   void ScheduleDegradeTick();
   /// True when the degradation ladder sheds a fresh arrival of `cls` at
   /// the current level; counts the shed and reports the drop.
   bool ShedArrival(db::TxnClass cls, int32_t session);
-  /// Routing bookkeeping shared by every submission path: per-node and
-  /// total counts plus misroute detection against the ground truth.
-  void NoteRouted(int target);
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<ClusterNode>> nodes_;
@@ -467,9 +457,9 @@ class Cluster : public workload::WorkloadHost {
   std::unique_ptr<placement::PlacementCatalog> catalog_;
   std::unique_ptr<db::AccessPatternGenerator> plan_gen_;
   sim::RandomStream plan_class_rng_;
-  db::Transaction plan_;                // scratch plan, reused per arrival
+  db::Transaction plan_;                // what Dispatch submits, placed
   std::vector<int> plan_partitions_;    // partition per planned key
-  std::vector<uint8_t> remote_flags_;   // reused per arrival
+  std::vector<uint8_t> remote_flags_;   // reused per placed submission
   std::vector<int> load_scratch_;       // reused per rebalance tick
 };
 

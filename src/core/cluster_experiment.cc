@@ -221,20 +221,8 @@ ClusterResult ClusterExperiment::Run() {
         trace->Counter("limit", i, sample.time, bound);
       }
 
-      TrajectoryPoint point;
-      point.time = sample.time;
-      point.bound = bound;
-      point.load = sample.mean_active;
-      point.throughput = sample.throughput;
-      point.response = sample.mean_response;
-      point.conflict_rate = sample.conflict_rate;
-      point.gate_queue = sample.gate_queue;
-      point.cpu_utilization = sample.cpu_utilization;
-      point.response_p50 = sample.response_p50;
-      point.response_p95 = sample.response_p95;
-      point.response_p99 = sample.response_p99;
-      point.response_p999 = sample.response_p999;
-      metrics.AddPoint(i, point, monitor->interval_response_window());
+      metrics.AddPoint(i, ToTrajectoryPoint(sample, bound),
+                       monitor->interval_response_window());
       if (i == 0) {
         // One membership sample per grid tick, alongside node 0's point
         // (membership only changes at lifecycle events, so intra-tick

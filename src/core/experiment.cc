@@ -81,20 +81,7 @@ ExperimentResult Experiment::Run() {
       probe.Observe(*controller, 0, sample, old_limit, bound);
     }
 
-    TrajectoryPoint point;
-    point.time = sample.time;
-    point.bound = bound;
-    point.load = sample.mean_active;
-    point.throughput = sample.throughput;
-    point.response = sample.mean_response;
-    point.conflict_rate = sample.conflict_rate;
-    point.gate_queue = sample.gate_queue;
-    point.cpu_utilization = sample.cpu_utilization;
-    point.response_p50 = sample.response_p50;
-    point.response_p95 = sample.response_p95;
-    point.response_p99 = sample.response_p99;
-    point.response_p999 = sample.response_p999;
-    result.trajectory.push_back(point);
+    result.trajectory.push_back(ToTrajectoryPoint(sample, bound));
   });
 
   // Warmup boundary snapshot for summary statistics.

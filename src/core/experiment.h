@@ -34,6 +34,26 @@ struct TrajectoryPoint {
   double response_p999 = 0.0;
 };
 
+/// The trajectory point of one monitor sample taken under threshold
+/// `bound`.
+inline TrajectoryPoint ToTrajectoryPoint(const control::Sample& sample,
+                                         double bound) {
+  TrajectoryPoint point;
+  point.time = sample.time;
+  point.bound = bound;
+  point.load = sample.mean_active;
+  point.throughput = sample.throughput;
+  point.response = sample.mean_response;
+  point.conflict_rate = sample.conflict_rate;
+  point.gate_queue = sample.gate_queue;
+  point.cpu_utilization = sample.cpu_utilization;
+  point.response_p50 = sample.response_p50;
+  point.response_p95 = sample.response_p95;
+  point.response_p99 = sample.response_p99;
+  point.response_p999 = sample.response_p999;
+  return point;
+}
+
 /// Everything a finished run reports.
 struct ExperimentResult {
   std::vector<TrajectoryPoint> trajectory;

@@ -319,14 +319,7 @@ void ElasticityController::ScalerTick() {
   sample.time = sim_->Now();
   sample.live = cluster_->num_live();
 
-  double queue_factor_sum = 0.0;
-  for (const int i : cluster_->live_nodes()) {
-    const cluster::NodeView& view = cluster_->view(i);
-    queue_factor_sum +=
-        static_cast<double>(view.gate_queue) / std::max(view.limit, 1.0);
-  }
-  sample.queue_factor =
-      sample.live > 0 ? queue_factor_sum / sample.live : 0.0;
+  sample.queue_factor = cluster_->MeanQueueFactor();
 
   // Fleet p95 over the last interval: merge each node's window.
   for (telemetry::HistogramWindow* window : scaler_windows_) {

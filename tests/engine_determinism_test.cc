@@ -274,5 +274,91 @@ TEST(EngineDeterminismTest, ParamReadingClusterPoliciesArePinned) {
   }
 }
 
+// The cluster front door under crashes, retraction, retry and the
+// degradation ladder, placed and placement-blind: fresh arrivals, shed
+// arrivals, retraction re-routes, deferred retries, dead letters and crash
+// replays each reach the routing policy through their own path. Recorded
+// before those paths were folded into one dispatch function.
+struct FrontDoorPin {
+  const char* spec;
+  bool retraction;
+  bool retry;  // retry.enabled, on top of retraction
+  size_t cluster_size;
+  uint64_t cluster_fnv;
+  uint64_t routed;
+  uint64_t retries;
+  uint64_t dead_letters;
+  uint64_t shed_query;
+  uint64_t shed_update;
+  uint64_t crash_kills;
+  uint64_t retracted;
+  uint64_t lost;
+};
+
+TEST(EngineDeterminismTest, FrontDoorPathsArePinned) {
+  const std::vector<std::pair<std::string, std::string>> failover = {
+      {"duration", "90"}, {"degrade.enabled", "true"}};
+  const std::vector<std::pair<std::string, std::string>> smoke = {
+      {"node0.availability", "avail(up; 15:down, 25:up)"},
+      {"arrival_rate", "steps(600; 12:1400, 30:600)"},
+      {"retraction_queue_factor", "3"},
+      {"degrade.enabled", "true"}};
+  // Columns after the mode: cluster.csv size and FNV, then routed,
+  // retries, dead letters, shed queries, shed updates, and the crash
+  // kills, retractions and losses summed over nodes.
+  const FrontDoorPin pins[] = {
+      {"specs/node_failover.spec", false, false, 74995u, 205153803120104287ULL,
+       31658, 0, 0, 5223, 9368, 36, 0, 78},
+      {"specs/node_failover.spec", true, false, 74931u, 6839672763077770259ULL,
+       31737, 0, 0, 5223, 9367, 36, 42, 0},
+      {"specs/node_failover.spec", true, true, 74931u, 10440283742083627236ULL,
+       31737, 78, 0, 5223, 9367, 36, 42, 0},
+      {"specs/smoke.spec", false, false, 27394u, 3036553932845778151ULL, 15139,
+       0, 0, 15380, 7888, 36, 0, 586},
+      {"specs/smoke.spec", true, false, 30325u, 4223231672182450674ULL, 25798,
+       0, 0, 17262, 11305, 59, 15899, 0},
+      {"specs/smoke.spec", true, true, 26847u, 6631751338803251017ULL, 110063,
+       75362, 21303, 3706, 0, 72, 76270, 21303},
+  };
+  for (const FrontDoorPin& pin : pins) {
+    const std::string label = std::string(pin.spec) +
+                              (pin.retry        ? " retry"
+                               : pin.retraction ? " retraction"
+                                                : " bare");
+    core::ExperimentSpec spec;
+    std::string error;
+    ASSERT_TRUE(core::LoadSpecFile(
+        std::string(ALC_SOURCE_DIR) + "/" + pin.spec, &spec, &error))
+        << error;
+    const bool is_smoke = std::string(pin.spec) == "specs/smoke.spec";
+    for (const auto& [key, value] : is_smoke ? smoke : failover) {
+      ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+    }
+    ASSERT_TRUE(core::ApplySpecOverride(
+        &spec, "retraction", pin.retraction ? "true" : "false", &error))
+        << error;
+    if (pin.retry) {
+      ASSERT_TRUE(
+          core::ApplySpecOverride(&spec, "retry.enabled", "true", &error))
+          << error;
+    }
+    const core::SpecRunResult result = core::RunSpec(spec);
+    ASSERT_TRUE(result.cluster) << label;
+    const core::ClusterResult& cluster = result.cluster_result;
+    const std::string cluster_csv = ClusterCsv(cluster);
+
+    EXPECT_EQ(cluster_csv.size(), pin.cluster_size) << label;
+    EXPECT_EQ(util::Fnv1a(cluster_csv), pin.cluster_fnv) << label;
+    EXPECT_EQ(cluster.routed, pin.routed) << label;
+    EXPECT_EQ(cluster.retries, pin.retries) << label;
+    EXPECT_EQ(cluster.dead_letters, pin.dead_letters) << label;
+    EXPECT_EQ(cluster.shed_query, pin.shed_query) << label;
+    EXPECT_EQ(cluster.shed_update, pin.shed_update) << label;
+    EXPECT_EQ(cluster.crash_kills, pin.crash_kills) << label;
+    EXPECT_EQ(cluster.retracted, pin.retracted) << label;
+    EXPECT_EQ(cluster.lost, pin.lost) << label;
+  }
+}
+
 }  // namespace
 }  // namespace alc

@@ -8,7 +8,10 @@
 #      cluster_routing_flash): fresh runs of the checked-in specs must
 #      match the committed manifests bit-for-bit on the comparable
 #      sections, plus an end-to-end run of the closed-loop elasticity
-#      spec (heartbeat detector + autoscaler over the standby pool)
+#      spec (heartbeat detector + autoscaler over the standby pool) and
+#      of the smoke spec with a mid-surge crash under retraction, the
+#      shed ladder and bounded retry (re-submissions and dead letters must
+#      reach its manifest)
 #   4. the fault_storm spec end to end: the [fault] injector, phi/quorum
 #      detection, bounded retry, and the degradation ladder must all
 #      leave their marks in the manifest and decision audit
@@ -57,6 +60,16 @@ echo "== golden gate: smoke"
   --out "$OUT_DIR/smoke" >/dev/null
 "./$BUILD_DIR/tools/alc_compare" \
   specs/golden/smoke.run.json "$OUT_DIR/smoke/run.json"
+
+echo "== placed crash + retraction + retry: smoke with a mid-surge crash"
+"./$BUILD_DIR/tools/alc_run" specs/smoke.spec \
+  --set 'node0.availability=avail(up; 15:down, 25:up)' \
+  --set 'arrival_rate=steps(600; 12:1400, 30:600)' \
+  --set retraction=true --set retraction_queue_factor=3 \
+  --set degrade.enabled=true --set retry.enabled=true \
+  --out "$OUT_DIR/smoke-retry" >/dev/null
+grep -q '"cluster.retries":[1-9]' "$OUT_DIR/smoke-retry/run.json"
+grep -q '"cluster.dead_letters":[1-9]' "$OUT_DIR/smoke-retry/run.json"
 
 echo "== golden gate: cluster_routing_flash"
 "./$BUILD_DIR/tools/alc_run" specs/cluster_routing_flash.spec \
