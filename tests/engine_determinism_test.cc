@@ -19,7 +19,9 @@
 #include "core/export.h"
 #include "core/spec.h"
 #include "telemetry/audit.h"
+#include "telemetry/registry.h"
 #include "util/hash.h"
+#include "util/params.h"
 
 namespace alc {
 namespace {
@@ -72,11 +74,49 @@ TEST(EngineDeterminismTest, NodeFailoverCsvMatchesPreRefactorBaseline) {
 // per-interval samples (response_p50..p999 included) land in the trajectory
 // CSV and the controller's reaction to them in the decision audit. Pinned
 // before the monitor's interval percentiles moved from snapshot-subtract
-// histograms to a windowed histogram, which must not change a byte.
+// histograms to a windowed histogram, which must not change a byte. The
+// summary string pins the post-warmup arithmetic too: every scalar of the
+// result, the cumulative counters, the response and phase histograms and
+// the end-of-run metric snapshot (recorded before the single-node and
+// cluster drivers shared one summary).
 struct SingleNodeArtifacts {
   std::string trajectory;
   std::string decisions;
+  std::string summary;
 };
+
+std::string SummaryString(const core::ExperimentResult& result) {
+  std::ostringstream out;
+  for (const double value :
+       {result.mean_throughput, result.mean_response, result.mean_active,
+        result.abort_ratio, result.wasted_cpu_fraction,
+        result.throughput_ci_half_width, result.duration, result.warmup}) {
+    out << util::FormatDouble(value) << ' ';
+  }
+  out << result.commits << ' ' << result.aborts << ' ' << result.displacements
+      << '\n';
+  const db::Counters& c = result.final_counters;
+  for (const uint64_t value :
+       {c.submitted, c.commits, c.aborts_certification, c.aborts_deadlock,
+        c.aborts_displacement, c.lock_waits, c.lock_requests, c.local_accesses,
+        c.remote_accesses, c.crash_kills, c.retracted}) {
+    out << value << ' ';
+  }
+  out << util::FormatDouble(c.response_time_sum) << ' '
+      << util::FormatDouble(c.useful_cpu) << ' '
+      << util::FormatDouble(c.wasted_cpu) << '\n';
+  out << result.response_hist.count();
+  for (const double q : {0.50, 0.95, 0.99, 0.999}) {
+    out << ' ' << util::FormatDouble(result.response_hist.Quantile(q));
+  }
+  out << '\n';
+  for (const telemetry::LogHistogram& hist : result.phase_hists) {
+    out << hist.count() << ' ';
+  }
+  out << '\n';
+  telemetry::MetricRegistry::WriteSnapshotJson(out, result.metrics);
+  return out.str();
+}
 
 SingleNodeArtifacts RunSingleNode(core::ExperimentSpec spec,
                                   const std::string& tag) {
@@ -90,6 +130,7 @@ SingleNodeArtifacts RunSingleNode(core::ExperimentSpec spec,
   std::ostringstream decisions;
   telemetry::WriteDecisionsCsv(decisions, result.decisions);
   artifacts.decisions = decisions.str();
+  artifacts.summary = SummaryString(result.single);
   std::remove(spec.decisions_path.c_str());
   return artifacts;
 }
@@ -111,8 +152,10 @@ TEST(EngineDeterminismTest, SingleNodePaperModelIsPinned) {
 
   EXPECT_EQ(run.trajectory.size(), 5833u);
   EXPECT_EQ(run.decisions.size(), 12579u);
+  EXPECT_EQ(run.summary.size(), 1632u);
   EXPECT_EQ(util::Fnv1a(run.trajectory), 12357016703374745707ULL);
   EXPECT_EQ(util::Fnv1a(run.decisions), 5445668943523966393ULL);
+  EXPECT_EQ(util::Fnv1a(run.summary), 10587775611454664904ULL);
 }
 
 // A 2PL point shaped like the matrix grid's (tests/matrix_test.cc): lock
@@ -167,48 +210,83 @@ TEST(EngineDeterminismTest, TwoPhaseLockingMatrixPointIsPinned) {
 
   EXPECT_EQ(run.trajectory.size(), 5703u);
   EXPECT_EQ(run.decisions.size(), 7352u);
+  EXPECT_EQ(run.summary.size(), 1651u);
   EXPECT_EQ(util::Fnv1a(run.trajectory), 7096997119426906532ULL);
   EXPECT_EQ(util::Fnv1a(run.decisions), 17103433606639336377ULL);
+  EXPECT_EQ(util::Fnv1a(run.summary), 441995924098007467ULL);
 }
 
 // The same point under every other built-in controller, with the matrix
 // grid's params, so a factory that stops reading one of its keys (or reads
-// it into the wrong member) changes bytes.
+// it into the wrong member) changes bytes. The last three rows cover the
+// matrix points no other pin reaches: OCC under incremental steps, 2PL
+// under open arrivals, and the outer tuner (the only run that retunes the
+// monitor interval).
 struct ControllerPin {
+  const char* label;
   const char* controller;
   const char* control;
+  std::vector<std::pair<std::string, std::string>> overrides;
   size_t trajectory_size;
   size_t decisions_size;
+  size_t summary_size;
   uint64_t trajectory_fnv;
   uint64_t decisions_fnv;
+  uint64_t summary_fnv;
 };
 
 TEST(EngineDeterminismTest, EveryBuiltinControllerMatrixPointIsPinned) {
+  const char* const is_bounds =
+      "control.is.initial_bound = 15\n"
+      "control.is.min_bound = 2\n"
+      "control.is.max_bound = 90\n";
   const ControllerPin pins[] = {
-      {"none", "", 5486u, 5245u, 4897731437803407095ULL, 8148431433808035224ULL},
-      {"fixed", "control.fixed.limit = 20\n", 5570u, 4632u, 12044019594535437303ULL, 17890835852754853332ULL},
-      {"tay-rule", "control.tay.threshold = 1.2\n", 5371u, 5095u, 9235359394868756751ULL, 12148148160781119171ULL},
-      {"iyer-rule",
+      {"none", "none", "", {}, 5486u, 5245u, 1640u, 4897731437803407095ULL,
+       8148431433808035224ULL, 1318541583358326993ULL},
+      {"fixed", "fixed", "control.fixed.limit = 20\n", {}, 5570u, 4632u, 1640u,
+       12044019594535437303ULL, 17890835852754853332ULL,
+       6966727782816627045ULL},
+      {"tay-rule", "tay-rule", "control.tay.threshold = 1.2\n", {}, 5371u,
+       5095u, 1675u, 9235359394868756751ULL, 12148148160781119171ULL,
+       15697657252866010955ULL},
+      {"iyer-rule", "iyer-rule",
        "control.iyer.initial_bound = 15\n"
        "control.iyer.min_bound = 2\n"
        "control.iyer.max_bound = 90\n",
-       6081u, 8557u, 1530494219137107962ULL, 9138576639138114376ULL},
-      {"golden-section",
+       {}, 6081u, 8557u, 1663u, 1530494219137107962ULL, 9138576639138114376ULL,
+       18040123560496664899ULL},
+      {"golden-section", "golden-section",
        "control.gs.min_bound = 2\n"
        "control.gs.max_bound = 90\n"
        "control.gs.min_bracket = 10\n",
-       5984u, 11792u, 12730268363739663651ULL, 413458578072848823ULL},
+       {}, 5984u, 11792u, 1658u, 12730268363739663651ULL, 413458578072848823ULL,
+       476857401834775567ULL},
+      {"occ", "incremental-steps", is_bounds, {{"node.cc", "occ"}}, 5228u,
+       7330u, 1590u, 14748917651044137913ULL, 11000727571976466224ULL,
+       16153921994520240942ULL},
+      {"open", "incremental-steps", is_bounds,
+       {{"node.arrivals", "open"}, {"node.open_arrival_rate", "150"}}, 5775u,
+       7422u, 1675u, 16266628045826120797ULL, 4217092690949874890ULL,
+       2219240115786747791ULL},
+      {"tuner", "incremental-steps", is_bounds,
+       {{"node.control.outer_tuner", "true"}}, 2448u, 3210u, 1640u,
+       10888849906484777224ULL, 6316982762400601115ULL,
+       6255351545697690647ULL},
   };
   for (const ControllerPin& pin : pins) {
-    const SingleNodeArtifacts run =
-        RunSingleNode(MatrixPointSpec(pin.controller, pin.control),
-                      pin.controller);
-    EXPECT_EQ(run.trajectory.size(), pin.trajectory_size) << pin.controller;
-    EXPECT_EQ(run.decisions.size(), pin.decisions_size) << pin.controller;
-    EXPECT_EQ(util::Fnv1a(run.trajectory), pin.trajectory_fnv)
-        << pin.controller;
-    EXPECT_EQ(util::Fnv1a(run.decisions), pin.decisions_fnv)
-        << pin.controller;
+    core::ExperimentSpec spec = MatrixPointSpec(pin.controller, pin.control);
+    std::string error;
+    for (const auto& [key, value] : pin.overrides) {
+      ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+    }
+    ASSERT_TRUE(core::ValidateSpec(spec, &error)) << error;
+    const SingleNodeArtifacts run = RunSingleNode(spec, pin.label);
+    EXPECT_EQ(run.trajectory.size(), pin.trajectory_size) << pin.label;
+    EXPECT_EQ(run.decisions.size(), pin.decisions_size) << pin.label;
+    EXPECT_EQ(run.summary.size(), pin.summary_size) << pin.label;
+    EXPECT_EQ(util::Fnv1a(run.trajectory), pin.trajectory_fnv) << pin.label;
+    EXPECT_EQ(util::Fnv1a(run.decisions), pin.decisions_fnv) << pin.label;
+    EXPECT_EQ(util::Fnv1a(run.summary), pin.summary_fnv) << pin.label;
   }
 }
 
