@@ -118,7 +118,9 @@ double ParabolaApproximationController::Update(const Sample& sample) {
   const double performance = PerformanceValue(sample, config_.index);
   const double load = sample.mean_active;
   const double x = load / scale_;
-  rls_.Update({1.0, x, x * x}, performance);
+  phi_[1] = x;
+  phi_[2] = x * x;
+  rls_.Update(phi_, performance);
   UpdateExcitationBoost(load);
   const double dither = config_.dither * excitation_boost_;
 

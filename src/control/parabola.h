@@ -82,6 +82,8 @@ class ParabolaApproximationController : public LoadController {
 
   PaConfig config_;
   RecursiveLeastSquares rls_;
+  /// The estimator's feature vector {1, x, x^2}, reused across updates.
+  std::vector<double> phi_ = {1.0, 0.0, 0.0};
   double bound_;
   double center_;            // estimated optimum before dither
   int dither_sign_ = 1;

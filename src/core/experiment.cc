@@ -1,18 +1,14 @@
 #include "core/experiment.h"
 
-#include <cstdio>
 #include <memory>
-#include <string>
+#include <utility>
 
-#include "control/gate.h"
-#include "control/monitor.h"
 #include "control/registry.h"
-#include "control/tuner.h"
-#include "core/introspect.h"
 #include "db/system.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "util/check.h"
+#include "util/math.h"
 
 namespace alc::core {
 
@@ -23,16 +19,118 @@ std::unique_ptr<control::LoadController> MakeController(const NodeSpec& node) {
   // The Tay rule reads the *declared* workload descriptor k(t).
   db::Schedule k_schedule = node.dynamics.k;
   context.k_of_time = [k_schedule](double t) { return k_schedule.Value(t); };
+  return control::ControllerRegistry::Global().MakeChecked(
+      node.control.controller, context);
+}
 
-  std::string error;
-  std::unique_ptr<control::LoadController> controller =
-      control::ControllerRegistry::Global().Make(node.control.controller,
-                                                 context, &error);
-  if (controller == nullptr) {
-    std::fprintf(stderr, "MakeController: %s\n", error.c_str());
-    ALC_CHECK(controller != nullptr);
+NodeRun::NodeRun(sim::Simulator* simulator, db::TransactionSystem* system,
+                 control::AdmissionGate* gate, const NodeSpec* node, int index,
+                 telemetry::DecisionAudit* audit,
+                 telemetry::TraceRecorder* trace)
+    : system_(system),
+      gate_(gate),
+      node_(node),
+      index_(index),
+      audit_(audit),
+      trace_(trace),
+      controller_(MakeController(*node)),
+      monitor_(simulator, system, node->control.measurement_interval) {
+  if (node->control.outer_tuner) {
+    tuner_ = std::make_unique<control::OuterTuner>(
+        &monitor_, control::OuterTuner::Config{});
   }
-  return controller;
+}
+
+double NodeRun::Step(const control::Sample& sample, bool frozen) {
+  double bound = gate_->limit();
+  if (!frozen) {
+    const double old_limit = bound;
+    bound = controller_->Update(sample);
+    gate_->SetLimit(bound);
+    if (tuner_) tuner_->Observe(sample);
+    if (audit_ != nullptr || trace_ != nullptr) {
+      Observe(sample, old_limit, bound);
+    }
+  }
+  if (trace_ != nullptr) trace_->Counter("limit", index_, sample.time, bound);
+  return bound;
+}
+
+void NodeRun::Observe(const control::Sample& sample, double old_limit,
+                      double new_limit) {
+  control::DecisionState state;
+  controller_->DescribeDecision(&state);
+  if (audit_ != nullptr) {
+    telemetry::DecisionRecord record;
+    record.time = sample.time;
+    record.node = index_;
+    // Controller names are string-literal string_views, so .data() is a
+    // null-terminated literal that outlives the audit.
+    record.controller = controller_->name().data();
+    record.reason = state.reason;
+    record.old_limit = old_limit;
+    record.new_limit = new_limit;
+    record.throughput = sample.throughput;
+    record.conflict_rate = sample.conflict_rate;
+    record.gate_queue = sample.gate_queue;
+    record.mean_active = sample.mean_active;
+    record.num_state = state.num_values;
+    for (int i = 0; i < state.num_values; ++i) {
+      record.state_names[i] = state.names[i];
+      record.state_values[i] = state.values[i];
+    }
+    audit_->Record(record);
+  }
+  if (trace_ != nullptr) {
+    for (int i = 0; i < state.num_values; ++i) {
+      trace_->Counter(state.names[i], index_, sample.time, state.values[i]);
+    }
+    // One instant per reason *change* keeps the track readable: the steady
+    // reason shows as counter context, transitions as markers.
+    if (state.reason != last_reason_) {
+      trace_->Instant(state.reason, index_, sample.time, "limit", new_limit);
+      last_reason_ = state.reason;
+    }
+  }
+}
+
+void NodeRun::Rebuild() { controller_ = MakeController(*node_); }
+
+void NodeRun::MarkWarmup() {
+  const db::Metrics& metrics = system_->metrics();
+  at_warmup_ = metrics.counters;
+  hists_at_warmup_.response = metrics.response_hist;
+  hists_at_warmup_.phases = metrics.phase_hists;
+}
+
+NodeHistograms NodeRun::Summarize(double duration, double warmup,
+                                  NodeSummary* out) const {
+  const db::Metrics& metrics = system_->metrics();
+  const db::Counters& final = metrics.counters;
+  out->commits = final.commits - at_warmup_.commits;
+  out->aborts = final.total_aborts() - at_warmup_.total_aborts();
+  out->displacements =
+      final.aborts_displacement - at_warmup_.aborts_displacement;
+  out->mean_throughput = out->commits / (duration - warmup);
+  out->mean_response = util::Ratio(
+      final.response_time_sum - at_warmup_.response_time_sum, out->commits);
+  out->abort_ratio = util::Ratio(out->aborts, out->commits + out->aborts);
+  double load_sum = 0.0;
+  int load_count = 0;
+  for (const TrajectoryPoint& point : out->trajectory) {
+    if (point.time >= warmup) {
+      load_sum += point.load;
+      ++load_count;
+    }
+  }
+  out->mean_active = util::Ratio(load_sum, load_count);
+
+  NodeHistograms hists{metrics.response_hist, metrics.phase_hists};
+  hists.response.Subtract(hists_at_warmup_.response);
+  for (size_t p = 0; p < hists.phases.size(); ++p) {
+    hists.phases[p].Subtract(hists_at_warmup_.phases[p]);
+  }
+  return hists;
 }
 
 Experiment::Experiment(const ExperimentSpec& spec) : spec_(spec) {
@@ -54,45 +152,16 @@ ExperimentResult Experiment::Run() {
   control::AdmissionGate gate(&system, node.control.initial_limit);
   gate.EnableDisplacement(node.control.displacement);
 
-  std::unique_ptr<control::LoadController> controller = MakeController(node);
-
-  control::Monitor monitor(&simulator, &system,
-                           node.control.measurement_interval);
-  std::unique_ptr<control::OuterTuner> tuner;
-  if (node.control.outer_tuner) {
-    tuner = std::make_unique<control::OuterTuner>(
-        &monitor, control::OuterTuner::Config{});
-  }
+  NodeRun run(&simulator, &system, &gate, &node, 0, audit_, trace_);
 
   ExperimentResult result;
   result.duration = spec_.duration;
   result.warmup = spec_.warmup;
-
-  DecisionProbe probe(audit_, trace_);
-  monitor.SetCallback([&](const control::Sample& sample) {
-    const double old_limit = gate.limit();
-    const double bound = controller->Update(sample);
-    gate.SetLimit(bound);
-    if (tuner) tuner->Observe(sample);
-    if (trace_ != nullptr) {
-      trace_->Counter("limit", 0, sample.time, bound);
-    }
-    if (probe.active()) {
-      probe.Observe(*controller, 0, sample, old_limit, bound);
-    }
-
-    result.trajectory.push_back(ToTrajectoryPoint(sample, bound));
+  run.monitor().SetCallback([&](const control::Sample& sample) {
+    result.trajectory.push_back(
+        ToTrajectoryPoint(sample, run.Step(sample, false)));
   });
-
-  // Warmup boundary snapshot for summary statistics.
-  db::Counters at_warmup;
-  telemetry::LogHistogram hist_at_warmup;
-  std::array<telemetry::LogHistogram, telemetry::kNumPhases> phases_at_warmup;
-  simulator.ScheduleAt(spec_.warmup, [&] {
-    at_warmup = system.metrics().counters;
-    hist_at_warmup = system.metrics().response_hist;
-    phases_at_warmup = system.metrics().phase_hists;
-  });
+  simulator.ScheduleAt(spec_.warmup, [&run] { run.MarkWarmup(); });
 
   // The registry links the system's metric fields (observation-only) so
   // the end-of-run snapshot lands in the result for the manifest.
@@ -100,52 +169,25 @@ ExperimentResult Experiment::Run() {
   system.metrics().RegisterMetrics(&registry, "node0.");
 
   system.Start();
-  monitor.Start();
+  run.Start();
   simulator.RunUntil(spec_.duration);
 
   result.metrics = registry.Snapshot();
-  const db::Counters& final = system.metrics().counters;
-  result.final_counters = final;
-  result.response_hist = system.metrics().response_hist;
-  result.response_hist.Subtract(hist_at_warmup);
-  for (int i = 0; i < telemetry::kNumPhases; ++i) {
-    result.phase_hists[static_cast<size_t>(i)] =
-        system.metrics().phase_hists[static_cast<size_t>(i)];
-    result.phase_hists[static_cast<size_t>(i)].Subtract(
-        phases_at_warmup[static_cast<size_t>(i)]);
-  }
-  const double span = spec_.duration - spec_.warmup;
-  const uint64_t commits = final.commits - at_warmup.commits;
-  const uint64_t aborts = final.total_aborts() - at_warmup.total_aborts();
-  result.commits = commits;
-  result.aborts = aborts;
-  result.displacements =
-      final.aborts_displacement - at_warmup.aborts_displacement;
-  result.mean_throughput = static_cast<double>(commits) / span;
-  result.mean_response =
-      commits > 0
-          ? (final.response_time_sum - at_warmup.response_time_sum) / commits
-          : 0.0;
-  result.abort_ratio =
-      (commits + aborts) > 0
-          ? static_cast<double>(aborts) / static_cast<double>(commits + aborts)
-          : 0.0;
-  const double useful = final.useful_cpu - at_warmup.useful_cpu;
-  const double wasted = final.wasted_cpu - at_warmup.wasted_cpu;
-  result.wasted_cpu_fraction =
-      (useful + wasted) > 0.0 ? wasted / (useful + wasted) : 0.0;
+  result.final_counters = system.metrics().counters;
+  NodeHistograms hists = run.Summarize(spec_.duration, spec_.warmup, &result);
+  result.response_hist = std::move(hists.response);
+  result.phase_hists = std::move(hists.phases);
+  const db::Counters& at_warmup = run.counters_at_warmup();
+  const double useful =
+      result.final_counters.useful_cpu - at_warmup.useful_cpu;
+  const double wasted =
+      result.final_counters.wasted_cpu - at_warmup.wasted_cpu;
+  result.wasted_cpu_fraction = util::Ratio(wasted, useful + wasted);
 
-  double load_sum = 0.0;
-  int load_count = 0;
   sim::BatchMeans throughput_batches(10);
   for (const TrajectoryPoint& point : result.trajectory) {
-    if (point.time >= spec_.warmup) {
-      load_sum += point.load;
-      ++load_count;
-      throughput_batches.Add(point.throughput);
-    }
+    if (point.time >= spec_.warmup) throughput_batches.Add(point.throughput);
   }
-  result.mean_active = load_count > 0 ? load_sum / load_count : 0.0;
   result.throughput_ci_half_width = throughput_batches.HalfWidth(0.95);
   return result;
 }

@@ -6,6 +6,9 @@
 #include <vector>
 
 #include "control/controller.h"
+#include "control/gate.h"
+#include "control/monitor.h"
+#include "control/tuner.h"
 #include "core/experiment_spec.h"
 #include "db/metrics.h"
 #include "telemetry/audit.h"
@@ -54,19 +57,23 @@ inline TrajectoryPoint ToTrajectoryPoint(const control::Sample& sample,
   return point;
 }
 
-/// Everything a finished run reports.
-struct ExperimentResult {
+/// The figures one node reports over [warmup, duration], shared by the
+/// single-node ExperimentResult and the per-node ClusterNodeResult and
+/// filled by NodeRun::Summarize.
+struct NodeSummary {
   std::vector<TrajectoryPoint> trajectory;
-
-  // Summary over [warmup, duration]:
-  double mean_throughput = 0.0;   // commits / span
-  double mean_response = 0.0;     // response sum / commits
-  double mean_active = 0.0;       // trajectory average of load
-  double abort_ratio = 0.0;       // aborts / (aborts + commits)
-  double wasted_cpu_fraction = 0.0;
+  double mean_throughput = 0.0;  // commits / span
+  double mean_response = 0.0;    // response sum / commits
+  double mean_active = 0.0;      // trajectory average of load
+  double abort_ratio = 0.0;      // aborts / (aborts + commits)
   uint64_t commits = 0;
   uint64_t aborts = 0;
   uint64_t displacements = 0;
+};
+
+/// Everything a finished single-node run reports.
+struct ExperimentResult : NodeSummary {
+  double wasted_cpu_fraction = 0.0;
 
   /// 95% batch-means confidence half-width for mean_throughput, from the
   /// post-warmup interval series (batches of 10 intervals). Zero when the
@@ -93,10 +100,74 @@ struct ExperimentResult {
   std::vector<telemetry::MetricSample> metrics;
 };
 
-/// Builds the full stack (simulator, transaction system, gate, monitor,
-/// controller, optional tuner) from a single-node spec (`cluster` false,
-/// one node), runs it, and returns the trajectory plus summary statistics.
-/// Deterministic given the spec.
+/// A node's post-warmup histograms: the final ones minus the warmup mark.
+struct NodeHistograms {
+  telemetry::LogHistogram response;
+  std::array<telemetry::LogHistogram, telemetry::kNumPhases> phases;
+};
+
+/// One node's feedback loop (paper figure 5) and its post-warmup summary,
+/// shared by Experiment (one node) and ClusterExperiment (one per node).
+/// It builds the node's controller, monitor and optional outer tuner; the
+/// experiment sets the monitor callback to call Step(), schedules
+/// MarkWarmup() at the warmup time, calls Start(), and after the run
+/// Summarize().
+/// Pinned in place: the tuner and the monitor callback point into it.
+class NodeRun {
+ public:
+  /// `node` must outlive the run; `index` names the node in the audit and
+  /// the trace; `audit` and `trace` may be null.
+  NodeRun(sim::Simulator* simulator, db::TransactionSystem* system,
+          control::AdmissionGate* gate, const NodeSpec* node, int index,
+          telemetry::DecisionAudit* audit, telemetry::TraceRecorder* trace);
+  NodeRun(const NodeRun&) = delete;
+  NodeRun& operator=(const NodeRun&) = delete;
+
+  control::Monitor& monitor() { return monitor_; }
+  void Start() { monitor_.Start(); }
+
+  /// One control step: controller update, gate limit, tuner observation,
+  /// the step's decision record and controller-state trace counters, then
+  /// the `limit` trace counter. A `frozen` node (down or on standby) only
+  /// emits the counter, keeping its pre-outage state. Returns the bound in
+  /// force.
+  double Step(const control::Sample& sample, bool frozen);
+
+  /// A fresh controller: the cold start of a kFresh rejoin or a provision.
+  void Rebuild();
+
+  void MarkWarmup();
+  /// Fills `out` over [warmup, duration] (mean_active from the trajectory
+  /// the caller put in `out`) and returns the post-warmup histograms.
+  NodeHistograms Summarize(double duration, double warmup,
+                           NodeSummary* out) const;
+  /// For the figures only one experiment reports (wasted CPU, locality).
+  const db::Counters& counters_at_warmup() const { return at_warmup_; }
+
+ private:
+  /// Audits and traces one controller step. Observation-only: it reads the
+  /// controller's state const-ly and appends PODs to the sinks.
+  void Observe(const control::Sample& sample, double old_limit,
+               double new_limit);
+
+  db::TransactionSystem* system_;
+  control::AdmissionGate* gate_;
+  const NodeSpec* node_;
+  int index_;
+  telemetry::DecisionAudit* audit_;
+  telemetry::TraceRecorder* trace_;
+  const char* last_reason_ = nullptr;  // literal identity
+  std::unique_ptr<control::LoadController> controller_;
+  control::Monitor monitor_;
+  std::unique_ptr<control::OuterTuner> tuner_;
+  db::Counters at_warmup_;
+  NodeHistograms hists_at_warmup_;
+};
+
+/// Builds the full stack (simulator, transaction system, gate and one
+/// NodeRun) from a single-node spec (`cluster` false, one node), runs it,
+/// and returns the trajectory plus summary statistics. Deterministic given
+/// the spec.
 class Experiment {
  public:
   explicit Experiment(const ExperimentSpec& spec);

@@ -76,9 +76,7 @@ void WriteRunManifestJson(
       << ", \"mean_response\": " << util::FormatDouble(result.mean_response())
       << ", \"abort_ratio\": " << util::FormatDouble(result.abort_ratio())
       << ", \"commits\": " << result.commits() << "},\n";
-  const telemetry::LogHistogram& hist =
-      result.cluster ? result.cluster_result.response_hist
-                     : result.single.response_hist;
+  const telemetry::LogHistogram& hist = result.response_hist();
   out << "  \"response\": {\"p50\": " << util::FormatDouble(hist.Quantile(0.50))
       << ", \"p95\": " << util::FormatDouble(hist.Quantile(0.95))
       << ", \"p99\": " << util::FormatDouble(hist.Quantile(0.99))

@@ -1,6 +1,7 @@
 #ifndef ALC_CORE_SPEC_H_
 #define ALC_CORE_SPEC_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,16 @@ struct SpecRunResult {
   }
   const std::vector<telemetry::MetricSample>& metrics() const {
     return cluster ? cluster_result.metrics : single.metrics;
+  }
+  /// Post-warmup response-time distribution (merged across nodes in a
+  /// cluster run).
+  const telemetry::LogHistogram& response_hist() const {
+    return cluster ? cluster_result.response_hist : single.response_hist;
+  }
+  /// Post-warmup per-phase distributions, indexed by telemetry::Phase.
+  const std::array<telemetry::LogHistogram, telemetry::kNumPhases>&
+  phase_hists() const {
+    return cluster ? cluster_result.phase_hists : single.phase_hists;
   }
 };
 

@@ -103,10 +103,13 @@ void LockManager::ReleaseAll(Transaction* txn) {
     ALC_CHECK(it != lock.holders.end());
     lock.holders.erase(it);
   }
-  std::vector<ItemId> released;
-  released.swap(txn->held_locks);
   // Grant after all releases so multi-item cascades see the final state.
-  for (ItemId item : released) GrantWaiters(item);
+  // The items move to reused scratch, so the transaction keeps its list's
+  // capacity and a steady-state commit allocates nothing; GrantWaiters
+  // defers every proceed, so it never re-enters here mid-loop.
+  released_.assign(txn->held_locks.begin(), txn->held_locks.end());
+  txn->held_locks.clear();
+  for (ItemId item : released_) GrantWaiters(item);
 }
 
 void LockManager::GrantWaiters(ItemId item) {

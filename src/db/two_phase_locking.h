@@ -94,6 +94,8 @@ class LockManager : public ConcurrencyControl {
   int blocked_count_ = 0;
   uint64_t deadlocks_detected_ = 0;
   uint64_t commit_seq_ = 0;
+  /// ReleaseAll's item list, reused across commits and aborts.
+  std::vector<ItemId> released_;
 
   /// Deadlock-DFS scratch, reused across searches. Frames reference spans
   /// of the shared edge pool instead of owning per-frame vectors.

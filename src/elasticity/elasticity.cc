@@ -47,12 +47,7 @@ ElasticityController::ElasticityController(sim::Simulator* sim,
   AutoscalerContext context;
   context.params = &config_.scaler_params;
   context.seed = seed;
-  std::string error;
-  scaler_ = AutoscalerRegistry::Global().Make(config_.scaler, context, &error);
-  if (scaler_ == nullptr) {
-    ALC_LOG(kError, error);
-    ALC_CHECK(scaler_ != nullptr);
-  }
+  scaler_ = AutoscalerRegistry::Global().MakeChecked(config_.scaler, context);
   scaling_enabled_ = config_.scaler != "none";
   for (int i = 0; scaling_enabled_ && i < cluster_->size(); ++i) {
     scaler_windows_.push_back(

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace alc::fault {
 
@@ -121,12 +120,7 @@ FaultInjector::FaultInjector(sim::Simulator* simulator, FaultHost* host,
   for (const FaultSpec& spec : config.faults) {
     Entry entry;
     entry.spec = spec;
-    std::string error;
-    entry.kind = FaultRegistry::Global().Make(spec.kind, spec, &error);
-    if (entry.kind == nullptr) {
-      ALC_LOG(kError, error);
-      ALC_CHECK(entry.kind != nullptr);
-    }
+    entry.kind = FaultRegistry::Global().MakeChecked(spec.kind, spec);
     entry.start_reason = InternReason(spec.kind + "-start");
     entry.end_reason = InternReason(spec.kind + "-end");
     entries_.push_back(std::move(entry));

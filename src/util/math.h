@@ -17,6 +17,12 @@ double NormalQuantileTwoSided(double confidence);
 /// Clamps v into [lo, hi].
 double Clamp(double v, double lo, double hi);
 
+/// num / den, or 0 when den is not positive (an empty window's mean or
+/// share).
+inline double Ratio(double num, double den) {
+  return den > 0.0 ? num / den : 0.0;
+}
+
 /// Linear interpolation between (x0, y0) and (x1, y1) at x.
 double Lerp(double x0, double y0, double x1, double y1, double x);
 

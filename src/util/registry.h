@@ -1,6 +1,7 @@
 #ifndef ALC_UTIL_REGISTRY_H_
 #define ALC_UTIL_REGISTRY_H_
 
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -77,6 +78,20 @@ class Registry {
       return nullptr;
     }
     return it->second(context);
+  }
+
+  /// Make() for a name the caller's input was already validated against
+  /// (the spec tables check every policy name): a miss is a programming
+  /// error, so it prints Make()'s error and aborts.
+  std::unique_ptr<Product> MakeChecked(const std::string& name,
+                                       const Context& context) const {
+    std::string error;
+    std::unique_ptr<Product> product = Make(name, context, &error);
+    if (product == nullptr) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      ALC_CHECK(product != nullptr);
+    }
+    return product;
   }
 
  private:

@@ -336,6 +336,27 @@ TEST_F(PaTest, ResetClearsEstimator) {
   EXPECT_NEAR(std::fabs(b - 30.0), 4.0, 1e-9);
 }
 
+// The default controller on the noise-free plant of bench/perf_suite's
+// controller_update_pa: the dither probes only two loads, so the
+// estimator's covariance winds up along the unexcited direction until its
+// gain denominator degenerates (some 700 updates in). The estimator must
+// restart its covariance there instead of aborting, and keep steering.
+TEST(PaNoiseFreeTest, SurvivesLongNoiseFreeRun) {
+  ParabolaApproximationController pa(PaConfig{});
+  const PaConfig config;
+  Sample sample;
+  double bound = 100.0;
+  for (int i = 0; i < 100000; ++i) {
+    sample.mean_active = bound;
+    sample.throughput = 300.0 - 0.01 * (bound - 150.0) * (bound - 150.0);
+    bound = pa.Update(sample);
+    ASSERT_TRUE(std::isfinite(bound)) << "update " << i;
+    ASSERT_GE(bound, config.min_bound) << "update " << i;
+    ASSERT_LE(bound, config.max_bound) << "update " << i;
+  }
+  EXPECT_NEAR(bound, 150.0, 2.0 * config.dither + 1.0);
+}
+
 TEST(TayRuleTest, ComputesBoundFromFormula) {
   TayRuleController tay(10000.0, [](double) { return 10.0; }, 1.5);
   // n* = 1.5 * D / k^2 = 1.5 * 10000 / 100 = 150.

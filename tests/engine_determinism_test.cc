@@ -77,8 +77,8 @@ TEST(EngineDeterminismTest, NodeFailoverCsvMatchesPreRefactorBaseline) {
 // histograms to a windowed histogram, which must not change a byte. The
 // summary string pins the post-warmup arithmetic too: every scalar of the
 // result, the cumulative counters, the response and phase histograms and
-// the end-of-run metric snapshot (recorded before the single-node and
-// cluster drivers shared one summary).
+// the end-of-run metric snapshot (recorded before Experiment and
+// ClusterExperiment shared one summary).
 struct SingleNodeArtifacts {
   std::string trajectory;
   std::string decisions;

@@ -185,6 +185,20 @@ TEST(RegistryTest, UnknownNameErrorNamesTheFamilyAndListsItsNames) {
       control::ControllerRegistry::Global().Check("warp-drive", nullptr));
 }
 
+TEST(RegistryTest, MakeCheckedBuildsOrAbortsListingTheNames) {
+  control::ControllerContext context;
+  util::ParamMap params;
+  context.params = &params;
+  EXPECT_EQ(control::ControllerRegistry::Global()
+                .MakeChecked("none", context)
+                ->name(),
+            "none");
+  EXPECT_DEATH(
+      control::ControllerRegistry::Global().MakeChecked("warp-drive",
+                                                        context),
+      "unknown controller 'warp-drive'; registered: fixed");
+}
+
 // --------------------------------------------------------- routing policies --
 
 TEST(RoutingRegistryTest, BuiltinsAreRegisteredUnderTheirNames) {

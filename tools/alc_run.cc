@@ -136,9 +136,7 @@ bool ExportResult(const std::string& dir, const std::string& prefix,
 /// Response-time percentiles and the per-phase timing breakdown, from the
 /// run's merged log histograms (O(1) memory regardless of commit count).
 void PrintTelemetry(const core::SpecRunResult& result) {
-  const telemetry::LogHistogram& response =
-      result.cluster ? result.cluster_result.response_hist
-                     : result.single.response_hist;
+  const telemetry::LogHistogram& response = result.response_hist();
   if (response.count() == 0) return;
   util::Table table({"response", "seconds"});
   table.AddRow({"p50", util::StrFormat("%.4f", response.Quantile(0.50))});
@@ -148,8 +146,7 @@ void PrintTelemetry(const core::SpecRunResult& result) {
   table.Print(std::cout);
 
   const std::array<telemetry::LogHistogram, telemetry::kNumPhases>& phases =
-      result.cluster ? result.cluster_result.phase_hists
-                     : result.single.phase_hists;
+      result.phase_hists();
   bool any = false;
   for (const telemetry::LogHistogram& hist : phases) {
     if (hist.count() > 0) any = true;

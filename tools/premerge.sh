@@ -5,9 +5,10 @@
 #   1. configure + build (Release unless BUILD_DIR is already configured)
 #   2. the full ctest tier-1 suite
 #   3. the alc_compare golden-manifest gates (node_failover + smoke +
-#      cluster_routing_flash): fresh runs of the checked-in specs must
-#      match the committed manifests bit-for-bit on the comparable
-#      sections, plus an end-to-end run of the closed-loop elasticity
+#      cluster_routing_flash + paper_closed): fresh runs of the checked-in
+#      specs must match the committed manifests bit-for-bit on the
+#      comparable sections (paper_closed also exports its decisions and
+#      a Chrome trace), plus an end-to-end run of the closed-loop elasticity
 #      spec (heartbeat detector + autoscaler over the standby pool) and
 #      of the smoke spec with a mid-surge crash under retraction, the
 #      shed ladder and bounded retry (re-submissions and dead letters must
@@ -76,6 +77,19 @@ echo "== golden gate: cluster_routing_flash"
   --out "$OUT_DIR/flash" >/dev/null
 "./$BUILD_DIR/tools/alc_compare" \
   specs/golden/cluster_routing_flash.run.json "$OUT_DIR/flash/run.json"
+
+echo "== golden gate: paper_closed (single node, decisions and trace)"
+# The manifest's spec text records the decisions and trace paths, so this
+# run writes where CI and the golden do.
+rm -rf /tmp/alc-paper /tmp/alc-paper-trace.json
+"./$BUILD_DIR/tools/alc_run" specs/paper_closed.spec --out /tmp/alc-paper \
+  --decisions /tmp/alc-paper/decisions.csv --trace /tmp/alc-paper-trace.json \
+  >/dev/null
+test -s /tmp/alc-paper/trajectory.csv
+test -s /tmp/alc-paper/decisions.csv
+python3 -m json.tool /tmp/alc-paper-trace.json >/dev/null
+"./$BUILD_DIR/tools/alc_compare" \
+  specs/golden/paper_closed.run.json /tmp/alc-paper/run.json
 
 echo "== elasticity: closed-loop flash crowd"
 "./$BUILD_DIR/tools/alc_run" specs/elasticity_flash.spec \
