@@ -88,7 +88,6 @@ void Monitor::Tick() {
   sample.useful_cpu_fraction =
       (useful + wasted) > 0.0 ? useful / (useful + wasted) : 1.0;
 
-  samples_.push_back(sample);
   last_ = current;
   if (callback_) callback_(sample);
   window_->Clear();

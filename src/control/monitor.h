@@ -2,7 +2,6 @@
 #define ALC_CONTROL_MONITOR_H_
 
 #include <functional>
-#include <vector>
 
 #include "control/sample.h"
 #include "db/system.h"
@@ -33,9 +32,6 @@ class Monitor {
   void SetInterval(double interval);
   double interval() const { return interval_; }
 
-  /// All samples observed so far (kept for reporting).
-  const std::vector<Sample>& samples() const { return samples_; }
-
   /// Response times committed in the interval being sampled: the window
   /// the system records into, read for the sample's percentiles. Valid
   /// only during the callback of that interval (it is cleared right
@@ -62,7 +58,6 @@ class Monitor {
   Snapshot last_;
   /// Owned by the system's metrics; holds the commits since the last tick.
   telemetry::HistogramWindow* window_ = nullptr;
-  std::vector<Sample> samples_;
   bool started_ = false;
 };
 

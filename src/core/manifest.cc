@@ -70,7 +70,12 @@ void WriteRunManifestJson(
   out << "],\n";
   out << "  \"build\": {\"compiler\": \"" << JsonEscape(__VERSION__)
       << "\", \"build_type\": \"" << JsonEscape(ALC_BUILD_TYPE) << "\"},\n";
-  out << "  \"spec\": \"" << JsonEscape(PrintSpec(spec)) << "\",\n";
+  // Output paths say where this copy of the run was written, not what was
+  // run: cleared, so one run exported to two places compares equal.
+  ExperimentSpec run_spec = spec;
+  run_spec.trace_path.clear();
+  run_spec.decisions_path.clear();
+  out << "  \"spec\": \"" << JsonEscape(PrintSpec(run_spec)) << "\",\n";
   out << "  \"summary\": {\"throughput\": "
       << util::FormatDouble(result.total_throughput())
       << ", \"mean_response\": " << util::FormatDouble(result.mean_response())

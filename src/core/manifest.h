@@ -21,7 +21,9 @@ namespace alc::core {
 ///   build       compiler + build type (informational; alc_compare
 ///               ignores this section when diffing)
 ///   spec        the exact PrintSpec round-trip text, so the manifest
-///               alone reproduces the run
+///               alone reproduces the run; the trace and decisions
+///               output paths are cleared (they name where this copy
+///               was written, not what ran)
 ///   summary     throughput / mean_response / abort_ratio / commits over
 ///               [warmup, duration]
 ///   response    post-warmup p50/p95/p99/p999 response percentiles

@@ -36,6 +36,9 @@ class DiskSubsystem {
  private:
   sim::Simulator* sim_;
   double service_time_;
+  /// The simulator lane completions go through: the service time is
+  /// constant, so completions are pushed in time order.
+  uint32_t lane_;
   double stall_factor_ = 1.0;
   uint64_t completed_ = 0;
   int in_flight_ = 0;

@@ -37,6 +37,7 @@ TransactionSystem::TransactionSystem(sim::Simulator* sim,
   ALC_CHECK(sim != nullptr);
   ALC_CHECK_GT(config.physical.num_terminals, 0);
   metrics_.record_history = config.record_history;
+  remote_lane_ = sim->AddLane();
 
   if (config_.cc == CcScheme::kTwoPhaseLocking) {
     auto lm = std::make_unique<LockManager>(&database_, &metrics_, sim_);
@@ -363,7 +364,8 @@ void TransactionSystem::RunAccessPhase(Transaction* txn, int index) {
       if (remote && config_.remote.latency > 0.0) {
         // Network round trip to the remote replica before the local I/O
         // (the round trip lands in disk_wall together with the I/O).
-        sim_->Schedule(config_.remote.latency, [this, txn, index] {
+        sim_->ScheduleLane(remote_lane_, config_.remote.latency,
+                           [this, txn, index] {
           disk_.Request([this, txn, index] {
             txn->disk_wall += sim_->Now() - txn->phase_stamp;
             CompleteAccess(txn, index);

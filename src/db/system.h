@@ -210,6 +210,8 @@ class TransactionSystem {
   AccessPatternGenerator access_gen_;
   CpuSubsystem cpu_;
   DiskSubsystem disk_;
+  /// Simulator lane of the remote round trips (constant latency).
+  uint32_t remote_lane_ = 0;
   std::unique_ptr<ConcurrencyControl> cc_;
   LockManager* lock_manager_ = nullptr;  // borrowed view into cc_
 

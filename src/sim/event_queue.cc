@@ -85,7 +85,7 @@ void EventQueue::Rebase(const Entry& entry) {
   base_ = entry;
 }
 
-EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
+EventQueue::Entry EventQueue::StampEntry(double time, uint32_t slot) {
   // time >= 0 keeps the bit-pattern comparison valid (rejects NaN too);
   // +0.0 canonicalizes a negative zero, whose bits would misorder.
   ALC_CHECK_GE(time, 0.0);
@@ -93,9 +93,11 @@ EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
   ALC_DCHECK(seq < uint64_t{1} << (64 - kSlotBits));
   ALC_DCHECK(slot <= kSlotMask);
   slots_[slot].live_seq = seq;
-  const uint64_t key = (seq << kSlotBits) | slot;
-  const Entry entry{TimeBits(time + 0.0), key};
-  if (Earlier(entry, base_)) Rebase(entry);
+  ++live_count_;
+  return Entry{TimeBits(time + 0.0), (seq << kSlotBits) | slot};
+}
+
+uint32_t EventQueue::NewNode(const Entry& entry, uint32_t lane) {
   uint32_t node = free_node_;
   if (node != kNil) {
     free_node_ = nodes_[node].next;
@@ -104,10 +106,53 @@ EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
     nodes_.emplace_back();
   }
   nodes_[node].entry = entry;
-  Link(node, BucketOf(entry, base_));
+  nodes_[node].lane = lane;
+  return node;
+}
+
+// Inlined into both push paths: the plain push is the engine's hottest
+// call.
+[[gnu::always_inline]] inline void EventQueue::Insert(const Entry& entry,
+                                                      uint32_t lane) {
+  if (Earlier(entry, base_)) Rebase(entry);
+  Link(NewNode(entry, lane), BucketOf(entry, base_));
   ++entry_count_;
-  ++live_count_;
-  return EventHandle{key};
+}
+
+EventHandle EventQueue::FinishPush(double time, uint32_t slot) {
+  const Entry entry = StampEntry(time, slot);
+  Insert(entry, kNil);
+  return EventHandle{entry.key};
+}
+
+uint32_t EventQueue::AddLane() {
+  lanes_.emplace_back();
+  return static_cast<uint32_t>(lanes_.size() - 1);
+}
+
+void EventQueue::FinishLanePush(uint32_t lane, double time, uint32_t slot) {
+  ALC_DCHECK(lane < lanes_.size());
+  const Entry entry = StampEntry(time, slot);
+  Lane& fifo = lanes_[lane];
+  if (!fifo.busy) {
+    fifo.busy = true;
+    fifo.tail = entry;
+    Insert(entry, lane);
+  } else if (Earlier(entry, fifo.tail)) {
+    // Out of FIFO order: fires correctly as a plain heap entry.
+    Insert(entry, kNil);
+  } else {
+    fifo.tail = entry;
+    const uint32_t node = NewNode(entry, lane);
+    nodes_[node].next = kNil;
+    if (fifo.first == kNil) {
+      fifo.first = node;
+    } else {
+      nodes_[fifo.last].next = node;
+    }
+    fifo.last = node;
+    ++lane_waiting_;
+  }
 }
 
 bool EventQueue::Cancel(EventHandle handle) {
@@ -125,7 +170,7 @@ bool EventQueue::Cancel(EventHandle handle) {
 
 void EventQueue::CompactIfWorthIt() {
   if (entry_count_ < kCompactMinEntries) return;
-  const size_t dead = entry_count_ - live_count_;
+  const size_t dead = entry_count_ - (live_count_ - lane_waiting_);
   if (dead * 2 <= entry_count_) return;
   // Tombstones outnumber live entries: filter every bucket in one pass.
   // Survivors keep their buckets (base_ is unchanged), so the (time, key)
@@ -181,8 +226,23 @@ double EventQueue::PeekTime() const {
 EventQueue::Fired EventQueue::Pop() {
   const uint32_t head = Head();
   const Entry top = nodes_[head].entry;
+  const uint32_t lane = nodes_[head].lane;
   Detach(0);
   FreeNode(head);
+  if (lane != kNil) {
+    Lane& fifo = lanes_[lane];
+    const uint32_t next = fifo.first;
+    if (next == kNil) {
+      fifo.busy = false;
+    } else {
+      // The lane's next entry exceeds `top`, now the base, so it links
+      // without a rebase.
+      fifo.first = nodes_[next].next;
+      Link(next, BucketOf(nodes_[next].entry, base_));
+      ++entry_count_;
+      --lane_waiting_;
+    }
+  }
   const uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
   // Move the payload out and free the slot before the caller invokes it:
   // the callable may push new events that reuse the slot or grow the table.

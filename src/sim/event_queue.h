@@ -58,6 +58,20 @@ struct EventHandle {
 /// are allocation-free at steady state: entries are nodes of one pooled
 /// arena threaded into per-bucket lists, and the slot table and payload
 /// cells are reused likewise.
+///
+/// FIFO lanes: a source whose events are scheduled at a constant delay
+/// (a constant-service disk, a fixed network round trip) pushes them in
+/// key order already, so only its earliest pending event needs to be in
+/// the heap. PushLane() keeps that head in the heap, tagged with its lane,
+/// and threads the rest, in order, into the lane's list of arena nodes
+/// outside the heap; popping a lane head links the lane's next node into
+/// the heap, whose key exceeds the base just set by the pop, so no rebase
+/// is needed. A lane push whose key is
+/// below the lane's tail (the delay dropped, e.g. when a disk-stall window
+/// closes) cannot join the FIFO and goes into the heap as a plain entry.
+/// Keys are stamped exactly as for Push(), so lanes change only how many
+/// entries the heap holds, never the pop order. Lane events cannot be
+/// cancelled: PushLane returns no handle.
 class EventQueue {
  public:
   /// Storage cell for one scheduled event. 72 inline bytes: enough for an
@@ -79,12 +93,26 @@ class EventQueue {
     return FinishPush(time, slot);
   }
 
+  /// Creates an empty FIFO lane and returns its id for PushLane().
+  uint32_t AddLane();
+
+  /// Schedules `fn` at absolute time `time >= 0` in lane `lane`. Fires in
+  /// the same (time, scheduling order) position as Push() would give it;
+  /// pays off when the lane's pushes come in time order.
+  template <typename F>
+  void PushLane(uint32_t lane, double time, F&& fn) {
+    const uint32_t slot = AcquireSlot();
+    slots_[slot].cell.Emplace(std::forward<F>(fn));
+    FinishLanePush(lane, time, slot);
+  }
+
   /// Cancels the event if it has not fired: the payload is destroyed now,
   /// the queue entry is tombstoned in place. Returns true if it was live.
   bool Cancel(EventHandle handle);
 
   /// True if no live events remain (tombstone-aware: cancelled events never
-  /// count, whether or not their entries have been dropped yet).
+  /// count, whether or not their entries have been dropped yet). Lane
+  /// entries waiting behind their lane's head count as live.
   bool empty() const { return live_count_ == 0; }
 
   size_t live_count() const { return live_count_; }
@@ -99,8 +127,9 @@ class EventQueue {
   };
   Fired Pop();
 
-  /// Introspection for tests and benchmarks. heap_size() counts queued
-  /// entries, tombstones included.
+  /// Introspection for tests and benchmarks. heap_size() counts entries in
+  /// the radix heap, tombstones included; lane entries waiting behind
+  /// their lane's head are not in it.
   size_t heap_size() const { return entry_count_; }
   size_t slot_count() const { return slots_.size(); }
   uint64_t compactions() const { return compactions_; }
@@ -122,11 +151,26 @@ class EventQueue {
     uint64_t tbits;  // bit pattern of the (non-negative) event time
     uint64_t key;    // (seq << kSlotBits) | slot
   };
-  /// Arena node: an entry threaded into its bucket's list (or the free
-  /// list).
+  static constexpr uint32_t kNil = ~uint32_t{0};
+
+  /// Arena node: an entry threaded into its bucket's list, its lane's
+  /// waiting list, or the free list. `lane` fills the struct's padding:
+  /// the lane the entry belongs to, or kNil for a plain entry.
   struct Node {
     Entry entry;
     uint32_t next;
+    uint32_t lane;
+  };
+  static_assert(sizeof(Node) == 24, "the lane tag must fit the padding");
+  struct Lane {
+    /// First and last node waiting behind the head, in key order; `first`
+    /// is kNil when none waits (`last` is then stale).
+    uint32_t first = kNil;
+    uint32_t last = kNil;
+    /// True while the lane's head is in the heap.
+    bool busy = false;
+    /// Largest key the lane has taken; pushes below it fall back to plain.
+    Entry tail{0, 0};
   };
   struct Slot {
     /// Sequence of the occupying event; 0 when free (tombstone marker).
@@ -141,7 +185,6 @@ class EventQueue {
   /// with a lower value, holds smaller keys. Bucket 0 holds the key equal
   /// to base_.
   static constexpr int kBuckets = 512;
-  static constexpr uint32_t kNil = ~uint32_t{0};
 
   static uint64_t TimeBits(double time) {
     uint64_t bits;
@@ -196,9 +239,18 @@ class EventQueue {
     slots_.emplace_back();
     return static_cast<uint32_t>(slots_.size() - 1);
   }
-  /// Non-template tail of Push (entry insertion + handle construction);
-  /// the slot's cell must already hold the payload.
+  /// Non-template tails of Push and PushLane; the slot's cell must
+  /// already hold the payload.
   EventHandle FinishPush(double time, uint32_t slot);
+  void FinishLanePush(uint32_t lane, double time, uint32_t slot);
+  /// Stamps the next sequence on `slot` and returns its entry; counts the
+  /// event live.
+  Entry StampEntry(double time, uint32_t slot);
+  /// Takes a node from the free list (or grows the arena) holding `entry`
+  /// tagged with `lane` (kNil: plain).
+  uint32_t NewNode(const Entry& entry, uint32_t lane);
+  /// Links `entry` into the heap, tagged with `lane`.
+  void Insert(const Entry& entry, uint32_t lane);
   void ReleaseSlot(uint32_t slot);
 
   /// Lowest non-empty bucket, or -1 when no entries are queued.
@@ -231,6 +283,9 @@ class EventQueue {
   mutable size_t entry_count_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
+  std::vector<Lane> lanes_;
+  /// Entries waiting behind their lane's head (live but not in the heap).
+  size_t lane_waiting_ = 0;
   uint64_t next_seq_ = 1;
   size_t live_count_ = 0;
   uint64_t compactions_ = 0;

@@ -5,8 +5,10 @@
 // times — and cancellation, peeking and RunUntil boundaries must agree
 // with the model step by step. The traffic mirrors what the simulator
 // generates (hold-model terminals with ms-scale service and s-scale think
-// times, constant-delay disk streams, equal-time bursts of monitor ticks
-// across 64 nodes, restart timers that get cancelled) plus the raw-queue
+// times, constant-delay disk streams through FIFO lanes with a stall
+// window whose closing edge drops the delay mid-stream, equal-time bursts
+// of monitor ticks across 64 nodes, restart timers that get cancelled)
+// plus the raw-queue
 // freedoms the simulator never uses (pushes below the last popped time,
 // cancelling the head right after peeking it).
 
@@ -163,9 +165,14 @@ TEST(EventEngineModelTest, RawQueueMatchesModelUnderArbitraryPushes) {
 /// for, scheduling through it so both sides see the same pushes.
 class Lockstep {
  public:
-  enum class Kind { kTerminal, kDisk, kMonitor, kNodeTick, kTimer, kProbe };
+  enum class Kind {
+    kTerminal, kDisk, kDiskIo, kMonitor, kNodeTick, kTimer, kProbe
+  };
+  static constexpr int kDisks = 4;
 
-  explicit Lockstep(uint64_t seed) : rng_(seed) {}
+  explicit Lockstep(uint64_t seed) : rng_(seed) {
+    for (uint32_t& lane : disk_lanes_) lane = sim_.AddLane();
+  }
 
   uint64_t Schedule(double delay, Kind kind) {
     const uint64_t seq = model_.Push(sim_.Now() + delay);
@@ -177,6 +184,19 @@ class Lockstep {
     const uint64_t seq = model_.Push(time);
     kinds_[seq] = kind;
     handles_[seq] = sim_.ScheduleAt(time, [this, seq] { Fire(seq); });
+    return seq;
+  }
+  /// A disk I/O on disk `disk`'s lane, at the disk's current constant
+  /// service time: 0.035 s, stretched to 0.14 s inside the stall window
+  /// [10, 20). Pushes right after the window closes land below the lane's
+  /// tail and take the plain-entry fallback.
+  uint64_t ScheduleDisk(int disk, Kind kind) {
+    const double now = sim_.Now();
+    const double delay = now >= 10.0 && now < 20.0 ? 0.14 : 0.035;
+    const uint64_t seq = model_.Push(now + delay);
+    kinds_[seq] = kind;
+    disks_[seq] = disk;
+    sim_.ScheduleLane(disk_lanes_[disk], delay, [this, seq] { Fire(seq); });
     return seq;
   }
   void Cancel(uint64_t seq) {
@@ -208,6 +228,11 @@ class Lockstep {
                        : rng_.NextExponential(0.005),
                  Kind::kTerminal);
         const double roll = rng_.NextDouble();
+        if (roll < 0.30) {
+          // An access phase's I/O: several in flight per disk lane.
+          ScheduleDisk(static_cast<int>(rng_.NextUint64(kDisks)),
+                       Kind::kDiskIo);
+        }
         if (roll < 0.05) {
           timers_.push_back(
               Schedule(rng_.NextExponential(0.05), Kind::kTimer));
@@ -220,13 +245,14 @@ class Lockstep {
         break;
       }
       case Kind::kDisk:
-        Schedule(0.035, Kind::kDisk);  // constant service time
+        ScheduleDisk(disks_.at(seq), Kind::kDisk);  // back-to-back I/O
         break;
       case Kind::kMonitor:
         // One tick fans out to every node at the same instant.
         for (int node = 0; node < 64; ++node) Schedule(0.0, Kind::kNodeTick);
         Schedule(1.0, Kind::kMonitor);
         break;
+      case Kind::kDiskIo:
       case Kind::kNodeTick:
       case Kind::kTimer:
       case Kind::kProbe:
@@ -239,21 +265,23 @@ class Lockstep {
   RandomStream rng_;
   std::map<uint64_t, EventHandle> handles_;
   std::map<uint64_t, Kind> kinds_;
+  std::map<uint64_t, int> disks_;  // disk of each disk event
+  uint32_t disk_lanes_[kDisks];
   std::vector<uint64_t> timers_;
   uint64_t fired_ = 0;
 };
 
 TEST(EventEngineModelTest, SimulatorMatchesModelOnSimulatorTraffic) {
   Lockstep lockstep(77);
-  // Everything starts at t = 0: terminals, four disks in lockstep (their
-  // completions tie exactly, every time), the monitor.
+  // Everything starts at t = 0: terminals, four back-to-back disk streams
+  // in lockstep (their completions tie exactly, every time), the monitor.
   for (int terminal = 0; terminal < 600; ++terminal) {
     const double delay =
         terminal % 3 == 0 ? 0.0 : lockstep.rng().NextExponential(1.0);
     lockstep.Schedule(delay, Lockstep::Kind::kTerminal);
   }
-  for (int disk = 0; disk < 4; ++disk) {
-    lockstep.Schedule(0.0, Lockstep::Kind::kDisk);
+  for (int disk = 0; disk < Lockstep::kDisks; ++disk) {
+    lockstep.ScheduleDisk(disk, Lockstep::Kind::kDisk);
   }
   lockstep.Schedule(0.0, Lockstep::Kind::kMonitor);
   // Events pinned on both sides of powers of two up to 32 s.

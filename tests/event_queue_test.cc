@@ -304,6 +304,163 @@ TEST(EventQueueTest, StressInterleavedPushCancelPopMatchesModel) {
   EXPECT_EQ(fired, expected);
 }
 
+TEST(EventQueueLaneTest, EqualTimeLaneAndPlainPushesFireInScheduleOrder) {
+  EventQueue queue;
+  const uint32_t lane = queue.AddLane();
+  std::vector<int> order;
+  for (int i = 0; i < 12; ++i) {
+    if (i % 3 == 0) {
+      queue.Push(5.0, [&order, i] { order.push_back(i); });
+    } else {
+      queue.PushLane(lane, 5.0, [&order, i] { order.push_back(i); });
+    }
+  }
+  while (!queue.empty()) queue.Pop().cell();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+}
+
+TEST(EventQueueLaneTest, BelowTailPushFallsBackAndKeepsOrder) {
+  // A stall edge: the delay drops mid-stream, so the next push lands below
+  // the lane's tail and must still fire in (time, seq) order.
+  EventQueue queue;
+  const uint32_t lane = queue.AddLane();
+  std::vector<int> order;
+  queue.PushLane(lane, 4.0, [&order] { order.push_back(0); });
+  queue.PushLane(lane, 8.0, [&order] { order.push_back(1); });
+  queue.PushLane(lane, 2.0, [&order] { order.push_back(2); });  // fallback
+  queue.PushLane(lane, 8.0, [&order] { order.push_back(3); });
+  queue.PushLane(lane, 3.0, [&order] { order.push_back(4); });  // fallback
+  EXPECT_EQ(queue.live_count(), 5u);
+  // The head (4.0) and both fallbacks are in the heap; 8.0 and 8.0 wait.
+  EXPECT_EQ(queue.heap_size(), 3u);
+  std::vector<double> times;
+  while (!queue.empty()) {
+    EventQueue::Fired fired = queue.Pop();
+    times.push_back(fired.time);
+    fired.cell();
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 0, 1, 3}));
+  EXPECT_EQ(times, (std::vector<double>{2.0, 3.0, 4.0, 8.0, 8.0}));
+}
+
+TEST(EventQueueLaneTest, DrainedLaneRearms) {
+  EventQueue queue;
+  const uint32_t lane = queue.AddLane();
+  std::vector<double> times;
+  for (int round = 0; round < 3; ++round) {
+    const double start = 10.0 * round;
+    for (int i = 0; i < 4; ++i) {
+      queue.PushLane(lane, start + i, [] {});
+    }
+    EXPECT_EQ(queue.heap_size(), 1u);
+    while (!queue.empty()) times.push_back(queue.Pop().time);
+    EXPECT_EQ(queue.heap_size(), 0u);
+  }
+  // After draining, a push below the old tail starts the lane afresh
+  // rather than falling back.
+  queue.PushLane(lane, 25.0, [] {});
+  queue.PushLane(lane, 26.0, [] {});
+  EXPECT_EQ(queue.heap_size(), 1u);
+  while (!queue.empty()) times.push_back(queue.Pop().time);
+  EXPECT_EQ(times, (std::vector<double>{0, 1, 2, 3, 10, 11, 12, 13, 20, 21,
+                                        22, 23, 25, 26}));
+}
+
+TEST(EventQueueLaneTest, LiveCountCountsWaitingEntries) {
+  EventQueue queue;
+  const uint32_t lane = queue.AddLane();
+  queue.Push(0.5, [] {});
+  for (int i = 1; i <= 5; ++i) queue.PushLane(lane, i, [] {});
+  EXPECT_EQ(queue.live_count(), 6u);
+  EXPECT_FALSE(queue.empty());
+  for (size_t left = 6; left > 0; --left) {
+    EXPECT_EQ(queue.live_count(), left);
+    queue.Pop();
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueLaneTest, HeapHoldsOneEntryPerLane) {
+  EventQueue queue;
+  const uint32_t a = queue.AddLane();
+  const uint32_t b = queue.AddLane();
+  constexpr int kWaiting = 100;
+  for (int i = 0; i < kWaiting; ++i) {
+    queue.PushLane(a, 0.035 * i, [] {});
+    queue.PushLane(b, 0.035 * i + 0.01, [] {});
+  }
+  EXPECT_EQ(queue.live_count(), 2u * kWaiting);
+  EXPECT_EQ(queue.heap_size(), 2u);
+  // Popping keeps exactly one heap entry per non-empty lane.
+  for (int i = 0; i < kWaiting; ++i) {
+    EXPECT_DOUBLE_EQ(queue.Pop().time, 0.035 * i);
+    EXPECT_EQ(queue.heap_size(), i + 1 < kWaiting ? 2u : 1u);
+    EXPECT_DOUBLE_EQ(queue.Pop().time, 0.035 * i + 0.01);
+    EXPECT_EQ(queue.heap_size(), i + 1 < kWaiting ? 2u : 0u);
+  }
+}
+
+TEST(EventQueueLaneTest, CompactionWithWaitingLaneEntriesKeepsOrder) {
+  // Cancelled plain entries outnumber the live heap entries, while lanes
+  // hold many more live entries outside the heap: compaction must weigh
+  // tombstones against the heap's live entries only, and keep the order.
+  EventQueue queue;
+  const uint32_t lane = queue.AddLane();
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  constexpr int kEvents = 300;
+  for (int i = 0; i < kEvents; ++i) {
+    const double time = static_cast<double>(i % 5);
+    handles.push_back(queue.Push(time, [&order, i] { order.push_back(i); }));
+    const int id = kEvents + i;
+    queue.PushLane(lane, 0.02 * i, [&order, id] { order.push_back(id); });
+  }
+  for (int i = 0; i < kEvents; ++i) {
+    if (i % 4 != 0) {
+      ASSERT_TRUE(queue.Cancel(handles[i]));
+    }
+  }
+  // One pass once tombstones pass half of the 301 heap entries; counting
+  // the waiting lane entries as heap-live would compact on every cancel.
+  EXPECT_EQ(queue.compactions(), 1u);
+  EXPECT_EQ(queue.live_count(), static_cast<size_t>(kEvents / 4 + kEvents));
+  // Tombstones stay a heap minority; the lane contributes one heap entry.
+  EXPECT_LE((queue.heap_size() - (kEvents / 4 + 1)) * 2, queue.heap_size());
+  struct Expected {
+    double time;
+    int seq;  // scheduling position
+    int id;
+  };
+  std::vector<Expected> expected;
+  for (int i = 0; i < kEvents; ++i) {
+    if (i % 4 == 0) expected.push_back({static_cast<double>(i % 5), 2 * i, i});
+    expected.push_back({0.02 * i, 2 * i + 1, kEvents + i});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Expected& x, const Expected& y) {
+              if (x.time != y.time) return x.time < y.time;
+              return x.seq < y.seq;
+            });
+  std::vector<int> expected_ids;
+  for (const Expected& e : expected) expected_ids.push_back(e.id);
+  while (!queue.empty()) queue.Pop().cell();
+  EXPECT_EQ(order, expected_ids);
+}
+
+TEST(SimulatorTest, ScheduleLaneFiresLikeSchedule) {
+  Simulator sim;
+  const uint32_t lane = sim.AddLane();
+  std::vector<int> order;
+  sim.Schedule(1.0, [&] {
+    sim.ScheduleLane(lane, 0.5, [&] { order.push_back(2); });
+    sim.Schedule(0.5, [&] { order.push_back(3); });
+    sim.ScheduleLane(lane, 0.0, [&] { order.push_back(1); });
+  });
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 1.5);
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   double seen = -1.0;

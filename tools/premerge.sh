@@ -79,17 +79,14 @@ echo "== golden gate: cluster_routing_flash"
   specs/golden/cluster_routing_flash.run.json "$OUT_DIR/flash/run.json"
 
 echo "== golden gate: paper_closed (single node, decisions and trace)"
-# The manifest's spec text records the decisions and trace paths, so this
-# run writes where CI and the golden do.
-rm -rf /tmp/alc-paper /tmp/alc-paper-trace.json
-"./$BUILD_DIR/tools/alc_run" specs/paper_closed.spec --out /tmp/alc-paper \
-  --decisions /tmp/alc-paper/decisions.csv --trace /tmp/alc-paper-trace.json \
-  >/dev/null
-test -s /tmp/alc-paper/trajectory.csv
-test -s /tmp/alc-paper/decisions.csv
-python3 -m json.tool /tmp/alc-paper-trace.json >/dev/null
+"./$BUILD_DIR/tools/alc_run" specs/paper_closed.spec --out "$OUT_DIR/paper" \
+  --decisions "$OUT_DIR/paper/decisions.csv" \
+  --trace "$OUT_DIR/paper-trace.json" >/dev/null
+test -s "$OUT_DIR/paper/trajectory.csv"
+test -s "$OUT_DIR/paper/decisions.csv"
+python3 -m json.tool "$OUT_DIR/paper-trace.json" >/dev/null
 "./$BUILD_DIR/tools/alc_compare" \
-  specs/golden/paper_closed.run.json /tmp/alc-paper/run.json
+  specs/golden/paper_closed.run.json "$OUT_DIR/paper/run.json"
 
 echo "== elasticity: closed-loop flash crowd"
 "./$BUILD_DIR/tools/alc_run" specs/elasticity_flash.spec \
