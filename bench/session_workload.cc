@@ -3,10 +3,10 @@
 // The hybrid session source opens user sessions as a Poisson process on a
 // schedule-driven rate; each session issues a heavy-tailed burst of
 // transactions with think times in between. A flash crowd at the *session*
-// level is nastier than the open-arrival flash crowd bench/cluster_routing
-// throws at the fleet: every surge session keeps re-offering work until
-// its burst finishes, so overload persists after the arrival spike ends
-// (the paper's closed-system feedback, now at cluster scale).
+// level is nastier than the open-arrival flash crowd of
+// specs/cluster_routing_flash.spec: every surge session keeps re-offering
+// work until its burst finishes, so overload persists after the arrival
+// spike ends (the paper's closed-system feedback, now at cluster scale).
 //
 // Claim under test: per-node adaptive admission (Parabola) holds the fleet
 // at its throughput peak through the surge, while a fixed gate set for the

@@ -60,6 +60,21 @@ struct NodeSpec {
   bool operator!=(const NodeSpec& other) const { return !(*this == other); }
 };
 
+/// One row of a spec file's `[expect]` section: a named check on the run's
+/// manifest leaves (`name = <expr> <op> <bound>`; grammar and evaluation in
+/// core/expect.h), kept as written. `line` is the spec-file line the row
+/// came from (0 when built in code) and serves error messages only: it is
+/// neither printed nor compared.
+struct ExpectRow {
+  std::string name;
+  std::string check;
+  int line = 0;
+
+  bool operator==(const ExpectRow& other) const {
+    return name == other.name && check == other.check;
+  }
+};
+
 /// A complete experiment description unifying the single-node and cluster
 /// cases: one node list, one control surface, one text serialization (see
 /// core/spec.h). In single mode (`cluster` false, exactly one node) the
@@ -141,6 +156,10 @@ struct ExperimentSpec {
   /// heartbeat failure detection replacing the membership oracle, and an
   /// autoscaler provisioning/draining a standby pool off fleet signals.
   elasticity::ElasticityConfig elasticity;
+
+  /// The `[expect]` rows, in file order. They never change what a run
+  /// computes: alc_run evaluates them after RunSpec returns.
+  std::vector<ExpectRow> expect;
 
   bool operator==(const ExperimentSpec& other) const;
   bool operator!=(const ExperimentSpec& other) const {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/expect.h"
 #include "core/spec.h"
 
 namespace alc::core {
@@ -28,19 +29,35 @@ namespace alc::core {
 ///               [warmup, duration]
 ///   response    post-warmup p50/p95/p99/p999 response percentiles
 ///   metrics     the full end-of-run metric-registry snapshot
+///   expect      the `[expect]` verdicts (core/expect.h), one object per
+///               row: name, check, the leaves it read, value (null when
+///               not finite) and pass; only when `expect` is non-empty
 ///
 /// All doubles use the shortest exact round-trip form (util::FormatDouble),
 /// so two manifests of the same run are byte-identical and regressions
 /// diff cleanly under alc_compare.
 void WriteRunManifestJson(
     std::ostream& out, const ExperimentSpec& spec, const SpecRunResult& result,
-    const std::vector<std::pair<std::string, std::string>>& overrides = {});
+    const std::vector<std::pair<std::string, std::string>>& overrides = {},
+    const std::vector<ExpectVerdict>& expect = {});
 
 /// Same artifact to `path` (truncating). Returns false on I/O failure.
 bool WriteRunManifest(
     const std::string& path, const ExperimentSpec& spec,
     const SpecRunResult& result,
-    const std::vector<std::pair<std::string, std::string>>& overrides = {});
+    const std::vector<std::pair<std::string, std::string>>& overrides = {},
+    const std::vector<ExpectVerdict>& expect = {});
+
+/// True when `name` names a numeric manifest leaf: a summary or response
+/// leaf, or "metrics.<name>" (which a given run may still lack).
+bool IsRunLeaf(const std::string& name);
+
+/// Reads `result`'s manifest leaf by its dotted run.json path
+/// ("summary.commits", "response.p99", "metrics.node0.commits",
+/// "metrics.node0.response.p99"), through the table the manifest writer
+/// writes from. False when the run has no such leaf.
+bool ReadRunLeaf(const SpecRunResult& result, const std::string& name,
+                 double* value);
 
 /// JSON string escaping shared with the manifest writer (quotes,
 /// backslashes, control characters, newlines).

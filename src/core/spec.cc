@@ -12,6 +12,7 @@
 
 #include "cluster/registry.h"
 #include "control/registry.h"
+#include "core/expect.h"
 #include "elasticity/autoscaler.h"
 #include "fault/fault.h"
 #include "util/check.h"
@@ -789,7 +790,7 @@ bool ExperimentSpec::operator==(const ExperimentSpec& other) const {
   for (const Section& section : Tables().sections) {
     if (!EqualFields(section.fields, *this, other)) return false;
   }
-  return nodes == other.nodes;
+  return nodes == other.nodes && expect == other.expect;
 }
 
 std::string PrintSpec(const ExperimentSpec& spec) {
@@ -806,6 +807,10 @@ std::string PrintSpec(const ExperimentSpec& spec) {
   for (const NodeSpec& node : spec.nodes) {
     out += "\n[node]\n";
     PrintFields(Tables().node_fields, node, no_prefix, &out);
+  }
+  if (!spec.expect.empty()) out += "\n[expect]\n";
+  for (const ExpectRow& row : spec.expect) {
+    out += row.name + " = " + row.check + "\n";
   }
   return out;
 }
@@ -1023,9 +1028,11 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
   std::vector<NodeParseState> node_states;
 
   // The section the next key belongs to: one of Tables().sections, else a
-  // [node] when `in_node`, else [schedules].
+  // [node] when `in_node`, an [expect] row when `in_expect`, else
+  // [schedules].
   const Section* section = &Tables().sections[0];
   bool in_node = false;
+  bool in_expect = false;
 
   std::istringstream stream(text);
   std::string line;
@@ -1065,13 +1072,14 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
       const std::string name = TrimWhitespace(line.substr(1, line.size() - 2));
       section = nullptr;
       in_node = name == "node";
+      in_expect = name == "expect";
       for (const Section& candidate : Tables().sections) {
         if (candidate.name == name) section = &candidate;
       }
       if (in_node) {
         spec.nodes.emplace_back();
         node_states.emplace_back();
-      } else if (section == nullptr && name != "schedules") {
+      } else if (section == nullptr && !in_expect && name != "schedules") {
         return fail("unknown section [" + name + "]");
       }
       continue;
@@ -1095,6 +1103,13 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
                     named, nullptr, "node", &message);
         if (ok && key == kSeedKey) state.seed_set = true;
       }
+    } else if (in_expect) {
+      // Rows are checked once the whole file is in (CheckExpect below): a
+      // row's variant cells are overrides of the finished spec.
+      for (const ExpectRow& row : spec.expect) {
+        if (row.name == key) return fail("duplicate expect row '" + key + "'");
+      }
+      spec.expect.push_back({key, value, line_number});
     } else if (section != nullptr) {
       ok = Assign(section->fields, &spec, key, value, named, nullptr,
                   section->name, &message);
@@ -1152,7 +1167,9 @@ bool ParseSpec(const std::string& text, ExperimentSpec* out,
       return fail(window_error);
     }
   }
-  if (!CheckCrossFieldRules(spec, error)) return false;
+  if (!CheckCrossFieldRules(spec, error) || !CheckExpect(spec, error)) {
+    return false;
+  }
 
   *out = std::move(spec);
   return true;

@@ -22,7 +22,8 @@ std::string PrintSpec(const ExperimentSpec& spec);
 /// `[schedules]` section of named schedule literals referenced as `$name`,
 /// and `count = N` inside a `[node]` section to clone the node N times with
 /// decorrelated seeds (DecorrelatedNodeSeed over the node's seed if
-/// declared, else the experiment seed). On failure returns false and sets
+/// declared, else the experiment seed). `[expect]` rows (core/expect.h)
+/// pass CheckExpect once the file is in. On failure returns false and sets
 /// `error` to a line-numbered message, leaving `out` untouched.
 ///
 /// Every value is validated as its key is read: scalars against their

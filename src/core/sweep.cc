@@ -85,14 +85,34 @@ bool SweepRunner::Validate(std::string* error) const {
   return true;
 }
 
-std::vector<SweepPointResult> SweepRunner::Run(int threads) const {
-  const int points = num_points();
+void RunParallel(int count, int threads,
+                 const std::function<void(int index)>& task) {
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
   }
-  if (threads > points) threads = points;
+  if (threads > count) threads = count;
+  if (threads <= 1) {
+    for (int i = 0; i < count; ++i) task(i);
+    return;
+  }
+  std::atomic<int> next{0};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&next, count, &task] {
+      while (true) {
+        const int i = next.fetch_add(1);
+        if (i >= count) break;
+        task(i);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+}
 
+std::vector<SweepPointResult> SweepRunner::Run(int threads) const {
+  const int points = num_points();
   std::vector<SweepPointResult> results(points);
   // Expand all specs up front on the calling thread: ApplySpecOverride
   // aborts loudly on a bad key, and doing that before any simulation starts
@@ -101,29 +121,9 @@ std::vector<SweepPointResult> SweepRunner::Run(int threads) const {
     results[i].index = i;
     results[i].spec = SpecAt(i, &results[i].assignment);
   }
-
-  auto run_point = [&results](int i) {
+  RunParallel(points, threads, [&results](int i) {
     results[i].result = RunSpec(results[i].spec);
-  };
-
-  if (threads == 1) {
-    for (int i = 0; i < points; ++i) run_point(i);
-    return results;
-  }
-
-  std::atomic<int> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&next, points, &run_point] {
-      while (true) {
-        const int i = next.fetch_add(1);
-        if (i >= points) break;
-        run_point(i);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
+  });
   return results;
 }
 

@@ -10,6 +10,13 @@
 
 namespace alc::core {
 
+/// Calls `task(i)` once for every i in [0, count) on up to `threads` worker
+/// threads (<= 0: the hardware concurrency), pulling indices in order;
+/// with one worker every call runs in order on the calling thread. Each
+/// task must touch only its own slot of any shared output.
+void RunParallel(int count, int threads,
+                 const std::function<void(int index)>& task);
+
 /// One sweep dimension: a spec override key (ApplySpecOverride syntax, e.g.
 /// "routing", "node.control.controller", "node.control.pa.forgetting") and
 /// the values to try.

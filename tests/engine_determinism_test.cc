@@ -136,26 +136,49 @@ SingleNodeArtifacts RunSingleNode(core::ExperimentSpec spec,
 }
 
 // perfbench/workloads/single.spec (850 terminals, OCC, Parabola
-// Approximation, 1 s interval) cut to a 60 s horizon.
+// Approximation, 1 s interval) cut to a 60 s horizon, under each CPU
+// service distribution: exponential (the paper's), deterministic (equal
+// bursts complete in FIFO order) and Erlang-2.
 TEST(EngineDeterminismTest, SingleNodePaperModelIsPinned) {
-  core::ExperimentSpec spec;
-  std::string error;
-  ASSERT_TRUE(core::LoadSpecFile(
-      std::string(ALC_SOURCE_DIR) + "/perfbench/workloads/single.spec", &spec,
-      &error))
-      << error;
-  ASSERT_TRUE(core::ApplySpecOverride(&spec, "duration", "60", &error))
-      << error;
-  ASSERT_TRUE(core::ApplySpecOverride(&spec, "warmup", "10", &error))
-      << error;
-  const SingleNodeArtifacts run = RunSingleNode(spec, "paper");
-
-  EXPECT_EQ(run.trajectory.size(), 5833u);
-  EXPECT_EQ(run.decisions.size(), 12579u);
-  EXPECT_EQ(run.summary.size(), 1632u);
-  EXPECT_EQ(util::Fnv1a(run.trajectory), 12357016703374745707ULL);
-  EXPECT_EQ(util::Fnv1a(run.decisions), 5445668943523966393ULL);
-  EXPECT_EQ(util::Fnv1a(run.summary), 10587775611454664904ULL);
+  struct DistributionPin {
+    const char* distribution;
+    size_t trajectory_size;
+    size_t decisions_size;
+    size_t summary_size;
+    uint64_t trajectory_fnv;
+    uint64_t decisions_fnv;
+    uint64_t summary_fnv;
+  };
+  const DistributionPin pins[] = {
+      {"exponential", 5833u, 12579u, 1632u, 12357016703374745707ULL,
+       5445668943523966393ULL, 10587775611454664904ULL},
+      {"deterministic", 6303u, 12560u, 1644u, 762845823515524926ULL,
+       560609178962191182ULL, 9626114893456739725ULL},
+      {"erlang2", 5822u, 12685u, 1641u, 12461154078630986188ULL,
+       16897727738654475901ULL, 13283350033684092375ULL},
+  };
+  for (const DistributionPin& pin : pins) {
+    core::ExperimentSpec spec;
+    std::string error;
+    ASSERT_TRUE(core::LoadSpecFile(
+        std::string(ALC_SOURCE_DIR) + "/perfbench/workloads/single.spec",
+        &spec, &error))
+        << error;
+    for (const auto& [key, value] :
+         {std::pair{"duration", "60"}, std::pair{"warmup", "10"},
+          std::pair{"node.physical.cpu_distribution", pin.distribution}}) {
+      ASSERT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+    }
+    const SingleNodeArtifacts run = RunSingleNode(spec, pin.distribution);
+    EXPECT_EQ(run.trajectory.size(), pin.trajectory_size) << pin.distribution;
+    EXPECT_EQ(run.decisions.size(), pin.decisions_size) << pin.distribution;
+    EXPECT_EQ(run.summary.size(), pin.summary_size) << pin.distribution;
+    EXPECT_EQ(util::Fnv1a(run.trajectory), pin.trajectory_fnv)
+        << pin.distribution;
+    EXPECT_EQ(util::Fnv1a(run.decisions), pin.decisions_fnv)
+        << pin.distribution;
+    EXPECT_EQ(util::Fnv1a(run.summary), pin.summary_fnv) << pin.distribution;
+  }
 }
 
 // A 2PL point shaped like the matrix grid's (tests/matrix_test.cc): lock

@@ -2,8 +2,7 @@
 // epoch-versioned MembershipView the policies route over, crash/drain/
 // rejoin semantics with cluster-level displacement, the catalog's
 // membership subscription, spec grammar + error paths for the lifecycle
-// keys, and the bit-determinism of failure/recovery runs (including the
-// checked-in specs/node_failover.spec, pinned to the bench configuration).
+// keys, and the bit-determinism of failure/recovery runs.
 
 #include <sstream>
 #include <string>
@@ -518,62 +517,6 @@ TEST(LifecycleSpecTest, OverridesValidateNodeIndexAndValues) {
   EXPECT_NE(error.find("require cluster mode"), std::string::npos) << error;
   EXPECT_FALSE(
       core::ApplySpecOverride(&single, "node0.rejoin", "retained", &error));
-}
-
-// --------------------------------------- checked-in spec reproduces bench --
-
-TEST(LifecycleSpecTest, NodeFailoverSpecReproducesBenchBitExactly) {
-  // bench/node_failover's fleet (SmallNode is its node), built in code as
-  // the reference for the checked-in spec file (mirrors sweep_test's
-  // pinning of specs/cluster_routing_flash.spec).
-  core::ExperimentSpec reference;
-  reference.cluster = true;
-  for (int i = 0; i < 4; ++i) {
-    reference.nodes.push_back(SmallNode(core::DecorrelatedNodeSeed(42, i)));
-  }
-  reference.seed = 42;
-  reference.duration = 200.0;
-  reference.warmup = 20.0;
-  reference.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 70.0);
-  reference.routing = "join-shortest-queue";
-  reference.nodes[0].availability = Avail("avail(up; 60:down, 110:up)");
-  reference.nodes[0].rejoin = cluster::RejoinPolicy::kFresh;
-  reference.retraction.enabled = true;
-  const core::ClusterResult expected =
-      core::ClusterExperiment(reference).Run();
-
-  core::ExperimentSpec spec;
-  std::string error;
-  ASSERT_TRUE(core::LoadSpecFile(
-      std::string(ALC_SOURCE_DIR) + "/specs/node_failover.spec", &spec,
-      &error))
-      << error;
-  const core::SpecRunResult actual = core::RunSpec(spec);
-  ASSERT_TRUE(actual.cluster);
-
-  EXPECT_EQ(ClusterCsv(expected), ClusterCsv(actual.cluster_result));
-  EXPECT_EQ(expected.commits, actual.cluster_result.commits);
-  EXPECT_EQ(expected.crash_kills, actual.cluster_result.crash_kills);
-  EXPECT_EQ(expected.retracted, actual.cluster_result.retracted);
-  EXPECT_EQ(expected.final_epoch, actual.cluster_result.final_epoch);
-
-  // And the headline claim, regression-tested: displacement + rejoin beats
-  // the crash-without-retraction baseline on post-failure throughput.
-  core::ExperimentSpec baseline_spec = spec;
-  ASSERT_TRUE(core::ApplySpecOverride(&baseline_spec, "retraction", "false",
-                                      &error))
-      << error;
-  const core::SpecRunResult baseline = core::RunSpec(baseline_spec);
-  auto post_failure = [](const core::ClusterResult& result) {
-    double sum = 0.0;
-    for (const core::TrajectoryPoint& point : result.aggregate) {
-      if (point.time > 60.0) sum += point.throughput;
-    }
-    return sum;
-  };
-  EXPECT_GT(post_failure(actual.cluster_result),
-            post_failure(baseline.cluster_result));
-  EXPECT_GT(actual.cluster_result.commits, baseline.cluster_result.commits);
 }
 
 }  // namespace

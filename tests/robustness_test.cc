@@ -800,5 +800,33 @@ TEST(RobustnessTest, SweepGridPointsAreValidatedTogether) {
   EXPECT_TRUE(good.Validate(&error)) << error;
 }
 
+TEST(RobustnessTest, BadExpectRowsAreLineNumberedErrors) {
+  const std::string head =
+      "[experiment]\ncluster = false\n[node]\n[expect]\nfine = "
+      "summary.throughput > 0\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"bad = summary.bogus > 0", "unknown leaf 'summary.bogus'"},
+      {"bad = metrics.node0.commits[no_such_key=1] > 0", "no_such_key"},
+      {"bad = summary.commits[retraction=false] > 0", "cluster mode"},
+      {"bad = summary.commits[warmup=400] > 0", "must be < duration"},
+      {"bad = summary.throughput in [2, 1]", "lower bound exceeds"},
+      {"bad = summary.throughput > many", "bound 'many' is not a number"},
+      {"bad = summary.throughput in [0, nan]", "bound 'nan' is not a number"},
+      {"bad = summary.throughput", "expected '<expr> <op> <number>'"},
+      {"bad = argmax(summary.commits, seed = 1 | x) > 0", "not a number"},
+      {"bad = max(summary.commits) > 0", "expected 'max(leaf, key"},
+      {"bad = summary.commits / summary.commits / summary.commits > 0",
+       "at most one '/'"},
+      {"fine = summary.commits > 0", "duplicate expect row 'fine'"},
+  };
+  for (const auto& [row, message] : cases) {
+    core::ExperimentSpec spec;
+    std::string error;
+    EXPECT_FALSE(core::ParseSpec(head + row + "\n", &spec, &error)) << row;
+    EXPECT_NE(error.find("line 6: "), std::string::npos) << error;
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+}
+
 }  // namespace
 }  // namespace alc

@@ -95,8 +95,19 @@ TEST(SpecRoundTripTest, SingleNodeWithDynamicWorkload) {
   node.control.controller = "incremental-steps";
   node.control.params.SetDouble("is.beta", 1.25);
   node.control.measurement_interval = 0.5;
+  // [expect] rows of every expression form (core/expect.h).
+  spec.expect = {
+      {"leaf", "summary.commits > 0"},
+      {"ratio", "response.p99 / response.p99[node.cc=occ, duration=600] <= 2"},
+      {"peak", "argmax(summary.throughput, node.control.fixed.limit = 10 | "
+               "50) in [10, 50]"},
+      {"best", "max(metrics.node0.response.p99[node.cc=occ], "
+               "node.control.fixed.limit = 10 | 50) < 1e9"}};
 
   EXPECT_TRUE(RoundTrip(spec) == spec);
+  core::ExperimentSpec fewer_rows = spec;
+  fewer_rows.expect.pop_back();
+  EXPECT_FALSE(RoundTrip(fewer_rows) == spec);
 }
 
 TEST(SpecRoundTripTest, HeterogeneousCluster) {

@@ -1,7 +1,5 @@
-// SweepRunner: grid expansion, bit-identical parallel-vs-sequential
-// results, and the acceptance check that the checked-in flash-crowd spec
-// file reproduces bench/cluster_routing's headline JSQ result with
-// bit-identical CSV output.
+// SweepRunner: grid expansion and bit-identical parallel-vs-sequential
+// results.
 
 #include "core/sweep.h"
 
@@ -93,72 +91,6 @@ TEST(SweepRunnerTest, ParallelMatchesSequentialBitExactly) {
               ClusterCsv(parallel[i].result.cluster_result))
         << "point " << i;
   }
-}
-
-// --------------------------------------------- bench reproduction (spec) --
-
-/// bench/cluster_routing's node and fleet, built in code as the reference
-/// for the spec file.
-core::NodeSpec BenchNode(uint64_t seed) {
-  core::NodeSpec node;
-  node.system.physical.num_cpus = 4;
-  node.system.physical.cpu_init_mean = 0.001;
-  node.system.physical.cpu_access_mean = 0.001;
-  node.system.physical.cpu_commit_mean = 0.001;
-  node.system.physical.cpu_write_commit_mean = 0.004;
-  node.system.physical.io_time = 0.008;
-  node.system.physical.restart_delay_mean = 0.02;
-  node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
-  node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.control.controller = "parabola-approximation";
-  node.control.measurement_interval = 0.5;
-  node.control.initial_limit = 20.0;
-  node.control.params.SetDouble("is.initial_bound", 20.0);
-  node.control.params.SetDouble("is.min_bound", 2.0);
-  node.control.params.SetDouble("is.max_bound", 200.0);
-  node.control.params.SetDouble("pa.initial_bound", 20.0);
-  node.control.params.SetDouble("pa.min_bound", 2.0);
-  node.control.params.SetDouble("pa.max_bound", 200.0);
-  node.control.params.SetDouble("pa.dither", 5.0);
-  node.control.params.SetDouble("fixed.limit", 25.0);
-  return node;
-}
-
-TEST(SpecFileTest, FlashSpecReproducesClusterRoutingBenchBitExactly) {
-  // Reference: the configuration bench/cluster_routing builds for its
-  // headline flash-crowd JSQ + Parabola cell, built field by field.
-  core::ExperimentSpec reference;
-  reference.cluster = true;
-  for (int i = 0; i < 4; ++i) {
-    reference.nodes.push_back(
-        BenchNode(core::DecorrelatedNodeSeed(42, i)));
-  }
-  reference.seed = 42;
-  reference.duration = 160.0;
-  reference.warmup = 20.0;
-  reference.arrival_rate = core::FlashCrowdSchedule(320.0, 900.0, 40.0, 80.0);
-  reference.routing = "join-shortest-queue";
-  const core::ClusterResult expected =
-      core::ClusterExperiment(reference).Run();
-
-  core::ExperimentSpec spec;
-  std::string error;
-  ASSERT_TRUE(core::LoadSpecFile(
-      std::string(ALC_SOURCE_DIR) + "/specs/cluster_routing_flash.spec",
-      &spec, &error))
-      << error;
-  const core::SpecRunResult actual = core::RunSpec(spec);
-  ASSERT_TRUE(actual.cluster);
-
-  EXPECT_EQ(ClusterCsv(expected), ClusterCsv(actual.cluster_result));
-  EXPECT_EQ(expected.commits, actual.cluster_result.commits);
-  EXPECT_EQ(expected.total_throughput,
-            actual.cluster_result.total_throughput);
-  EXPECT_EQ(expected.routed, actual.cluster_result.routed);
 }
 
 TEST(SpecFileTest, SmokeSpecParsesAndDescribesAPlacementCluster) {

@@ -10,7 +10,9 @@
 //       --threads 4
 //   (one line; broken here for readability)
 //
-// See README.md ("Spec files") for the file format.
+// A spec's [expect] rows are checked after a single run: one verdict line
+// per row, an `expect` leaf in run.json, and exit status 1 when a row
+// fails. See README.md ("Spec files") for the file format.
 
 #include <cmath>
 #include <cstdio>
@@ -23,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/expect.h"
 #include "core/export.h"
 #include "core/manifest.h"
 #include "core/spec.h"
@@ -48,7 +51,8 @@ int Usage(const char* argv0) {
       "  --repeat N              run every point N times on strided seeds\n"
       "                          and report mean +/- stderr per point\n"
       "  --seed-stride K         seed spacing for --repeat (default 1)\n"
-      "  --threads N             sweep parallelism (default 1; 0 = all cores)\n"
+      "  --threads N             sweep and [expect] variant parallelism\n"
+      "                          (default 1; 0 = all cores)\n"
       "  --out DIR               write CSV exports into DIR\n"
       "  --trace FILE            record a Chrome trace-event JSON of the run\n"
       "                          (open in chrome://tracing or Perfetto; with\n"
@@ -402,6 +406,22 @@ int main(int argc, char** argv) {
     const core::SpecRunResult result = core::RunSpec(spec);
     PrintSummary(spec, result);
     PrintDecisionSummary(result.decisions, result.decisions_dropped);
+    std::vector<core::ExpectVerdict> verdicts;
+    if (!core::EvaluateExpect(spec, result, threads, &verdicts, &error)) {
+      std::fprintf(stderr, "alc_run: %s: %s\n", spec_path.c_str(),
+                   error.c_str());
+      return 1;
+    }
+    int failed = 0;
+    for (const core::ExpectVerdict& verdict : verdicts) {
+      std::printf("%s\n", core::FormatVerdict(verdict).c_str());
+      if (!verdict.pass) {
+        // Also on stderr, so a gate that drops stdout still names it.
+        std::fprintf(stderr, "alc_run: %s\n",
+                     core::FormatVerdict(verdict).c_str());
+        ++failed;
+      }
+    }
     if (!spec.trace_path.empty()) {
       std::printf("trace written to %s\n", spec.trace_path.c_str());
     }
@@ -412,14 +432,14 @@ int main(int argc, char** argv) {
     if (!out_dir.empty()) {
       if (!ExportResult(out_dir, "", result)) return 1;
       if (!core::WriteRunManifest(out_dir + "/run.json", spec, result,
-                                  overrides)) {
+                                  overrides, verdicts)) {
         std::fprintf(stderr, "alc_run: cannot write %s/run.json\n",
                      out_dir.c_str());
         return 1;
       }
       std::printf("CSV exports written to %s/\n", out_dir.c_str());
     }
-    return 0;
+    return failed == 0 ? 0 : 1;
   }
 
   // Replication: "seed" is just another SweepRunner axis. It is appended
@@ -476,6 +496,9 @@ int main(int argc, char** argv) {
     std::printf("%s: sweeping %d point%s on %s\n", spec.name.c_str(),
                 runner.num_points(), runner.num_points() == 1 ? "" : "s",
                 threads == 1 ? "1 thread" : "multiple threads");
+  }
+  if (!spec.expect.empty()) {
+    std::printf("(the [expect] rows are checked on single runs only)\n");
   }
   const std::vector<core::SweepPointResult> results = runner.Run(threads);
 

@@ -12,10 +12,13 @@
 #      spec (heartbeat detector + autoscaler over the standby pool) and
 #      of the smoke spec with a mid-surge crash under retraction, the
 #      shed ladder and bounded retry (re-submissions and dead letters must
-#      reach its manifest)
+#      reach its manifest). alc_run exits 1 when a spec's [expect] row
+#      fails, so each run also checks its spec's rows
 #   4. the fault_storm spec end to end: the [fault] injector, phi/quorum
 #      detection, bounded retry, and the degradation ladder must all
-#      leave their marks in the manifest and decision audit
+#      leave their marks in the manifest ([expect] rows) and decision
+#      audit, and a deliberately failing [expect] row must exit 1 naming
+#      the row
 #   5. perf_suite --check, smoke and full spans (~7 s): the allocation
 #      pins (event engine, session source, cluster pools, histogram
 #      windows) must hold
@@ -28,7 +31,10 @@
 #      Tay threshold, a Tay-rule k(t) reaching 0, an outer tuner on a
 #      multi-node cluster, and PA estimator, threshold and power-of-d router
 #      and hysteresis and PI autoscaler params their constructors reject
-#      must each exit 1 with an error line, never die by a signal
+#      and [expect] rows with an unknown leaf, a variant key that is unknown
+#      or cluster-only on a single-node spec, an inverted `in` range or a
+#      non-numeric bound must each exit 1 with an error line, never die by
+#      a signal
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
@@ -92,17 +98,27 @@ echo "== elasticity: closed-loop flash crowd"
 "./$BUILD_DIR/tools/alc_run" specs/elasticity_flash.spec \
   --out "$OUT_DIR/elasticity" \
   --decisions "$OUT_DIR/elasticity/decisions.csv" >/dev/null
-grep -q 'elasticity.declared_down' "$OUT_DIR/elasticity/run.json"
 grep -q 'heartbeat-detector' "$OUT_DIR/elasticity/decisions.csv"
 
 echo "== fault storm: injector + hardened detection/response"
 "./$BUILD_DIR/tools/alc_run" specs/fault_storm.spec \
   --out "$OUT_DIR/fault-storm" \
   --decisions "$OUT_DIR/fault-storm/decisions.csv" >/dev/null
-grep -q 'fault.started' "$OUT_DIR/fault-storm/run.json"
-grep -q 'cluster.dead_letters' "$OUT_DIR/fault-storm/run.json"
 grep -q 'fault-injector' "$OUT_DIR/fault-storm/decisions.csv"
 grep -q 'degrade-ladder' "$OUT_DIR/fault-storm/decisions.csv"
+
+echo "== a failing [expect] row fails the run and is named"
+printf '[experiment]\nduration = 5\nwarmup = 1\n[node]\n[expect]\nimpossible = summary.commits < 0\n' \
+  >"$OUT_DIR/failing_row.spec"
+status=0
+"./$BUILD_DIR/tools/alc_run" "$OUT_DIR/failing_row.spec" \
+  >"$OUT_DIR/failing_row.out" 2>&1 || status=$?
+if [ "$status" -ne 1 ] ||
+  ! grep -q '^expect impossible: FAIL' "$OUT_DIR/failing_row.out"; then
+  echo "premerge: a failing [expect] row exited $status:" >&2
+  cat "$OUT_DIR/failing_row.out" >&2
+  exit 1
+fi
 
 echo "== perf allocation pins (smoke, then full spans)"
 "./$BUILD_DIR/bench/perf_suite" --smoke --check \
@@ -144,6 +160,21 @@ for bad in node.physical.cpu_access_mean=-0.001 \
   node.control.pa.min_bound=300 node.control.pa.dither=-5 \
   node.control.outer_tuner=true; do
   expect_input_error specs/node_failover.spec --set "$bad"
+done
+# Each entry: an [expect] row the parser must reject at its line.
+for row in 'bad = summary.bogus > 0' \
+  'bad = summary.commits[no_such_key=1] > 0' \
+  'bad = summary.commits[retraction=false] > 0' \
+  'bad = summary.throughput in [2, 1]' \
+  'bad = summary.throughput > many'; do
+  printf '[experiment]\ncluster = false\n[node]\n[expect]\n%s\n' "$row" \
+    >"$OUT_DIR/bad_row.spec"
+  expect_input_error "$OUT_DIR/bad_row.spec"
+  if ! grep -q "line 5: expect row 'bad'" "$OUT_DIR/bad_input.err"; then
+    echo "premerge: '$row' was not rejected at its line:" >&2
+    cat "$OUT_DIR/bad_input.err" >&2
+    exit 1
+  fi
 done
 # Each entry: a controller, a colon, and an override that controller's
 # constructor or Update would abort on.
