@@ -291,13 +291,14 @@ ClusterResult ClusterExperiment::Run() {
   double response_sum = 0.0;
   uint64_t total_local = 0;
   uint64_t total_remote = 0;
+  NodeHistograms hists;  // one node's at a time
   for (int i = 0; i < num_nodes; ++i) {
     ClusterNodeResult node;
     node.trajectory = metrics.node_trajectories()[i];
     // Node percentiles come from its own histogram, cluster percentiles
     // from the merge (== pooled-sample bucketing).
-    const NodeHistograms hists =
-        runs[i]->Summarize(spec_.duration, spec_.warmup, &node);
+    runs[i]->Summarize(spec_.duration, spec_.warmup, &node, &hists.response,
+                       &hists.phases);
     node.response_p50 = hists.response.Quantile(0.50);
     node.response_p95 = hists.response.Quantile(0.95);
     node.response_p99 = hists.response.Quantile(0.99);

@@ -103,8 +103,10 @@ void NodeRun::MarkWarmup() {
   hists_at_warmup_.phases = metrics.phase_hists;
 }
 
-NodeHistograms NodeRun::Summarize(double duration, double warmup,
-                                  NodeSummary* out) const {
+void NodeRun::Summarize(
+    double duration, double warmup, NodeSummary* out,
+    telemetry::LogHistogram* response,
+    std::array<telemetry::LogHistogram, telemetry::kNumPhases>* phases) const {
   const db::Metrics& metrics = system_->metrics();
   const db::Counters& final = metrics.counters;
   out->commits = final.commits - at_warmup_.commits;
@@ -125,12 +127,12 @@ NodeHistograms NodeRun::Summarize(double duration, double warmup,
   }
   out->mean_active = util::Ratio(load_sum, load_count);
 
-  NodeHistograms hists{metrics.response_hist, metrics.phase_hists};
-  hists.response.Subtract(hists_at_warmup_.response);
-  for (size_t p = 0; p < hists.phases.size(); ++p) {
-    hists.phases[p].Subtract(hists_at_warmup_.phases[p]);
+  *response = metrics.response_hist;
+  response->Subtract(hists_at_warmup_.response);
+  for (size_t p = 0; p < phases->size(); ++p) {
+    (*phases)[p] = metrics.phase_hists[p];
+    (*phases)[p].Subtract(hists_at_warmup_.phases[p]);
   }
-  return hists;
 }
 
 Experiment::Experiment(const ExperimentSpec& spec) : spec_(spec) {
@@ -174,9 +176,8 @@ ExperimentResult Experiment::Run() {
 
   result.metrics = registry.Snapshot();
   result.final_counters = system.metrics().counters;
-  NodeHistograms hists = run.Summarize(spec_.duration, spec_.warmup, &result);
-  result.response_hist = std::move(hists.response);
-  result.phase_hists = std::move(hists.phases);
+  run.Summarize(spec_.duration, spec_.warmup, &result, &result.response_hist,
+                &result.phase_hists);
   const db::Counters& at_warmup = run.counters_at_warmup();
   const double useful =
       result.final_counters.useful_cpu - at_warmup.useful_cpu;

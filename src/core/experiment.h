@@ -100,7 +100,8 @@ struct ExperimentResult : NodeSummary {
   std::vector<telemetry::MetricSample> metrics;
 };
 
-/// A node's post-warmup histograms: the final ones minus the warmup mark.
+/// A node's response and phase histograms: its warmup mark, or the
+/// post-warmup ones Summarize writes.
 struct NodeHistograms {
   telemetry::LogHistogram response;
   std::array<telemetry::LogHistogram, telemetry::kNumPhases> phases;
@@ -138,9 +139,13 @@ class NodeRun {
 
   void MarkWarmup();
   /// Fills `out` over [warmup, duration] (mean_active from the trajectory
-  /// the caller put in `out`) and returns the post-warmup histograms.
-  NodeHistograms Summarize(double duration, double warmup,
-                           NodeSummary* out) const;
+  /// the caller put in `out`) and overwrites `response` and `phases` with
+  /// the post-warmup histograms; a caller summarizing many nodes reuses
+  /// one set.
+  void Summarize(double duration, double warmup, NodeSummary* out,
+                 telemetry::LogHistogram* response,
+                 std::array<telemetry::LogHistogram, telemetry::kNumPhases>*
+                     phases) const;
   /// For the figures only one experiment reports (wasted CPU, locality).
   const db::Counters& counters_at_warmup() const { return at_warmup_; }
 

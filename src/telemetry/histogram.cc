@@ -54,10 +54,36 @@ double LogHistogram::BucketHigh(int index) {
                                  : kMinValue * std::ldexp(1.0, kOctaves);
 }
 
+LogHistogram::LogHistogram(const LogHistogram& other) { CopyRange(other); }
+
+LogHistogram& LogHistogram::operator=(const LogHistogram& other) {
+  if (this != &other) {
+    Clear();
+    CopyRange(other);
+  }
+  return *this;
+}
+
+void LogHistogram::CopyRange(const LogHistogram& other) {
+  if (other.lo_ < other.hi_) {
+    std::copy(other.buckets_.begin() + other.lo_,
+              other.buckets_.begin() + other.hi_,
+              buckets_.begin() + other.lo_);
+  }
+  lo_ = other.lo_;
+  hi_ = other.hi_;
+  underflow_ = other.underflow_;
+  overflow_ = other.overflow_;
+  count_ = other.count_;
+  sum_ = other.sum_;
+}
+
 void LogHistogram::Merge(const LogHistogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
+  for (int i = other.lo_; i < other.hi_; ++i) {
     buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
   }
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   count_ += other.count_;
@@ -65,7 +91,11 @@ void LogHistogram::Merge(const LogHistogram& other) {
 }
 
 void LogHistogram::Subtract(const LogHistogram& earlier) {
-  for (int i = 0; i < kNumBuckets; ++i) {
+  // Buckets outside earlier's range are zero there; inside it, a bucket
+  // past this range is zero here, so the check catches a non-prefix
+  // snapshot that occupies it. The range stays as it was: it may now hold
+  // zero buckets, which every reader skips.
+  for (int i = earlier.lo_; i < earlier.hi_; ++i) {
     ALC_CHECK_GE(buckets_[static_cast<size_t>(i)],
                  earlier.buckets_[static_cast<size_t>(i)]);
     buckets_[static_cast<size_t>(i)] -= earlier.buckets_[static_cast<size_t>(i)];
@@ -80,7 +110,9 @@ void LogHistogram::Subtract(const LogHistogram& earlier) {
 }
 
 void LogHistogram::Clear() {
-  buckets_.fill(0);
+  if (lo_ < hi_) std::fill(buckets_.begin() + lo_, buckets_.begin() + hi_, 0);
+  lo_ = kNumBuckets;
+  hi_ = 0;
   underflow_ = 0;
   overflow_ = 0;
   count_ = 0;
@@ -99,7 +131,7 @@ double LogHistogram::Quantile(double q) const {
                ? kMinValue * (target / static_cast<double>(underflow_))
                : 0.0;
   }
-  for (int i = 0; i < kNumBuckets; ++i) {
+  for (int i = lo_; i < hi_; ++i) {
     const uint64_t in_bucket = buckets_[static_cast<size_t>(i)];
     if (in_bucket == 0) continue;
     const double next = cumulative + static_cast<double>(in_bucket);
@@ -168,7 +200,10 @@ void HistogramWindow::Quantiles(const double* qs, int n, double* out) {
 
 void HistogramWindow::MergeInto(LogHistogram* out) const {
   for (size_t k = 0; k < num_touched_; ++k) {
-    out->buckets_[touched_[k]] += buckets_[touched_[k]];
+    const int i = touched_[k];
+    out->buckets_[static_cast<size_t>(i)] += buckets_[static_cast<size_t>(i)];
+    out->lo_ = std::min(out->lo_, i);
+    out->hi_ = std::max(out->hi_, i + 1);
   }
   out->underflow_ += underflow_;
   out->overflow_ += overflow_;

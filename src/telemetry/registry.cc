@@ -1,6 +1,8 @@
 #include "telemetry/registry.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "util/check.h"
@@ -20,14 +22,6 @@ const char* MetricKindName(MetricKind kind) {
   return "unknown";
 }
 
-void MetricRegistry::AddEntry(Entry entry) {
-  for (const Entry& existing : entries_) {
-    // Duplicate names would make snapshots ambiguous.
-    ALC_CHECK(existing.name != entry.name);
-  }
-  entries_.push_back(std::move(entry));
-}
-
 uint64_t* MetricRegistry::Counter(const std::string& name) {
   owned_counters_.push_back(0);
   uint64_t* slot = &owned_counters_.back();
@@ -35,7 +29,7 @@ uint64_t* MetricRegistry::Counter(const std::string& name) {
   entry.name = name;
   entry.kind = MetricKind::kCounter;
   entry.counter = slot;
-  AddEntry(std::move(entry));
+  entries_.push_back(std::move(entry));
   return slot;
 }
 
@@ -46,7 +40,7 @@ double* MetricRegistry::Gauge(const std::string& name) {
   entry.name = name;
   entry.kind = MetricKind::kGauge;
   entry.gauge = slot;
-  AddEntry(std::move(entry));
+  entries_.push_back(std::move(entry));
   return slot;
 }
 
@@ -57,7 +51,7 @@ LogHistogram* MetricRegistry::Histogram(const std::string& name) {
   entry.name = name;
   entry.kind = MetricKind::kHistogram;
   entry.hist = slot;
-  AddEntry(std::move(entry));
+  entries_.push_back(std::move(entry));
   return slot;
 }
 
@@ -68,7 +62,7 @@ void MetricRegistry::LinkCounter(const std::string& name,
   entry.name = name;
   entry.kind = MetricKind::kCounter;
   entry.counter = value;
-  AddEntry(std::move(entry));
+  entries_.push_back(std::move(entry));
 }
 
 void MetricRegistry::LinkGauge(const std::string& name, const double* value) {
@@ -77,7 +71,7 @@ void MetricRegistry::LinkGauge(const std::string& name, const double* value) {
   entry.name = name;
   entry.kind = MetricKind::kGauge;
   entry.gauge = value;
-  AddEntry(std::move(entry));
+  entries_.push_back(std::move(entry));
 }
 
 void MetricRegistry::LinkHistogram(const std::string& name,
@@ -87,7 +81,7 @@ void MetricRegistry::LinkHistogram(const std::string& name,
   entry.name = name;
   entry.kind = MetricKind::kHistogram;
   entry.hist = hist;
-  AddEntry(std::move(entry));
+  entries_.push_back(std::move(entry));
 }
 
 std::vector<MetricSample> MetricRegistry::Snapshot() const {
@@ -120,6 +114,15 @@ std::vector<MetricSample> MetricRegistry::Snapshot() const {
             [](const MetricSample& a, const MetricSample& b) {
               return a.name < b.name;
             });
+  // Duplicate names would make the snapshot ambiguous; after the sort they
+  // are neighbours.
+  for (size_t i = 1; i < out.size(); ++i) {
+    if (out[i].name == out[i - 1].name) {
+      std::fprintf(stderr, "MetricRegistry: metric '%s' registered twice\n",
+                   out[i].name.c_str());
+      std::abort();
+    }
+  }
   return out;
 }
 

@@ -46,9 +46,11 @@ struct MetricSample {
 ///    Linked pointers must outlive the registry's last Snapshot() call.
 ///
 /// Registration itself allocates (names are strings) and happens once at
-/// experiment setup, never per event. The registry is observation-only: it
-/// never mutates linked fields, so registering metrics cannot perturb a
-/// run (pinned by tests/audit_test.cc byte-identity).
+/// experiment setup, never per event. It does not look for duplicate names:
+/// Snapshot() finds them after its sort, in O(n log n) for the whole
+/// registry. The registry is observation-only: it never mutates linked
+/// fields, so registering metrics cannot perturb a run (pinned by
+/// tests/audit_test.cc byte-identity).
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -67,7 +69,8 @@ class MetricRegistry {
 
   size_t size() const { return entries_.size(); }
 
-  /// Current values of every registered metric, sorted by name.
+  /// Current values of every registered metric, sorted by name. Aborts,
+  /// naming the metric, if a name was registered twice.
   std::vector<MetricSample> Snapshot() const;
 
   /// Serializes a snapshot as one JSON object keyed by metric name.
@@ -89,8 +92,6 @@ class MetricRegistry {
     const double* gauge = nullptr;
     const LogHistogram* hist = nullptr;
   };
-
-  void AddEntry(Entry entry);
 
   std::vector<Entry> entries_;
   // Owned storage. Deques keep pointers stable across growth.

@@ -461,5 +461,54 @@ TEST(EngineDeterminismTest, FrontDoorPathsArePinned) {
   }
 }
 
+// specs/diurnal_1m.spec cut to its first 64 nodes over a 2 s horizon
+// (1 s warmup): the fleet's metric registry snapshot (every name, in
+// order, and every value) and the post-warmup histograms, per node and
+// merged. Pins what the registry's duplicate check and the histograms'
+// occupied-range bookkeeping must leave unchanged; recorded at the parent
+// of that change with the same test code.
+TEST(EngineDeterminismTest, FleetRegistrySnapshotIsPinned) {
+  core::ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(core::LoadSpecFile(
+      std::string(ALC_SOURCE_DIR) + "/specs/diurnal_1m.spec", &spec, &error))
+      << error;
+  spec.nodes.resize(64);
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "warmup", "1", &error)) << error;
+  ASSERT_TRUE(core::ApplySpecOverride(&spec, "duration", "2", &error))
+      << error;
+  const core::SpecRunResult result = core::RunSpec(spec);
+  ASSERT_TRUE(result.cluster);
+
+  std::string names;
+  for (const telemetry::MetricSample& sample : result.metrics()) {
+    names += sample.name;
+    names += '\n';
+  }
+  std::ostringstream json;
+  telemetry::MetricRegistry::WriteSnapshotJson(json, result.metrics());
+  std::ostringstream hists;
+  auto write = [&hists](const telemetry::LogHistogram& hist) {
+    hists << hist.count() << ' ' << util::FormatDouble(hist.sum());
+    for (const double q : {0.0, 0.50, 0.99, 0.999, 1.0}) {
+      hists << ' ' << util::FormatDouble(hist.Quantile(q));
+    }
+    hists << '\n';
+  };
+  write(result.response_hist());
+  for (const telemetry::LogHistogram& hist : result.phase_hists()) write(hist);
+  for (const core::ClusterNodeResult& node : result.cluster_result.nodes) {
+    hists << util::FormatDouble(node.response_p50) << ' '
+          << util::FormatDouble(node.response_p99) << '\n';
+  }
+
+  EXPECT_EQ(result.metrics().size(), 1552u);
+  EXPECT_EQ(util::Fnv1a(names), 12981503135669039763ULL);
+  EXPECT_EQ(json.str().size(), 92832u);
+  EXPECT_EQ(util::Fnv1a(json.str()), 12120880001051621154ULL);
+  EXPECT_EQ(util::Fnv1a(hists.str()), 11528290918093518602ULL)
+      << hists.str().substr(0, 400);
+}
+
 }  // namespace
 }  // namespace alc

@@ -1,8 +1,10 @@
 // LogHistogram properties (quantile error bound, exact merge determinism,
 // interval subtraction), HistogramWindow's bit-equality with LogHistogram,
-// and TraceRecorder structural checks.
+// the occupied-range histogram against a full-scan model, TraceRecorder
+// structural checks and the metric registry.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -332,6 +334,258 @@ TEST(HistogramWindowTest, ClearLeavesEveryBucketZero) {
   }
 }
 
+// --------------------------------------------------------- occupied range --
+
+/// LogHistogram as it was before it tracked its occupied range: every
+/// operation and Quantile() pass over all kNumBuckets buckets. The
+/// range-tracking histogram must match it bucket for bucket and bit for
+/// bit.
+struct FullScanHistogram {
+  std::array<uint64_t, LogHistogram::kNumBuckets> buckets{};
+  uint64_t underflow = 0;
+  uint64_t overflow = 0;
+  uint64_t count = 0;
+  double sum = 0.0;
+
+  void Add(double value) {
+    const int index = LogHistogram::BucketIndex(value);
+    if (index < 0) {
+      ++underflow;
+    } else if (index >= LogHistogram::kNumBuckets) {
+      ++overflow;
+    } else {
+      ++buckets[static_cast<size_t>(index)];
+    }
+    ++count;
+    sum += value;
+  }
+
+  void Merge(const FullScanHistogram& other) {
+    for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
+    underflow += other.underflow;
+    overflow += other.overflow;
+    count += other.count;
+    sum += other.sum;
+  }
+
+  void Subtract(const FullScanHistogram& earlier) {
+    for (size_t i = 0; i < buckets.size(); ++i) buckets[i] -= earlier.buckets[i];
+    underflow -= earlier.underflow;
+    overflow -= earlier.overflow;
+    count -= earlier.count;
+    sum -= earlier.sum;
+  }
+
+  double Quantile(double q) const {
+    if (count == 0) return 0.0;
+    if (q < 0.0) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    const double target = q * static_cast<double>(count);
+    double cumulative = static_cast<double>(underflow);
+    if (target <= cumulative) {
+      return underflow > 0 ? LogHistogram::kMinValue *
+                                 (target / static_cast<double>(underflow))
+                           : 0.0;
+    }
+    for (int i = 0; i < LogHistogram::kNumBuckets; ++i) {
+      const uint64_t in_bucket = buckets[static_cast<size_t>(i)];
+      if (in_bucket == 0) continue;
+      const double next = cumulative + static_cast<double>(in_bucket);
+      if (target <= next) {
+        const double fraction =
+            (target - cumulative) / static_cast<double>(in_bucket);
+        const double low = LogHistogram::BucketLow(i);
+        return low + fraction * (LogHistogram::BucketHigh(i) - low);
+      }
+      cumulative = next;
+    }
+    return LogHistogram::kMinValue * std::ldexp(1.0, LogHistogram::kOctaves);
+  }
+};
+
+::testing::AssertionResult SameAsFullScan(const LogHistogram& hist,
+                                          const FullScanHistogram& model) {
+  if (hist.buckets() != model.buckets) {
+    return ::testing::AssertionFailure() << "buckets differ";
+  }
+  if (hist.underflow() != model.underflow || hist.overflow() != model.overflow ||
+      hist.count() != model.count || !BitEqual(hist.sum(), model.sum)) {
+    return ::testing::AssertionFailure()
+           << "count " << hist.count() << " vs " << model.count
+           << ", underflow " << hist.underflow() << " vs " << model.underflow
+           << ", overflow " << hist.overflow() << " vs " << model.overflow
+           << ", sum " << hist.sum() << " vs " << model.sum;
+  }
+  for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+    if (!BitEqual(hist.Quantile(q), model.Quantile(q))) {
+      return ::testing::AssertionFailure()
+             << "q=" << q << ": " << hist.Quantile(q) << " vs "
+             << model.Quantile(q);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// What one random sequence records.
+enum class ValueMix { kMixed, kUnderflowOnly, kOverflowOnly, kTopBucket };
+
+double DrawValue(ValueMix mix, sim::RandomStream* rng) {
+  const double top = LogHistogram::BucketLow(LogHistogram::kNumBuckets - 1);
+  switch (mix) {
+    case ValueMix::kUnderflowOnly: {
+      const double values[] = {0.0, -2.0, std::nan(""), 1e-7};
+      return values[rng->NextUint64(4)];
+    }
+    case ValueMix::kOverflowOnly:
+      return 1e12 * (1.0 + rng->NextDouble());
+    case ValueMix::kTopBucket:
+      // The top bucket is [top, top * 64/63).
+      return top * (1.0 + rng->NextDouble() / 64.0);
+    case ValueMix::kMixed:
+      break;
+  }
+  const double u = rng->NextDouble();
+  if (u < 0.15) {
+    const double specials[] = {0.0, std::nan(""), 1e-7,
+                               1e12, top, LogHistogram::kMinValue};
+    return specials[rng->NextUint64(6)];
+  }
+  if (u < 0.5) return rng->NextExponential(0.05);
+  return std::pow(10.0, -6.0 + 10.0 * rng->NextDouble());
+}
+
+TEST(LogHistogramRangeTest, RandomSequencesMatchTheFullScanModel) {
+  constexpr int kHists = 4;
+  for (const ValueMix mix : {ValueMix::kMixed, ValueMix::kUnderflowOnly,
+                             ValueMix::kOverflowOnly, ValueMix::kTopBucket}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("mix " + std::to_string(static_cast<int>(mix)) + " seed " +
+                   std::to_string(seed));
+      sim::RandomStream rng(seed);
+      std::vector<LogHistogram> hists(kHists);
+      std::vector<FullScanHistogram> models(kHists);
+      // snapshots[k] is an earlier copy of hists[k]; it stays a prefix
+      // until hists[k] is cleared, subtracted from or overwritten.
+      std::vector<LogHistogram> snapshots(kHists);
+      std::vector<FullScanHistogram> snapshot_models(kHists);
+      std::vector<bool> is_prefix(kHists, true);
+      HistogramWindow window;
+      FullScanHistogram window_model;
+      for (int step = 0; step < 200; ++step) {
+        const size_t k = rng.NextUint64(kHists);
+        const size_t j = rng.NextUint64(kHists);
+        switch (rng.NextUint64(8)) {
+          case 0:
+          case 1: {
+            const uint64_t n = 1 + rng.NextUint64(20);
+            for (uint64_t i = 0; i < n; ++i) {
+              const double v = DrawValue(mix, &rng);
+              hists[k].Add(v);
+              models[k].Add(v);
+            }
+            break;
+          }
+          case 2:  // j == k merges a histogram into itself
+            hists[k].Merge(hists[j]);
+            models[k].Merge(models[j]);
+            break;
+          case 3:
+            snapshots[k] = hists[k];
+            snapshot_models[k] = models[k];
+            is_prefix[k] = true;
+            ASSERT_TRUE(SameAsFullScan(snapshots[k], snapshot_models[k]));
+            break;
+          case 4:
+            if (!is_prefix[k]) break;
+            hists[k].Subtract(snapshots[k]);
+            models[k].Subtract(snapshot_models[k]);
+            is_prefix[k] = false;
+            break;
+          case 5:
+            hists[k].Clear();
+            models[k] = FullScanHistogram();
+            is_prefix[k] = false;
+            break;
+          case 6: {
+            const LogHistogram copy(hists[k]);
+            ASSERT_TRUE(SameAsFullScan(copy, models[k]));
+            hists[j] = hists[k];  // j == k assigns to itself
+            models[j] = models[k];
+            if (j != k) is_prefix[j] = false;
+            break;
+          }
+          case 7: {
+            const uint64_t n = rng.NextUint64(10);
+            for (uint64_t i = 0; i < n; ++i) {
+              const double v = DrawValue(mix, &rng);
+              window.Add(v);
+              window_model.Add(v);
+            }
+            window.MergeInto(&hists[k]);
+            models[k].Merge(window_model);
+            window.Clear();
+            window_model = FullScanHistogram();
+            break;
+          }
+        }
+        ASSERT_TRUE(SameAsFullScan(hists[k], models[k])) << "step " << step;
+        ASSERT_TRUE(SameAsFullScan(hists[j], models[j])) << "step " << step;
+      }
+      for (int k = 0; k < kHists; ++k) {
+        EXPECT_TRUE(SameAsFullScan(hists[k], models[k])) << "hist " << k;
+        EXPECT_TRUE(SameAsFullScan(snapshots[k], snapshot_models[k]))
+            << "snapshot " << k;
+      }
+    }
+  }
+}
+
+TEST(LogHistogramRangeTest, EdgeHistogramsMatchTheFullScanModel) {
+  const double top = LogHistogram::BucketLow(LogHistogram::kNumBuckets - 1);
+  const std::vector<std::vector<double>> cases = {
+      {},                                 // empty
+      {0.0, -1.0, 1e-7},                  // underflow only
+      {1e12, 5e11},                       // overflow only
+      {top, top},                         // top bucket only
+      {LogHistogram::kMinValue},          // bucket 0 only
+      {LogHistogram::kMinValue, top},     // the whole range
+  };
+  for (const std::vector<double>& values : cases) {
+    SCOPED_TRACE(values.size());
+    LogHistogram hist;
+    FullScanHistogram model;
+    for (const double v : values) {
+      hist.Add(v);
+      model.Add(v);
+    }
+    EXPECT_TRUE(SameAsFullScan(hist, model));
+    const LogHistogram copy = hist;
+    EXPECT_TRUE(SameAsFullScan(copy, model));
+    LogHistogram merged;
+    merged.Merge(hist);
+    EXPECT_TRUE(SameAsFullScan(merged, model));
+    merged.Subtract(copy);
+    EXPECT_TRUE(SameAsFullScan(merged, FullScanHistogram()));
+    hist.Clear();
+    EXPECT_TRUE(SameAsFullScan(hist, FullScanHistogram()));
+  }
+}
+
+TEST(LogHistogramRangeDeathTest, SubtractOfANonPrefixSnapshotAborts) {
+  LogHistogram hist;
+  hist.Add(0.5);
+  hist.Add(0.6);
+  // An earlier histogram may not hold a value the later one lacks: below
+  // its occupied range, above it, or a bucket inside it with more mass.
+  for (const double extra : {0.001, 100.0, 0.5}) {
+    LogHistogram earlier = hist;
+    earlier.Add(extra);
+    hist.Add(1e12);  // keeps count and overflow ahead of `earlier`
+    EXPECT_DEATH(LogHistogram(hist).Subtract(earlier), "CHECK failed")
+        << extra;
+  }
+}
+
 // ------------------------------------------------------------------ trace --
 
 TEST(TraceRecorderTest, RecordsAndSerializes) {
@@ -485,6 +739,20 @@ TEST(MetricRegistryTest, JsonSnapshotIsStructurallySound) {
   EXPECT_NE(json.find("\"commits\""), std::string::npos);
   EXPECT_NE(json.find("\"cpu\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+}
+
+TEST(MetricRegistryDeathTest, DuplicateNameAbortsNamingTheMetric) {
+  // Registration does not look for duplicates; the snapshot that would
+  // list the name twice aborts and names it.
+  telemetry::MetricRegistry registry;
+  registry.Counter("node3.commits");
+  registry.Gauge("node3.active");
+  const uint64_t linked = 0;
+  registry.LinkCounter("node3.commits", &linked);
+  EXPECT_DEATH(registry.Snapshot(),
+               "MetricRegistry: metric 'node3.commits' registered twice");
+  std::ostringstream out;
+  EXPECT_DEATH(registry.WriteJson(out), "node3.commits");
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 // JSON files are flattened to dotted paths (array elements keyed by their
 // "name" member when present, else by index) and every numeric leaf is
 // compared under a relative tolerance; string/bool leaves must match
-// exactly; paths present in A but missing in B (or vice versa) fail. CSV
-// files are compared cell-wise under the same tolerance.
+// exactly (a multi-line string that differs, such as a manifest's `spec`
+// text, is reported as a line diff); paths present in A but missing in B
+// (or vice versa) fail. CSV files are compared cell-wise under the same
+// tolerance.
 //
 // Flags:
 //   --tol R          default relative tolerance (default 1e-9)
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -346,6 +349,86 @@ void Report(const std::string& label, const std::string& path,
   ++g_failures;
 }
 
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines(1);
+  for (const char c : text) {
+    if (c == '\n') {
+      lines.emplace_back();
+    } else {
+      lines.back() += c;
+    }
+  }
+  return lines;
+}
+
+/// Reports two differing multi-line strings as a line diff: each run of
+/// lines only A has ("-") or only B has ("+") under the line numbers where
+/// it starts, instead of both texts whole.
+void ReportLineDiff(const std::string& label, const std::string& path,
+                    const std::string& a, const std::string& b) {
+  const std::vector<std::string> lines_a = SplitLines(a);
+  const std::vector<std::string> lines_b = SplitLines(b);
+  std::fprintf(stderr, "FAIL %s %s: text differs (%zu vs %zu lines)\n",
+               label.c_str(), path.c_str(), lines_a.size(), lines_b.size());
+  ++g_failures;
+  // Common head and tail first; a longest common subsequence over the
+  // middle, unless the middle is too large to tabulate, in which case it
+  // is reported as one run each side.
+  size_t head = 0;
+  while (head < lines_a.size() && head < lines_b.size() &&
+         lines_a[head] == lines_b[head]) {
+    ++head;
+  }
+  size_t tail = 0;
+  while (tail < lines_a.size() - head && tail < lines_b.size() - head &&
+         lines_a[lines_a.size() - 1 - tail] ==
+             lines_b[lines_b.size() - 1 - tail]) {
+    ++tail;
+  }
+  const size_t n = lines_a.size() - head - tail;
+  const size_t m = lines_b.size() - head - tail;
+  const bool tabulate = n * m <= 4000000;
+  // common[i * (m + 1) + j]: length of the longest common subsequence of
+  // the middles' suffixes from i and from j.
+  std::vector<uint32_t> common;
+  if (tabulate) {
+    common.assign((n + 1) * (m + 1), 0);
+    for (size_t i = n; i-- > 0;) {
+      for (size_t j = m; j-- > 0;) {
+        common[i * (m + 1) + j] =
+            lines_a[head + i] == lines_b[head + j]
+                ? common[(i + 1) * (m + 1) + j + 1] + 1
+                : std::max(common[(i + 1) * (m + 1) + j],
+                           common[i * (m + 1) + j + 1]);
+      }
+    }
+  }
+  size_t i = 0;
+  size_t j = 0;
+  bool in_run = false;
+  while (i < n || j < m) {
+    if (tabulate && i < n && j < m && lines_a[head + i] == lines_b[head + j]) {
+      ++i;
+      ++j;
+      in_run = false;
+      continue;
+    }
+    if (!in_run) {
+      std::fprintf(stderr, "  @@ line %zu vs line %zu\n", head + i + 1,
+                   head + j + 1);
+      in_run = true;
+    }
+    const bool take_a =
+        j == m || (i < n && (!tabulate || common[(i + 1) * (m + 1) + j] >=
+                                              common[i * (m + 1) + j + 1]));
+    if (take_a) {
+      std::fprintf(stderr, "  - %s\n", lines_a[head + i++].c_str());
+    } else {
+      std::fprintf(stderr, "  + %s\n", lines_b[head + j++].c_str());
+    }
+  }
+}
+
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path);
   if (!in) return false;
@@ -398,7 +481,12 @@ bool CompareJsonFiles(const std::string& path_a, const std::string& path_b,
         Report(label, path, leaf_a.text, leaf_b.text);
       }
     } else if (leaf_a.text != leaf_b.text) {
-      Report(label, path, leaf_a.text, leaf_b.text);
+      if (leaf_a.text.find('\n') != std::string::npos ||
+          leaf_b.text.find('\n') != std::string::npos) {
+        ReportLineDiff(label, path, leaf_a.text, leaf_b.text);
+      } else {
+        Report(label, path, leaf_a.text, leaf_b.text);
+      }
     }
   }
   for (const auto& [path, leaf_b] : flat_b) {

@@ -14,6 +14,8 @@
 #      shed ladder and bounded retry (re-submissions and dead letters must
 #      reach its manifest). alc_run exits 1 when a spec's [expect] row
 #      fails, so each run also checks its spec's rows
+#      alc_compare itself must report a changed multi-line spec text as
+#      a line diff of the changed lines
 #   4. the fault_storm spec end to end: the [fault] injector, phi/quorum
 #      detection, bounded retry, and the degradation ladder must all
 #      leave their marks in the manifest ([expect] rows) and decision
@@ -93,6 +95,28 @@ test -s "$OUT_DIR/paper/decisions.csv"
 python3 -m json.tool "$OUT_DIR/paper-trace.json" >/dev/null
 "./$BUILD_DIR/tools/alc_compare" \
   specs/golden/paper_closed.run.json "$OUT_DIR/paper/run.json"
+
+echo "== alc_compare reports a changed spec text as a line diff"
+# The golden's spec text with one line changed and two appended: the report
+# names those three lines, not both 263-line texts.
+python3 - specs/golden/node_failover.run.json "$OUT_DIR/respec.json" <<'PY'
+import json, sys
+manifest = json.load(open(sys.argv[1]))
+manifest["spec"] = manifest["spec"].replace("seed = 42", "seed = 43", 1)
+manifest["spec"] += "\n# appended one\n# appended two"
+json.dump(manifest, open(sys.argv[2], "w"))
+PY
+status=0
+"./$BUILD_DIR/tools/alc_compare" specs/golden/node_failover.run.json \
+  "$OUT_DIR/respec.json" >"$OUT_DIR/respec.out" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || [ "$(wc -l <"$OUT_DIR/respec.out")" -gt 8 ] ||
+  ! grep -q '^  - seed = 42$' "$OUT_DIR/respec.out" ||
+  ! grep -q '^  + seed = 43$' "$OUT_DIR/respec.out" ||
+  ! grep -q '^  + # appended two$' "$OUT_DIR/respec.out"; then
+  echo "premerge: alc_compare's spec-text report (exit $status):" >&2
+  cat "$OUT_DIR/respec.out" >&2
+  exit 1
+fi
 
 echo "== elasticity: closed-loop flash crowd"
 "./$BUILD_DIR/tools/alc_run" specs/elasticity_flash.spec \
