@@ -448,6 +448,33 @@ Field<OwnerOf<kMember>> Mount(std::string_view prefix, const Table<Sub>& table,
       }};
 }
 
+/// A node's `logical.<key>` row, ahead of the system mount that owns the
+/// logical field: it assigns that field, then sets the `dynamics.<key>`
+/// schedule the workload reads to the same constant. A later
+/// `dynamics.<key>` line still wins, and since the logical rows print
+/// before the dynamics rows, printed specs reparse to what they were. Prints
+/// and compares nothing of its own: the rows it writes through do.
+template <auto kLogical, auto kDynamics>
+Field<NodeSpec> LogicalMirror(std::string_view key) {
+  using Owner = NodeSpec;
+  return {
+      key, false, nullptr, nullptr, nullptr,
+      [](const Field<Owner>& self, Owner* node, std::string_view,
+         const Assignment& in) {
+        const Field<OwnerOf<kLogical>> leaf = Leaf<kLogical>(self.key);
+        const Assigned assigned =
+            leaf.assign(leaf, &node->system.logical, {}, in);
+        if (assigned == Assigned::kOk) {
+          node->dynamics.*kDynamics = db::Schedule::Constant(
+              static_cast<double>(node->system.logical.*kLogical));
+        }
+        return assigned;
+      },
+      [](const Field<Owner>&, const Owner&, const std::string&,
+         std::string*) {},
+      [](const Field<Owner>&, const Owner&, const Owner&) { return true; }};
+}
+
 using ParamCheck = bool (*)(const std::string& key, const std::string& value,
                             std::string* error);
 
@@ -745,6 +772,14 @@ struct SpecTables {
   };
 
   const Table<NodeSpec> node_fields = {
+      // The workload reads the dynamics schedules, so a logical mix line
+      // sets its schedule too.
+      LogicalMirror<&Logical::accesses_per_txn, &Dynamics::k>(
+          "logical.accesses_per_txn"),
+      LogicalMirror<&Logical::query_fraction, &Dynamics::query_fraction>(
+          "logical.query_fraction"),
+      LogicalMirror<&Logical::write_fraction, &Dynamics::write_fraction>(
+          "logical.write_fraction"),
       Mount<&NodeSpec::system>("", system_fields),
       Mount<&NodeSpec::dynamics>("dynamics.", dynamics_fields),
       Leaf<&NodeSpec::cpu_speed>("cpu_speed"),

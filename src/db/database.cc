@@ -6,8 +6,19 @@
 
 namespace alc::db {
 
-Database::Database(uint32_t size) : size_(size), last_write_seq_(size, 0) {
+Database::Database(uint32_t size)
+    : size_(size),
+      leaf_of_((static_cast<size_t>(size) + kLeafItems - 1) >> kLeafBits, 0),
+      // Default-initialised: a leaf is zeroed only when NewLeaf hands it out.
+      seqs_(new uint64_t[(leaf_of_.size() + 1) << kLeafBits]) {
   ALC_CHECK_GT(size, 0u);
+  NewLeaf();  // leaf 0, read by every block before its first write
+}
+
+uint32_t Database::NewLeaf() {
+  const uint32_t leaf = num_leaves_++;
+  std::fill_n(seqs_.get() + LeafSlot(leaf, 0), kLeafItems, uint64_t{0});
+  return leaf;
 }
 
 AccessPatternGenerator::AccessPatternGenerator(const LogicalConfig* config,

@@ -1,7 +1,9 @@
 #ifndef ALC_DB_DATABASE_H_
 #define ALC_DB_DATABASE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "db/config.h"
@@ -14,6 +16,15 @@ namespace alc::db {
 /// The database of D granules plus the per-item metadata needed by the CC
 /// schemes. No payload values are modelled — concurrency behaviour depends
 /// only on which items are touched, not on what is stored in them.
+///
+/// The OCC write sequences live in a two-level table: each block of
+/// kLeafItems consecutive items maps to a leaf, handed out in first-write
+/// order from storage reserved at construction and zeroed when first used.
+/// A block without a leaf maps to leaf 0, which stays all zero, so a read
+/// never branches. A build therefore writes one index entry per block, not
+/// one sequence per item, and a run's written leaves sit together however
+/// the items spread over the keyspace. Nothing allocates after
+/// construction.
 class Database {
  public:
   explicit Database(uint32_t size);
@@ -21,14 +32,32 @@ class Database {
   uint32_t size() const { return size_; }
 
   /// OCC: sequence number of the last committed write of `item` (0 = never).
-  uint64_t last_write_seq(ItemId item) const { return last_write_seq_[item]; }
+  uint64_t last_write_seq(ItemId item) const {
+    return seqs_[LeafSlot(leaf_of_[item >> kLeafBits], item)];
+  }
   void set_last_write_seq(ItemId item, uint64_t seq) {
-    last_write_seq_[item] = seq;
+    uint32_t& leaf = leaf_of_[item >> kLeafBits];
+    if (leaf == 0) leaf = NewLeaf();
+    seqs_[LeafSlot(leaf, item)] = seq;
   }
 
  private:
+  static constexpr int kLeafBits = 6;
+  static constexpr uint32_t kLeafItems = 1u << kLeafBits;  // 64
+
+  static size_t LeafSlot(uint32_t leaf, ItemId item) {
+    return (static_cast<size_t>(leaf) << kLeafBits) | (item & (kLeafItems - 1));
+  }
+  /// Hands out and zeroes the next unused leaf.
+  uint32_t NewLeaf();
+
   uint32_t size_;
-  std::vector<uint64_t> last_write_seq_;
+  /// Per block: its leaf, or 0 (the all-zero leaf) before its first write.
+  std::vector<uint32_t> leaf_of_;
+  uint32_t num_leaves_ = 0;
+  /// Room for the zero leaf and a leaf per block; a leaf is left
+  /// uninitialised until handed out.
+  std::unique_ptr<uint64_t[]> seqs_;
 };
 
 /// Draws the access plan of a transaction attempt: k distinct items selected

@@ -78,12 +78,23 @@ void LogHistogram::CopyRange(const LogHistogram& other) {
   sum_ = other.sum_;
 }
 
+void LogHistogram::Cover(int lo, int hi) {
+  if (lo_ >= hi_) lo_ = hi_ = lo;  // empty: widen from [lo, lo)
+  if (lo < lo_) {
+    std::fill(buckets_.begin() + lo, buckets_.begin() + lo_, 0);
+    lo_ = lo;
+  }
+  if (hi > hi_) {
+    std::fill(buckets_.begin() + hi_, buckets_.begin() + hi, 0);
+    hi_ = hi;
+  }
+}
+
 void LogHistogram::Merge(const LogHistogram& other) {
+  if (other.lo_ < other.hi_) Cover(other.lo_, other.hi_);
   for (int i = other.lo_; i < other.hi_; ++i) {
     buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
   }
-  lo_ = std::min(lo_, other.lo_);
-  hi_ = std::max(hi_, other.hi_);
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   count_ += other.count_;
@@ -91,14 +102,14 @@ void LogHistogram::Merge(const LogHistogram& other) {
 }
 
 void LogHistogram::Subtract(const LogHistogram& earlier) {
-  // Buckets outside earlier's range are zero there; inside it, a bucket
-  // past this range is zero here, so the check catches a non-prefix
-  // snapshot that occupies it. The range stays as it was: it may now hold
-  // zero buckets, which every reader skips.
+  // A bucket of earlier's range outside this one counts 0 here, so the
+  // check catches a non-prefix snapshot that occupies it. The range stays
+  // as it was: it may now hold zero buckets, which every reader skips.
   for (int i = earlier.lo_; i < earlier.hi_; ++i) {
-    ALC_CHECK_GE(buckets_[static_cast<size_t>(i)],
-                 earlier.buckets_[static_cast<size_t>(i)]);
-    buckets_[static_cast<size_t>(i)] -= earlier.buckets_[static_cast<size_t>(i)];
+    const uint64_t here = bucket(i);
+    const uint64_t before = earlier.buckets_[static_cast<size_t>(i)];
+    ALC_CHECK_GE(here, before);
+    if (before > 0) buckets_[static_cast<size_t>(i)] = here - before;
   }
   ALC_CHECK_GE(underflow_, earlier.underflow_);
   ALC_CHECK_GE(overflow_, earlier.overflow_);
@@ -110,7 +121,6 @@ void LogHistogram::Subtract(const LogHistogram& earlier) {
 }
 
 void LogHistogram::Clear() {
-  if (lo_ < hi_) std::fill(buckets_.begin() + lo_, buckets_.begin() + hi_, 0);
   lo_ = kNumBuckets;
   hi_ = 0;
   underflow_ = 0;
@@ -201,9 +211,8 @@ void HistogramWindow::Quantiles(const double* qs, int n, double* out) {
 void HistogramWindow::MergeInto(LogHistogram* out) const {
   for (size_t k = 0; k < num_touched_; ++k) {
     const int i = touched_[k];
+    if (i < out->lo_ || i >= out->hi_) out->Cover(i, i + 1);
     out->buckets_[static_cast<size_t>(i)] += buckets_[static_cast<size_t>(i)];
-    out->lo_ = std::min(out->lo_, i);
-    out->hi_ = std::max(out->hi_, i + 1);
   }
   out->underflow_ += underflow_;
   out->overflow_ += overflow_;

@@ -31,22 +31,26 @@ const char* PhaseName(Phase phase);
 /// a bounded relative error (~3% at 32 sub-buckets) at O(1) memory,
 /// independent of run length.
 ///
-/// Everything is integer bucket counts over a fixed array: recording never
-/// allocates, Merge() of per-node histograms is bucket-wise addition and
-/// therefore exactly equals the histogram of the pooled samples, and
-/// Subtract() of an earlier snapshot yields the histogram of the values
-/// recorded since (counts are cumulative and monotone). Per-interval reads
-/// use HistogramWindow below instead of snapshots. This is the repo's canonical latency
-/// statistic: a 10M-transaction run reports p50/p99/p999 from ~9 KB of
-/// state instead of a full sample series.
+/// Everything is integer bucket counts: recording never allocates,
+/// Merge() of per-node histograms is bucket-wise addition and therefore
+/// exactly equals the histogram of the pooled samples, and Subtract() of an
+/// earlier snapshot yields the histogram of the values recorded since
+/// (counts are cumulative and monotone). Per-interval reads use
+/// HistogramWindow below instead of snapshots. This is the repo's canonical
+/// latency statistic: a 10M-transaction run reports p50/p99/p999 from
+/// ~9 KB of state instead of a full sample series.
 ///
-/// The histogram tracks its occupied range [lo, hi): every bucket outside
-/// it is zero. Recording pays two compares for it; copying, assigning,
-/// Merge(), Subtract(), Clear() and Quantile() touch only that range, so
-/// they cost the few hundred buckets a run occupies, not kNumBuckets.
+/// The histogram tracks its occupied range [lo, hi), the only buckets it
+/// ever writes or reads; the rest of its storage is left uninitialised, so
+/// constructing one costs no pass over kNumBuckets. Widening the range
+/// zeroes just the buckets it adds; recording pays two compares for it.
+/// Copying, assigning, Merge(), Subtract() and Quantile() touch only the
+/// range, so they cost the few hundred buckets a run occupies, and Clear()
+/// just empties the range.
 class LogHistogram {
  public:
-  LogHistogram() = default;
+  /// User-provided, so value-initialisation leaves the buckets unwritten.
+  LogHistogram() {}
   LogHistogram(const LogHistogram& other);
   LogHistogram& operator=(const LogHistogram& other);
 
@@ -72,9 +76,10 @@ class LogHistogram {
   /// Removes an earlier snapshot of *this* histogram (bucket-wise
   /// subtraction), leaving the histogram of the values recorded since the
   /// snapshot. The argument must be a prefix snapshot: every bucket count
-  /// must be <= the current one.
+  /// must be <= the current one (a bucket outside this range counts 0).
   void Subtract(const LogHistogram& earlier);
 
+  /// O(1): empties the range and the counters.
   void Clear();
 
   /// Interpolated quantile, q in [0, 1]. Returns 0 for an empty histogram.
@@ -96,19 +101,25 @@ class LogHistogram {
   static double BucketLow(int index);
   static double BucketHigh(int index);
 
-  const std::array<uint64_t, kNumBuckets>& buckets() const { return buckets_; }
+  /// Count of bucket `index` in [0, kNumBuckets); 0 outside the range.
+  uint64_t bucket(int index) const {
+    return index >= lo_ && index < hi_ ? buckets_[static_cast<size_t>(index)]
+                                       : 0;
+  }
   uint64_t underflow() const { return underflow_; }
   uint64_t overflow() const { return overflow_; }
 
  private:
   friend class HistogramWindow;
 
-  /// Copies other's occupied range into buckets that are zero.
+  /// Copies other's range and counters; *this must be empty.
   void CopyRange(const LogHistogram& other);
+  /// Widens the range to include [lo, hi), zeroing the buckets it adds.
+  void Cover(int lo, int hi);
 
-  std::array<uint64_t, kNumBuckets> buckets_{};
-  /// Occupied range: buckets_ is zero outside [lo_, hi_). Empty is
-  /// lo_ = kNumBuckets, hi_ = 0, so widening it needs no empty case.
+  /// Only [lo_, hi_) is initialised. Empty is lo_ = kNumBuckets, hi_ = 0,
+  /// so a single compare against each end finds an index outside it.
+  std::array<uint64_t, kNumBuckets> buckets_;
   int lo_ = kNumBuckets;
   int hi_ = 0;
   uint64_t underflow_ = 0;
@@ -177,11 +188,10 @@ inline void LogHistogram::AddAt(int index, double value) {
   } else if (index >= kNumBuckets) {
     ++overflow_;
   } else {
+    // After the first few values the range rarely widens, so the branch
+    // stays untaken and the call out of line.
+    if (index < lo_ || index >= hi_) Cover(index, index + 1);
     ++buckets_[static_cast<size_t>(index)];
-    // Branches rather than std::min/max: after the first few values the
-    // range rarely widens, so both stay untaken and store nothing.
-    if (index < lo_) lo_ = index;
-    if (index >= hi_) hi_ = index + 1;
   }
   ++count_;
   sum_ += value;

@@ -47,8 +47,8 @@ struct MetricSample {
 ///
 /// Registration itself allocates (names are strings) and happens once at
 /// experiment setup, never per event. It does not look for duplicate names:
-/// Snapshot() finds them after its sort, in O(n log n) for the whole
-/// registry. The registry is observation-only: it never mutates linked
+/// Snapshot() finds them after sorting the entries by name, in
+/// O(n log n) for the whole registry. The registry is observation-only: it never mutates linked
 /// fields, so registering metrics cannot perturb a run (pinned by
 /// tests/audit_test.cc byte-identity).
 class MetricRegistry {

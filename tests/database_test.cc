@@ -5,6 +5,7 @@
 
 #include "db/database.h"
 #include "db/transaction.h"
+#include "sim/random.h"
 
 namespace alc::db {
 namespace {
@@ -22,6 +23,46 @@ TEST(DatabaseTest, SetAndGetWriteSeq) {
   db.set_last_write_seq(3, 77);
   EXPECT_EQ(db.last_write_seq(3), 77u);
   EXPECT_EQ(db.last_write_seq(4), 0u);
+}
+
+// The leaf table against a flat array of write sequences. The first write
+// goes to the last item, so leaves are handed out out of block order; then
+// writes land at both edges of each 64-item leaf and at random items,
+// overwriting earlier ones, and every item, written or not, reads back what
+// the flat array holds.
+TEST(DatabaseTest, LeafTableMatchesAFlatArray) {
+  for (const uint32_t size : {1u, 63u, 64u, 65u, 1000u, 16384u}) {
+    SCOPED_TRACE(size);
+    Database db(size);
+    std::vector<uint64_t> flat(size, 0);
+    sim::RandomStream rng(size);
+    const auto check_all = [&] {
+      for (ItemId i = 0; i < size; ++i) {
+        ASSERT_EQ(db.last_write_seq(i), flat[i]) << "item " << i;
+      }
+    };
+    check_all();
+    uint64_t seq = 0;
+    const auto write = [&](ItemId item) {
+      db.set_last_write_seq(item, ++seq);
+      flat[item] = seq;
+    };
+    write(size - 1);
+    for (ItemId edge = 0; edge < size; edge += 64) {
+      write(edge);
+      if (edge + 63 < size) write(edge + 63);
+      if (edge > 0) write(edge - 1);
+    }
+    check_all();
+    // Random writes over a quarter of the keyspace's worth, so later ones
+    // overwrite earlier ones.
+    for (uint32_t n = 0; n < size / 4 + 8; ++n) {
+      write(static_cast<ItemId>(rng.NextUint64(size)));
+    }
+    check_all();
+    write(0);  // overwrite the first item again
+    check_all();
+  }
 }
 
 class AccessPatternTest : public ::testing::Test {

@@ -374,7 +374,7 @@ TEST(ElasticitySpecTest, OverridesAddressTheSectionAndRejectNonsense) {
 // Full-run edge cases. Small fleets, short horizons, measured membership.
 
 /// Shared [node] calibration for the edge-case fleets (4-CPU downscale of
-/// the flash-crowd spec, smaller database).
+/// the flash-crowd spec, smaller database, 16 accesses per transaction).
 std::string NodeBlock(const std::string& extra = "") {
   return "[node]\n" + extra +
          "physical.num_cpus = 4\n"
@@ -385,9 +385,9 @@ std::string NodeBlock(const std::string& extra = "") {
          "physical.io_time = 0.008\n"
          "physical.restart_delay_mean = 0.02\n"
          "logical.db_size = 400\n"
-         "logical.accesses_per_txn = 6\n"
+         "logical.accesses_per_txn = 16\n"
          "logical.query_fraction = 0.3\n"
-         "logical.write_fraction = 0.4\n"
+         "logical.write_fraction = 0.25\n"
          "control.controller = fixed\n"
          "control.initial_limit = 25\n";
 }

@@ -184,7 +184,8 @@ TEST(EngineDeterminismTest, SingleNodePaperModelIsPinned) {
 // A 2PL point shaped like the matrix grid's (tests/matrix_test.cc): lock
 // waits, deadlock restarts and the named controller under a closed
 // population with exponential service, sampled every 0.5 s. `control`
-// appends the controller's own `control.*` lines.
+// appends the controller's own `control.*` lines. Every pin on it ran
+// k = 16 accesses per transaction.
 core::ExperimentSpec MatrixPointSpec(const std::string& controller,
                                      const std::string& control) {
   const std::string text =
@@ -206,7 +207,7 @@ core::ExperimentSpec MatrixPointSpec(const std::string& controller,
       "physical.io_time = 0.006\n"
       "physical.restart_delay_mean = 0.015\n"
       "logical.db_size = 400\n"
-      "logical.accesses_per_txn = 6\n"
+      "logical.accesses_per_txn = 16\n"
       "logical.query_fraction = 0.3\n"
       "logical.write_fraction = 0.4\n"
       "dynamics.query_fraction = constant(0.3)\n"
@@ -241,10 +242,12 @@ TEST(EngineDeterminismTest, TwoPhaseLockingMatrixPointIsPinned) {
 
 // The same point under every other built-in controller, with the matrix
 // grid's params, so a factory that stops reading one of its keys (or reads
-// it into the wrong member) changes bytes. The last three rows cover the
+// it into the wrong member) changes bytes. The last five rows cover the
 // matrix points no other pin reaches: OCC under incremental steps, 2PL
-// under open arrivals, and the outer tuner (the only run that retunes the
-// monitor interval).
+// under open arrivals, the outer tuner (the only run that retunes the
+// monitor interval), and two OCC points for the certifier's write-sequence
+// table: a 65-item database (one full 64-item leaf plus a one-item leaf)
+// at a high certification-abort rate, and a write-heavy mix.
 struct ControllerPin {
   const char* label;
   const char* controller;
@@ -295,6 +298,15 @@ TEST(EngineDeterminismTest, EveryBuiltinControllerMatrixPointIsPinned) {
        {{"node.control.outer_tuner", "true"}}, 2448u, 3210u, 1640u,
        10888849906484777224ULL, 6316982762400601115ULL,
        6255351545697690647ULL},
+      {"occ_db65", "incremental-steps", is_bounds,
+       {{"node.cc", "occ"}, {"node.logical.db_size", "65"}}, 5355u, 7137u,
+       1552u, 10765270862243787102ULL, 10112377050704714786ULL,
+       3241516528167402127ULL},
+      {"occ_write_heavy", "incremental-steps", is_bounds,
+       {{"node.cc", "occ"},
+        {"node.dynamics.write_fraction", "constant(0.9)"}},
+       5284u, 7094u, 1581u, 917515582585811348ULL, 7464584236213675894ULL,
+       13380561921851605634ULL},
   };
   for (const ControllerPin& pin : pins) {
     core::ExperimentSpec spec = MatrixPointSpec(pin.controller, pin.control);

@@ -110,6 +110,37 @@ TEST(SpecRoundTripTest, SingleNodeWithDynamicWorkload) {
   EXPECT_FALSE(RoundTrip(fewer_rows) == spec);
 }
 
+// A node's logical mix line also sets the dynamics schedule the workload
+// reads; a later dynamics line wins, and the printed spec reparses to the
+// same node whichever line set the schedule.
+TEST(SpecRoundTripTest, LogicalMixLinesSetTheirDynamicsSchedules) {
+  std::string error;
+  core::ExperimentSpec spec;
+  ASSERT_TRUE(core::ParseSpec("[node]\n"
+                              "logical.accesses_per_txn = 4\n"
+                              "logical.query_fraction = 0.6\n"
+                              "logical.write_fraction = 0.9\n"
+                              "dynamics.write_fraction = steps(0.1; 5:0.5)\n",
+                              &spec, &error))
+      << error;
+  const core::NodeSpec& node = spec.nodes[0];
+  EXPECT_EQ(node.system.logical.accesses_per_txn, 4);
+  EXPECT_TRUE(node.dynamics.k == db::Schedule::Constant(4));
+  EXPECT_TRUE(node.dynamics.query_fraction == db::Schedule::Constant(0.6));
+  EXPECT_EQ(node.system.logical.write_fraction, 0.9);
+  EXPECT_TRUE(node.dynamics.write_fraction ==
+              db::Schedule::Steps(0.1, {{5.0, 0.5}}));
+  EXPECT_TRUE(RoundTrip(spec) == spec);
+
+  core::ExperimentSpec overridden = spec;
+  ASSERT_TRUE(core::ApplySpecOverride(&overridden, "node.logical.write_fraction",
+                                      "0.7", &error))
+      << error;
+  EXPECT_TRUE(overridden.nodes[0].dynamics.write_fraction ==
+              db::Schedule::Constant(0.7));
+  EXPECT_TRUE(RoundTrip(overridden) == overridden);
+}
+
 TEST(SpecRoundTripTest, HeterogeneousCluster) {
   core::ExperimentSpec spec;
   spec.name = "hetero";
@@ -721,6 +752,30 @@ TEST(SpecRunTest, RunSpecMatchesDirectExperimentBitExactly) {
   EXPECT_EQ(direct_csv.str(), spec_csv.str());
   EXPECT_EQ(direct.commits, via_spec.single.commits);
   EXPECT_EQ(direct.mean_throughput, via_spec.single.mean_throughput);
+}
+
+// The paper's closed model commits 11066 at its default mix; each mix key
+// set on the logical line commits exactly what its dynamics schedule does.
+TEST(SpecRunTest, LogicalMixOverridesReachTheWorkload) {
+  const auto commits = [](const std::string& key, const std::string& value) {
+    core::ExperimentSpec spec;
+    std::string error;
+    EXPECT_TRUE(core::LoadSpecFile(
+        std::string(ALC_SOURCE_DIR) + "/specs/paper_closed.spec", &spec,
+        &error))
+        << error;
+    if (!key.empty()) {
+      EXPECT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+    }
+    return core::RunSpec(spec).commits();
+  };
+  EXPECT_EQ(commits("", ""), 11066u);
+  EXPECT_EQ(commits("node.logical.write_fraction", "0.9"), 2755u);
+  EXPECT_EQ(commits("node.dynamics.write_fraction", "constant(0.9)"), 2755u);
+  EXPECT_EQ(commits("node.logical.query_fraction", "0.9"),
+            commits("node.dynamics.query_fraction", "constant(0.9)"));
+  EXPECT_EQ(commits("node.logical.accesses_per_txn", "4"),
+            commits("node.dynamics.k", "constant(4)"));
 }
 
 TEST(SpecRunTest, PrintedSpecRunsIdenticallyToOriginal) {

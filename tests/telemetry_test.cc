@@ -7,8 +7,11 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -155,9 +158,7 @@ TEST(LogHistogramTest, MergeEqualsPooledSamples) {
   // than pooled addition.
   EXPECT_NEAR(merged.sum(), pooled.sum(), pooled.sum() * 1e-12);
   for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
-    ASSERT_EQ(merged.buckets()[static_cast<size_t>(b)],
-              pooled.buckets()[static_cast<size_t>(b)])
-        << "bucket " << b;
+    ASSERT_EQ(merged.bucket(b), pooled.bucket(b)) << "bucket " << b;
   }
   for (const double q : {0.5, 0.99, 0.999}) {
     EXPECT_DOUBLE_EQ(merged.Quantile(q), pooled.Quantile(q));
@@ -179,8 +180,7 @@ TEST(LogHistogramTest, SubtractYieldsIntervalHistogram) {
   interval.Subtract(snapshot);
   EXPECT_EQ(interval.count(), interval_only.count());
   for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
-    ASSERT_EQ(interval.buckets()[static_cast<size_t>(b)],
-              interval_only.buckets()[static_cast<size_t>(b)]);
+    ASSERT_EQ(interval.bucket(b), interval_only.bucket(b));
   }
   EXPECT_DOUBLE_EQ(interval.Quantile(0.5), interval_only.Quantile(0.5));
 }
@@ -288,14 +288,19 @@ TEST(HistogramWindowTest, MergeIntoEqualsMerge) {
     merged.Merge(added);
     LogHistogram into = base;
     window.MergeInto(&into);
-    EXPECT_EQ(into.buckets(), merged.buckets());
+    for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+      ASSERT_EQ(into.bucket(b), merged.bucket(b)) << "case " << c;
+    }
     EXPECT_EQ(into.underflow(), merged.underflow());
     EXPECT_EQ(into.overflow(), merged.overflow());
     EXPECT_EQ(into.count(), merged.count());
     EXPECT_TRUE(BitEqual(into.sum(), merged.sum()));
 
     window.MergeInto(&base_window);
-    EXPECT_EQ(base_window.buckets(), merged.buckets());
+    for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+      ASSERT_EQ(base_window.buckets()[static_cast<size_t>(b)], merged.bucket(b))
+          << "case " << c;
+    }
     EXPECT_EQ(base_window.count(), merged.count());
     EXPECT_TRUE(BitEqual(base_window.sum(), merged.sum()));
     double out[kNumWindowQuantiles];
@@ -313,7 +318,7 @@ TEST(HistogramWindowTest, ClearLeavesEveryBucketZero) {
   for (const std::vector<double>& values : cases) {
     for (const double v : values) window.Add(v);
     window.Clear();
-    EXPECT_EQ(window.buckets(), LogHistogram().buckets());
+    for (const uint64_t count : window.buckets()) ASSERT_EQ(count, 0u);
     EXPECT_EQ(window.count(), 0u);
     EXPECT_EQ(window.sum(), 0.0);
     // A cleared window reads like an empty histogram, including underflow
@@ -405,8 +410,10 @@ struct FullScanHistogram {
 
 ::testing::AssertionResult SameAsFullScan(const LogHistogram& hist,
                                           const FullScanHistogram& model) {
-  if (hist.buckets() != model.buckets) {
-    return ::testing::AssertionFailure() << "buckets differ";
+  for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+    if (hist.bucket(b) != model.buckets[static_cast<size_t>(b)]) {
+      return ::testing::AssertionFailure() << "bucket " << b << " differs";
+    }
   }
   if (hist.underflow() != model.underflow || hist.overflow() != model.overflow ||
       hist.count() != model.count || !BitEqual(hist.sum(), model.sum)) {
@@ -454,88 +461,158 @@ double DrawValue(ValueMix mix, sim::RandomStream* rng) {
   return std::pow(10.0, -6.0 + 10.0 * rng->NextDouble());
 }
 
-TEST(LogHistogramRangeTest, RandomSequencesMatchTheFullScanModel) {
-  constexpr int kHists = 4;
-  for (const ValueMix mix : {ValueMix::kMixed, ValueMix::kUnderflowOnly,
-                             ValueMix::kOverflowOnly, ValueMix::kTopBucket}) {
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
-      SCOPED_TRACE("mix " + std::to_string(static_cast<int>(mix)) + " seed " +
-                   std::to_string(seed));
-      sim::RandomStream rng(seed);
-      std::vector<LogHistogram> hists(kHists);
-      std::vector<FullScanHistogram> models(kHists);
-      // snapshots[k] is an earlier copy of hists[k]; it stays a prefix
-      // until hists[k] is cleared, subtracted from or overwritten.
-      std::vector<LogHistogram> snapshots(kHists);
-      std::vector<FullScanHistogram> snapshot_models(kHists);
-      std::vector<bool> is_prefix(kHists, true);
-      HistogramWindow window;
-      FullScanHistogram window_model;
-      for (int step = 0; step < 200; ++step) {
-        const size_t k = rng.NextUint64(kHists);
-        const size_t j = rng.NextUint64(kHists);
-        switch (rng.NextUint64(8)) {
-          case 0:
-          case 1: {
-            const uint64_t n = 1 + rng.NextUint64(20);
-            for (uint64_t i = 0; i < n; ++i) {
-              const double v = DrawValue(mix, &rng);
-              hists[k].Add(v);
-              models[k].Add(v);
-            }
-            break;
-          }
-          case 2:  // j == k merges a histogram into itself
-            hists[k].Merge(hists[j]);
-            models[k].Merge(models[j]);
-            break;
-          case 3:
-            snapshots[k] = hists[k];
-            snapshot_models[k] = models[k];
-            is_prefix[k] = true;
-            ASSERT_TRUE(SameAsFullScan(snapshots[k], snapshot_models[k]));
-            break;
-          case 4:
-            if (!is_prefix[k]) break;
-            hists[k].Subtract(snapshots[k]);
-            models[k].Subtract(snapshot_models[k]);
-            is_prefix[k] = false;
-            break;
-          case 5:
-            hists[k].Clear();
-            models[k] = FullScanHistogram();
-            is_prefix[k] = false;
-            break;
-          case 6: {
-            const LogHistogram copy(hists[k]);
-            ASSERT_TRUE(SameAsFullScan(copy, models[k]));
-            hists[j] = hists[k];  // j == k assigns to itself
-            models[j] = models[k];
-            if (j != k) is_prefix[j] = false;
-            break;
-          }
-          case 7: {
-            const uint64_t n = rng.NextUint64(10);
-            for (uint64_t i = 0; i < n; ++i) {
-              const double v = DrawValue(mix, &rng);
-              window.Add(v);
-              window_model.Add(v);
-            }
-            window.MergeInto(&hists[k]);
-            models[k].Merge(window_model);
-            window.Clear();
-            window_model = FullScanHistogram();
-            break;
-          }
+/// Histogram slots over raw bytes set to `fill` before each histogram is
+/// built in place. A LogHistogram never initialises the buckets outside its
+/// occupied range, so with a nonzero fill a bucket read or kept from outside
+/// it shows as a wrong count.
+class FilledStorage {
+  static_assert(std::is_trivially_destructible_v<LogHistogram>);
+
+ public:
+  FilledStorage(size_t slots, unsigned char fill)
+      : fill_(fill), bytes_(new unsigned char[slots * sizeof(LogHistogram)]) {
+    std::memset(bytes_.get(), fill, slots * sizeof(LogHistogram));
+  }
+
+  LogHistogram* Build(size_t slot) { return new (Fill(slot)) LogHistogram(); }
+  LogHistogram* Copy(size_t slot, const LogHistogram& other) {
+    return new (Fill(slot)) LogHistogram(other);
+  }
+
+ private:
+  // LogHistogram is trivially destructible, so a slot is refilled and
+  // rebuilt without destroying what it held.
+  void* Fill(size_t slot) {
+    unsigned char* at = bytes_.get() + slot * sizeof(LogHistogram);
+    std::memset(at, fill_, sizeof(LogHistogram));
+    return at;
+  }
+
+  unsigned char fill_;
+  std::unique_ptr<unsigned char[]> bytes_;
+};
+
+constexpr int kSequenceHists = 4;
+
+/// One seeded sequence of every operation (Add, Merge, a snapshot copy,
+/// Subtract, Clear, copy and assignment, HistogramWindow::MergeInto) over
+/// hists[0, kSequenceHists) and snapshots[0, kSequenceHists), each
+/// histogram checked against the full-scan model after every step.
+/// `copies` supplies the histograms that copy construction builds.
+void CheckModelSequence(ValueMix mix, uint64_t seed, LogHistogram* const* hists,
+                        LogHistogram* const* snapshots,
+                        FilledStorage* copies) {
+  SCOPED_TRACE("mix " + std::to_string(static_cast<int>(mix)) + " seed " +
+               std::to_string(seed));
+  sim::RandomStream rng(seed);
+  std::vector<FullScanHistogram> models(kSequenceHists);
+  // snapshots[k] is an earlier copy of hists[k]; it stays a prefix until
+  // hists[k] is cleared, subtracted from or overwritten.
+  std::vector<FullScanHistogram> snapshot_models(kSequenceHists);
+  std::vector<bool> is_prefix(kSequenceHists, true);
+  HistogramWindow window;
+  FullScanHistogram window_model;
+  for (int step = 0; step < 200; ++step) {
+    const size_t k = rng.NextUint64(kSequenceHists);
+    const size_t j = rng.NextUint64(kSequenceHists);
+    switch (rng.NextUint64(8)) {
+      case 0:
+      case 1: {
+        const uint64_t n = 1 + rng.NextUint64(20);
+        for (uint64_t i = 0; i < n; ++i) {
+          const double v = DrawValue(mix, &rng);
+          hists[k]->Add(v);
+          models[k].Add(v);
         }
-        ASSERT_TRUE(SameAsFullScan(hists[k], models[k])) << "step " << step;
-        ASSERT_TRUE(SameAsFullScan(hists[j], models[j])) << "step " << step;
+        break;
       }
-      for (int k = 0; k < kHists; ++k) {
-        EXPECT_TRUE(SameAsFullScan(hists[k], models[k])) << "hist " << k;
-        EXPECT_TRUE(SameAsFullScan(snapshots[k], snapshot_models[k]))
-            << "snapshot " << k;
+      case 2:  // j == k merges a histogram into itself
+        hists[k]->Merge(*hists[j]);
+        models[k].Merge(models[j]);
+        break;
+      case 3:
+        *snapshots[k] = *hists[k];
+        snapshot_models[k] = models[k];
+        is_prefix[k] = true;
+        ASSERT_TRUE(SameAsFullScan(*snapshots[k], snapshot_models[k]));
+        break;
+      case 4:
+        if (!is_prefix[k]) break;
+        hists[k]->Subtract(*snapshots[k]);
+        models[k].Subtract(snapshot_models[k]);
+        is_prefix[k] = false;
+        break;
+      case 5:
+        hists[k]->Clear();
+        models[k] = FullScanHistogram();
+        is_prefix[k] = false;
+        break;
+      case 6: {
+        ASSERT_TRUE(SameAsFullScan(*copies->Copy(0, *hists[k]), models[k]));
+        *hists[j] = *hists[k];  // j == k assigns to itself
+        models[j] = models[k];
+        if (j != k) is_prefix[j] = false;
+        break;
       }
+      case 7: {
+        const uint64_t n = rng.NextUint64(10);
+        for (uint64_t i = 0; i < n; ++i) {
+          const double v = DrawValue(mix, &rng);
+          window.Add(v);
+          window_model.Add(v);
+        }
+        window.MergeInto(hists[k]);
+        models[k].Merge(window_model);
+        window.Clear();
+        window_model = FullScanHistogram();
+        break;
+      }
+    }
+    ASSERT_TRUE(SameAsFullScan(*hists[k], models[k])) << "step " << step;
+    ASSERT_TRUE(SameAsFullScan(*hists[j], models[j])) << "step " << step;
+  }
+  for (int k = 0; k < kSequenceHists; ++k) {
+    EXPECT_TRUE(SameAsFullScan(*hists[k], models[k])) << "hist " << k;
+    EXPECT_TRUE(SameAsFullScan(*snapshots[k], snapshot_models[k]))
+        << "snapshot " << k;
+  }
+}
+
+constexpr ValueMix kValueMixes[] = {ValueMix::kMixed, ValueMix::kUnderflowOnly,
+                                    ValueMix::kOverflowOnly,
+                                    ValueMix::kTopBucket};
+
+TEST(LogHistogramRangeTest, RandomSequencesMatchTheFullScanModel) {
+  for (const ValueMix mix : kValueMixes) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      std::vector<LogHistogram> hists(kSequenceHists);
+      std::vector<LogHistogram> snapshots(kSequenceHists);
+      LogHistogram* hist_ptrs[kSequenceHists];
+      LogHistogram* snapshot_ptrs[kSequenceHists];
+      for (int k = 0; k < kSequenceHists; ++k) {
+        hist_ptrs[k] = &hists[static_cast<size_t>(k)];
+        snapshot_ptrs[k] = &snapshots[static_cast<size_t>(k)];
+      }
+      FilledStorage copies(1, 0);
+      CheckModelSequence(mix, seed, hist_ptrs, snapshot_ptrs, &copies);
+    }
+  }
+}
+
+// The same sequences over histograms built on storage filled with 0xA5:
+// the results must match those of fresh histograms bit for bit.
+TEST(LogHistogramRangeTest, HistogramsOverPoisonedStorageMatchTheModel) {
+  for (const ValueMix mix : kValueMixes) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      FilledStorage storage(2 * kSequenceHists, 0xA5);
+      LogHistogram* hists[kSequenceHists];
+      LogHistogram* snapshots[kSequenceHists];
+      for (int k = 0; k < kSequenceHists; ++k) {
+        hists[k] = storage.Build(static_cast<size_t>(k));
+        snapshots[k] = storage.Build(static_cast<size_t>(kSequenceHists + k));
+      }
+      FilledStorage copies(1, 0xA5);
+      CheckModelSequence(mix, seed, hists, snapshots, &copies);
     }
   }
 }
