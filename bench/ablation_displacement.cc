@@ -23,7 +23,7 @@ int main() {
   core::ExperimentSpec base = bench::PaperSpec();
   base.duration = 700.0;
   base.warmup = 50.0;
-  base.nodes[0].dynamics.query_fraction =
+  base.nodes[0].system.dynamics.query_fraction =
       db::Schedule::Steps(0.85, {{350.0, 0.30}});
 
   core::OptimumFinder finder(base, bench::FastSearch());

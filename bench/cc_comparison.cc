@@ -28,7 +28,7 @@ int main() {
   db::SystemConfig base = bench::PaperSpec().nodes[0].system;
   // A tighter database accentuates data contention for the lock manager.
   base.logical.db_size = 4000;
-  base.logical.write_fraction = 0.4;
+  base.dynamics.write_fraction = db::Schedule::Constant(0.4);
 
   const std::vector<double> loads = {25, 50, 100, 150, 200, 300, 400};
 

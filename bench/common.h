@@ -79,7 +79,7 @@ inline core::ExperimentSpec JumpSpec(uint64_t seed = 42) {
   core::ExperimentSpec spec = PaperSpec(seed);
   spec.duration = 1000.0;
   spec.warmup = 50.0;
-  spec.nodes[0].dynamics.query_fraction =
+  spec.nodes[0].system.dynamics.query_fraction =
       db::Schedule::Steps(0.30, {{333.0, 0.85}, {666.0, 0.30}});
   return spec;
 }
@@ -148,10 +148,9 @@ inline core::NodeSpec SmallNode() {
   physical.io_time = 0.008;
   physical.restart_delay_mean = 0.02;
   node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  node.system.dynamics.k = db::Schedule::Constant(8);
+  node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
+  node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;
   SetParams(&node, {{"is.initial_bound", 20.0}, {"is.min_bound", 2.0},

@@ -32,7 +32,6 @@ int main() {
       control::PaFromParams(node.control.params));
   sim::Simulator simulator;
   db::TransactionSystem system(&simulator, node.system);
-  system.SetWorkloadDynamics(node.dynamics);
   system.SetActiveTerminalsSchedule(spec.active_terminals);
   control::AdmissionGate gate(&system, node.control.initial_limit);
   control::Monitor monitor(&simulator, &system,

@@ -563,11 +563,10 @@ SuiteResult BenchClusterRouteLocality64(double sim_span) {
     system.physical.io_time = 0.008;
     system.physical.restart_delay_mean = 0.02;
     system.logical.db_size = 16384;
-    system.logical.accesses_per_txn = 8;
+    system.dynamics.k = db::Schedule::Constant(8);
     system.remote.cpu_penalty = 0.003;
     system.remote.latency = 0.016;
     system.remote.serve_cpu = 0.004;
-    nodes[i].dynamics = db::WorkloadDynamics::FromConfig(system.logical);
     nodes[i].initial_limit = 20.0;
   }
   cluster::Cluster fleet(&simulator, nodes,
@@ -580,9 +579,9 @@ SuiteResult BenchClusterRouteLocality64(double sim_span) {
   placement.placement.num_partitions = 64;
   placement.placement.replication_factor = 2;
   placement.workload.db_size = 16384;
-  placement.workload.accesses_per_txn = 8;
-  placement.workload.query_fraction = 0.5;
-  placement.workload.write_fraction = 0.1;
+  placement.dynamics.k = db::Schedule::Constant(8);
+  placement.dynamics.query_fraction = db::Schedule::Constant(0.5);
+  placement.dynamics.write_fraction = db::Schedule::Constant(0.1);
   fleet.EnablePlacement(placement);
   fleet.Start();
   constexpr double kWarmup = 15.0;

@@ -56,15 +56,13 @@ constexpr uint32_t kDbSize = 9600;
 /// and remote latency, not by hot-key aborts (which would reward
 /// placement-blind spreading for the wrong reason: scattered copies do not
 /// conflict in this model).
-db::LogicalConfig SkewedWorkload() {
-  db::LogicalConfig workload;
-  workload.db_size = kDbSize;
-  workload.accesses_per_txn = 8;
-  workload.query_fraction = 0.5;
-  workload.write_fraction = 0.1;
-  workload.hotspot_access_prob = 0.8;
-  workload.hotspot_size_fraction = 1.0 / kNumPartitions;
-  return workload;
+void SetSkewedWorkload(cluster::PlacementSpec* placement) {
+  placement->workload.db_size = kDbSize;
+  placement->workload.hotspot_access_prob = 0.8;
+  placement->workload.hotspot_size_fraction = 1.0 / kNumPartitions;
+  placement->dynamics.k = db::Schedule::Constant(8);
+  placement->dynamics.query_fraction = db::Schedule::Constant(0.5);
+  placement->dynamics.write_fraction = db::Schedule::Constant(0.1);
 }
 
 /// Four bench nodes (see bench::SmallNode) over the skewed keyspace.
@@ -80,7 +78,7 @@ core::ExperimentSpec BaseCluster(uint64_t seed, placement::PlacementKind kind) {
   spec.placement.placement.kind = kind;
   spec.placement.placement.num_partitions = kNumPartitions;
   spec.placement.placement.replication_factor = 3;
-  spec.placement.workload = SkewedWorkload();
+  SetSkewedWorkload(&spec.placement);
   // A remote access is an RPC to the granule's home: the executing node
   // pays marshalling CPU and a network round trip on top of the local
   // I/O, and the home node pays serve CPU per request — shipping hot work

@@ -46,10 +46,11 @@ int main() {
   for (const Mix& mix : mixes) {
     core::ExperimentSpec base = bench::PaperSpec();
     core::NodeSpec& node = base.nodes[0];
-    node.system.logical.accesses_per_txn = mix.k;
-    node.system.logical.query_fraction = mix.query_fraction;
-    node.system.logical.write_fraction = mix.write_fraction;
-    node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+    node.system.dynamics.k = db::Schedule::Constant(mix.k);
+    node.system.dynamics.query_fraction =
+        db::Schedule::Constant(mix.query_fraction);
+    node.system.dynamics.write_fraction =
+        db::Schedule::Constant(mix.write_fraction);
     // fixed.limit is tuned for the *default* mix.
     node.control.params.SetDouble("fixed.limit", 195.0);
     node.control.params.SetDouble("gs.min_bound", 5.0);

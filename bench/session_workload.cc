@@ -53,8 +53,8 @@ core::ExperimentSpec SurgeSpec() {
       // Update-heavy surge: data contention is what makes over-admission
       // expensive (the paper's thrashing mechanism); the diurnal demo's
       // read-mostly mix never pushes the fleet past its lock knee.
-      {"placement.workload.query_fraction", "0.3"},
-      {"placement.workload.write_fraction", "0.4"},
+      {"placement.dynamics.query_fraction", "constant(0.3)"},
+      {"placement.dynamics.write_fraction", "constant(0.4)"},
   };
   // Bench-scale fleet: keep the first 8 of the 256 cloned nodes (their
   // seeds are already decorrelated by the spec's count-expansion).

@@ -24,7 +24,7 @@ int main() {
     spec.duration = 900.0;
     spec.warmup = 100.0;
     // Query fraction swings 0.30 +/- 0.35 -> optimum swings accordingly.
-    spec.nodes[0].dynamics.query_fraction =
+    spec.nodes[0].system.dynamics.query_fraction =
         db::Schedule::Sinusoid(0.5, 0.35, period);
     spec.nodes[0].control.controller = controller;
     return spec;
@@ -33,7 +33,8 @@ int main() {
   for (const char* controller :
        {"incremental-steps", "parabola-approximation"}) {
     const core::ExperimentSpec spec = make_spec(controller);
-    const db::Schedule& query_fraction = spec.nodes[0].dynamics.query_fraction;
+    const db::Schedule& query_fraction =
+        spec.nodes[0].system.dynamics.query_fraction;
     const core::ExperimentResult result = core::Experiment(spec).Run();
 
     // Correlate the bound with the query fraction (which raises the

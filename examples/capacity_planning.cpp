@@ -43,10 +43,11 @@ int main() {
   for (const Mix& mix : mixes) {
     core::ExperimentSpec spec;
     core::NodeSpec& node = spec.nodes.emplace_back();
-    node.system.logical.accesses_per_txn = mix.k;
-    node.system.logical.query_fraction = mix.query_fraction;
-    node.system.logical.write_fraction = mix.write_fraction;
-    node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+    node.system.dynamics.k = db::Schedule::Constant(mix.k);
+    node.system.dynamics.query_fraction =
+        db::Schedule::Constant(mix.query_fraction);
+    node.system.dynamics.write_fraction =
+        db::Schedule::Constant(mix.write_fraction);
 
     core::OptimumFinder finder(spec, search);
     const core::OptimumResult optimum = finder.FindAt(0.0);

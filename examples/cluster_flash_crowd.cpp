@@ -31,9 +31,8 @@ int main() {
   physical.io_time = 0.008;
   physical.restart_delay_mean = 0.02;
   base.system.logical.db_size = 600;
-  base.system.logical.accesses_per_txn = 8;
-  base.system.logical.write_fraction = 0.4;
-  base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
+  base.system.dynamics.k = db::Schedule::Constant(8);
+  base.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
   base.control.measurement_interval = 0.5;
   base.control.initial_limit = 20.0;
   util::ParamMap& params = base.control.params;

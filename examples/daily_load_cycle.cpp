@@ -25,7 +25,7 @@ int main() {
   // Query fraction peaks at "noon" (t = day/2), bottoms at "midnight".
   const db::Schedule query_fraction =
       db::Schedule::Sinusoid(0.55, 0.35, day, -M_PI / 2.0);
-  spec.nodes.emplace_back().dynamics.query_fraction = query_fraction;
+  spec.nodes.emplace_back().system.dynamics.query_fraction = query_fraction;
   // The offered population also swells during business hours.
   spec.active_terminals = db::Schedule::Sinusoid(600.0, 250.0, day,
                                                  -M_PI / 2.0);

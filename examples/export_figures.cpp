@@ -23,7 +23,7 @@ int main() {
   core::ExperimentSpec spec;
   spec.duration = 1000.0;
   spec.warmup = 50.0;
-  spec.nodes.emplace_back().dynamics.query_fraction =
+  spec.nodes.emplace_back().system.dynamics.query_fraction =
       db::Schedule::Steps(0.30, {{333.0, 0.85}, {666.0, 0.30}});
 
   std::printf("computing the true-optimum timeline (offline sweeps)...\n");

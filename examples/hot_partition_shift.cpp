@@ -41,10 +41,9 @@ int main() {
   physical.io_time = 0.008;
   physical.restart_delay_mean = 0.02;
   base.system.logical.db_size = kDbSize;
-  base.system.logical.accesses_per_txn = 8;
-  base.system.logical.query_fraction = 0.5;
-  base.system.logical.write_fraction = 0.1;
-  base.dynamics = db::WorkloadDynamics::FromConfig(base.system.logical);
+  base.system.dynamics.k = db::Schedule::Constant(8);
+  base.system.dynamics.query_fraction = db::Schedule::Constant(0.5);
+  base.system.dynamics.write_fraction = db::Schedule::Constant(0.1);
   base.control.controller = "parabola-approximation";
   base.control.measurement_interval = 0.5;
   base.control.initial_limit = 20.0;
@@ -67,6 +66,7 @@ int main() {
   cluster.placement.placement.kind = placement::PlacementKind::kRange;
   cluster.placement.placement.num_partitions = kNumPartitions;
   cluster.placement.workload = base.system.logical;
+  cluster.placement.dynamics = base.system.dynamics;
   cluster.placement.workload.hotspot_access_prob = 0.8;
   cluster.placement.workload.hotspot_size_fraction = 1.0 / kNumPartitions;
   cluster.remote_access.cpu_penalty = 0.002;

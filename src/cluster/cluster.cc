@@ -24,8 +24,6 @@ db::SystemConfig Externalize(db::SystemConfig config) {
 ClusterNode::ClusterNode(sim::Simulator* sim, const NodeConfig& config)
     : system_(sim, Externalize(config.system)),
       gate_(&system_, config.initial_limit) {
-  system_.SetWorkloadDynamics(config.dynamics);
-  system_.cpu().SetSpeedSchedule(config.cpu_speed);
   gate_.EnableDisplacement(config.displacement);
 }
 
@@ -228,9 +226,6 @@ void Cluster::EnablePlacement(const PlacementSpec& spec) {
   ALC_CHECK(!started_);
   ALC_CHECK(catalog_ == nullptr);
   placement_spec_ = spec;
-  plan_dynamics_ = spec.dynamics.has_value()
-                       ? *spec.dynamics
-                       : db::WorkloadDynamics::FromConfig(spec.workload);
   catalog_ = std::make_unique<placement::PlacementCatalog>(
       spec.placement, static_cast<int>(nodes_.size()),
       spec.workload.db_size);
@@ -658,7 +653,7 @@ void Cluster::SubmitArrival(const workload::Arrival& arrival) {
     const bool query =
         degrade_level_ == 1 &&
         shed_rng_.NextBernoulli(
-            configs_[0].dynamics.QueryFractionAt(sim_->Now()));
+            configs_[0].system.dynamics.QueryFractionAt(sim_->Now()));
     if (ShedArrival(query ? db::TxnClass::kQuery : db::TxnClass::kUpdater,
                     arrival.session)) {
       return;
@@ -671,22 +666,22 @@ void Cluster::SubmitArrival(const workload::Arrival& arrival) {
 void Cluster::StampPlan(const workload::Arrival& arrival) {
   const double now = sim_->Now();
   const uint32_t db_size = placement_spec_.workload.db_size;
+  const db::WorkloadDynamics& mix = placement_spec_.dynamics;
 
   // Stamp the work unit at the front-end: class, access count, and the
   // concrete key plan from the global keyspace — the router needs the keys
   // before a node is chosen.
-  plan_.cls =
-      plan_class_rng_.NextBernoulli(plan_dynamics_.QueryFractionAt(now))
-          ? db::TxnClass::kQuery
-          : db::TxnClass::kUpdater;
-  const int k = plan_dynamics_.KAt(now, db_size);
+  plan_.cls = plan_class_rng_.NextBernoulli(mix.QueryFractionAt(now))
+                  ? db::TxnClass::kQuery
+                  : db::TxnClass::kUpdater;
+  const int k = mix.KAt(now, db_size);
   if (arrival.affinity_size > 0) {
     plan_gen_->PlanAccessesWithAffinity(
-        &plan_, db_size, k, plan_dynamics_.WriteFractionAt(now),
+        &plan_, db_size, k, mix.WriteFractionAt(now),
         arrival.affinity, arrival.affinity_start, arrival.affinity_size);
   } else {
     plan_gen_->PlanAccesses(&plan_, db_size, k,
-                            plan_dynamics_.WriteFractionAt(now));
+                            mix.WriteFractionAt(now));
   }
 
   // Map each key to its partition once; heat accounting feeds the

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/lifecycle.h"
@@ -35,10 +34,6 @@ namespace alc::cluster {
 /// router.
 struct NodeConfig {
   db::SystemConfig system;
-  db::WorkloadDynamics dynamics =
-      db::WorkloadDynamics::FromConfig(db::LogicalConfig{});
-  /// Degraded-node scenarios: time-varying processor speed factor.
-  db::Schedule cpu_speed = db::Schedule::Constant(1.0);
   double initial_limit = 50.0;
   bool displacement = false;
   /// Lifecycle: when this node is up / draining / down (default: always
@@ -139,12 +134,10 @@ class ClusterNode {
 /// keys pay the remote-access penalty of their system config).
 struct PlacementSpec {
   placement::PlacementConfig placement;
-  /// Global keyspace and skew (db_size, k, hotspot region, fractions).
+  /// Global keyspace and skew (db_size, hotspot region).
   db::LogicalConfig workload;
-  /// Time-varying workload mix for the front-end's plan stamping. Leave
-  /// unset for a stationary mix: EnablePlacement then derives constant
-  /// schedules from `workload`, so the two fields cannot disagree.
-  std::optional<db::WorkloadDynamics> dynamics;
+  /// The workload mix the front-end stamps its plans with.
+  db::WorkloadDynamics dynamics;
 };
 
 /// N transaction-system replicas sharing one simulator event queue, fed by
@@ -453,7 +446,6 @@ class Cluster : public workload::WorkloadHost {
 
   // Placement state (set by EnablePlacement).
   PlacementSpec placement_spec_;
-  db::WorkloadDynamics plan_dynamics_;  // resolved from the spec
   std::unique_ptr<placement::PlacementCatalog> catalog_;
   std::unique_ptr<db::AccessPatternGenerator> plan_gen_;
   sim::RandomStream plan_class_rng_;

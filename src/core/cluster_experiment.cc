@@ -91,8 +91,6 @@ ClusterResult ClusterExperiment::Run() {
         config.system.logical.db_size = spec_.placement.workload.db_size;
       }
     }
-    config.dynamics = node.dynamics;
-    config.cpu_speed = node.cpu_speed;
     config.initial_limit = node.control.initial_limit;
     config.displacement = node.control.displacement;
     config.availability = node.availability;

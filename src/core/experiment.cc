@@ -17,7 +17,7 @@ std::unique_ptr<control::LoadController> MakeController(const NodeSpec& node) {
   context.params = &node.control.params;
   context.db_size = static_cast<double>(node.system.logical.db_size);
   // The Tay rule reads the *declared* workload descriptor k(t).
-  db::Schedule k_schedule = node.dynamics.k;
+  db::Schedule k_schedule = node.system.dynamics.k;
   context.k_of_time = [k_schedule](double t) { return k_schedule.Value(t); };
   return control::ControllerRegistry::Global().MakeChecked(
       node.control.controller, context);
@@ -147,7 +147,6 @@ ExperimentResult Experiment::Run() {
   const NodeSpec& node = spec_.nodes[0];
   sim::Simulator simulator;
   db::TransactionSystem system(&simulator, node.system);
-  system.SetWorkloadDynamics(node.dynamics);
   system.SetActiveTerminalsSchedule(spec_.active_terminals);
   if (trace_ != nullptr) system.SetTraceRecorder(trace_, 0);
 
@@ -195,7 +194,7 @@ ExperimentResult Experiment::Run() {
 
 ExperimentSpec FrozenAt(const ExperimentSpec& base, double freeze_time) {
   ExperimentSpec frozen = base;
-  db::WorkloadDynamics& dynamics = frozen.nodes[0].dynamics;
+  db::WorkloadDynamics& dynamics = frozen.nodes[0].system.dynamics;
   dynamics.k = db::Schedule::Constant(dynamics.k.Value(freeze_time));
   dynamics.query_fraction =
       db::Schedule::Constant(dynamics.query_fraction.Value(freeze_time));

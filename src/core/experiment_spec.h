@@ -8,7 +8,6 @@
 #include "cluster/cluster.h"
 #include "db/config.h"
 #include "db/schedule.h"
-#include "db/workload.h"
 #include "elasticity/config.h"
 #include "fault/config.h"
 #include "util/params.h"
@@ -40,16 +39,13 @@ struct ControlSpec {
   bool operator!=(const ControlSpec& other) const { return !(*this == other); }
 };
 
-/// One node of an experiment: simulated system, workload dynamics, control
-/// wiring, a CPU speed profile, and (cluster mode) an availability
-/// schedule. Nodes may be heterogeneous in every field. A single-node
-/// experiment uses exactly one of these.
+/// One node of an experiment: simulated system (with its workload dynamics
+/// and CPU speed profile), control wiring, and (cluster mode) an
+/// availability schedule. Nodes may be heterogeneous in every field. A
+/// single-node experiment uses exactly one of these.
 struct NodeSpec {
   db::SystemConfig system;
-  db::WorkloadDynamics dynamics =
-      db::WorkloadDynamics::FromConfig(db::LogicalConfig{});
   ControlSpec control;
-  db::Schedule cpu_speed = db::Schedule::Constant(1.0);
   /// Lifecycle (cluster mode only): `availability = avail(up; 60:down,
   /// 90:up)` segments drive crash/drain/rejoin transitions; `rejoin`
   /// selects what the control plane remembers across a crash.

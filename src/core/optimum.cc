@@ -64,7 +64,7 @@ OptimumResult OptimumFinder::FindAt(double freeze_time) {
 }
 
 std::vector<OptimumRegime> OptimumFinder::Timeline(double horizon) {
-  std::vector<double> changes = base_.nodes[0].dynamics.ChangePoints();
+  std::vector<double> changes = base_.nodes[0].system.dynamics.ChangePoints();
   auto terminal_changes = base_.active_terminals.ChangePoints();
   changes.insert(changes.end(), terminal_changes.begin(),
                  terminal_changes.end());

@@ -399,22 +399,8 @@ const Table<Sub>& RowsOf(const Field<Owner>& mount) {
   return *static_cast<const Table<Sub>*>(mount.table);
 }
 
-/// What a mount addresses: a struct, or an optional one (then null when
-/// disengaged).
-template <typename T>
-const T* Present(const T& value) { return &value; }
-template <typename T>
-const T* Present(const std::optional<T>& value) {
-  return value.has_value() ? &*value : nullptr;
-}
-template <auto kMember>
-using MountedOf = std::remove_const_t<std::remove_pointer_t<decltype(
-    Present(std::declval<const TypeOf<kMember>&>()))>>;
-
 /// The keys of `table` under `prefix`, addressing the struct at `kMember`.
-/// Over a std::optional, a disengaged value prints nothing, and the first
-/// key assigned engages a default-constructed one.
-template <auto kMember, typename Sub = MountedOf<kMember>>
+template <auto kMember, typename Sub = TypeOf<kMember>>
 Field<OwnerOf<kMember>> Mount(std::string_view prefix, const Table<Sub>& table,
                               const char* cluster_only = nullptr) {
   using Owner = OwnerOf<kMember>;
@@ -422,53 +408,59 @@ Field<OwnerOf<kMember>> Mount(std::string_view prefix, const Table<Sub>& table,
       prefix, true, cluster_only, nullptr, &table,
       [](const Field<Owner>& self, Owner* owner, std::string_view rest,
          const Assignment& in) {
-        if constexpr (std::is_same_v<TypeOf<kMember>, Sub>) {
-          return AssignKey(RowsOf<Sub>(self), &(owner->*kMember), rest, in);
-        } else {
-          // A rejected value must not leave the optional engaged.
-          Sub scratch = (owner->*kMember).value_or(Sub{});
-          const Assigned assigned =
-              AssignKey(RowsOf<Sub>(self), &scratch, rest, in);
-          if (assigned == Assigned::kOk) owner->*kMember = std::move(scratch);
-          return assigned;
-        }
+        return AssignKey(RowsOf<Sub>(self), &(owner->*kMember), rest, in);
       },
       [](const Field<Owner>& self, const Owner& owner,
          const std::string& prefix, std::string* out) {
-        const Sub* present = Present(owner.*kMember);
-        if (present == nullptr) return;
-        PrintFields(RowsOf<Sub>(self), *present,
+        PrintFields(RowsOf<Sub>(self), owner.*kMember,
                     prefix + std::string(self.key), out);
       },
       [](const Field<Owner>& self, const Owner& a, const Owner& b) {
-        const Sub* x = Present(a.*kMember);
-        const Sub* y = Present(b.*kMember);
-        if (x == nullptr || y == nullptr) return x == y;
-        return EqualFields(RowsOf<Sub>(self), *x, *y);
+        return EqualFields(RowsOf<Sub>(self), a.*kMember, b.*kMember);
       }};
 }
 
-/// A node's `logical.<key>` row, ahead of the system mount that owns the
-/// logical field: it assigns that field, then sets the `dynamics.<key>`
-/// schedule the workload reads to the same constant. A later
-/// `dynamics.<key>` line still wins, and since the logical rows print
-/// before the dynamics rows, printed specs reparse to what they were. Prints
-/// and compares nothing of its own: the rows it writes through do.
-template <auto kLogical, auto kDynamics>
-Field<NodeSpec> LogicalMirror(std::string_view key) {
-  using Owner = NodeSpec;
+/// Input spellings of the WorkloadDynamics schedules, each read as a plain
+/// value: an integer for k (`integer`), a number for a fraction.
+struct MixAlias {
+  std::string_view key;
+  db::Schedule db::WorkloadDynamics::*schedule;
+  bool integer;
+};
+constexpr MixAlias kMixAliases[] = {
+    {"accesses_per_txn", &db::WorkloadDynamics::k, true},
+    {"query_fraction", &db::WorkloadDynamics::query_fraction, false},
+    {"write_fraction", &db::WorkloadDynamics::write_fraction, false},
+};
+
+/// `<prefix><alias> = v` (a node's `logical.`, [placement]'s `workload.`)
+/// sets the matching schedule of the WorkloadDynamics at `kDynamics` to
+/// constant(v), so a later line still wins. Input only: prints and compares
+/// nothing, as the dynamics rows print what it set.
+template <auto kDynamics>
+Field<OwnerOf<kDynamics>> MixAliases(std::string_view prefix) {
+  using Owner = OwnerOf<kDynamics>;
   return {
-      key, false, nullptr, nullptr, nullptr,
-      [](const Field<Owner>& self, Owner* node, std::string_view,
+      prefix, true, nullptr, nullptr, nullptr,
+      [](const Field<Owner>&, Owner* owner, std::string_view rest,
          const Assignment& in) {
-        const Field<OwnerOf<kLogical>> leaf = Leaf<kLogical>(self.key);
-        const Assigned assigned =
-            leaf.assign(leaf, &node->system.logical, {}, in);
-        if (assigned == Assigned::kOk) {
-          node->dynamics.*kDynamics = db::Schedule::Constant(
-              static_cast<double>(node->system.logical.*kLogical));
+        for (const MixAlias& alias : kMixAliases) {
+          if (rest != alias.key) continue;
+          double value = 0.0;
+          int k = 0;
+          std::string reason;
+          const bool read = alias.integer
+                                ? ReadText(in.value, in.named, &k, &reason)
+                                : ReadText(in.value, in.named, &value, &reason);
+          if (!read) {
+            *in.error = "key '" + in.key + "': " + reason;
+            return Assigned::kError;
+          }
+          (owner->*kDynamics).*alias.schedule =
+              db::Schedule::Constant(alias.integer ? k : value);
+          return Assigned::kOk;
         }
-        return assigned;
+        return Assigned::kUnknownKey;
       },
       [](const Field<Owner>&, const Owner&, const std::string&,
          std::string*) {},
@@ -590,9 +582,6 @@ struct NodeParseState {
 struct SpecTables {
   const Table<Logical> logical_fields = {
       Leaf<&Logical::db_size>("db_size", AtLeastOne),
-      Leaf<&Logical::accesses_per_txn>("accesses_per_txn"),
-      Leaf<&Logical::query_fraction>("query_fraction"),
-      Leaf<&Logical::write_fraction>("write_fraction"),
       Leaf<&Logical::resample_on_restart>("resample_on_restart"),
       Leaf<&Logical::hotspot_access_prob>("hotspot_access_prob"),
       Leaf<&Logical::hotspot_size_fraction>("hotspot_size_fraction"),
@@ -678,6 +667,7 @@ struct SpecTables {
 
   const Table<Placement> placement_spec_fields = {
       Mount<&Placement::placement>("", partition_fields),
+      MixAliases<&Placement::dynamics>("workload."),
       Mount<&Placement::workload>("workload.", logical_fields),
       Mount<&Placement::dynamics>("dynamics.", dynamics_fields),
   };
@@ -755,8 +745,11 @@ struct SpecTables {
       Leaf<&System::record_history>("record_history"),
       Mount<&System::telemetry>("telemetry.", telemetry_fields),
       Mount<&System::physical>("physical.", physical_fields),
+      MixAliases<&System::dynamics>("logical."),
       Mount<&System::logical>("logical.", logical_fields),
       Mount<&System::remote>("remote.", remote_fields),
+      Mount<&System::dynamics>("dynamics.", dynamics_fields),
+      Leaf<&System::cpu_speed>("cpu_speed"),
   };
 
   const Table<ControlSpec> control_fields = {
@@ -772,17 +765,7 @@ struct SpecTables {
   };
 
   const Table<NodeSpec> node_fields = {
-      // The workload reads the dynamics schedules, so a logical mix line
-      // sets its schedule too.
-      LogicalMirror<&Logical::accesses_per_txn, &Dynamics::k>(
-          "logical.accesses_per_txn"),
-      LogicalMirror<&Logical::query_fraction, &Dynamics::query_fraction>(
-          "logical.query_fraction"),
-      LogicalMirror<&Logical::write_fraction, &Dynamics::write_fraction>(
-          "logical.write_fraction"),
       Mount<&NodeSpec::system>("", system_fields),
-      Mount<&NodeSpec::dynamics>("dynamics.", dynamics_fields),
-      Leaf<&NodeSpec::cpu_speed>("cpu_speed"),
       Leaf<&NodeSpec::availability>("availability", nullptr, kAvailability),
       Leaf<&NodeSpec::rejoin, NamedCodec<kRejoinPolicies>>("rejoin", nullptr,
                                                            kAvailability),
@@ -969,7 +952,7 @@ bool CheckCrossFieldRules(const ExperimentSpec& spec, std::string* error) {
     } else if (controller == "iyer-rule") {
       problem = BoundOrderError("iyer", control::IyerFromParams(params));
     } else if (controller == "tay-rule") {
-      const double k_min = node.dynamics.k.Range(spec.duration).first;
+      const double k_min = node.system.dynamics.k.Range(spec.duration).first;
       if (k_min <= 0.0) {
         problem = " dynamics.k reaches " + util::FormatDouble(k_min) +
                   " within the run; the tay-rule needs k > 0";

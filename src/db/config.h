@@ -3,7 +3,9 @@
 
 #include <cstdint>
 
+#include "db/schedule.h"
 #include "db/types.h"
+#include "db/workload.h"
 
 namespace alc::db {
 
@@ -60,15 +62,12 @@ inline bool operator!=(const PhysicalConfig& a, const PhysicalConfig& b) {
   return !(a == b);
 }
 
-/// Logical model of paper section 7: each transaction accesses a constant
-/// number k of uniformly selected data items (no hot spots); execution has
-/// k+2 phases. Queries read only; updaters write each accessed item with
-/// probability `write_fraction`.
+/// Logical model of paper section 7: each transaction accesses k uniformly
+/// selected data items (no hot spots); execution has k+2 phases. The mix
+/// itself (k, the query fraction, the updaters' write fraction) varies over
+/// time and lives in SystemConfig::dynamics.
 struct LogicalConfig {
   uint32_t db_size = 16000;      // D, number of granules
-  int accesses_per_txn = 16;     // k
-  double query_fraction = 0.30;  // fraction of read-only transactions
-  double write_fraction = 0.25;  // P(write) per access for updaters
   /// Whether a restarted transaction draws a fresh access set. True matches
   /// the common simulation assumption (Agrawal et al. 1987) and avoids
   /// restart livelock.
@@ -82,9 +81,6 @@ struct LogicalConfig {
 
 inline bool operator==(const LogicalConfig& a, const LogicalConfig& b) {
   return a.db_size == b.db_size &&
-         a.accesses_per_txn == b.accesses_per_txn &&
-         a.query_fraction == b.query_fraction &&
-         a.write_fraction == b.write_fraction &&
          a.resample_on_restart == b.resample_on_restart &&
          a.hotspot_access_prob == b.hotspot_access_prob &&
          a.hotspot_size_fraction == b.hotspot_size_fraction;
@@ -150,6 +146,12 @@ inline bool operator!=(const TelemetryConfig& a, const TelemetryConfig& b) {
 struct SystemConfig {
   PhysicalConfig physical;
   LogicalConfig logical;
+  /// The workload mix over time: k, the query fraction and the updaters'
+  /// write fraction (paper section 7).
+  WorkloadDynamics dynamics;
+  /// Processor speed factor over time (degraded-node scenarios; see
+  /// CpuSubsystem).
+  Schedule cpu_speed = Schedule::Constant(1.0);
   CcScheme cc = CcScheme::kOptimisticCertification;
   ArrivalMode arrivals = ArrivalMode::kClosed;
   /// Open mode only: mean arrivals per second (Poisson). A time-varying
@@ -168,7 +170,9 @@ struct SystemConfig {
 };
 
 inline bool operator==(const SystemConfig& a, const SystemConfig& b) {
-  return a.physical == b.physical && a.logical == b.logical && a.cc == b.cc &&
+  return a.physical == b.physical && a.logical == b.logical &&
+         a.dynamics == b.dynamics && a.cpu_speed == b.cpu_speed &&
+         a.cc == b.cc &&
          a.arrivals == b.arrivals &&
          a.open_arrival_rate == b.open_arrival_rate && a.remote == b.remote &&
          a.seed == b.seed && a.record_history == b.record_history &&

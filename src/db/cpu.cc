@@ -7,8 +7,9 @@
 
 namespace alc::db {
 
-CpuSubsystem::CpuSubsystem(sim::Simulator* sim, int num_processors)
-    : sim_(sim), num_processors_(num_processors) {
+CpuSubsystem::CpuSubsystem(sim::Simulator* sim, int num_processors,
+                           Schedule speed)
+    : sim_(sim), num_processors_(num_processors), speed_(std::move(speed)) {
   ALC_CHECK(sim != nullptr);
   ALC_CHECK_GT(num_processors, 0);
 }
@@ -21,8 +22,6 @@ void CpuSubsystem::Request(double service_time, sim::EventCell done) {
     queue_.push_back(Pending{service_time, std::move(done)});
   }
 }
-
-void CpuSubsystem::SetSpeedSchedule(Schedule speed) { speed_ = std::move(speed); }
 
 void CpuSubsystem::StartService(double service_time, sim::EventCell done) {
   busy_time_accum_ += busy_ * (sim_->Now() - busy_since_);

@@ -16,7 +16,12 @@ namespace alc::db {
 /// service time, then the completion callback runs.
 class CpuSubsystem {
  public:
-  CpuSubsystem(sim::Simulator* sim, int num_processors);
+  /// `speed` is the time-varying processor speed factor: a request's
+  /// wall-clock duration is demand / speed, with the speed read once at
+  /// service start. Models degraded nodes in cluster scenarios (thermal
+  /// throttling, co-located work stealing cycles).
+  CpuSubsystem(sim::Simulator* sim, int num_processors,
+               Schedule speed = Schedule::Constant(1.0));
 
   CpuSubsystem(const CpuSubsystem&) = delete;
   CpuSubsystem& operator=(const CpuSubsystem&) = delete;
@@ -26,12 +31,6 @@ class CpuSubsystem {
   /// continuations) ride in the cell's inline buffer: no allocation per
   /// request, queued or not.
   void Request(double service_time, sim::EventCell done);
-
-  /// Time-varying processor speed factor (default: constant 1). A request's
-  /// wall-clock duration is demand / speed, with the speed read once at
-  /// service start. Models degraded nodes in cluster scenarios (thermal
-  /// throttling, co-located work stealing cycles).
-  void SetSpeedSchedule(Schedule speed);
 
   /// Multiplier on top of the speed schedule (default 1), actuated by the
   /// fault injector for cpu-degrade windows: effective speed is
@@ -62,7 +61,7 @@ class CpuSubsystem {
 
   sim::Simulator* sim_;
   int num_processors_;
-  Schedule speed_ = Schedule::Constant(1.0);
+  Schedule speed_;
   double speed_factor_ = 1.0;
   int busy_ = 0;
   /// Ring, not deque: a saturated CPU cycles this queue constantly and a

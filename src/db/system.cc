@@ -23,7 +23,6 @@ TransactionSystem::TransactionSystem(sim::Simulator* sim,
                                      const SystemConfig& config)
     : sim_(sim),
       config_(config),
-      dynamics_(WorkloadDynamics::FromConfig(config.logical)),
       active_terminals_(Schedule::Constant(config.physical.num_terminals)),
       arrival_rate_(Schedule::Constant(config.open_arrival_rate)),
       think_rng_(config.seed),
@@ -32,7 +31,7 @@ TransactionSystem::TransactionSystem(sim::Simulator* sim,
       restart_rng_(config.seed + 0x78dde6e5fd29f045ULL),
       database_(config.logical.db_size),
       access_gen_(&config_.logical, sim::RandomStream(config.seed ^ 0xa5a5a5a5a5a5a5a5ULL)),
-      cpu_(sim, config.physical.num_cpus),
+      cpu_(sim, config.physical.num_cpus, config.cpu_speed),
       disk_(sim, config.physical.io_time) {
   ALC_CHECK(sim != nullptr);
   ALC_CHECK_GT(config.physical.num_terminals, 0);
@@ -93,11 +92,6 @@ void TransactionSystem::SetTraceRecorder(telemetry::TraceRecorder* recorder,
                                          int pid) {
   trace_ = recorder;
   trace_pid_ = pid;
-}
-
-void TransactionSystem::SetWorkloadDynamics(WorkloadDynamics dynamics) {
-  ALC_CHECK(!started_);
-  dynamics_ = std::move(dynamics);
 }
 
 void TransactionSystem::SetActiveTerminalsSchedule(Schedule schedule) {
@@ -240,10 +234,10 @@ void TransactionSystem::SubmitFromTerminal(int terminal_id) {
 void TransactionSystem::SetupNewWork(Transaction* txn) {
   const double now = sim_->Now();
   InitSubmission(txn);
-  txn->cls = class_rng_.NextBernoulli(dynamics_.QueryFractionAt(now))
+  txn->cls = class_rng_.NextBernoulli(config_.dynamics.QueryFractionAt(now))
                  ? TxnClass::kQuery
                  : TxnClass::kUpdater;
-  txn->k = dynamics_.KAt(now, database_.size());
+  txn->k = config_.dynamics.KAt(now, database_.size());
   ++metrics_.counters.submitted;
   on_submit_(txn);
 }
@@ -286,9 +280,9 @@ void TransactionSystem::StartAttempt(Transaction* txn) {
   } else if (txn->access_items.empty() || config_.logical.resample_on_restart) {
     // k is re-read on resample so long-running re-submissions follow the
     // workload schedules; non-resampled restarts keep their original plan.
-    txn->k = dynamics_.KAt(now, database_.size());
+    txn->k = config_.dynamics.KAt(now, database_.size());
     access_gen_.PlanAccesses(txn, database_.size(), txn->k,
-                             dynamics_.WriteFractionAt(now));
+                             config_.dynamics.WriteFractionAt(now));
   }
   txn->read_set.clear();
   txn->write_set.clear();

@@ -70,10 +70,6 @@ class TransactionSystem {
     if (load_observer_ != nullptr) load_observer_(load_context_);
   }
 
-  /// Replaces the (default: constant) workload schedules. Must be called
-  /// before Start().
-  void SetWorkloadDynamics(WorkloadDynamics dynamics);
-
   /// Time-varying number of participating terminals (<= num_terminals).
   /// Terminals beyond the scheduled count stay dormant and re-check after a
   /// think time. Closed mode only. Must be called before Start().
@@ -150,7 +146,6 @@ class TransactionSystem {
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const SystemConfig& config() const { return config_; }
-  const WorkloadDynamics& dynamics() const { return dynamics_; }
   Database& database() { return database_; }
   CpuSubsystem& cpu() { return cpu_; }
   DiskSubsystem& disk() { return disk_; }
@@ -196,7 +191,6 @@ class TransactionSystem {
 
   sim::Simulator* sim_;
   SystemConfig config_;
-  WorkloadDynamics dynamics_;
   Schedule active_terminals_;
   Schedule arrival_rate_;
   Metrics metrics_;

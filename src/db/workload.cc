@@ -7,14 +7,6 @@
 
 namespace alc::db {
 
-WorkloadDynamics WorkloadDynamics::FromConfig(const LogicalConfig& logical) {
-  WorkloadDynamics dynamics;
-  dynamics.k = Schedule::Constant(logical.accesses_per_txn);
-  dynamics.query_fraction = Schedule::Constant(logical.query_fraction);
-  dynamics.write_fraction = Schedule::Constant(logical.write_fraction);
-  return dynamics;
-}
-
 int WorkloadDynamics::KAt(double t, uint32_t db_size) const {
   const double raw = std::round(k.Value(t));
   return static_cast<int>(

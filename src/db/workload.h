@@ -1,7 +1,9 @@
 #ifndef ALC_DB_WORKLOAD_H_
 #define ALC_DB_WORKLOAD_H_
 
-#include "db/config.h"
+#include <cstdint>
+#include <vector>
+
 #include "db/schedule.h"
 
 namespace alc::db {
@@ -9,14 +11,11 @@ namespace alc::db {
 /// Time-varying workload characteristics (paper section 7: "the dynamic
 /// change of the load characteristic was carried out by varying ... k, the
 /// number of locks per transaction; fraction of queries; fraction of write
-/// accesses for updaters").
+/// accesses for updaters"). The defaults are the paper's stationary mix.
 struct WorkloadDynamics {
   Schedule k = Schedule::Constant(16);
   Schedule query_fraction = Schedule::Constant(0.3);
   Schedule write_fraction = Schedule::Constant(0.25);
-
-  /// All schedules constant at the LogicalConfig values.
-  static WorkloadDynamics FromConfig(const LogicalConfig& logical);
 
   /// k at time t, rounded and clamped to [1, db_size].
   int KAt(double t, uint32_t db_size) const;

@@ -221,8 +221,7 @@ core::ExperimentSpec SingleNodeParabolaSpec() {
   node.system.seed = 11;
   node.system.physical.num_cpus = 4;
   node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.dynamics.k = db::Schedule::Constant(60);
+  node.system.dynamics.k = db::Schedule::Constant(60);
   node.control.controller = "parabola-approximation";
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;

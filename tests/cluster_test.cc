@@ -152,11 +152,10 @@ core::NodeSpec SmallNode(uint64_t seed) {
   node.system.physical.io_time = 0.008;
   node.system.physical.restart_delay_mean = 0.02;
   node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
+  node.system.dynamics.k = db::Schedule::Constant(8);
+  node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
+  node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
   node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   node.control.controller = "parabola-approximation";
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;
@@ -274,7 +273,7 @@ TEST(ClusterExperimentTest, JsqShiftsLoadAwayFromDegradedNode) {
   core::ExperimentSpec spec = SmallCluster(2, 31);
   spec.routing = "join-shortest-queue";
   // Node 0 loses 70% of its CPU speed for the whole run.
-  spec.nodes[0].cpu_speed = core::NodeSlowdownSchedule(0.3, 0.0, 1e9);
+  spec.nodes[0].system.cpu_speed = core::NodeSlowdownSchedule(0.3, 0.0, 1e9);
   const core::ClusterResult result = core::ClusterExperiment(spec).Run();
   // The router observes the backlog on the slow node and sends the bulk of
   // the work to the healthy one.

@@ -130,7 +130,7 @@ TEST(MonitorAccountingTest, CpuUtilizationMatchesBusyTime) {
   config.physical.cpu_access_mean = 0.002;
   config.physical.io_time = 0.003;
   config.logical.db_size = 500;
-  config.logical.accesses_per_txn = 5;
+  config.dynamics.k = db::Schedule::Constant(5);
   config.seed = 11;
   db::TransactionSystem system(&sim, config);
   control::Monitor monitor(&sim, &system, 1.0);
@@ -154,7 +154,7 @@ TEST(MonitorAccountingTest, ResponseTimeDeltasConsistent) {
   config.physical.num_terminals = 15;
   config.physical.think_time_mean = 0.1;
   config.logical.db_size = 300;
-  config.logical.accesses_per_txn = 4;
+  config.dynamics.k = db::Schedule::Constant(4);
   config.seed = 13;
   db::TransactionSystem system(&sim, config);
   control::Monitor monitor(&sim, &system, 1.0);

@@ -237,7 +237,7 @@ db::SystemConfig GateSystemConfig() {
   config.physical.io_time = 0.005;
   config.physical.restart_delay_mean = 0.01;
   config.logical.db_size = 300;
-  config.logical.accesses_per_txn = 6;
+  config.dynamics.k = db::Schedule::Constant(6);
   config.seed = 11;
   return config;
 }
@@ -385,9 +385,9 @@ std::string NodeBlock(const std::string& extra = "") {
          "physical.io_time = 0.008\n"
          "physical.restart_delay_mean = 0.02\n"
          "logical.db_size = 400\n"
-         "logical.accesses_per_txn = 16\n"
-         "logical.query_fraction = 0.3\n"
-         "logical.write_fraction = 0.25\n"
+         "dynamics.k = constant(16)\n"
+         "dynamics.query_fraction = constant(0.3)\n"
+         "dynamics.write_fraction = constant(0.25)\n"
          "control.controller = fixed\n"
          "control.initial_limit = 25\n";
 }

@@ -184,8 +184,8 @@ TEST(EngineDeterminismTest, SingleNodePaperModelIsPinned) {
 // A 2PL point shaped like the matrix grid's (tests/matrix_test.cc): lock
 // waits, deadlock restarts and the named controller under a closed
 // population with exponential service, sampled every 0.5 s. `control`
-// appends the controller's own `control.*` lines. Every pin on it ran
-// k = 16 accesses per transaction.
+// appends the controller's own `control.*` lines. It runs k = 16 accesses
+// per transaction; the grid's nodes run k = 6, which the `k6` pin sets.
 core::ExperimentSpec MatrixPointSpec(const std::string& controller,
                                      const std::string& control) {
   const std::string text =
@@ -207,9 +207,7 @@ core::ExperimentSpec MatrixPointSpec(const std::string& controller,
       "physical.io_time = 0.006\n"
       "physical.restart_delay_mean = 0.015\n"
       "logical.db_size = 400\n"
-      "logical.accesses_per_txn = 16\n"
-      "logical.query_fraction = 0.3\n"
-      "logical.write_fraction = 0.4\n"
+      "dynamics.k = constant(16)\n"
       "dynamics.query_fraction = constant(0.3)\n"
       "dynamics.write_fraction = constant(0.4)\n"
       "control.controller = " +
@@ -307,6 +305,11 @@ TEST(EngineDeterminismTest, EveryBuiltinControllerMatrixPointIsPinned) {
         {"node.dynamics.write_fraction", "constant(0.9)"}},
        5284u, 7094u, 1581u, 917515582585811348ULL, 7464584236213675894ULL,
        13380561921851605634ULL},
+      // The matrix grid's own k.
+      {"k6", "incremental-steps", is_bounds,
+       {{"node.dynamics.k", "constant(6)"}}, 5750u, 7073u, 1750u,
+       16563541926337403479ULL, 7671877839606899425ULL,
+       18086775667525398089ULL},
   };
   for (const ControllerPin& pin : pins) {
     core::ExperimentSpec spec = MatrixPointSpec(pin.controller, pin.control);

@@ -23,11 +23,10 @@ ExperimentSpec SmallSpec(uint64_t seed = 5) {
   node.system.physical.io_time = 0.008;
   node.system.physical.restart_delay_mean = 0.02;
   node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
+  node.system.dynamics.k = db::Schedule::Constant(8);
+  node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
+  node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
   node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(120);
   spec.duration = 60.0;
   spec.warmup = 10.0;
@@ -138,23 +137,22 @@ TEST(ExperimentTest, OuterTunerAdjustsInterval) {
 
 TEST(ExperimentTest, FrozenAtSnapshotsSchedules) {
   ExperimentSpec spec = SmallSpec();
-  spec.nodes[0].dynamics.k = db::Schedule::Steps(8.0, {{20.0, 4.0}});
-  spec.nodes[0].dynamics.query_fraction =
+  spec.nodes[0].system.dynamics.k = db::Schedule::Steps(8.0, {{20.0, 4.0}});
+  spec.nodes[0].system.dynamics.query_fraction =
       db::Schedule::Sinusoid(0.5, 0.4, 100.0);
   const ExperimentSpec early = FrozenAt(spec, 0.0);
   const ExperimentSpec late = FrozenAt(spec, 25.0);  // sinusoid crest
-  EXPECT_TRUE(early.nodes[0].dynamics.k.is_constant());
-  EXPECT_DOUBLE_EQ(early.nodes[0].dynamics.k.Value(999.0), 8.0);
-  EXPECT_DOUBLE_EQ(late.nodes[0].dynamics.k.Value(0.0), 4.0);
-  EXPECT_NE(early.nodes[0].dynamics.query_fraction.Value(0.0),
-            late.nodes[0].dynamics.query_fraction.Value(0.0));
+  EXPECT_TRUE(early.nodes[0].system.dynamics.k.is_constant());
+  EXPECT_DOUBLE_EQ(early.nodes[0].system.dynamics.k.Value(999.0), 8.0);
+  EXPECT_DOUBLE_EQ(late.nodes[0].system.dynamics.k.Value(0.0), 4.0);
+  EXPECT_NE(early.nodes[0].system.dynamics.query_fraction.Value(0.0),
+            late.nodes[0].system.dynamics.query_fraction.Value(0.0));
 }
 
 TEST(ExperimentTest, StationaryThroughputIsUnimodalish) {
   // Low limits and very high limits must both underperform the middle.
   ExperimentSpec spec = SmallSpec();
   spec.nodes[0].system.logical.db_size = 150;  // strong contention
-  spec.nodes[0].system.logical.write_fraction = 0.6;
   const double low = StationaryThroughput(spec, 2.0, 0.0, 40.0, 10.0, 9);
   const double mid = StationaryThroughput(spec, 25.0, 0.0, 40.0, 10.0, 9);
   const double high =
@@ -166,7 +164,6 @@ TEST(ExperimentTest, StationaryThroughputIsUnimodalish) {
 TEST(OptimumFinderTest, FindsKnownOptimumRegion) {
   ExperimentSpec spec = SmallSpec();
   spec.nodes[0].system.logical.db_size = 150;
-  spec.nodes[0].system.logical.write_fraction = 0.6;
   OptimumSearchConfig search;
   search.n_lo = 2.0;
   search.n_hi = 120.0;
@@ -189,8 +186,7 @@ TEST(OptimumFinderTest, FindsKnownOptimumRegion) {
 TEST(OptimumFinderTest, TimelineSplitsAtChangePoints) {
   ExperimentSpec spec = SmallSpec();
   spec.nodes[0].system.logical.db_size = 150;
-  spec.nodes[0].system.logical.write_fraction = 0.6;
-  spec.nodes[0].dynamics.k = db::Schedule::Steps(8.0, {{30.0, 4.0}});
+  spec.nodes[0].system.dynamics.k = db::Schedule::Steps(8.0, {{30.0, 4.0}});
   OptimumSearchConfig search;
   search.n_lo = 2.0;
   search.n_hi = 120.0;
@@ -208,7 +204,7 @@ TEST(OptimumFinderTest, TimelineSplitsAtChangePoints) {
 
 TEST(OptimumFinderTest, ChangePointsBeyondHorizonIgnored) {
   ExperimentSpec spec = SmallSpec();
-  spec.nodes[0].dynamics.k = db::Schedule::Steps(8.0, {{500.0, 4.0}});
+  spec.nodes[0].system.dynamics.k = db::Schedule::Steps(8.0, {{500.0, 4.0}});
   OptimumSearchConfig search;
   search.coarse_points = 3;
   search.refine_rounds = 0;

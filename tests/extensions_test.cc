@@ -30,7 +30,7 @@ db::SystemConfig OpenConfig(double rate, uint64_t seed = 1) {
   config.physical.io_time = 0.005;
   config.physical.restart_delay_mean = 0.01;
   config.logical.db_size = 500;
-  config.logical.accesses_per_txn = 6;
+  config.dynamics.k = db::Schedule::Constant(6);
   config.seed = seed;
   return config;
 }
@@ -183,9 +183,8 @@ TEST(GoldenSectionTest, WorksInsideExperiment) {
   node.system.physical.cpu_access_mean = 0.001;
   node.system.physical.io_time = 0.006;
   node.system.logical.db_size = 300;
-  node.system.logical.accesses_per_txn = 6;
+  node.system.dynamics.k = db::Schedule::Constant(6);
   node.system.seed = 5;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(80);
   spec.duration = 40.0;
   spec.warmup = 10.0;

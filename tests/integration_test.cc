@@ -29,11 +29,10 @@ ExperimentSpec MidSpec(uint64_t seed = 21) {
   node.system.physical.io_time = 0.012;
   node.system.physical.restart_delay_mean = 0.02;
   node.system.logical.db_size = 2000;
-  node.system.logical.accesses_per_txn = 10;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
+  node.system.dynamics.k = db::Schedule::Constant(10);
+  node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
+  node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
   node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(200);
   spec.duration = 120.0;
   spec.warmup = 30.0;
@@ -106,7 +105,7 @@ TEST(IntegrationTest, ControllersFollowJumpOfOptimum) {
   spec.nodes[0].control.params.SetDouble("is.max_bound", 150.0);
   spec.nodes[0].control.params.SetDouble("pa.max_bound", 150.0);
   // Write-fraction jump moves the resource bottleneck and with it n_opt.
-  spec.nodes[0].dynamics.write_fraction =
+  spec.nodes[0].system.dynamics.write_fraction =
       db::Schedule::Steps(0.5, {{120.0, 0.15}});
 
   OptimumSearchConfig search;
@@ -164,7 +163,7 @@ TEST(IntegrationTest, SinusoidalVariationIsTracked) {
   ExperimentSpec spec = MidSpec();
   spec.duration = 360.0;
   spec.warmup = 60.0;
-  spec.nodes[0].dynamics.write_fraction =
+  spec.nodes[0].system.dynamics.write_fraction =
       db::Schedule::Sinusoid(0.25, 0.2, 150.0);  // 0.05..0.45
 
   ExperimentSpec run = spec;
@@ -177,7 +176,8 @@ TEST(IntegrationTest, SinusoidalVariationIsTracked) {
   int low_n = 0, high_n = 0;
   for (const TrajectoryPoint& point : result.trajectory) {
     if (point.time < 100.0) continue;
-    const double w = spec.nodes[0].dynamics.write_fraction.Value(point.time);
+    const double w =
+        spec.nodes[0].system.dynamics.write_fraction.Value(point.time);
     if (w < 0.15) {
       low_sum += point.bound;
       ++low_n;
@@ -198,7 +198,7 @@ TEST(IntegrationTest, BlockedTransactionsGrowSuperlinearly2PL) {
     ExperimentSpec spec = MidSpec();
     spec.nodes[0].system.cc = db::CcScheme::kTwoPhaseLocking;
     spec.nodes[0].system.logical.db_size = 600;
-    spec.nodes[0].system.logical.write_fraction = 0.5;
+    spec.nodes[0].system.dynamics.write_fraction = db::Schedule::Constant(0.5);
     spec.nodes[0].control.controller = "fixed";
     spec.nodes[0].control.params.SetDouble("fixed.limit", limit);
     spec.nodes[0].control.initial_limit = limit;
@@ -225,7 +225,7 @@ TEST(IntegrationTest, DisplacementSpeedsUpDownwardAdjustment) {
   ExperimentSpec spec = MidSpec();
   spec.duration = 160.0;
   spec.warmup = 20.0;
-  spec.nodes[0].dynamics.write_fraction =
+  spec.nodes[0].system.dynamics.write_fraction =
       db::Schedule::Steps(0.05, {{80.0, 0.6}});
   spec.nodes[0].control.controller = "parabola-approximation";
 

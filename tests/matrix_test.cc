@@ -56,14 +56,13 @@ class MatrixTest : public ::testing::TestWithParam<MatrixParam> {
     node.system.physical.restart_delay_mean = 0.015;
     node.system.physical.cpu_distribution = dist;
     node.system.logical.db_size = 400;
-    node.system.logical.accesses_per_txn = 6;
-    node.system.logical.query_fraction = 0.3;
-    node.system.logical.write_fraction = 0.4;
+    node.system.dynamics.k = db::Schedule::Constant(6);
+    node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
+    node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
     node.system.cc = cc;
     node.system.arrivals = arrivals;
     node.system.open_arrival_rate = 120.0;
     node.system.seed = 1234;
-    node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
     spec.active_terminals = db::Schedule::Constant(80);
     spec.duration = 30.0;
     spec.warmup = 8.0;
@@ -170,10 +169,9 @@ TEST_P(ServiceDistributionTest, MeanThroughputInsensitiveToDistribution) {
   node.system.physical.cpu_access_mean = 0.002;
   node.system.physical.io_time = 0.004;
   node.system.logical.db_size = 5000;  // negligible contention
-  node.system.logical.accesses_per_txn = 5;
+  node.system.dynamics.k = db::Schedule::Constant(5);
   node.system.physical.cpu_distribution = GetParam();
   node.system.seed = 77;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(60);
   spec.duration = 40.0;
   spec.warmup = 10.0;
@@ -201,9 +199,8 @@ TEST(ConfidenceIntervalTest, StationaryRunHasTightCi) {
   node.system.physical.cpu_access_mean = 0.001;
   node.system.physical.io_time = 0.005;
   node.system.logical.db_size = 2000;
-  node.system.logical.accesses_per_txn = 6;
+  node.system.dynamics.k = db::Schedule::Constant(6);
   node.system.seed = 3;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(80);
   spec.duration = 120.0;
   spec.warmup = 20.0;
@@ -224,8 +221,7 @@ TEST(ConfidenceIntervalTest, ShortRunReportsZero) {
   node.system.physical.num_terminals = 10;
   node.system.physical.think_time_mean = 0.2;
   node.system.logical.db_size = 100;
-  node.system.logical.accesses_per_txn = 3;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
+  node.system.dynamics.k = db::Schedule::Constant(3);
   spec.active_terminals = db::Schedule::Constant(10);
   spec.duration = 5.0;
   spec.warmup = 1.0;  // only 4 intervals -> less than 2 batches

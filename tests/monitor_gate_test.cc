@@ -25,7 +25,7 @@ db::SystemConfig SmallConfig(uint64_t seed = 3) {
   config.physical.io_time = 0.005;
   config.physical.restart_delay_mean = 0.01;
   config.logical.db_size = 300;
-  config.logical.accesses_per_txn = 6;
+  config.dynamics.k = db::Schedule::Constant(6);
   config.seed = seed;
   return config;
 }
@@ -270,7 +270,7 @@ TEST(MonitorTest, ConflictRateCountsAbortsPerCommit) {
   sim::Simulator sim;
   db::SystemConfig config = SmallConfig();
   config.logical.db_size = 25;
-  config.logical.write_fraction = 0.9;
+  config.dynamics.write_fraction = db::Schedule::Constant(0.9);
   db::TransactionSystem system(&sim, config);
   Monitor monitor(&sim, &system, 2.0);
   double total_conflict_rate = 0.0;
@@ -291,7 +291,7 @@ TEST(MonitorTest, UsefulCpuFractionDropsUnderContention) {
     sim::Simulator sim;
     db::SystemConfig config = SmallConfig();
     config.logical.db_size = db_size;
-    config.logical.write_fraction = 0.8;
+    config.dynamics.write_fraction = db::Schedule::Constant(0.8);
     db::TransactionSystem system(&sim, config);
     Monitor monitor(&sim, &system, 2.0);
     double sum = 0.0;

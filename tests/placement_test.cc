@@ -360,11 +360,10 @@ core::NodeSpec SmallNode(uint64_t seed) {
   node.system.physical.io_time = 0.008;
   node.system.physical.restart_delay_mean = 0.02;
   node.system.logical.db_size = 600;
-  node.system.logical.accesses_per_txn = 8;
-  node.system.logical.query_fraction = 0.3;
-  node.system.logical.write_fraction = 0.4;
+  node.system.dynamics.k = db::Schedule::Constant(8);
+  node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
+  node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
   node.system.seed = seed;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   node.control.controller = "parabola-approximation";
   node.control.measurement_interval = 0.5;
   node.control.initial_limit = 20.0;

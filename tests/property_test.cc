@@ -26,9 +26,9 @@ db::SystemConfig PropertyConfig(uint64_t seed, db::CcScheme cc) {
   config.physical.io_time = 0.006;
   config.physical.restart_delay_mean = 0.02;
   config.logical.db_size = 120;  // strong contention to stress CC paths
-  config.logical.accesses_per_txn = 6;
-  config.logical.query_fraction = 0.25;
-  config.logical.write_fraction = 0.6;
+  config.dynamics.k = db::Schedule::Constant(6);
+  config.dynamics.query_fraction = db::Schedule::Constant(0.25);
+  config.dynamics.write_fraction = db::Schedule::Constant(0.6);
   config.cc = cc;
   config.seed = seed;
   return config;
@@ -201,7 +201,6 @@ TEST_P(ControllerProperty, BoundStaysWithinStaticLimits) {
   core::ExperimentSpec spec;
   core::NodeSpec& node = spec.nodes.emplace_back();
   node.system = PropertyConfig(42, db::CcScheme::kOptimisticCertification);
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(60);
   spec.duration = 40.0;
   spec.warmup = 5.0;
@@ -228,7 +227,6 @@ TEST_P(ControllerProperty, MakesProgressUnderControl) {
   core::ExperimentSpec spec;
   core::NodeSpec& node = spec.nodes.emplace_back();
   node.system = PropertyConfig(7, db::CcScheme::kOptimisticCertification);
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(60);
   spec.duration = 30.0;
   spec.warmup = 5.0;

@@ -39,7 +39,7 @@ db::SystemConfig TinyConfig(uint64_t seed = 1) {
   config.physical.io_time = 0.002;
   config.physical.restart_delay_mean = 0.005;
   config.logical.db_size = 10;
-  config.logical.accesses_per_txn = 1;
+  config.dynamics.k = db::Schedule::Constant(1);
   config.seed = seed;
   return config;
 }
@@ -59,9 +59,9 @@ TEST(RobustnessTest, SingleTerminalSingleAccessRuns) {
 TEST(RobustnessTest, AccessSetAsLargeAsDatabase) {
   sim::Simulator sim;
   db::SystemConfig config = TinyConfig();
-  config.logical.accesses_per_txn = 10;  // == db_size: full-scan txns
-  config.logical.write_fraction = 0.5;
-  config.logical.query_fraction = 0.0;
+  config.dynamics.k = db::Schedule::Constant(10);  // == db_size: full scans
+  config.dynamics.write_fraction = db::Schedule::Constant(0.5);
+  config.dynamics.query_fraction = db::Schedule::Constant(0.0);
   db::TransactionSystem system(&sim, config);
   system.Start();
   sim.RunUntil(10.0);
@@ -71,11 +71,9 @@ TEST(RobustnessTest, AccessSetAsLargeAsDatabase) {
 TEST(RobustnessTest, KScheduleClampedToDatabaseSize) {
   sim::Simulator sim;
   db::SystemConfig config = TinyConfig();
+  config.dynamics.k =
+      db::Schedule::Steps(1.0, {{2.0, 500.0}});  // >> db_size 10
   db::TransactionSystem system(&sim, config);
-  db::WorkloadDynamics dynamics =
-      db::WorkloadDynamics::FromConfig(config.logical);
-  dynamics.k = db::Schedule::Steps(1.0, {{2.0, 500.0}});  // >> db_size 10
-  system.SetWorkloadDynamics(dynamics);
   system.Start();
   sim.RunUntil(6.0);  // would CHECK-fail inside PlanAccesses if unclamped
   EXPECT_GT(system.metrics().counters.commits, 10u);
@@ -87,8 +85,9 @@ TEST(RobustnessTest, TwoPhaseLockingQueryOnlyNeverDeadlocks) {
   config.cc = db::CcScheme::kTwoPhaseLocking;
   config.physical.num_terminals = 20;
   config.logical.db_size = 15;
-  config.logical.accesses_per_txn = 5;
-  config.logical.query_fraction = 1.0;  // shared locks only
+  config.dynamics.k = db::Schedule::Constant(5);
+  // Shared locks only.
+  config.dynamics.query_fraction = db::Schedule::Constant(1.0);
   db::TransactionSystem system(&sim, config);
   system.Start();
   sim.RunUntil(15.0);
@@ -102,9 +101,9 @@ TEST(RobustnessTest, HotspotWorkloadEndToEnd) {
   db::SystemConfig config = TinyConfig();
   config.physical.num_terminals = 30;
   config.logical.db_size = 1000;
-  config.logical.accesses_per_txn = 6;
-  config.logical.write_fraction = 0.5;
-  config.logical.query_fraction = 0.0;
+  config.dynamics.k = db::Schedule::Constant(6);
+  config.dynamics.write_fraction = db::Schedule::Constant(0.5);
+  config.dynamics.query_fraction = db::Schedule::Constant(0.0);
   config.logical.hotspot_access_prob = 0.8;
   config.logical.hotspot_size_fraction = 0.02;  // 20 hot granules
   db::TransactionSystem system(&sim, config);
@@ -194,9 +193,9 @@ TEST(RobustnessTest, DisplacementDuringHeavyRestartChurn) {
   db::SystemConfig config = TinyConfig(99);
   config.physical.num_terminals = 30;
   config.logical.db_size = 12;
-  config.logical.accesses_per_txn = 4;
-  config.logical.write_fraction = 0.9;
-  config.logical.query_fraction = 0.0;
+  config.dynamics.k = db::Schedule::Constant(4);
+  config.dynamics.write_fraction = db::Schedule::Constant(0.9);
+  config.dynamics.query_fraction = db::Schedule::Constant(0.0);
   config.physical.restart_delay_mean = 0.05;
   db::TransactionSystem system(&sim, config);
   control::AdmissionGate gate(&system, 25.0);
@@ -315,9 +314,7 @@ TEST(RobustnessTest, ExperimentWithTayRuleTracksDeclaredK) {
   node.system = TinyConfig(7);
   node.system.physical.num_terminals = 40;
   node.system.logical.db_size = 400;
-  node.system.logical.accesses_per_txn = 8;
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
-  node.dynamics.k = db::Schedule::Steps(8.0, {{10.0, 4.0}});
+  node.system.dynamics.k = db::Schedule::Steps(8.0, {{10.0, 4.0}});
   spec.active_terminals = db::Schedule::Constant(40);
   spec.duration = 20.0;
   spec.warmup = 2.0;
@@ -341,7 +338,6 @@ TEST(RobustnessTest, ZeroWarmupExperiment) {
   core::ExperimentSpec spec;
   core::NodeSpec& node = spec.nodes.emplace_back();
   node.system = TinyConfig(3);
-  node.dynamics = db::WorkloadDynamics::FromConfig(node.system.logical);
   spec.active_terminals = db::Schedule::Constant(4);
   spec.duration = 5.0;
   spec.warmup = 0.0;
@@ -399,6 +395,29 @@ TEST(RobustnessTest, MalformedControllerParamOverrideIsAnError) {
       core::ApplySpecOverride(&spec, "node.control.pa.dither", "7", &error))
       << error;
   EXPECT_EQ(spec.nodes[0].control.params.GetDouble("pa.dither", 0.0), 7.0);
+}
+
+// The mix aliases read an integer k and numeric fractions; a rejected
+// value leaves the schedule it would set untouched.
+TEST(RobustnessTest, MalformedMixAliasOverrideIsAnError) {
+  core::ExperimentSpec spec;
+  spec.nodes.emplace_back();
+  const core::ExperimentSpec before = spec;
+  std::string error;
+  const std::pair<std::string, std::string> bad[] = {
+      {"node.logical.accesses_per_txn", "abc"},
+      {"node.logical.accesses_per_txn", "2.5"},
+      {"node.logical.write_fraction", "x"},
+      {"placement.workload.query_fraction", "x"},
+      {"placement.workload.accesses_per_txn", "99999999999"},
+  };
+  for (const auto& [key, value] : bad) {
+    EXPECT_FALSE(core::ApplySpecOverride(&spec, key, value, &error)) << key;
+    EXPECT_NE(error.find(key.substr(key.find('.') + 1)), std::string::npos)
+        << error;
+    EXPECT_NE(error.find(value), std::string::npos) << error;
+  }
+  EXPECT_TRUE(spec == before);
 }
 
 TEST(RobustnessTest, EveryBuiltinControllerParamIsValidated) {

@@ -77,16 +77,12 @@ TEST(ScheduleTest, RangeSinusoidFullPeriod) {
   EXPECT_DOUBLE_EQ(hi, 14.0);
 }
 
-TEST(WorkloadDynamicsTest, FromConfigIsConstant) {
-  LogicalConfig logical;
-  logical.accesses_per_txn = 12;
-  logical.query_fraction = 0.4;
-  logical.write_fraction = 0.1;
-  WorkloadDynamics dynamics = WorkloadDynamics::FromConfig(logical);
-  EXPECT_EQ(dynamics.KAt(0.0, 1000), 12);
-  EXPECT_EQ(dynamics.KAt(1e6, 1000), 12);
-  EXPECT_DOUBLE_EQ(dynamics.QueryFractionAt(5.0), 0.4);
-  EXPECT_DOUBLE_EQ(dynamics.WriteFractionAt(5.0), 0.1);
+TEST(WorkloadDynamicsTest, DefaultsAreThePaperMixAndConstant) {
+  const WorkloadDynamics dynamics;
+  EXPECT_EQ(dynamics.KAt(0.0, 1000), 16);
+  EXPECT_EQ(dynamics.KAt(1e6, 1000), 16);
+  EXPECT_DOUBLE_EQ(dynamics.QueryFractionAt(5.0), 0.3);
+  EXPECT_DOUBLE_EQ(dynamics.WriteFractionAt(5.0), 0.25);
   EXPECT_TRUE(dynamics.ChangePoints().empty());
 }
 

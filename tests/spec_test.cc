@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,7 +91,7 @@ TEST(SpecRoundTripTest, SingleNodeWithDynamicWorkload) {
   node.system.seed = 123;
   node.system.cc = db::CcScheme::kTwoPhaseLocking;
   node.system.physical.cpu_distribution = db::ServiceDistribution::kErlang2;
-  node.dynamics.query_fraction =
+  node.system.dynamics.query_fraction =
       db::Schedule::Steps(0.30, {{333.0, 0.85}, {666.0, 0.30}});
   node.control.controller = "incremental-steps";
   node.control.params.SetDouble("is.beta", 1.25);
@@ -110,9 +111,9 @@ TEST(SpecRoundTripTest, SingleNodeWithDynamicWorkload) {
   EXPECT_FALSE(RoundTrip(fewer_rows) == spec);
 }
 
-// A node's logical mix line also sets the dynamics schedule the workload
-// reads; a later dynamics line wins, and the printed spec reparses to the
-// same node whichever line set the schedule.
+// A node's logical mix line is an input spelling of its dynamics schedule:
+// it sets constant(v), a later dynamics line wins, and the printed spec
+// reparses to the same node whichever line set the schedule.
 TEST(SpecRoundTripTest, LogicalMixLinesSetTheirDynamicsSchedules) {
   std::string error;
   core::ExperimentSpec spec;
@@ -123,12 +124,10 @@ TEST(SpecRoundTripTest, LogicalMixLinesSetTheirDynamicsSchedules) {
                               "dynamics.write_fraction = steps(0.1; 5:0.5)\n",
                               &spec, &error))
       << error;
-  const core::NodeSpec& node = spec.nodes[0];
-  EXPECT_EQ(node.system.logical.accesses_per_txn, 4);
-  EXPECT_TRUE(node.dynamics.k == db::Schedule::Constant(4));
-  EXPECT_TRUE(node.dynamics.query_fraction == db::Schedule::Constant(0.6));
-  EXPECT_EQ(node.system.logical.write_fraction, 0.9);
-  EXPECT_TRUE(node.dynamics.write_fraction ==
+  const db::WorkloadDynamics& dynamics = spec.nodes[0].system.dynamics;
+  EXPECT_TRUE(dynamics.k == db::Schedule::Constant(4));
+  EXPECT_TRUE(dynamics.query_fraction == db::Schedule::Constant(0.6));
+  EXPECT_TRUE(dynamics.write_fraction ==
               db::Schedule::Steps(0.1, {{5.0, 0.5}}));
   EXPECT_TRUE(RoundTrip(spec) == spec);
 
@@ -136,9 +135,41 @@ TEST(SpecRoundTripTest, LogicalMixLinesSetTheirDynamicsSchedules) {
   ASSERT_TRUE(core::ApplySpecOverride(&overridden, "node.logical.write_fraction",
                                       "0.7", &error))
       << error;
-  EXPECT_TRUE(overridden.nodes[0].dynamics.write_fraction ==
+  EXPECT_TRUE(overridden.nodes[0].system.dynamics.write_fraction ==
               db::Schedule::Constant(0.7));
   EXPECT_TRUE(RoundTrip(overridden) == overridden);
+}
+
+// An alias line ahead of a schedule keeps the schedule through print and
+// reparse; an alias line after one replaces it with constant(v), in
+// [node] and in [placement] alike.
+TEST(SpecRoundTripTest, MixAliasesAreOrderedAssignments) {
+  std::string error;
+  core::ExperimentSpec kept;
+  ASSERT_TRUE(core::ParseSpec("[node]\n"
+                              "logical.accesses_per_txn = 8\n"
+                              "dynamics.k = steps(8; 10:12)\n",
+                              &kept, &error))
+      << error;
+  const db::Schedule steps = db::Schedule::Steps(8.0, {{10.0, 12.0}});
+  EXPECT_TRUE(kept.nodes[0].system.dynamics.k == steps);
+  const core::ExperimentSpec reparsed = RoundTrip(kept);
+  EXPECT_TRUE(reparsed == kept);
+  EXPECT_TRUE(reparsed.nodes[0].system.dynamics.k == steps);
+
+  core::ExperimentSpec replaced;
+  ASSERT_TRUE(core::ParseSpec("[placement]\n"
+                              "dynamics.query_fraction = steps(0.5; 60:0.9)\n"
+                              "workload.query_fraction = 0.2\n"
+                              "[node]\n"
+                              "dynamics.k = steps(8; 10:12)\n"
+                              "logical.accesses_per_txn = 6\n",
+                              &replaced, &error))
+      << error;
+  EXPECT_TRUE(replaced.nodes[0].system.dynamics.k ==
+              db::Schedule::Constant(6));
+  EXPECT_TRUE(replaced.placement.dynamics.query_fraction ==
+              db::Schedule::Constant(0.2));
 }
 
 TEST(SpecRoundTripTest, HeterogeneousCluster) {
@@ -163,7 +194,8 @@ TEST(SpecRoundTripTest, HeterogeneousCluster) {
   small.system.cc = db::CcScheme::kTwoPhaseLocking;
   small.control.controller = "incremental-steps";
   small.control.params.SetDouble("is.gamma", 12.0);
-  small.cpu_speed = db::Schedule::Steps(1.0, {{40.0, 0.3}, {100.0, 1.0}});
+  small.system.cpu_speed =
+      db::Schedule::Steps(1.0, {{40.0, 0.3}, {100.0, 1.0}});
   spec.nodes = {big, small};
 
   EXPECT_TRUE(RoundTrip(spec) == spec);
@@ -486,6 +518,8 @@ struct KeyCase {
   const char* key;
   const char* value;  // valid, and different from the default
   bool printed_by_default = true;  // false: printed only once set
+  /// An input spelling: the key it sets, which prints in its place.
+  const char* prints_as = nullptr;
 };
 
 // Every spec key, written out by hand rather than read from the parser's
@@ -532,15 +566,17 @@ const KeyCase kEveryKey[] = {
     {"placement", "rebalance_interval", "5"},
     {"placement", "rebalance_moves", "2"},
     {"placement", "workload.db_size", "8000"},
-    {"placement", "workload.accesses_per_txn", "8"},
-    {"placement", "workload.query_fraction", "0.5"},
-    {"placement", "workload.write_fraction", "0.5"},
+    {"placement", "workload.accesses_per_txn", "8", false, "dynamics.k"},
+    {"placement", "workload.query_fraction", "0.5", false,
+     "dynamics.query_fraction"},
+    {"placement", "workload.write_fraction", "0.5", false,
+     "dynamics.write_fraction"},
     {"placement", "workload.resample_on_restart", "false"},
     {"placement", "workload.hotspot_access_prob", "0.5"},
     {"placement", "workload.hotspot_size_fraction", "0.1"},
-    {"placement", "dynamics.k", "constant(8)", false},
-    {"placement", "dynamics.query_fraction", "constant(0.5)", false},
-    {"placement", "dynamics.write_fraction", "constant(0.5)", false},
+    {"placement", "dynamics.k", "constant(8)"},
+    {"placement", "dynamics.query_fraction", "constant(0.5)"},
+    {"placement", "dynamics.write_fraction", "constant(0.5)"},
     {"placement", "remote.cpu_penalty", "0.003"},
     {"placement", "remote.latency", "0.01"},
     {"placement", "remote.serve_cpu", "0.004"},
@@ -589,9 +625,9 @@ const KeyCase kEveryKey[] = {
     {"node", "physical.restart_delay_mean", "0.1"},
     {"node", "physical.cpu_distribution", "erlang2"},
     {"node", "logical.db_size", "8000"},
-    {"node", "logical.accesses_per_txn", "8"},
-    {"node", "logical.query_fraction", "0.5"},
-    {"node", "logical.write_fraction", "0.5"},
+    {"node", "logical.accesses_per_txn", "8", false, "dynamics.k"},
+    {"node", "logical.query_fraction", "0.5", false, "dynamics.query_fraction"},
+    {"node", "logical.write_fraction", "0.5", false, "dynamics.write_fraction"},
     {"node", "logical.resample_on_restart", "false"},
     {"node", "logical.hotspot_access_prob", "0.5"},
     {"node", "logical.hotspot_size_fraction", "0.1"},
@@ -672,9 +708,14 @@ TEST(SpecKeyOracleTest, EveryKeyParsesOverridesAndRoundTrips) {
     ASSERT_TRUE(core::ParseSpec(printed, &reparsed, &error)) << error;
     EXPECT_TRUE(reparsed == from_file);
     const std::vector<std::string> keys = PrintedKeys(printed);
-    EXPECT_EQ(std::count(keys.begin(), keys.end(),
-                         std::string(c.section) + "/" + c.key),
-              1);
+    const auto printed_count = [&](const char* key) {
+      return std::count(keys.begin(), keys.end(),
+                        std::string(c.section) + "/" + key);
+    };
+    EXPECT_EQ(printed_count(c.key), c.prints_as == nullptr ? 1 : 0);
+    if (c.prints_as != nullptr) {
+      EXPECT_EQ(printed_count(c.prints_as), 1);
+    }
   }
 }
 
@@ -776,6 +817,52 @@ TEST(SpecRunTest, LogicalMixOverridesReachTheWorkload) {
             commits("node.dynamics.query_fraction", "constant(0.9)"));
   EXPECT_EQ(commits("node.logical.accesses_per_txn", "4"),
             commits("node.dynamics.k", "constant(4)"));
+}
+
+using Overrides = std::vector<std::pair<std::string, std::string>>;
+
+/// specs/<file> with `overrides` applied, run once.
+core::SpecRunResult RunSpecFile(const std::string& file,
+                                const Overrides& overrides) {
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_TRUE(core::LoadSpecFile(
+      std::string(ALC_SOURCE_DIR) + "/specs/" + file, &spec, &error))
+      << error;
+  for (const auto& [key, value] : overrides) {
+    EXPECT_TRUE(core::ApplySpecOverride(&spec, key, value, &error)) << error;
+  }
+  return core::RunSpec(spec);
+}
+
+// A [placement] dynamics line sets only the key it names, leaving the rest
+// of the front end's mix as the spec set it: smoke's own k, spelled as a
+// schedule, commits exactly what the plain spec does.
+TEST(SpecRunTest, PlacementDynamicsLineKeepsTheRestOfTheMix) {
+  EXPECT_EQ(RunSpecFile("smoke.spec", {}).commits(), 16563u);
+  EXPECT_EQ(
+      RunSpecFile("smoke.spec", {{"placement.dynamics.k", "constant(8)"}})
+          .commits(),
+      16563u);
+}
+
+// A single node's cpu_speed reaches its processors as a cluster node's
+// does: halving it costs commits, and a unit speed changes nothing.
+TEST(SpecRunTest, SingleNodeCpuSpeedReachesTheProcessors) {
+  const auto result = [](const std::string& speed) {
+    Overrides overrides = {{"duration", "60"}, {"warmup", "10"}};
+    if (!speed.empty()) overrides.push_back({"node.cpu_speed", speed});
+    const core::SpecRunResult run = RunSpecFile("paper_closed.spec", overrides);
+    std::ostringstream text;
+    core::WriteTrajectoryCsv(text, run.single.trajectory, {});
+    text << run.commits() << " " << run.single.mean_throughput << " "
+         << run.single.mean_response;
+    return std::make_pair(run.commits(), text.str());
+  };
+  const auto plain = result("");
+  EXPECT_EQ(plain.first, 7224u);
+  EXPECT_LT(result("constant(0.5)").first, 7224u);
+  EXPECT_EQ(result("constant(1)").second, plain.second);
 }
 
 TEST(SpecRunTest, PrintedSpecRunsIdenticallyToOriginal) {

@@ -43,8 +43,7 @@ core::ExperimentSpec SmallClusterSpec() {
     node.system.seed = core::DecorrelatedNodeSeed(21, static_cast<int>(i));
     node.system.physical.num_cpus = 4;
     node.system.logical.db_size = 600;
-    node.system.logical.accesses_per_txn = 8;
-    node.dynamics.k = db::Schedule::Constant(8);
+    node.system.dynamics.k = db::Schedule::Constant(8);
     node.control.measurement_interval = 0.5;
     node.control.initial_limit = 20.0;
     node.control.params.SetDouble("pa.initial_bound", 20.0);

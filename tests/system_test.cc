@@ -22,9 +22,9 @@ SystemConfig SmallConfig(CcScheme cc = CcScheme::kOptimisticCertification,
   config.physical.io_time = 0.005;
   config.physical.restart_delay_mean = 0.01;
   config.logical.db_size = 200;
-  config.logical.accesses_per_txn = 6;
-  config.logical.query_fraction = 0.3;
-  config.logical.write_fraction = 0.4;
+  config.dynamics.k = Schedule::Constant(6);
+  config.dynamics.query_fraction = Schedule::Constant(0.3);
+  config.dynamics.write_fraction = Schedule::Constant(0.4);
   config.cc = cc;
   config.seed = seed;
   return config;
@@ -60,7 +60,7 @@ TEST(SystemTest, ContentionCausesCertificationAborts) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.logical.db_size = 30;  // tiny database: heavy conflicts
-  config.logical.write_fraction = 0.8;
+  config.dynamics.write_fraction = Schedule::Constant(0.8);
   TransactionSystem system(&sim, config);
   system.Start();
   sim.RunUntil(20.0);
@@ -72,7 +72,7 @@ TEST(SystemTest, TwoPhaseLockingBlocksAndDeadlocks) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig(CcScheme::kTwoPhaseLocking);
   config.logical.db_size = 30;
-  config.logical.write_fraction = 0.8;
+  config.dynamics.write_fraction = Schedule::Constant(0.8);
   TransactionSystem system(&sim, config);
   system.Start();
   sim.RunUntil(30.0);
@@ -88,7 +88,7 @@ TEST(SystemTest, OccHistorySatisfiesCertificationInvariant) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.logical.db_size = 40;
-  config.logical.write_fraction = 0.6;
+  config.dynamics.write_fraction = Schedule::Constant(0.6);
   config.record_history = true;
   TransactionSystem system(&sim, config);
   system.Start();
@@ -158,8 +158,8 @@ TEST(SystemTest, DeterministicForSameSeed) {
 TEST(SystemTest, QueryFractionZeroMeansAllUpdaters) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
-  config.logical.query_fraction = 0.0;
-  config.logical.write_fraction = 1.0;
+  config.dynamics.query_fraction = Schedule::Constant(0.0);
+  config.dynamics.write_fraction = Schedule::Constant(1.0);
   config.record_history = true;
   TransactionSystem system(&sim, config);
   system.Start();
@@ -172,7 +172,7 @@ TEST(SystemTest, QueryFractionZeroMeansAllUpdaters) {
 TEST(SystemTest, QueryFractionOneMeansNoWrites) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
-  config.logical.query_fraction = 1.0;
+  config.dynamics.query_fraction = Schedule::Constant(1.0);
   config.record_history = true;
   TransactionSystem system(&sim, config);
   system.Start();
@@ -188,10 +188,8 @@ TEST(SystemTest, WorkloadScheduleChangesAccessSetSize) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.record_history = true;
+  config.dynamics.k = Schedule::Steps(4.0, {{5.0, 12.0}});
   TransactionSystem system(&sim, config);
-  WorkloadDynamics dynamics = WorkloadDynamics::FromConfig(config.logical);
-  dynamics.k = Schedule::Steps(4.0, {{5.0, 12.0}});
-  system.SetWorkloadDynamics(dynamics);
   system.Start();
   sim.RunUntil(12.0);
 
@@ -224,7 +222,7 @@ TEST(SystemTest, ResponseTimeIncludesAllAttempts) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.logical.db_size = 30;
-  config.logical.write_fraction = 0.9;  // force restarts
+  config.dynamics.write_fraction = Schedule::Constant(0.9);  // force restarts
   TransactionSystem system(&sim, config);
   system.Start();
   sim.RunUntil(15.0);
@@ -233,7 +231,7 @@ TEST(SystemTest, ResponseTimeIncludesAllAttempts) {
   EXPECT_GT(metrics.attempts_per_commit.mean(), 1.05);
   // Mean response must exceed the no-contention minimum (k+2 phases).
   const double min_response =
-      (config.logical.accesses_per_txn + 2) * config.physical.io_time;
+      (config.dynamics.k.Value(0.0) + 2) * config.physical.io_time;
   EXPECT_GT(metrics.counters.response_time_sum /
                 metrics.counters.commits,
             min_response);
@@ -243,7 +241,7 @@ TEST(SystemTest, UsefulAndWastedCpuSplit) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.logical.db_size = 30;
-  config.logical.write_fraction = 0.8;
+  config.dynamics.write_fraction = Schedule::Constant(0.8);
   TransactionSystem system(&sim, config);
   system.Start();
   sim.RunUntil(15.0);
@@ -287,7 +285,7 @@ TEST(SystemTest, DisplacementOfRestartWaitingTransaction) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.logical.db_size = 20;
-  config.logical.write_fraction = 0.9;
+  config.dynamics.write_fraction = Schedule::Constant(0.9);
   config.physical.restart_delay_mean = 0.5;  // long: easy to catch waiting
   TransactionSystem system(&sim, config);
   int displaced_returned = 0;
@@ -323,7 +321,7 @@ TEST(SystemTest, NonResampledRestartKeepsAccessPlan) {
   sim::Simulator sim;
   SystemConfig config = SmallConfig();
   config.logical.db_size = 25;
-  config.logical.write_fraction = 0.9;
+  config.dynamics.write_fraction = Schedule::Constant(0.9);
   config.logical.resample_on_restart = false;
   TransactionSystem system(&sim, config);
   system.Start();
