@@ -8,34 +8,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <initializer_list>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "core/cluster_experiment.h"
 #include "core/experiment.h"
 #include "core/optimum.h"
 #include "core/report.h"
-#include "core/spec.h"
 #include "core/sweep.h"
 
 namespace alc::bench {
-
-/// Directory for bench artifacts (decision CSVs, traces): `--out DIR` if
-/// given, else ./bench_out — never the bare working directory, so repeated
-/// bench runs stop littering the repository root. Created on first use.
-inline std::string OutputDir(int argc, char** argv) {
-  std::string dir = "bench_out";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--out") dir = argv[i + 1];
-  }
-  std::error_code error;
-  std::filesystem::create_directories(dir, error);
-  return dir;
-}
 
 /// Sets each numeric controller param of `node` ("pa.dither", ...).
 inline void SetParams(
@@ -95,80 +78,6 @@ inline core::OptimumSearchConfig FastSearch() {
   search.sim_duration = 60.0;
   search.sim_warmup = 15.0;
   return search;
-}
-
-/// The checked-in spec `specs/<file>`; aborts with the parse error.
-inline core::ExperimentSpec LoadBenchSpec(const std::string& file) {
-  core::ExperimentSpec spec;
-  std::string error;
-  if (!core::LoadSpecFile(std::string(ALC_SOURCE_DIR) + "/specs/" + file,
-                          &spec, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    std::abort();
-  }
-  return spec;
-}
-
-/// ApplySpecOverride that aborts with the error.
-inline void Override(core::ExperimentSpec* spec, const std::string& key,
-                     const std::string& value) {
-  std::string error;
-  if (!core::ApplySpecOverride(spec, key, value, &error)) {
-    std::fprintf(stderr, "override %s: %s\n", key.c_str(), error.c_str());
-    std::abort();
-  }
-}
-
-/// Mean aggregate throughput over the monitor ticks in (start, end].
-inline double SurgeThroughput(const core::ClusterResult& result, double start,
-                              double end) {
-  double sum = 0.0;
-  int count = 0;
-  for (const core::TrajectoryPoint& point : result.aggregate) {
-    if (point.time <= start || point.time > end) continue;
-    sum += point.throughput;
-    ++count;
-  }
-  return count > 0 ? sum / count : 0.0;
-}
-
-/// The downscaled node of the fleet benches (4 CPUs, 600-granule DB,
-/// 0.5 s measurement interval): ~150 commits/s at a thrashing knee near
-/// n=25 (~19 ms CPU demand per transaction), the paper-scale thrashing
-/// shape at a size that keeps multi-node sweeps affordable. IS and PA
-/// start at 20 within [2, 200]; a fixed gate holds 25.
-inline core::NodeSpec SmallNode() {
-  core::NodeSpec node;
-  db::PhysicalConfig& physical = node.system.physical;
-  physical.num_cpus = 4;
-  physical.cpu_init_mean = 0.001;
-  physical.cpu_access_mean = 0.001;
-  physical.cpu_commit_mean = 0.001;
-  physical.cpu_write_commit_mean = 0.004;
-  physical.io_time = 0.008;
-  physical.restart_delay_mean = 0.02;
-  node.system.logical.db_size = 600;
-  node.system.dynamics.k = db::Schedule::Constant(8);
-  node.system.dynamics.query_fraction = db::Schedule::Constant(0.3);
-  node.system.dynamics.write_fraction = db::Schedule::Constant(0.4);
-  node.control.measurement_interval = 0.5;
-  node.control.initial_limit = 20.0;
-  SetParams(&node, {{"is.initial_bound", 20.0}, {"is.min_bound", 2.0},
-                    {"is.max_bound", 200.0},    {"pa.initial_bound", 20.0},
-                    {"pa.min_bound", 2.0},      {"pa.max_bound", 200.0},
-                    {"pa.dither", 5.0},         {"fixed.limit", 25.0}});
-  return node;
-}
-
-/// A cluster spec of `num_nodes` copies of `node`, seeded through the
-/// "seed" override so every node gets its own decorrelated stream.
-inline core::ExperimentSpec Fleet(int num_nodes, const core::NodeSpec& node,
-                                  uint64_t seed) {
-  core::ExperimentSpec spec;
-  spec.cluster = true;
-  spec.nodes.assign(static_cast<size_t>(num_nodes), node);
-  Override(&spec, "seed", std::to_string(seed));
-  return spec;
 }
 
 /// Thread count for sweeping `points` grid points: all cores, capped at

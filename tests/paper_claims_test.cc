@@ -1,8 +1,9 @@
 // The paper's claims as checked rows: every `[expect]` row of
-// specs/paper/*.spec, node_failover and cluster_routing_flash must pass,
-// evaluated through the library as alc_run evaluates them. Also the
-// evaluator's contract: NaN and zero denominators fail, and a missing leaf
-// is an error (spec_test round-trips the rows).
+// specs/paper/*.spec and of the cluster claim specs must pass, evaluated
+// through the library as alc_run evaluates them. Also the evaluator's
+// contract: NaN and zero denominators fail, a missing leaf is an error
+// (spec_test round-trips the rows), and a variant cut to a time window
+// measures that window of the full run.
 
 #include "core/expect.h"
 
@@ -24,8 +25,10 @@ namespace {
 constexpr int kThreads = 4;
 
 std::vector<std::string> ClaimSpecs() {
-  std::vector<std::string> paths = {"node_failover.spec",
-                                    "cluster_routing_flash.spec"};
+  std::vector<std::string> paths = {
+      "node_failover.spec",     "cluster_routing_flash.spec",
+      "fault_storm.spec",       "elasticity_flash.spec",
+      "placement_routing.spec", "session_surge.spec"};
   for (const auto& entry : std::filesystem::directory_iterator(
            std::string(ALC_SOURCE_DIR) + "/specs/paper")) {
     if (entry.path().extension() == ".spec") {
@@ -36,14 +39,21 @@ std::vector<std::string> ClaimSpecs() {
   return paths;
 }
 
+/// The committed spec `specs/<file>`.
+core::ExperimentSpec LoadClaimSpec(const std::string& file) {
+  core::ExperimentSpec spec;
+  std::string error;
+  EXPECT_TRUE(core::LoadSpecFile(
+      std::string(ALC_SOURCE_DIR) + "/specs/" + file, &spec, &error))
+      << error;
+  return spec;
+}
+
 class PaperClaimsTest : public testing::TestWithParam<std::string> {};
 
 TEST_P(PaperClaimsTest, EveryRowPasses) {
-  core::ExperimentSpec spec;
+  const core::ExperimentSpec spec = LoadClaimSpec(GetParam());
   std::string error;
-  ASSERT_TRUE(core::LoadSpecFile(
-      std::string(ALC_SOURCE_DIR) + "/specs/" + GetParam(), &spec, &error))
-      << error;
   ASSERT_FALSE(spec.expect.empty());
   const core::SpecRunResult base = core::RunSpec(spec);
   std::vector<core::ExpectVerdict> verdicts;
@@ -143,6 +153,30 @@ TEST(ExpectTest, MissingLeafIsAnError) {
         << error;
     EXPECT_NE(error.find(leaf), std::string::npos) << error;
   }
+}
+
+// A surge-window row compares variants cut to the window: warmup at its
+// start, duration at its end. The cut run commits exactly what the full
+// run's aggregate trajectory commits over the ticks in (start, end].
+TEST(ExpectTest, AVariantCutToAWindowIsThatWindowOfTheFullRun) {
+  core::ExperimentSpec spec = LoadClaimSpec("fault_storm.spec");
+  spec.expect = {{"window", "summary.commits[warmup=40, duration=100] > 0"}};
+  const core::SpecRunResult full = core::RunSpec(spec);
+  double window_commits = 0.0;
+  const std::vector<core::TrajectoryPoint>& ticks =
+      full.cluster_result.aggregate;
+  for (size_t i = 1; i < ticks.size(); ++i) {
+    if (ticks[i].time > 40.0 && ticks[i].time <= 100.0) {
+      window_commits +=
+          ticks[i].throughput * (ticks[i].time - ticks[i - 1].time);
+    }
+  }
+  std::vector<core::ExpectVerdict> verdicts;
+  std::string error;
+  ASSERT_TRUE(core::EvaluateExpect(spec, full, 1, &verdicts, &error)) << error;
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_GT(verdicts[0].value, 0.0);
+  EXPECT_NEAR(verdicts[0].value, window_commits, 1e-6);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -361,6 +362,74 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
+/// Marks the lines of a[a0, a1) and b[b0, b1) outside one longest common
+/// subsequence: Myers' linear-space diff (Algorithmica 1, 1986). Two
+/// greedy searches cross the N x M box, one from each corner; each round
+/// extends every diagonal k = x - y by one edit and then along equal lines
+/// (a "snake"). Where the searches first overlap lies a snake of a
+/// shortest edit script, and the boxes before and after it are diffed the
+/// same way: time O((N + M) * D) for D changed lines, memory O(N + M).
+void MarkChanges(const std::vector<int>& a, size_t a0, size_t a1,
+                 const std::vector<int>& b, size_t b0, size_t b1,
+                 std::vector<bool>* removed, std::vector<bool>* added) {
+  while (a0 < a1 && b0 < b1 && a[a0] == b[b0]) ++a0, ++b0;
+  while (a0 < a1 && b0 < b1 && a[a1 - 1] == b[b1 - 1]) --a1, --b1;
+  if (a0 == a1 || b0 == b1) {
+    for (size_t i = a0; i < a1; ++i) (*removed)[i] = true;
+    for (size_t j = b0; j < b1; ++j) (*added)[j] = true;
+    return;
+  }
+  using Index = std::ptrdiff_t;
+  const Index n = static_cast<Index>(a1 - a0);
+  const Index m = static_cast<Index>(b1 - b0);
+  const Index delta = n - m;
+  const Index off = n + m + 1;
+  // reach[s][off + k]: the furthest x, counted from search s's corner
+  // (0 forward, 1 backward), on diagonal k after the rounds so far; -1
+  // where no path inside the box gets.
+  std::vector<Index> reach[2] = {std::vector<Index>(2 * off + 1, -1),
+                                 std::vector<Index>(2 * off + 1, -1)};
+  const auto equal = [&](int s, Index x, Index y) {
+    return s == 0 ? a[a0 + x] == b[b0 + y] : a[a1 - 1 - x] == b[b1 - 1 - y];
+  };
+  for (Index d = 0;; ++d) {
+    for (int s = 0; s < 2; ++s) {
+      std::vector<Index>& here = reach[s];
+      for (Index k = -d; k <= d; k += 2) {
+        // One step down from diagonal k + 1 or right from k - 1, whichever
+        // stays in the box and gets further.
+        Index x = d == 0 ? 0 : -1;
+        const Index down = here[off + k + 1];
+        if (d > 0 && down >= 0 && down - k <= m) x = down;
+        const Index right = here[off + k - 1] + 1;
+        if (d > 0 && right > 0 && right <= n && right > x) x = right;
+        const Index start = x;
+        while (x >= 0 && x < n && x - k < m && equal(s, x, x - k)) ++x;
+        here[off + k] = x;
+        // The searches can first meet in the forward round when delta is
+        // odd and in the backward round when it is even; the other
+        // search's diagonal through these cells is delta - k.
+        const Index other = delta - k;
+        if (x < 0 || (delta % 2 != 0) != (s == 0) || other < -d ||
+            other > d) {
+          continue;
+        }
+        const Index met = reach[1 - s][off + other];
+        if (met < 0 || x + met < n) continue;
+        // The snake from (start, start - k) to (x, x - k), in forward
+        // coordinates.
+        Index x0 = start, y0 = start - k, x1 = x, y1 = x - k;
+        if (s == 1) {
+          x0 = n - x, y0 = m - (x - k), x1 = n - start, y1 = m - (start - k);
+        }
+        MarkChanges(a, a0, a0 + x0, b, b0, b0 + y0, removed, added);
+        MarkChanges(a, a0 + x1, a1, b, b0 + y1, b1, removed, added);
+        return;
+      }
+    }
+  }
+}
+
 /// Reports two differing multi-line strings as a line diff: each run of
 /// lines only A has ("-") or only B has ("+") under the line numbers where
 /// it starts, instead of both texts whole.
@@ -371,60 +440,35 @@ void ReportLineDiff(const std::string& label, const std::string& path,
   std::fprintf(stderr, "FAIL %s %s: text differs (%zu vs %zu lines)\n",
                label.c_str(), path.c_str(), lines_a.size(), lines_b.size());
   ++g_failures;
-  // Common head and tail first; a longest common subsequence over the
-  // middle, unless the middle is too large to tabulate, in which case it
-  // is reported as one run each side.
-  size_t head = 0;
-  while (head < lines_a.size() && head < lines_b.size() &&
-         lines_a[head] == lines_b[head]) {
-    ++head;
-  }
-  size_t tail = 0;
-  while (tail < lines_a.size() - head && tail < lines_b.size() - head &&
-         lines_a[lines_a.size() - 1 - tail] ==
-             lines_b[lines_b.size() - 1 - tail]) {
-    ++tail;
-  }
-  const size_t n = lines_a.size() - head - tail;
-  const size_t m = lines_b.size() - head - tail;
-  const bool tabulate = n * m <= 4000000;
-  // common[i * (m + 1) + j]: length of the longest common subsequence of
-  // the middles' suffixes from i and from j.
-  std::vector<uint32_t> common;
-  if (tabulate) {
-    common.assign((n + 1) * (m + 1), 0);
-    for (size_t i = n; i-- > 0;) {
-      for (size_t j = m; j-- > 0;) {
-        common[i * (m + 1) + j] =
-            lines_a[head + i] == lines_b[head + j]
-                ? common[(i + 1) * (m + 1) + j + 1] + 1
-                : std::max(common[(i + 1) * (m + 1) + j],
-                           common[i * (m + 1) + j + 1]);
-      }
+  // Each distinct line as a small integer, so the search compares ints.
+  std::map<std::string, int> ids;
+  const auto intern = [&ids](const std::vector<std::string>& lines) {
+    std::vector<int> out;
+    for (const std::string& line : lines) {
+      const int next = static_cast<int>(ids.size());
+      out.push_back(ids.emplace(line, next).first->second);
     }
-  }
+    return out;
+  };
+  const std::vector<int> id_a = intern(lines_a);
+  const std::vector<int> id_b = intern(lines_b);
+  std::vector<bool> removed(lines_a.size()), added(lines_b.size());
+  MarkChanges(id_a, 0, id_a.size(), id_b, 0, id_b.size(), &removed, &added);
   size_t i = 0;
   size_t j = 0;
-  bool in_run = false;
-  while (i < n || j < m) {
-    if (tabulate && i < n && j < m && lines_a[head + i] == lines_b[head + j]) {
+  while (i < lines_a.size() || j < lines_b.size()) {
+    if (i < lines_a.size() && j < lines_b.size() && !removed[i] &&
+        !added[j]) {
       ++i;
       ++j;
-      in_run = false;
       continue;
     }
-    if (!in_run) {
-      std::fprintf(stderr, "  @@ line %zu vs line %zu\n", head + i + 1,
-                   head + j + 1);
-      in_run = true;
+    std::fprintf(stderr, "  @@ line %zu vs line %zu\n", i + 1, j + 1);
+    for (; i < lines_a.size() && removed[i]; ++i) {
+      std::fprintf(stderr, "  - %s\n", lines_a[i].c_str());
     }
-    const bool take_a =
-        j == m || (i < n && (!tabulate || common[(i + 1) * (m + 1) + j] >=
-                                              common[i * (m + 1) + j + 1]));
-    if (take_a) {
-      std::fprintf(stderr, "  - %s\n", lines_a[head + i++].c_str());
-    } else {
-      std::fprintf(stderr, "  + %s\n", lines_b[head + j++].c_str());
+    for (; j < lines_b.size() && added[j]; ++j) {
+      std::fprintf(stderr, "  + %s\n", lines_b[j].c_str());
     }
   }
 }

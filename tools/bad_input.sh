@@ -5,7 +5,8 @@
 # signal death (128 + signo) means an ALC_CHECK abort in a factory, a
 # constructor or a random draw slipped through. Last, alc_compare must
 # report a changed multi-line spec text as a line diff of the changed
-# lines. tools/premerge.sh and every CI leg run this one list.
+# lines, a fleet-sized one too. tools/premerge.sh and every CI leg run
+# this one list.
 #
 #   $ tools/bad_input.sh build
 set -euo pipefail
@@ -122,6 +123,41 @@ if [ "$status" -ne 1 ] || [ "$(wc -l <"$OUT_DIR/respec.out")" -gt 8 ] ||
   ! grep -q '^  + seed = 43$' "$OUT_DIR/respec.out" ||
   ! grep -q '^  + # appended two$' "$OUT_DIR/respec.out"; then
   fail "alc_compare's spec-text report (exit $status):" "$OUT_DIR/respec.out"
+fi
+
+# A fleet-sized spec text: diurnal_1m printed (256 [node] sections, about
+# 10k lines) with three lines more in every [node] section on one side and
+# three lines appended on the other. The report holds exactly those lines,
+# one header per run of them, and its first and last line.
+"$ALC_RUN" specs/diurnal_1m.spec --print >"$OUT_DIR/fleet.spec"
+removed=$(python3 - "$OUT_DIR/fleet.spec" "$OUT_DIR/fleet_a.json" \
+  "$OUT_DIR/fleet_b.json" <<'PY'
+import json, sys
+lines = open(sys.argv[1]).read().split("\n")
+extra = ["logical.accesses_per_txn = 8", "logical.query_fraction = 0.3",
+         "logical.write_fraction = 0.4"]
+longer = []
+for line in lines:
+    longer.append(line)
+    if line == "[node]":
+        longer += extra
+appended = ["# appended one", "# appended two", "# appended three"]
+json.dump({"spec": "\n".join(longer)}, open(sys.argv[2], "w"))
+json.dump({"spec": "\n".join(lines + appended)}, open(sys.argv[3], "w"))
+print(len(longer) - len(lines))
+PY
+)
+status=0
+"./$BUILD_DIR/tools/alc_compare" "$OUT_DIR/fleet_a.json" \
+  "$OUT_DIR/fleet_b.json" >"$OUT_DIR/fleet.out" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || [ "$removed" -lt 700 ] ||
+  [ "$(grep -c '^  - ' "$OUT_DIR/fleet.out")" -ne "$removed" ] ||
+  [ "$(grep -c '^  + ' "$OUT_DIR/fleet.out")" -ne 3 ] ||
+  [ "$(wc -l <"$OUT_DIR/fleet.out")" -gt $((removed + 3 + removed / 3 + 3)) ]
+then
+  head -c 4000 "$OUT_DIR/fleet.out" >"$OUT_DIR/fleet.head"
+  fail "alc_compare's fleet-sized spec-text report (exit $status, $(wc -l \
+    <"$OUT_DIR/fleet.out") lines; first 4000 bytes):" "$OUT_DIR/fleet.head"
 fi
 
 echo "bad_input: every repro rejected cleanly"

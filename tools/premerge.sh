@@ -13,19 +13,23 @@
 #      of the smoke spec with a mid-surge crash under retraction, the
 #      shed ladder and bounded retry (re-submissions and dead letters must
 #      reach its manifest). alc_run exits 1 when a spec's [expect] row
-#      fails, so each run also checks its spec's rows
+#      fails, so each run also checks its spec's rows, variants included
+#      (elasticity: detection window, provisioning lag, beats the fixed
+#      fleet on the surge)
 #   4. the fault_storm spec end to end: the [fault] injector, phi/quorum
 #      detection, bounded retry, and the degradation ladder must all
-#      leave their marks in the manifest ([expect] rows) and decision
-#      audit, and a deliberately failing [expect] row must exit 1 naming
-#      the row
+#      leave their marks in the manifest and decision audit, and its
+#      [expect] rows (fewer false declarations than consecutive misses,
+#      surge-window throughput against no retry or shedding) must pass; a
+#      deliberately failing [expect] row must exit 1 naming the row
 #   5. perf_suite --check, smoke and full spans (~7 s): the allocation
 #      pins (event engine, session source, cluster pools, histogram
 #      windows) must hold
 #   6. bad input (tools/bad_input.sh, which CI runs too): each malformed
 #      or out-of-range spec line, override and [expect] row must exit 1
 #      with an error line, never die by a signal, and alc_compare must
-#      report a changed multi-line spec text as a line diff
+#      report a changed multi-line spec text, fleet-sized too, as a line
+#      diff of the changed lines
 #
 #   $ tools/premerge.sh            # uses ./build
 #   $ BUILD_DIR=build-rel tools/premerge.sh
